@@ -1,7 +1,7 @@
 """Dimension tables for all six bigraded spaces.
 
 Prints the exact dimensions over a small (weight, depth) window for each
-space.  Adjust the ranges below (or MOULDE_THREADS) for larger windows.
+space.  Adjust the ranges below for larger windows.
 
 Run:  python3 demos/dimension_tables.py
 """

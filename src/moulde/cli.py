@@ -10,15 +10,12 @@ Verbs:
   dump      named moulds and fixtures
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
-The environment variable MOULDE_THREADS caps parallelism for table
-computations (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -50,13 +47,6 @@ IDENTITIES = ("fundamental", "goodfund", "senary", "ganit_inverse")
 
 class UsageError(Exception):
     pass
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("MOULDE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_range(text):
@@ -103,8 +93,7 @@ def cmd_dims(args, out):
     if args.space == "vkrv":
         raise UsageError("vkrv is graded by weight only; use basis")
     table = spaces_mod.dimension_table(
-        args.space, _parse_range(args.n), _parse_range(args.r),
-        threads=_threads())
+        args.space, _parse_range(args.n), _parse_range(args.r))
     out.write(table.to_json() if args.format == "json" else table.to_text())
     return 0
 

@@ -1,10 +1,14 @@
 """Linear-constraint solvers for the bigraded spaces.
 
-Each solver assembles an exact rational constraint matrix on a finite
-parameter basis (Lyndon Lie elements for the word-level spaces, monomial
-coefficients per depth for the mould-level ones), takes its nullspace
-and re-verifies every emitted basis element against the defining
-predicates of the space.
+Every space runs through one constraint engine.  Its parameter basis is
+Lyndon Lie elements for the word-level spaces and monomial moulds per
+depth for the mould-level ones.  The space is a list of linear
+conditions on that basis, built from shared pieces: alternality,
+push-invariance, circ-neutrality, the swap and the Delta-quotient
+(Schneps, "ARI, GARI, Zig and Zag", arXiv:1507.01534).  `_assemble`
+turns the conditions into an exact rational matrix, and `_solve` takes
+its nullspace and re-verifies every basis element against the defining
+predicates of the space, raising `VerificationError` on a failure.
 
 Spaces:
   lkv      push-invariant, circ-neutral Lie elements (depth-graded)
@@ -27,8 +31,26 @@ from . import mould as mould_mod
 from . import words as words_mod
 from .linalg import nullspace, rank
 from .mould import Mould
-from .poly import MultiPoly, RatFrac, grlex_key
+from .poly import MultiPoly, RatFrac, _multiset_union, _product_over, grlex_key
 from .words import NCPoly
+
+_ZERO = Fraction(0)
+
+
+class VerificationError(Exception):
+    """A solved basis element fails a defining predicate of its space.
+
+    Raised in place of an `assert`, so the check also runs under
+    `python -O`."""
+
+    def __init__(self, space, n, r, check):
+        where = "n=%s" % (n,) if r is None else "n=%s, r=%s" % (n, r)
+        super().__init__("%s (%s): basis element is not %s"
+                         % (space, where, check))
+        self.space = space
+        self.n = n
+        self.r = r
+        self.check = check
 
 
 class ConstraintSystem:
@@ -68,35 +90,76 @@ class BigradedBasis:
         return "BigradedBasis(%s, %s, dim=%d)" % (self.space, where, self.dim)
 
 
-def _rows_from_defects(defects, extra_cols=0):
-    """Turn per-generator {key: Fraction} defect maps into matrix rows.
+# ---------------------------------------------------------------------------
+# The constraint engine
+# ---------------------------------------------------------------------------
 
-    defects[j] describes the linear image of generator j; rows are keyed
-    by the union of all keys, in sorted order.  extra_cols appends zero
-    columns (for adjoined unknowns handled by the caller)."""
-    keys = sorted(set().union(*[set(d) for d in defects]) if defects else [])
-    rows = []
-    for key in keys:
-        rows.append([d.get(key, Fraction(0)) for d in defects]
-                    + [Fraction(0)] * extra_cols)
-    return keys, rows
-
-
-def _poly_defect(value, tag):
-    """Monomial coefficients of a polynomial RatFrac value, tagged."""
-    if isinstance(value, RatFrac):
-        if not value.is_polynomial():
+def _terms(image):
+    """Nonzero {key: coefficient} of a polynomial, word polynomial or dict."""
+    if isinstance(image, RatFrac):
+        if not image.is_polynomial():
             raise ValueError("expected a polynomial value")
-        value = value.as_poly()
-    return {(tag, e): c for e, c in value.terms.items()}
+        image = image.as_poly()
+    if not isinstance(image, dict):
+        image = image.terms
+    return {k: c for k, c in image.items() if c}
 
 
-def _merge(*dicts):
-    out = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v != 0}
+def _cleared(images):
+    """Numerators of the images over their common denominator."""
+    common = ()
+    for f in images:
+        if isinstance(f, RatFrac):
+            common = _multiset_union(common, f.den_factors)
+    if not common:
+        return images
+    return [f.num * _product_over(common, f.den_factors, f.arity)
+            for f in images]
+
+
+def _assemble(parameters, conditions, constant=False):
+    """Constraint system of `conditions` on `parameters`.
+
+    A condition (tag, images, weight) says that sum_j v_j images[j]
+    equals weight * c, where images[j] is the image of parameter j and
+    c is a constant adjoined as a last parameter "c" when `constant`.
+    The constant enters as one more image, -weight, so the images of a
+    condition, the constant's included, go over one common denominator.
+    There is one row per key (tag, monomial or word) in the union of
+    all numerators."""
+    if constant:
+        parameters = list(parameters) + ["c"]
+    columns = [{} for _ in parameters]
+    for tag, images, weight in conditions:
+        if constant:
+            images = list(images) + [RatFrac.const(images[0].arity, -weight)]
+        for column, image in zip(columns, _cleared(images)):
+            column.update(((tag, k), c) for k, c in _terms(image).items())
+    keys = sorted(set().union(*columns))
+    rows = [[column.get(k, _ZERO) for column in columns] for k in keys]
+    return ConstraintSystem(parameters, rows, keys)
+
+
+def _solve(space, n, r, system, combine, checks, constant=None):
+    """Basis of `space` from the nullspace of `system`.
+
+    Each null vector is combined into an element, which must pass every
+    (name, predicate) in `checks`.  With `constant`, extras[constant]
+    lists each element's adjoined constant (0 without a "c" column)."""
+    params = system.parameters
+    adjoined = constant is not None and params[-1:] == ["c"]
+    if adjoined:
+        params = params[:-1]
+    basis, constants = [], []
+    for v in system.null_vectors():
+        element = combine(params, v)
+        for name, holds in checks:
+            if not holds(element):
+                raise VerificationError(space, n, r, name)
+        basis.append(element)
+        constants.append(v[-1] if adjoined else _ZERO)
+    extras = {constant: constants} if constant is not None else None
+    return BigradedBasis(space, n, r, basis, extras)
 
 
 def _combine_ncpoly(gens, vec):
@@ -107,13 +170,52 @@ def _combine_ncpoly(gens, vec):
     return out
 
 
-def _combine_poly(gens, vec):
-    out = None
-    for e, c in zip(gens, vec):
-        if c:
-            m = MultiPoly.monomial(e, c)
-            out = m if out is None else out + m
-    return out
+def _combine_mould(gens, vec):
+    r = len(gens[0])
+    return Mould("U", {r: MultiPoly(r, dict(zip(gens, vec)))})
+
+
+# ---------------------------------------------------------------------------
+# Conditions on a list of moulds, one per parameter
+# ---------------------------------------------------------------------------
+
+def _alternal(moulds, r, tag, constant=False):
+    """Shuffle sums Sh((1..i)(i+1..r)) for i <= r/2 vanish, or equal
+    C(r, i) c: the shuffle sums of the constant mould c."""
+    return [("%s:%d" % (tag, i),
+             [mould_mod.shuffle_sum(M.get(r), r, i) for M in moulds],
+             math.comb(r, i) if constant else 0)
+            for i in range(1, r // 2 + 1)]
+
+
+def _push(moulds, r):
+    """push(B) = B in depth r; in depth 1 this is evenness."""
+    return ("push", [mould_mod.push(B).get(r) - B.get(r) for B in moulds], 0)
+
+
+def _circ(moulds, r, weight=0):
+    """The cyclic sum of the depth-r value vanishes, or equals c."""
+    return ("circ", [mould_mod.circ_cycle_sum(M, r) for M in moulds], weight)
+
+
+def _swap(moulds):
+    return [mould_mod.swap(M) for M in moulds]
+
+
+def _quotient(moulds):
+    """The Delta-quotients P/(u1..ur(u1+..+ur))."""
+    return [mould_mod.delta_inv(M) for M in moulds]
+
+
+def _even_in_depth1(M):
+    """Push-invariance in depth 1, which is evenness; void above."""
+    return 1 not in M.values or mould_mod.is_push_invariant(M)
+
+
+def _star(prop):
+    """The swapped Delta-quotient has `prop` up to a constant mould."""
+    return lambda M: mould_mod.star_correction(
+        mould_mod.swap(mould_mod.delta_inv(M)), prop) is not None
 
 
 def _exp_tuples(d, r):
@@ -134,10 +236,19 @@ def _exp_tuples(d, r):
     return out
 
 
+def _monomials(n, r):
+    """Exponents of the degree n-r monomials in depth r, and their moulds."""
+    gens = _exp_tuples(n - r, r)
+    return gens, [Mould("U", {r: MultiPoly.monomial(e, 1)}) for e in gens]
+
+
 def lie_basis(n, r):
-    """Lyndon basis of the weight-n, depth-r part of the free Lie algebra."""
-    return [b for b in words_mod.lyndon_lie_basis(n)
-            if b.depths() == [r]]
+    """Lyndon basis of the weight-n, depth-r part of the free Lie algebra.
+
+    Bracketing keeps the number of letters y, so only the Lyndon words
+    with r letters y are bracketed."""
+    return [words_mod._standard_bracketing(w)
+            for w in words_mod.lyndon_words(n) if w.count("y") == r]
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +257,11 @@ def lie_basis(n, r):
 
 def lkv_system(n, r):
     gens = lie_basis(n, r)
-    defects = []
-    for g in gens:
-        B = mould_mod.ma(g)
-        d = _poly_defect(mould_mod.push(B).get(r) - B.get(r), "push")
-        if r > 1:
-            d = _merge(d, _poly_defect(
-                mould_mod.circ_cycle_sum(mould_mod.swap(B), r), "circ"))
-        defects.append(d)
-    keys, rows = _rows_from_defects(defects)
-    return ConstraintSystem(gens, rows, keys)
+    B = [mould_mod.ma(g) for g in gens]
+    conditions = [_push(B, r)]
+    if r > 1:
+        conditions.append(_circ(_swap(B), r))
+    return _assemble(gens, conditions)
 
 
 def solve_lkv(n, r):
@@ -163,97 +269,68 @@ def solve_lkv(n, r):
     circ-neutral swap mould."""
     if not (n >= 3 and 1 <= r <= n - 1):
         return BigradedBasis("lkv", n, r, [])
-    system = lkv_system(n, r)
-    basis = [_combine_ncpoly(system.parameters, v)
-             for v in system.null_vectors()]
-    for b in basis:
-        assert words_mod.is_push_invariant(b)
-        assert words_mod.is_circ_neutral_poly(b)
-    return BigradedBasis("lkv", n, r, basis)
+    return _solve("lkv", n, r, lkv_system(n, r), _combine_ncpoly, [
+        ("push-invariant", words_mod.is_push_invariant),
+        ("circ-neutral", words_mod.is_circ_neutral_poly)])
 
 
 # ---------------------------------------------------------------------------
 # ls: alternal moulds with alternal swap, even in depth 1
 # ---------------------------------------------------------------------------
 
-def _alternality_defect(value, r, tag):
-    out = {}
-    for i in range(1, r // 2 + 1):
-        out = _merge(out, _poly_defect(
-            mould_mod.shuffle_sum(value, r, i), "%s:%d" % (tag, i)))
-    return out
-
-
 def ls_system(n, r):
-    d = n - r
-    gens = _exp_tuples(d, r)
-    defects = []
-    for e in gens:
-        B = Mould("U", {r: MultiPoly.monomial(e, 1)})
-        dd = _alternality_defect(B.get(r), r, "al")
-        dd = _merge(dd, _alternality_defect(
-            mould_mod.swap(B).get(r), r, "sal"))
-        defects.append(dd)
-    keys, rows = _rows_from_defects(defects)
-    return ConstraintSystem(gens, rows, keys)
+    gens, B = _monomials(n, r)
+    conditions = _alternal(B, r, "al") + _alternal(_swap(B), r, "sal")
+    if r == 1:
+        conditions.append(_push(B, r))
+    return _assemble(gens, conditions)
 
 
 def solve_ls(n, r):
     """Degree n-r polynomial moulds in depth r, alternal with alternal
     swap; even in depth 1."""
-    d = n - r
-    if d < 0:
+    if not 1 <= r <= n:
         return BigradedBasis("ls", n, r, [])
-    if r == 1:
-        basis = []
-        if d % 2 == 0:
-            basis = [Mould("U", {1: MultiPoly.monomial((d,), 1)})]
-        return BigradedBasis("ls", n, r, basis)
-    system = ls_system(n, r)
-    basis = []
-    for v in system.null_vectors():
-        p = _combine_poly(system.parameters, v)
-        M = Mould("U", {r: p})
-        assert mould_mod.is_alternal(M)
-        assert mould_mod.is_alternal(mould_mod.swap(M))
-        basis.append(M)
-    return BigradedBasis("ls", n, r, basis)
+    return _solve("ls", n, r, ls_system(n, r), _combine_mould, [
+        ("alternal", mould_mod.is_alternal),
+        ("swap-alternal", lambda M: mould_mod.is_alternal(mould_mod.swap(M))),
+        ("even in depth 1", _even_in_depth1)])
 
 
 # ---------------------------------------------------------------------------
 # vkrv: push-invariant Lie b with b^y - b^x push-constant
 # ---------------------------------------------------------------------------
 
-def vkrv_system(n):
-    gens = [b for r in range(1, n) for b in lie_basis(n, r)]
-    m = n - 1
-    defects = []
-    for g in gens:
-        d = {("push", w): c
-             for w, c in (words_mod.push_word(g) - g).terms.items()}
-        _, _, _, gux, guy = words_mod.decompose(g)
-        diff = guy - gux
-        c_lin = g.coeff("x" * (n - 1) + "y")
-        # the y^{n-1} coefficient must vanish outright
-        ym = diff.coeff("y" * m)
-        if ym:
-            d = _merge(d, {("ym",): ym})
-        # push-class sums (with repetition) all equal (g | x^{n-1}y)
-        seen = set()
-        class_rows = {}
-        for rr in range(1, m):
-            for w in words_mod._words_of(m, rr):
-                if w in seen:
-                    continue
+def _push_classes(m):
+    """Push orbits (with repetition) of the words of weight m and depth
+    1..m-1, one per class."""
+    seen, orbits = set(), []
+    for r in range(1, m):
+        for w in words_mod._words_of(m, r):
+            if w not in seen:
                 orbit = words_mod.push_orbit(w)
                 seen.update(orbit)
-                key = ("class", min(orbit))
-                total = sum(diff.coeff(v) for v in orbit)
-                class_rows[key] = total - c_lin
-        d = _merge(d, class_rows)
-        defects.append(d)
-    keys, rows = _rows_from_defects(defects)
-    return ConstraintSystem(gens, rows, keys)
+                orbits.append(orbit)
+    return orbits
+
+
+def vkrv_system(n):
+    gens = sorted(words_mod.lyndon_lie_basis(n), key=NCPoly.depths)
+    m = n - 1
+    orbits = _push_classes(m)
+    push, ym, classes = [], [], []
+    for g in gens:
+        _, _, _, gux, guy = words_mod.decompose(g)
+        diff = guy - gux
+        c_lin = g.coeff("x" * m + "y")
+        push.append(words_mod.push_word(g) - g)
+        # the y^{n-1} coefficient must vanish outright
+        ym.append({"": diff.coeff("y" * m)})
+        # push-class sums (with repetition) all equal (g | x^{n-1}y)
+        classes.append({min(o): sum(diff.coeff(v) for v in o) - c_lin
+                        for o in orbits})
+    return _assemble(gens, [("push", push, 0), ("ym", ym, 0),
+                            ("class", classes, 0)])
 
 
 def solve_vkrv(n):
@@ -261,57 +338,30 @@ def solve_vkrv(n):
     b^y - b^x is push-constant for the value (b | x^{n-1} y)."""
     if n < 3:
         return BigradedBasis("vkrv", n, None, [])
-    system = vkrv_system(n)
-    basis = [_combine_ncpoly(system.parameters, v)
-             for v in system.null_vectors()]
-    for b in basis:
-        assert words_mod.is_push_invariant(b)
+
+    def push_constant(b):
         _, _, _, bux, buy = words_mod.decompose(b)
-        c = b.coeff("x" * (n - 1) + "y")
         ok, got = words_mod.is_push_constant(buy - bux)
-        assert ok and (got == c or (got == 0 and c == 0) or got is None)
-    return BigradedBasis("vkrv", n, None, basis)
+        return ok and (got is None or got == b.coeff("x" * (n - 1) + "y"))
+
+    return _solve("vkrv", n, None, vkrv_system(n), _combine_ncpoly, [
+        ("push-invariant", words_mod.is_push_invariant),
+        ("push-constant", push_constant)])
 
 
 def solve_gr_krv(n, r):
     """Dimension of the depth-r graded piece of the weight-n part of
     vkrv (depth filtration: F_r = elements with no component of depth
     below r)."""
-    vk = solve_vkrv(n)
-    if vk.dim == 0:
-        return 0
+    basis = solve_vkrv(n).basis
 
-    def filtered_dim(s):
-        # combinations with all components of depth < s equal to zero
-        low_words = sorted({w for b in vk.basis for w in b.terms
+    def low_rank(s):
+        # dim F_s = dim vkrv - rank of the components of depth < s
+        low_words = sorted({w for b in basis for w in b.terms
                             if w.count("y") < s})
-        rows = [[b.coeff(w) for b in vk.basis] for w in low_words]
-        return len(nullspace(rows, cols=vk.dim))
+        return rank([[b.coeff(w) for b in basis] for w in low_words])
 
-    return filtered_dim(r) - filtered_dim(r + 1)
-
-
-# ---------------------------------------------------------------------------
-# Denominator clearing for rational constraint rows
-# ---------------------------------------------------------------------------
-
-def _cleared_numerators(fracs):
-    """Common-denominator numerators of a list of RatFracs.
-
-    Returns (numerators, common_denominator) with
-    fracs[j] = numerators[j] / common_denominator exactly."""
-    from .poly import _multiset_union, _product_over
-
-    arity = fracs[0].arity
-    common = ()
-    for f in fracs:
-        common = _multiset_union(common, f.den_factors)
-    den = MultiPoly.const(arity, 1)
-    for fac in common:
-        den = den * fac
-    nums = [f.num * _product_over(common, f.den_factors, arity)
-            for f in fracs]
-    return nums, den
+    return low_rank(r + 1) - low_rank(r)
 
 
 # ---------------------------------------------------------------------------
@@ -319,61 +369,24 @@ def _cleared_numerators(fracs):
 # ---------------------------------------------------------------------------
 
 def krv_ell_system(n, r):
-    d = n - r
-    gens = _exp_tuples(d, r)
-    defects = []
-    circ_fracs = []
-    for e in gens:
-        P = MultiPoly.monomial(e, 1)
-        B = Mould("U", {r: P})
-        dd = _alternality_defect(B.get(r), r, "al")
-        dd = _merge(dd, _poly_defect(
-            mould_mod.push(B).get(r) - B.get(r), "push"))
-        defects.append(dd)
-        if r > 1:
-            Bstar = mould_mod.delta_inv(B)
-            circ_fracs.append(
-                mould_mod.circ_cycle_sum(mould_mod.swap(Bstar), r))
-    extra = 1 if r > 1 else 0
+    gens, B = _monomials(n, r)
+    conditions = _alternal(B, r, "al") + [_push(B, r)]
     if r > 1:
-        nums, den = _cleared_numerators(circ_fracs)
-        for j, num in enumerate(nums):
-            defects[j] = _merge(defects[j], _poly_defect(num, "circ"))
-        den_defect = _poly_defect(den, "circ")
-    keys, rows = _rows_from_defects(defects, extra_cols=extra)
-    if r > 1:
-        # last column: the adjoined constant c with cyclic sum = c
-        for i, key in enumerate(keys):
-            rows[i][-1] = -den_defect.get(key, Fraction(0))
-    return ConstraintSystem(list(gens) + (["c"] if extra else []), rows, keys)
+        conditions.append(_circ(_swap(_quotient(B)), r, weight=1))
+    return _assemble(gens, conditions, constant=r > 1)
 
 
 def solve_krv_ell(n, r):
     """Degree n-r polynomial moulds P in depth r that are alternal and
     push-invariant with *circ-neutral swap after division by
     u1...ur(u1+...+ur)."""
-    d = n - r
-    if d < 0 or r < 1:
+    if not 1 <= r <= n:
         return BigradedBasis("krv_ell", n, r, [])
-    system = krv_ell_system(n, r)
-    ngens = len(system.parameters) - (1 if r > 1 else 0)
-    basis, constants = [], []
-    for v in system.null_vectors():
-        p = _combine_poly(system.parameters[:ngens], v[:ngens])
-        if p is None:
-            continue  # pure-constant direction (zero mould)
-        M = Mould("U", {r: p})
-        assert mould_mod.is_alternal(M)
-        assert mould_mod.is_push_invariant(M)
-        star = mould_mod.delta_inv(M)
-        s = mould_mod.circ_cycle_sum(mould_mod.swap(star), r) \
-            if r > 1 else None
-        if s is not None:
-            assert s.is_polynomial() and s.num.is_constant()
-        basis.append(M)
-        constants.append(v[-1] if r > 1 else Fraction(0))
-    return BigradedBasis("krv_ell", n, r, basis,
-                         extras={"circ_constants": constants})
+    return _solve("krv_ell", n, r, krv_ell_system(n, r), _combine_mould, [
+        ("alternal", mould_mod.is_alternal),
+        ("push-invariant", mould_mod.is_push_invariant),
+        ("*circ-neutral", _star("circ_neutral"))],
+        constant="circ_constants")
 
 
 # ---------------------------------------------------------------------------
@@ -381,68 +394,27 @@ def solve_krv_ell(n, r):
 # ---------------------------------------------------------------------------
 
 def ds_ell_system(n, r):
-    d = n - r
-    gens = _exp_tuples(d, r)
-    defects = [
-        _alternality_defect(Mould("U", {r: MultiPoly.monomial(e, 1)}).get(r),
-                            r, "al")
-        for e in gens]
-    extra = 1 if r > 1 else 0
-    if r > 1:
-        pair_fracs = {}
-        for e in gens:
-            Bstar = mould_mod.delta_inv(Mould("U", {r: MultiPoly.monomial(e, 1)}))
-            sw = mould_mod.swap(Bstar).get(r)
-            for i in range(1, r // 2 + 1):
-                pair_fracs.setdefault(i, []).append(
-                    mould_mod.shuffle_sum(sw, r, i))
-        den_defect = {}
-        for i, fracs in sorted(pair_fracs.items()):
-            nums, den = _cleared_numerators(fracs)
-            tag = "sal:%d" % i
-            for j, num in enumerate(nums):
-                defects[j] = _merge(defects[j], _poly_defect(num, tag))
-            # shuffle sum of a constant mould contributes C(r, i) * c
-            den_defect = _merge(den_defect, _poly_defect(
-                den.scale(math.comb(r, i)), tag))
-    keys, rows = _rows_from_defects(defects, extra_cols=extra)
-    if r > 1:
-        for i, key in enumerate(keys):
-            rows[i][-1] = -den_defect.get(key, Fraction(0))
-    return ConstraintSystem(list(gens) + (["c"] if extra else []), rows, keys)
+    gens, B = _monomials(n, r)
+    conditions = _alternal(B, r, "al")
+    if r == 1:
+        # evenness: push-invariance of the Delta-quotient, which the
+        # krv_ell inclusion needs
+        conditions.append(_push(B, r))
+    else:
+        conditions += _alternal(_swap(_quotient(B)), r, "sal", constant=True)
+    return _assemble(gens, conditions, constant=r > 1)
 
 
 def solve_ds_ell(n, r):
     """Degree n-r polynomial moulds P in depth r with P/Delta alternal
     and swap alternal up to a constant mould."""
-    d = n - r
-    if d < 0 or r < 1:
+    if not 1 <= r <= n:
         return BigradedBasis("ds_ell", n, r, [])
-    if r == 1:
-        # depth-1 alternality is void; evenness ensures push-invariance
-        # of the Delta-quotient, which the krv_ell inclusion needs
-        basis = []
-        if d % 2 == 0:
-            basis = [Mould("U", {1: MultiPoly.monomial((d,), 1)})]
-        return BigradedBasis("ds_ell", n, r, basis,
-                             extras={"alternal_constants":
-                                     [Fraction(0)] * len(basis)})
-    system = ds_ell_system(n, r)
-    ngens = len(system.parameters) - 1
-    basis, constants = [], []
-    for v in system.null_vectors():
-        p = _combine_poly(system.parameters[:ngens], v[:ngens])
-        if p is None:
-            continue
-        M = Mould("U", {r: p})
-        assert mould_mod.is_alternal(M)
-        star = mould_mod.delta_inv(M)
-        corr = mould_mod.star_correction(mould_mod.swap(star), "alternal")
-        assert corr is not None
-        basis.append(M)
-        constants.append(v[-1])
-    return BigradedBasis("ds_ell", n, r, basis,
-                         extras={"alternal_constants": constants})
+    return _solve("ds_ell", n, r, ds_ell_system(n, r), _combine_mould, [
+        ("alternal", mould_mod.is_alternal),
+        ("even in depth 1", _even_in_depth1),
+        ("*alternal", _star("alternal"))],
+        constant="alternal_constants")
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +463,10 @@ class DimensionTable:
             indent=2, sort_keys=True) + "\n"
 
 
-def dimension_table(space, n_range, r_range, threads=1):
+def dimension_table(space, n_range, r_range):
     """Exact dimension grid over n_range x r_range."""
     if space not in _SOLVERS:
         raise ValueError("unknown space %r" % space)
     solver = _SOLVERS[space]
     cells = sorted((n, r) for n in n_range for r in r_range)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            dims = list(pool.map(lambda nr: solver(*nr), cells))
-    else:
-        dims = [solver(n, r) for n, r in cells]
-    return DimensionTable(space, [(n, r, d)
-                                  for (n, r), d in zip(cells, dims)])
+    return DimensionTable(space, [(n, r, solver(n, r)) for n, r in cells])

@@ -1,14 +1,19 @@
 """Bigraded space solvers and dimension tables."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import moulde
 from moulde import mould, spaces, words
 from moulde.mould import (delta_inv, is_alternal, is_push_invariant, ma, swap)
-from moulde.spaces import (dimension_table, solve_ds_ell, solve_gr_krv,
-                           solve_krv_ell, solve_lkv, solve_ls, solve_vkrv)
+from moulde.spaces import (VerificationError, dimension_table, solve_ds_ell,
+                           solve_gr_krv, solve_krv_ell, solve_lkv, solve_ls,
+                           solve_vkrv)
 
 
 def _proportional(f, g):
@@ -53,6 +58,14 @@ def test_ls_known_cells():
     assert solve_ls(6, 2).dim == 0
     assert solve_ls(5, 1).dim == 1
     assert solve_ls(8, 2).dim == 1  # first depth-2 element
+
+
+def test_lie_basis_is_the_depth_filtered_lyndon_basis():
+    for n in range(1, 10):
+        full = words.lyndon_lie_basis(n)
+        for r in range(n + 1):
+            assert spaces.lie_basis(n, r) == [
+                b for b in full if b.depths() == [r]], (n, r)
 
 
 # -- vkrv --------------------------------------------------------------------
@@ -124,6 +137,47 @@ def test_ds_ell_basis_alternal():
         assert is_alternal(delta_inv(P))
 
 
+@pytest.mark.parametrize("system", [spaces.krv_ell_system,
+                                    spaces.ds_ell_system])
+def test_adjoined_constant_is_never_alone(system):
+    # the constant column has rows for the keys of the cleared
+    # denominator too, so c cannot move on its own
+    for n in range(3, 9):
+        for r in (2, 3):
+            s = system(n, r)
+            assert s.parameters[-1] == "c"
+            for v in s.null_vectors():
+                assert any(v[:-1]), (n, r, v)
+
+
+# -- verification -----------------------------------------------------------
+
+def test_failed_check_raises_verification_error(monkeypatch):
+    monkeypatch.setattr(mould, "is_alternal", lambda M: False)
+    with pytest.raises(VerificationError) as info:
+        solve_ls(8, 2)
+    assert (info.value.space, info.value.n, info.value.r,
+            info.value.check) == ("ls", 8, 2, "alternal")
+
+
+def test_verification_survives_optimize_flag():
+    script = (
+        "from moulde import mould, spaces\n"
+        "mould.is_alternal = lambda M: False\n"
+        "try:\n"
+        "    spaces.solve_ls(8, 2)\n"
+        "except spaces.VerificationError as e:\n"
+        "    print(__debug__, e.check)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(moulde.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False alternal\n"
+
+
 # -- dimension tables --------------------------------------------------------
 
 def test_dimension_table_text():
@@ -140,12 +194,6 @@ def test_dimension_table_json():
     cells = {(c["n"], c["r"]): c["dim"] for c in doc["cells"]}
     assert cells[(3, 1)] == 1
     assert cells[(4, 1)] == 0
-
-
-def test_dimension_table_threads_agree():
-    a = dimension_table("ls", range(3, 7), range(1, 3), threads=1)
-    b = dimension_table("ls", range(3, 7), range(1, 3), threads=4)
-    assert a.to_json() == b.to_json()
 
 
 def test_dimension_table_unknown_space():
