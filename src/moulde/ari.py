@@ -48,12 +48,13 @@ def mu(A, B):
     vals = {}
     for r in range(0, top + 1):
         xs = _vars(r)
-        acc = RatFrac.zero(r)
+        terms = []
         for i in range(0, r + 1):
             va, vb = A.get(i), B.get(r - i)
             if va.is_zero() or vb.is_zero():
                 continue
-            acc = acc + _eval(va, xs[:i], r) * _eval(vb, xs[i:], r)
+            terms.append(_eval(va, xs[:i], r) * _eval(vb, xs[i:], r))
+        acc = RatFrac.sum(terms, r)
         if not acc.is_zero():
             vals[r] = acc
     return Mould(A.alphabet, vals, cap)
@@ -76,7 +77,7 @@ def amit(B, A):
     vals = {}
     for r in range(1, top + 1):
         xs = _vars(r)
-        acc = RatFrac.zero(r)
+        terms = []
         for i in range(0, r - 1):          # a = u1..ui, possibly empty
             for j in range(i + 1, r):      # b = u_{i+1}..u_j, c nonempty
                 vb = B.get(j - i)
@@ -87,7 +88,8 @@ def amit(B, A):
                 for k in range(i, j + 1):
                     slot = slot + xs[k]
                 args_a = xs[:i] + [slot] + xs[j + 1:]
-                acc = acc + _eval(va, args_a, r) * _eval(vb, xs[i:j], r)
+                terms.append(_eval(va, args_a, r) * _eval(vb, xs[i:j], r))
+        acc = RatFrac.sum(terms, r)
         if not acc.is_zero():
             vals[r] = acc
     return Mould("U", vals, cap)
@@ -101,7 +103,7 @@ def anit(B, A):
     vals = {}
     for r in range(1, top + 1):
         xs = _vars(r)
-        acc = RatFrac.zero(r)
+        terms = []
         for i in range(1, r):              # a = u1..ui, nonempty
             for j in range(i + 1, r + 1):  # b = u_{i+1}..u_j, c may be empty
                 vb = B.get(j - i)
@@ -112,7 +114,8 @@ def anit(B, A):
                 for k in range(i - 1, j):
                     slot = slot + xs[k]
                 args_a = xs[:i - 1] + [slot] + xs[j:]
-                acc = acc + _eval(va, args_a, r) * _eval(vb, xs[i:j], r)
+                terms.append(_eval(va, args_a, r) * _eval(vb, xs[i:j], r))
+        acc = RatFrac.sum(terms, r)
         if not acc.is_zero():
             vals[r] = acc
     return Mould("U", vals, cap)
@@ -125,7 +128,7 @@ def amit_bar(B, A):
     vals = {}
     for r in range(1, top + 1):
         xs = _vars(r)
-        acc = RatFrac.zero(r)
+        terms = []
         for i in range(1, r):              # b starts at v_i
             for j in range(i, r):          # b = v_i..v_j, c nonempty
                 vb = B.get(j - i + 1)
@@ -135,7 +138,8 @@ def amit_bar(B, A):
                 anchor = xs[j]             # v_{j+1}
                 args_a = xs[:i - 1] + xs[j:]
                 args_b = [xs[k] - anchor for k in range(i - 1, j)]
-                acc = acc + _eval(va, args_a, r) * _eval(vb, args_b, r)
+                terms.append(_eval(va, args_a, r) * _eval(vb, args_b, r))
+        acc = RatFrac.sum(terms, r)
         if not acc.is_zero():
             vals[r] = acc
     return Mould("V", vals, cap)
@@ -148,7 +152,7 @@ def anit_bar(B, A):
     vals = {}
     for r in range(1, top + 1):
         xs = _vars(r)
-        acc = RatFrac.zero(r)
+        terms = []
         for i in range(2, r + 1):          # b starts at v_i, a nonempty
             for j in range(i, r + 1):      # b = v_i..v_j, c may be empty
                 vb = B.get(j - i + 1)
@@ -158,7 +162,8 @@ def anit_bar(B, A):
                 anchor = xs[i - 2]         # v_{i-1}
                 args_a = xs[:i - 1] + xs[j:]
                 args_b = [xs[k] - anchor for k in range(i - 1, j)]
-                acc = acc + _eval(va, args_a, r) * _eval(vb, args_b, r)
+                terms.append(_eval(va, args_a, r) * _eval(vb, args_b, r))
+        acc = RatFrac.sum(terms, r)
         if not acc.is_zero():
             vals[r] = acc
     return Mould("V", vals, cap)
@@ -175,22 +180,31 @@ def arit_bar(B, A):
 
 # ---------------------------------------------------------------------------
 # ari, preari and their v-side twins
+#
+# Each is written out as one sum of flexion terms, so that every depth
+# goes over one common denominator and is cancelled once.
 # ---------------------------------------------------------------------------
 
 def ari(A, B):
-    return arit(B, A) - arit(A, B) + lu(A, B)
+    """arit(B).A - arit(A).B + lu(A, B)."""
+    return Mould.sum([amit(B, A), -anit(B, A), -amit(A, B), anit(A, B),
+                      mu(A, B), -mu(B, A)])
 
 
 def ari_bar(A, B):
-    return arit_bar(B, A) - arit_bar(A, B) + lu(A, B)
+    """arit_bar(B).A - arit_bar(A).B + lu(A, B)."""
+    return Mould.sum([amit_bar(B, A), -anit_bar(B, A), -amit_bar(A, B),
+                      anit_bar(A, B), mu(A, B), -mu(B, A)])
 
 
 def preari(A, B):
-    return arit(B, A) + mu(A, B)
+    """arit(B).A + mu(A, B)."""
+    return Mould.sum([amit(B, A), -anit(B, A), mu(A, B)])
 
 
 def preari_bar(A, B):
-    return arit_bar(B, A) + mu(A, B)
+    """arit_bar(B).A + mu(A, B)."""
+    return Mould.sum([amit_bar(B, A), -anit_bar(B, A), mu(A, B)])
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +450,7 @@ def ganit_bar(Q, T):
     vals = {}
     for r in range(1, top + 1):
         xs = _vars(r)
-        acc = RatFrac.zero(r)
+        terms = []
         for a_pos, b_chunks in _ganit_splittings(r):
             vt = T.get(len(a_pos))
             if vt.is_zero():
@@ -452,7 +466,8 @@ def ganit_bar(Q, T):
                 args = [xs[start - 1 + k] - anchor for k in range(length)]
                 term = term * _eval(vq, args, r)
             if ok:
-                acc = acc + term
+                terms.append(term)
+        acc = RatFrac.sum(terms, r)
         if not acc.is_zero():
             vals[r] = acc
     return Mould("V", vals, cap)

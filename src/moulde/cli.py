@@ -9,7 +9,9 @@ Verbs:
   section   the krv -> krv_ell section of a word-polynomial input
   dump      named moulds and fixtures
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error,
+3 internal error (any other exception, such as a solved basis element
+failing its own check: `spaces.VerificationError`).
 """
 
 from __future__ import annotations
@@ -316,6 +318,9 @@ def run(argv, out=None, err=None):
     except (OSError, ValueError) as e:
         err.write("error: %s\n" % e)
         return 2
+    except Exception as e:
+        err.write("internal error: %s: %s\n" % (type(e).__name__, e))
+        return 3
 
 
 def main():

@@ -14,7 +14,8 @@ from itertools import combinations
 import json
 import math
 
-from .poly import MultiPoly, RatFrac, exact_poly_divide, monomial_sum, grlex_key
+from .poly import (MultiPoly, RatFrac, _linear_factor_split, exact_poly_divide,
+                   monomial_sum)
 from . import words as W
 
 
@@ -92,18 +93,27 @@ class Mould:
         return None
 
     # -- linear structure ---------------------------------------------
-    def __add__(self, other):
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatch("cannot add U-mould to V-mould")
-        cap = _min_cap(self.cap, other.cap)
+    @classmethod
+    def sum(cls, moulds):
+        """Sum of moulds on one alphabet, each depth over one common
+        denominator and cancelled once; the smallest cap wins."""
+        alphabet, cap = moulds[0].alphabet, None
+        for M in moulds:
+            if M.alphabet != alphabet:
+                raise AlphabetMismatch("cannot add U-mould to V-mould")
+            cap = _min_cap(cap, M.cap)
         vals = {}
-        for r in set(self.values) | set(other.values):
+        for r in set().union(*(M.values for M in moulds)):
             if cap is not None and r > cap:
                 continue
-            v = self.get(r) + other.get(r)
+            v = RatFrac.sum([M.values[r] for M in moulds if r in M.values],
+                            r)
             if not v.is_zero():
                 vals[r] = v
-        return Mould(self.alphabet, vals, cap)
+        return cls(alphabet, vals, cap)
+
+    def __add__(self, other):
+        return Mould.sum([self, other])
 
     def __neg__(self):
         return Mould(self.alphabet,
@@ -391,10 +401,10 @@ def _shuffles(left, right):
 def shuffle_sum(value, r, i):
     """Sum of value(u_{w_1},...,u_{w_r}) over w in Sh((1..i)(i+1..r))."""
     xs = _vars(r)
-    total = RatFrac.zero(r)
-    for w in _shuffles(list(range(1, i + 1)), list(range(i + 1, r + 1))):
-        total = total + value.substitute_linear([xs[k - 1] for k in w])
-    return total
+    return RatFrac.sum(
+        [value.substitute_linear([xs[k - 1] for k in w])
+         for w in _shuffles(list(range(1, i + 1)), list(range(i + 1, r + 1)))],
+        r)
 
 
 def is_alternal(M, witness=False):
@@ -420,13 +430,10 @@ def is_mantar_invariant(M):
 
 def circ_cycle_sum(M, r):
     """Sum of the r cyclic rotations of the depth-r part."""
-    total = RatFrac.zero(r)
     v = M.get(r)
     xs = _vars(r)
-    for k in range(r):
-        images = xs[k:] + xs[:k]
-        total = total + v.substitute_linear(images)
-    return total
+    return RatFrac.sum([v.substitute_linear(xs[k:] + xs[:k])
+                        for k in range(r)], r)
 
 
 def is_circ_neutral(M):
@@ -476,8 +483,10 @@ def in_ari_delta(M):
         if r == 0:
             continue
         num = v.num * _delta_factor(r)
-        if exact_poly_divide(num, v.den) is None:
-            return False
+        for f in v.den_factors:
+            num = exact_poly_divide(num, f)
+            if num is None:
+                return False
     return True
 
 
@@ -621,7 +630,9 @@ def mould_from_json(doc):
         num = _poly_from_json(entry["num"], r)
         if "den" in entry:
             den = _poly_from_json(entry["den"], r)
-            vals[r] = RatFrac(num, (den,))
+            if den.is_zero():
+                raise ValueError("zero denominator in depth %d" % r)
+            vals[r] = RatFrac(num, _linear_factor_split(den))
         else:
             vals[r] = RatFrac.from_poly(num)
     return Mould(doc["alphabet"], vals, doc.get("cap"))

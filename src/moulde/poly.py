@@ -3,17 +3,42 @@
 All coefficients are `fractions.Fraction`; there is no floating point
 anywhere in this package.  Polynomials are stored as a dict mapping
 exponent tuples (one entry per variable) to nonzero Fraction
-coefficients.  Rational fractions keep their denominator as a multiset
-of polynomial factors (in this calculus every denominator that ever
-arises is a product of linear forms such as u_i, u_i+...+u_j or
-v_i-v_j), which makes cancellation cheap and complete for those forms.
+coefficients.
+
+In this calculus every denominator that ever arises is a product of
+homogeneous linear forms such as u_i, u_i+...+u_j or v_i-v_j, and
+`RatFrac` is built on that fact.  Its denominator is a sorted multiset
+of factor keys, `den_keys`:
+
+* Each factor is normalised to content 1 (coprime integer
+  coefficients) with a positive grlex-leading coefficient; the scalar
+  goes into the numerator.  A linear form's grlex-leading coefficient
+  is that of its last variable.
+* A homogeneous linear factor c_1 x1 + ... + c_n xn is keyed by its
+  primitive integer tuple (c_1, ..., c_n).  Multiplying by it works term
+  by term, and dividing by it is a synthetic division in one pivot
+  variable, on integers (`_divide_linear`).
+* A fraction is always reduced: every factor is tried once against the
+  numerator, and sums go over one common denominator
+  (`common_denominator`, `RatFrac.sum`) that is cancelled once.  Linear
+  forms are prime, so a reduced fraction with linear factors is
+  canonical: equal fractions have equal keys and numerators, and
+  byte-identical text.
+
+A factor of degree > 1 (or an inhomogeneous one) is keyed by its sorted
+(exponent, integer coefficient) pairs, goes through grlex long division,
+and makes equality fall back to cross-multiplication.  Within the
+package it comes only from `RatFrac.inverse()` or from a JSON `den`
+that `_linear_factor_split` cannot split into the linear forms it
+tries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 import math
+from operator import add, sub
 
 
 def _frac(c):
@@ -109,20 +134,12 @@ class MultiPoly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.arity = self.arity
-        out.terms = terms
-        out._hash = None
-        return out
+        return _poly(self.arity, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out.arity = self.arity
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return _poly(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -146,11 +163,7 @@ class MultiPoly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.arity = self.arity
-        out.terms = terms
-        out._hash = None
-        return out
+        return _poly(self.arity, terms)
 
     __rmul__ = __mul__
 
@@ -158,11 +171,9 @@ class MultiPoly:
         c = _frac(c)
         if c == 0:
             return MultiPoly.zero(self.arity)
-        out = MultiPoly.__new__(MultiPoly)
-        out.arity = self.arity
-        out.terms = {e: cc * c for e, cc in self.terms.items()}
-        out._hash = None
-        return out
+        if c == 1:
+            return self
+        return _poly(self.arity, {e: cc * c for e, cc in self.terms.items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -261,14 +272,34 @@ class MultiPoly:
     __repr__ = __str__
 
 
+def _poly(arity, terms):
+    """MultiPoly over a clean {exponent tuple: nonzero Fraction} dict."""
+    out = MultiPoly.__new__(MultiPoly)
+    out.arity = arity
+    out.terms = terms
+    out._hash = None
+    return out
+
+
 def exact_poly_divide(num, den):
-    """Return q with num = q*den exactly, or None if not divisible."""
+    """Return q with num = q*den exactly, or None if not divisible.
+
+    A homogeneous linear `den` takes the synthetic division of
+    `_divide_linear`; any other `den` takes grlex long division."""
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return MultiPoly.zero(num.arity)
     if num.arity != den.arity:
         raise ValueError("arity mismatch")
+    coeffs = _linear_coeffs(den)
+    if coeffs is not None:
+        return _divide_linear(num, coeffs)
+    return _long_divide(num, den)
+
+
+def _long_divide(num, den):
+    """Generic grlex long division: q with num = q*den, or None."""
     lead_e, lead_c = den.leading()
     q_terms = {}
     rem = num
@@ -281,6 +312,82 @@ def exact_poly_divide(num, den):
         q_terms[qe] = q_terms.get(qe, Fraction(0)) + qc
         rem = rem - den * MultiPoly.monomial(qe, qc)
     return MultiPoly(num.arity, q_terms)
+
+
+def _linear_coeffs(p):
+    """Coefficients (c_1, ..., c_n) of a homogeneous linear form
+    c_1 x1 + ... + c_n xn, or None when p is not one."""
+    coeffs = [0] * p.arity
+    for e, c in p.terms.items():
+        if sum(e) != 1:
+            return None
+        coeffs[e.index(1)] = c
+    return coeffs if p.terms else None
+
+
+@lru_cache(maxsize=None)
+def _unit(i, arity):
+    """Exponent tuple of x_{i+1} in `arity` variables."""
+    return tuple(1 if j == i else 0 for j in range(arity))
+
+
+def _divide_linear(num, coeffs):
+    """q with num = q*L for L = sum coeffs[i] x_{i+1}, or None.
+
+    Synthetic division in one pivot variable x = x_p: write
+    L = c (a x + rest) with a x + rest primitive over the integers, and
+    num = N / D with N integral.  With N = sum_k x^k N_k, N_k free of x,
+    the quotient's parts are Q_{k-1} = (N_k - rest Q_k) / a, walked down
+    once from the top pivot degree.  By Gauss's lemma an exact quotient
+    of N by a primitive form is integral, so the walk runs on integers
+    and stops at the first coefficient that a does not divide; L divides
+    num exactly when nothing is left in pivot degree 0."""
+    arity = num.arity
+    if not num.terms:
+        return num
+    scale, key = _normalize_linear(coeffs)
+    p = max((i for i, c in enumerate(key) if c),
+            key=lambda i: (abs(key[i]) == 1, i))
+    a = key[p]
+    down = _unit(p, arity)
+    # the term rest * (c/a) x^(e - down) lands on e - down + unit_j
+    rest = [(tuple(u - d for u, d in zip(_unit(j, arity), down)), -c)
+            for j, c in enumerate(key) if c and j != p]
+    den = 1
+    for c in num.terms.values():
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    buckets = {}
+    for e, c in num.terms.items():
+        buckets.setdefault(e[p], {})[e] = c.numerator * (den // c.denominator)
+    q = {}
+    for k in range(max(buckets), 0, -1):
+        upper = buckets.get(k)
+        if not upper:
+            continue
+        lower = buckets.setdefault(k - 1, {})
+        for e, c in upper.items():
+            if a == 1:
+                qc = c
+            else:
+                qc, r = divmod(c, a)
+                if r:
+                    return None
+            q[tuple(map(sub, e, down))] = qc
+            for shift, c_neg in rest:
+                te = tuple(map(add, e, shift))
+                s = lower.get(te)
+                if s is None:
+                    lower[te] = qc * c_neg
+                else:
+                    s += qc * c_neg
+                    if s:
+                        lower[te] = s
+                    else:
+                        del lower[te]
+    if buckets.get(0):
+        return None
+    scale = 1 / (scale * den)
+    return _poly(arity, {e: c * scale for e, c in q.items()})
 
 
 def monomial_sum(r, d):
@@ -305,59 +412,45 @@ def monomial_sum(r, d):
 class RatFrac:
     """Quotient of polynomials; denominator stored as a factor multiset.
 
-    Equality is decided by cross-multiplication, so normalization only
-    affects performance, never correctness.
+    `den_keys` is the sorted multiset of factor keys (see the module
+    docstring), and the fraction is always reduced: no factor of the
+    denominator divides the numerator.
     """
 
-    __slots__ = ("num", "den_factors")
+    __slots__ = ("num", "den_keys")
 
     def __init__(self, num, den_factors=()):
         if isinstance(num, (int, Fraction)):
             raise TypeError("wrap scalars via RatFrac.const")
-        factors = []
-        scale = Fraction(1)
-        for f in den_factors:
-            if f.is_zero():
-                raise ZeroDivisionError("zero denominator factor")
-            if f.is_constant():
-                scale *= f.constant_value()
-                continue
-            c, fn = f.sign_normalized()
-            scale *= c
-            factors.append(fn)
-        if scale != 1:
-            num = num.scale(1 / scale)
-        self.num = num
-        self.den_factors = tuple(sorted(factors, key=_factor_key))
-        self._cancel()
+        scale, keys = _factor_keys(den_factors)
+        self.num, self.den_keys = _reduce(num.scale(1 / scale), keys)
 
-    def _cancel(self):
-        if self.num.is_zero():
-            self.den_factors = ()
-            return
-        remaining = []
-        num = self.num
-        for f in self.den_factors:
-            q = exact_poly_divide(num, f)
-            if q is not None:
-                num = q
-            else:
-                remaining.append(f)
-        self.num = num
-        self.den_factors = tuple(remaining)
+    @classmethod
+    def _make(cls, num, den_keys):
+        """Wrap a numerator and sorted normalised keys as they are."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den_keys = den_keys if not num.is_zero() else ()
+        return out
 
     # -- constructors -------------------------------------------------
     @classmethod
     def from_poly(cls, p):
-        return cls(p, ())
+        return cls._make(p, ())
 
     @classmethod
     def const(cls, arity, c):
-        return cls(MultiPoly.const(arity, c), ())
+        return cls._make(MultiPoly.const(arity, c), ())
 
     @classmethod
     def zero(cls, arity):
-        return cls(MultiPoly.zero(arity), ())
+        return cls._make(MultiPoly.zero(arity), ())
+
+    @classmethod
+    def sum(cls, fracs, arity):
+        """Sum of `fracs` over one common denominator, cancelled once."""
+        keys, nums = common_denominator(fracs)
+        return cls._make(*_reduce(sum(nums, MultiPoly.zero(arity)), keys))
 
     # -- views --------------------------------------------------------
     @property
@@ -365,20 +458,24 @@ class RatFrac:
         return self.num.arity
 
     @property
+    def den_factors(self):
+        return tuple(_factor_poly(k) for k in self.den_keys)
+
+    @property
     def den(self):
         out = MultiPoly.const(self.num.arity, 1)
-        for f in self.den_factors:
-            out = out * f
+        for k in self.den_keys:
+            out = _times_factor(out, k)
         return out
 
     def is_zero(self):
         return self.num.is_zero()
 
     def is_polynomial(self):
-        return not self.den_factors
+        return not self.den_keys
 
     def as_poly(self):
-        if self.den_factors:
+        if self.den_keys:
             raise ValueError("not a polynomial: " + str(self))
         return self.num
 
@@ -394,19 +491,12 @@ class RatFrac:
         other = self._coerce(other)
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        # common denominator = multiset max of the two factor lists
-        common = _multiset_union(self.den_factors, other.den_factors)
-        n1 = self.num * _product_over(common, self.den_factors, self.arity)
-        n2 = other.num * _product_over(common, other.den_factors, self.arity)
-        return RatFrac(n1 + n2, common)
+        return RatFrac.sum((self, other), self.arity)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RatFrac.__new__(RatFrac)
-        out.num = -self.num
-        out.den_factors = self.den_factors
-        return out
+        return RatFrac._make(-self.num, self.den_keys)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -418,24 +508,19 @@ class RatFrac:
         other = self._coerce(other)
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        return RatFrac(self.num * other.num,
-                       self.den_factors + other.den_factors)
+        return RatFrac._make(*_reduce(
+            self.num * other.num,
+            sorted(self.den_keys + other.den_keys, key=_key_order)))
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        out = RatFrac.__new__(RatFrac)
-        out.num = self.num.scale(c)
-        out.den_factors = self.den_factors if not out.num.is_zero() else ()
-        return out
+        return RatFrac._make(self.num.scale(c), self.den_keys)
 
     def inverse(self):
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero fraction")
-        num = MultiPoly.const(self.arity, 1)
-        for f in self.den_factors:
-            num = num * f
-        return RatFrac(num, _linear_factor_split(self.num))
+        return RatFrac(self.den, _linear_factor_split(self.num))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -454,45 +539,179 @@ class RatFrac:
     def substitute_linear(self, images):
         """Substitute each variable by a linear form (must keep den nonzero)."""
         num = self.num.substitute_linear(images)
-        dens = [f.substitute_linear(images) for f in self.den_factors]
+        if not self.den_keys:
+            return RatFrac._make(num, ())
+        dens = [_substitute_factor(k, images) for k in self.den_keys]
+        if all(map(_is_linear, self.den_keys)) and _independent(images):
+            # an injective linear substitution maps coprime polynomials
+            # to coprime ones and distinct linear factors to distinct
+            # ones, so the image needs normalising but no cancelling
+            scale, keys = _factor_keys(dens)
+            return RatFrac._make(num.scale(1 / scale), keys)
         return RatFrac(num, dens)
 
     def __str__(self):
-        if not self.den_factors:
+        if not self.den_keys:
             return "(" + poly_to_text(self.num) + ")"
         return "(" + poly_to_text(self.num) + ") / (" + poly_to_text(self.den) + ")"
 
     __repr__ = __str__
 
 
-def _factor_key(f):
-    return sorted((grlex_key(e), str(c)) for e, c in f.terms.items())
+def common_denominator(fracs):
+    """(keys, numerators): the least common multiple of the denominators
+    of `fracs`, as sorted factor keys, and each numerator brought over
+    it.  Nothing is cancelled."""
+    need, counts = {}, []
+    for f in fracs:
+        own = {}
+        for k in f.den_keys:
+            own[k] = own.get(k, 0) + 1
+        counts.append(own)
+        for k, m in own.items():
+            if m > need.get(k, 0):
+                need[k] = m
+    keys = tuple(sorted((k for k, m in need.items() for _ in range(m)),
+                        key=_key_order))
+    nums = []
+    for f, own in zip(fracs, counts):
+        num = f.num
+        if not num.is_zero():
+            for k, m in need.items():
+                for _ in range(m - own.get(k, 0)):
+                    num = _times_factor(num, k)
+        nums.append(num)
+    return keys, nums
 
 
-def _multiset_union(fs1, fs2):
-    counts = {}
-    for f in fs1:
-        counts[f] = counts.get(f, 0) + 1
-    counts2 = {}
-    for f in fs2:
-        counts2[f] = counts2.get(f, 0) + 1
-    keys = set(counts) | set(counts2)
-    out = []
-    for f in keys:
-        out.extend([f] * max(counts.get(f, 0), counts2.get(f, 0)))
-    return tuple(sorted(out, key=_factor_key))
+# -- factor keys ------------------------------------------------------------
+
+def _key_order(key):
+    """Sort key: linear keys (tuples of ints) before the other ones."""
+    return (not _is_linear(key), key)
 
 
-def _product_over(common, present, arity):
-    """Product of the factors of `common` not matched in `present`."""
-    avail = list(present)
-    out = MultiPoly.const(arity, 1)
-    for f in common:
-        if f in avail:
-            avail.remove(f)
+def _is_linear(key):
+    return type(key[0]) is int
+
+
+def _factor_keys(factors):
+    """(c, keys): the product of `factors` is c times the product of the
+    factors of the sorted `keys`; constant factors go into c."""
+    scale, keys = Fraction(1), []
+    for f in factors:
+        if f.is_zero():
+            raise ZeroDivisionError("zero denominator factor")
+        if f.is_constant():
+            scale *= f.constant_value()
+            continue
+        c, key = _normalize(f)
+        scale *= c
+        keys.append(key)
+    return scale, tuple(sorted(keys, key=_key_order))
+
+
+def _normalize(f):
+    """(c, key) with f = c * g, g the factor of `key`: content 1 and a
+    positive grlex-leading coefficient."""
+    coeffs = _linear_coeffs(f)
+    if coeffs is not None:
+        return _normalize_linear(coeffs)
+    c, g = f.sign_normalized()
+    return c, tuple(sorted((e, int(v)) for e, v in g.terms.items()))
+
+
+def _normalize_linear(coeffs):
+    """(c, key) for the linear form sum coeffs[i] x_{i+1} = c * g, where
+    key holds the coprime integer coefficients of g and its last nonzero
+    one (the grlex-leading coefficient of a linear form) is positive."""
+    coeffs = [Fraction(x) for x in coeffs]
+    lcm = 1
+    for x in coeffs:
+        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    ints = [x.numerator * (lcm // x.denominator) for x in coeffs]
+    g = math.gcd(*ints)
+    if next(x for x in reversed(ints) if x) < 0:
+        g = -g
+    return Fraction(g, lcm), tuple(x // g for x in ints)
+
+
+def _factor_poly(key):
+    """The normalised factor of a key, as a MultiPoly."""
+    if _is_linear(key):
+        arity = len(key)
+        return _poly(arity, {_unit(i, arity): Fraction(c)
+                             for i, c in enumerate(key) if c})
+    return _poly(len(key[0][0]), {e: Fraction(c) for e, c in key})
+
+
+def _substitute_factor(key, images):
+    """The factor of `key` with x_{i+1} replaced by images[i]; a linear
+    factor goes to the combination sum key[i] images[i]."""
+    if not _is_linear(key):
+        return _factor_poly(key).substitute_linear(images)
+    return reduce(MultiPoly.__add__,
+                  (x.scale(c) for c, x in zip(key, images) if c))
+
+
+def _times_factor(p, key):
+    """p times the factor of `key`; a linear one multiplies term by term."""
+    if not _is_linear(key):
+        return p * _factor_poly(key)
+    units = [(_unit(i, p.arity), c) for i, c in enumerate(key) if c]
+    terms = {}
+    for e, c in p.terms.items():
+        for u, ci in units:
+            te = tuple(map(add, e, u))
+            v = c if ci == 1 else -c if ci == -1 else c * ci
+            s = terms.get(te)
+            if s is None:
+                terms[te] = v
+            else:
+                s += v
+                if s:
+                    terms[te] = s
+                else:
+                    del terms[te]
+    return _poly(p.arity, terms)
+
+
+def _reduce(num, keys):
+    """(num', left): divide num by each factor of `keys` that divides it;
+    `left` lists the factors that did not divide."""
+    if num.is_zero():
+        return num, ()
+    left = []
+    failed = None
+    for k in keys:
+        if k == failed:
+            left.append(k)
+            continue
+        q = exact_poly_divide(num, _factor_poly(k))
+        if q is None:
+            left.append(k)
+            failed = k
         else:
-            out = out * f
-    return out
+            num = q
+    return num, tuple(left)
+
+
+def _independent(images):
+    """Whether the polynomials are linearly independent linear forms."""
+    rows = [_linear_coeffs(x) for x in images]
+    if any(v is None for v in rows):
+        return False
+    rows = [[Fraction(x) for x in v] for v in rows]
+    for i, row in enumerate(rows):
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        for other in rows[i + 1:]:
+            if other[col]:
+                f = other[col] / row[col]
+                for j in range(col, len(row)):
+                    other[j] -= f * row[j]
+    return True
 
 
 def _linear_factor_split(p):

@@ -26,12 +26,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import mould as mould_mod
 from . import words as words_mod
 from .linalg import nullspace, rank
 from .mould import Mould
-from .poly import MultiPoly, RatFrac, _multiset_union, _product_over, grlex_key
+from .poly import MultiPoly, RatFrac, common_denominator, grlex_key
 from .words import NCPoly
 
 _ZERO = Fraction(0)
@@ -107,14 +108,9 @@ def _terms(image):
 
 def _cleared(images):
     """Numerators of the images over their common denominator."""
-    common = ()
-    for f in images:
-        if isinstance(f, RatFrac):
-            common = _multiset_union(common, f.den_factors)
-    if not common:
+    if all(not isinstance(f, RatFrac) or f.is_polynomial() for f in images):
         return images
-    return [f.num * _product_over(common, f.den_factors, f.arity)
-            for f in images]
+    return common_denominator(images)[1]
 
 
 def _assemble(parameters, conditions, constant=False):
@@ -349,11 +345,17 @@ def solve_vkrv(n):
         ("push-constant", push_constant)])
 
 
+@lru_cache(maxsize=1)
+def _vkrv_basis(n):
+    """The vkrv(n) basis, solved once for the r loop of one weight."""
+    return tuple(solve_vkrv(n).basis)
+
+
 def solve_gr_krv(n, r):
     """Dimension of the depth-r graded piece of the weight-n part of
     vkrv (depth filtration: F_r = elements with no component of depth
     below r)."""
-    basis = solve_vkrv(n).basis
+    basis = _vkrv_basis(n)
 
     def low_rank(s):
         # dim F_s = dim vkrv - rank of the components of depth < s

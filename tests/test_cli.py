@@ -171,3 +171,43 @@ def test_no_verb():
 def test_missing_file():
     code, _, err = _run(["check", "--input", "/no/such/file"])
     assert code == 2
+
+
+def test_apply_dar_on_loaded_mould_matches_computed(tmp_path):
+    from moulde import ari
+    from moulde.mould import dar
+    P = ari.named_mould("poc", 3)
+    path = _write(tmp_path, "poc.json", mould_to_json_text(P))
+    code, out, err = _run(["apply", "--op", "dar", "--input", path,
+                           "--format", "json"])
+    assert code == 0 and err == ""
+    assert out == mould_to_json_text(dar(P))
+
+
+def test_apply_rejects_zero_denominator(tmp_path):
+    doc = '{"alphabet":"V","depths":{"1":{"num":[["1",[0]]],"den":[]}}}'
+    path = _write(tmp_path, "zero.json", doc)
+    code, out, err = _run(["apply", "--op", "dar", "--input", path])
+    assert code == 2 and out == ""
+    assert "zero denominator in depth 1" in err
+
+
+def test_internal_error_exit_code(monkeypatch):
+    from moulde import mould
+
+    def broken(M):
+        raise RuntimeError("predicate exploded")
+
+    monkeypatch.setattr(mould, "is_alternal", broken)
+    code, out, err = _run(["basis", "--space", "ls", "--n", "8", "--r", "2"])
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: predicate exploded\n"
+
+
+def test_verification_error_exit_code(monkeypatch):
+    from moulde import mould
+    monkeypatch.setattr(mould, "is_alternal", lambda M: False)
+    code, _, err = _run(["basis", "--space", "ls", "--n", "8", "--r", "2"])
+    assert code == 3
+    assert err.startswith("internal error: VerificationError: ls (n=8, r=2)")
+    assert err.count("\n") == 1

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moulde.poly import (MultiPoly, RatFrac, exact_poly_divide, grlex_key,
-                         monomial_sum, poly_to_text)
+from moulde.poly import (MultiPoly, RatFrac, _divide_linear, _long_divide,
+                         exact_poly_divide, grlex_key, monomial_sum,
+                         poly_to_text)
 
 
 def _poly(arity, terms):
@@ -66,6 +67,12 @@ def test_exact_divide():
     num = x * x - y * y
     assert exact_poly_divide(num, x - y) == x + y
     assert exact_poly_divide(x, y) is None
+    # no coefficient of 2x + 3y is a unit: a pivot coefficient that does
+    # not divide a step of the walk rules divisibility out
+    L = x.scale(2) + y.scale(3)
+    assert exact_poly_divide(L * (x - y.scale(F(1, 2))), L) == \
+        x - y.scale(F(1, 2))
+    assert exact_poly_divide(y.scale(4) + x.scale(2), L) is None
 
 
 @given(polys(), polys())
@@ -103,6 +110,10 @@ def test_ratfrac_cancellation():
     f = RatFrac(x * x - y * y, (x - y,))
     assert f.is_polynomial()
     assert f.as_poly() == x + y
+    # a repeated factor cancels as often as it divides
+    assert RatFrac(x * x * y, (x, x)).as_poly() == y
+    g = RatFrac(x * y, (x, x, y - x))
+    assert g.num == y and len(g.den_factors) == 2
 
 
 def test_ratfrac_add_with_denominators():
@@ -144,3 +155,58 @@ def test_ratfrac_substitute_linear():
     f = RatFrac(x, (y,))
     g = f.substitute_linear([y, x])
     assert g == RatFrac(y, (x,))
+
+
+# -- linear factors ------------------------------------------------------------
+
+def linear_forms(arity):
+    """Nonzero homogeneous linear forms, as (coefficients, polynomial)."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    return st.lists(small, min_size=arity, max_size=arity).filter(
+        any).map(lambda cs: (cs, MultiPoly(arity, {
+            tuple(int(i == j) for j in range(arity)): c
+            for i, c in enumerate(cs)})))
+
+
+def divisions():
+    """(q, L, noise) in a common arity of at most 4."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        polys(n, max_deg=3, max_terms=5), linear_forms(n),
+        polys(n, max_deg=4, max_terms=3)))
+
+
+@given(divisions())
+@settings(max_examples=150, deadline=None)
+def test_linear_division_agrees_with_long_division(case):
+    q, (coeffs, L), noise = case
+    assert _divide_linear(q * L, coeffs) == q
+    num = q * L + noise
+    if num.is_zero():
+        return
+    assert _divide_linear(num, coeffs) == _long_divide(num, L)
+    assert exact_poly_divide(num, L) == _long_divide(num, L)
+
+
+def ratfracs(arity=3):
+    factor = st.sampled_from([
+        MultiPoly(arity, {e: F(c) for e, c in terms.items()}) for terms in (
+            {(1, 0, 0): 1}, {(0, 1, 0): -2}, {(1, 0, 0): 1, (0, 1, 0): -1},
+            {(0, 1, 0): 1, (0, 0, 1): 1}, {(1, 0, 0): -1, (0, 0, 1): 1},
+            {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})])
+    return st.tuples(polys(arity, max_deg=2, max_terms=3),
+                     st.lists(factor, max_size=3)).map(
+        lambda t: RatFrac(*t))
+
+
+@given(st.lists(ratfracs(), min_size=1, max_size=5).flatmap(
+    lambda fs: st.tuples(st.just(fs), st.permutations(fs))))
+@settings(max_examples=60, deadline=None)
+def test_sum_is_independent_of_order(case):
+    fracs, shuffled = case
+    total = RatFrac.sum(fracs, 3)
+    again = RatFrac.sum(shuffled, 3)
+    assert str(total) == str(again)
+    pairwise = RatFrac.zero(3)
+    for f in shuffled:
+        pairwise = pairwise + f
+    assert str(pairwise) == str(total)

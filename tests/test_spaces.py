@@ -199,3 +199,18 @@ def test_dimension_table_json():
 def test_dimension_table_unknown_space():
     with pytest.raises(ValueError):
         dimension_table("nope", range(3, 4), range(1, 2))
+
+
+def test_gr_krv_table_solves_each_weight_once(monkeypatch):
+    solved = []
+    solve = spaces.solve_vkrv
+    monkeypatch.setattr(spaces, "solve_vkrv",
+                        lambda n: solved.append(n) or solve(n))
+    spaces._vkrv_basis.cache_clear()
+    try:
+        table = dimension_table("gr_krv", range(3, 8), range(1, 4))
+    finally:
+        spaces._vkrv_basis.cache_clear()
+    assert solved == [3, 4, 5, 6, 7]
+    assert table.cells == [(n, r, int(n % 2 == 1 and r == 1))
+                           for n in range(3, 8) for r in range(1, 4)]
