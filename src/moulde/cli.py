@@ -11,7 +11,12 @@ Verbs:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 internal error (any other exception, such as a solved basis element
-failing its own check: `spaces.VerificationError`).
+or a map's image failing its own check: `spaces.VerificationError`,
+`maps.MapVerificationError`).
+
+`--depth` runs from 1 to MAX_DEPTH (6; the named moulds take minutes
+to build at depth 6 and far longer beyond), and the `--n`/`--r` ranges
+of `dims` must be nonempty and positive.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ UNARY_OPS = {
     "teru": mould_mod.teru,
 }
 IDENTITIES = ("fundamental", "goodfund", "senary", "ganit_inverse")
+MAX_DEPTH = 6
+DEPTHS = range(1, MAX_DEPTH + 1)
 
 
 class UsageError(Exception):
@@ -52,12 +59,17 @@ class UsageError(Exception):
 
 
 def _parse_range(text):
-    """'3..10' -> range(3, 11); '5' -> range(5, 6)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    """'3..10' -> range(3, 11); '5' -> range(5, 6).  Empty, reversed or
+    non-positive ranges are refused."""
+    lo, sep, hi = text.partition("..")
+    try:
+        values = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        values = None
+    if not values or values.start < 1:
+        raise argparse.ArgumentTypeError(
+            "expected N or LO..HI with 1 <= LO <= HI, got %r" % text)
+    return values
 
 
 def _read_input(path):
@@ -94,8 +106,7 @@ def cmd_dims(args, out):
         raise UsageError("unknown space %r" % args.space)
     if args.space == "vkrv":
         raise UsageError("vkrv is graded by weight only; use basis")
-    table = spaces_mod.dimension_table(
-        args.space, _parse_range(args.n), _parse_range(args.r))
+    table = spaces_mod.dimension_table(args.space, args.n, args.r)
     out.write(table.to_json() if args.format == "json" else table.to_text())
     return 0
 
@@ -248,8 +259,10 @@ def build_parser():
 
     sp = sub.add_parser("dims")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--n", required=True, help="weight or range, e.g. 3..10")
-    sp.add_argument("--r", required=True, help="depth or range, e.g. 1..3")
+    sp.add_argument("--n", required=True, type=_parse_range,
+                    help="weight or range, e.g. 3..10")
+    sp.add_argument("--r", required=True, type=_parse_range,
+                    help="depth or range, e.g. 1..3")
     common(sp)
     sp.set_defaults(fn=cmd_dims)
 
@@ -264,14 +277,14 @@ def build_parser():
     sp.add_argument("--input", required=True)
     sp.add_argument("--identity", choices=IDENTITIES)
     sp.add_argument("--space")
-    sp.add_argument("--depth", type=int, default=4)
+    sp.add_argument("--depth", type=int, default=4, choices=DEPTHS)
     common(sp)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("identity")
     sp.add_argument("--name", required=True, choices=IDENTITIES)
     sp.add_argument("--input", required=True)
-    sp.add_argument("--depth", type=int, default=4)
+    sp.add_argument("--depth", type=int, default=4, choices=DEPTHS)
     common(sp)
     sp.set_defaults(fn=cmd_identity)
 
@@ -284,14 +297,14 @@ def build_parser():
 
     sp = sub.add_parser("section")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--depth", type=int, default=4)
+    sp.add_argument("--depth", type=int, default=4, choices=DEPTHS)
     sp.add_argument("--output")
     common(sp)
     sp.set_defaults(fn=cmd_section)
 
     sp = sub.add_parser("dump")
     sp.add_argument("--mould", required=True)
-    sp.add_argument("--depth", type=int, default=4)
+    sp.add_argument("--depth", type=int, default=4, choices=DEPTHS)
     common(sp)
     sp.set_defaults(fn=cmd_dump)
 

@@ -30,6 +30,19 @@ class GateError(Exception):
         self.stage = stage
 
 
+class MapVerificationError(Exception):
+    """A map's image fails its own check; .stage names the map and
+    .check the failed check.
+
+    Raised in place of an `assert`, so the check also runs under
+    `python -O`."""
+
+    def __init__(self, stage, check):
+        super().__init__("%s: image fails %s" % (stage, check))
+        self.stage = stage
+        self.check = check
+
+
 class PipelineReport:
     """Verdicts plus the mould snapshots they were decided on."""
 
@@ -155,7 +168,8 @@ def lkv_to_krv_ell(b):
     word_image = words_mod.lie_bracket(X, _substitute_y_bracket(b))
     mould_image = mould_mod.delta_op(mould_mod.ma(b))
     if not mould_mod.ma(word_image).eq(mould_image):
-        raise AssertionError("word and mould routes disagree")
+        raise MapVerificationError("lkv_to_krv_ell",
+                                   "word/mould route agreement")
     return word_image, mould_image
 
 
@@ -245,12 +259,12 @@ def krv_section(b, D=4):
     image = mould_mod.delta_op(A).truncated(D)
     quotient = mould_mod.delta_inv(image)
     if not mould_mod.is_alternal(quotient):
-        raise AssertionError("section image fails alternality")
+        raise MapVerificationError("krv_section", "alternality")
     if not mould_mod.is_push_invariant(quotient):
-        raise AssertionError("section image fails push-invariance")
+        raise MapVerificationError("krv_section", "push-invariance")
     corr = mould_mod.star_correction(mould_mod.swap(quotient), "circ_neutral")
     if corr is None:
-        raise AssertionError("section image fails *circ-neutrality")
+        raise MapVerificationError("krv_section", "*circ-neutrality")
     return image
 
 

@@ -84,10 +84,9 @@ class Mould:
         """Homogeneous weight n (degree of depth-r part is n - r), or None."""
         ns = set()
         for r, v in self.values.items():
-            num, den = v.num, v.den
-            if not (num.is_homogeneous() and den.is_homogeneous()):
+            if not v.num.is_homogeneous():
                 return None
-            ns.add(num.total_degree() - den.total_degree() + r)
+            ns.add(v.num.total_degree() - len(v.den_keys) + r)
         if len(ns) == 1:
             return ns.pop()
         return None

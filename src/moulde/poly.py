@@ -21,16 +21,16 @@ of factor keys, `den_keys`:
 * A fraction is always reduced: every factor is tried once against the
   numerator, and sums go over one common denominator
   (`common_denominator`, `RatFrac.sum`) that is cancelled once.  Linear
-  forms are prime, so a reduced fraction with linear factors is
-  canonical: equal fractions have equal keys and numerators, and
-  byte-identical text.
+  forms are prime, so a reduced fraction is canonical: equal fractions
+  have equal keys and numerators, and byte-identical text, and
+  `RatFrac.__eq__` compares just those, with no expansion and no
+  cross-multiplication.
 
-A factor of degree > 1 (or an inhomogeneous one) is keyed by its sorted
-(exponent, integer coefficient) pairs, goes through grlex long division,
-and makes equality fall back to cross-multiplication.  Within the
-package it comes only from `RatFrac.inverse()` or from a JSON `den`
-that `_linear_factor_split` cannot split into the linear forms it
-tries.
+Contract: every non-constant factor is a homogeneous linear form.
+`RatFrac(num, factors)` and `exact_poly_divide` raise `ValueError`
+naming any other factor.  `RatFrac.inverse()` and a JSON `den` go
+through `_linear_factor_split`, so they raise the same error for a
+polynomial that is not a product of the linear forms it tries.
 """
 
 from __future__ import annotations
@@ -204,56 +204,29 @@ class MultiPoly:
         """Terms in graded-lex order (deterministic iteration)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
-    def leading(self):
-        """(exponent vector, coefficient) of the grlex-largest term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
-
-    def content(self):
-        """Positive rational c with self/c having coprime integer coeffs."""
-        if not self.terms:
-            return Fraction(1)
-        nums = [abs(c.numerator) for c in self.terms.values()]
-        dens = [c.denominator for c in self.terms.values()]
-        g = reduce(math.gcd, nums)
-        l = reduce(lambda a, b: a * b // math.gcd(a, b), dens)
-        return Fraction(g, l)
-
-    def sign_normalized(self):
-        """(factor, normalized) with normalized = self/factor, content 1 and
-        positive leading (grlex) coefficient."""
-        if not self.terms:
-            return Fraction(1), self
-        c = self.content()
-        _, lead = self.leading()
-        if lead < 0:
-            c = -c
-        return c, self.scale(1 / c)
-
     def substitute_linear(self, images):
         """Replace variable i by images[i] (polynomials of a common arity)."""
         if len(images) != self.arity:
             raise ValueError("need one image per variable")
-        if self.arity == 0:
-            tgt = 0
-        else:
-            tgt = images[0].arity
-        result = MultiPoly.zero(tgt)
-        # cache powers of each image
-        pow_cache = [{0: MultiPoly.const(tgt, 1)} for _ in images]
+        tgt = images[0].arity if images else 0
+        one = {(0,) * tgt: Fraction(1)}
+        powers = [{} for _ in images]
+        terms = {}
         for expv, c in self.terms.items():
-            mono = MultiPoly.const(tgt, c)
+            mono = None
             for i, e in enumerate(expv):
-                if e == 0:
-                    continue
-                cache = pow_cache[i]
-                if e not in cache:
-                    cache[e] = images[i] ** e
-                mono = mono * cache[e]
-            result = result + mono
-        return result
+                if e:
+                    p = powers[i].get(e)
+                    if p is None:
+                        p = powers[i][e] = images[i] ** e
+                    mono = p if mono is None else mono * p
+            for te, tc in (one if mono is None else mono.terms).items():
+                s = terms.get(te, 0) + c * tc
+                if s:
+                    terms[te] = s
+                else:
+                    terms.pop(te, None)
+        return _poly(tgt, terms)
 
     def permute_variables(self, perm):
         """Apply x_i -> x_{perm[i-1]} (perm is a tuple of 1-based indices)."""
@@ -284,34 +257,16 @@ def _poly(arity, terms):
 def exact_poly_divide(num, den):
     """Return q with num = q*den exactly, or None if not divisible.
 
-    A homogeneous linear `den` takes the synthetic division of
-    `_divide_linear`; any other `den` takes grlex long division."""
+    `den` must be a homogeneous linear form; the division is the
+    synthetic division of `_divide_linear`."""
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
-        return MultiPoly.zero(num.arity)
     if num.arity != den.arity:
         raise ValueError("arity mismatch")
     coeffs = _linear_coeffs(den)
-    if coeffs is not None:
-        return _divide_linear(num, coeffs)
-    return _long_divide(num, den)
-
-
-def _long_divide(num, den):
-    """Generic grlex long division: q with num = q*den, or None."""
-    lead_e, lead_c = den.leading()
-    q_terms = {}
-    rem = num
-    while not rem.is_zero():
-        re, rc = rem.leading()
-        qe = tuple(a - b for a, b in zip(re, lead_e))
-        if any(e < 0 for e in qe):
-            return None
-        qc = rc / lead_c
-        q_terms[qe] = q_terms.get(qe, Fraction(0)) + qc
-        rem = rem - den * MultiPoly.monomial(qe, qc)
-    return MultiPoly(num.arity, q_terms)
+    if coeffs is None:
+        raise ValueError("not a homogeneous linear form: %s" % den)
+    return _divide_linear(num, coeffs)
 
 
 def _linear_coeffs(p):
@@ -510,7 +465,7 @@ class RatFrac:
             raise ValueError("arity mismatch")
         return RatFrac._make(*_reduce(
             self.num * other.num,
-            sorted(self.den_keys + other.den_keys, key=_key_order)))
+            sorted(self.den_keys + other.den_keys)))
 
     __rmul__ = __mul__
 
@@ -531,7 +486,7 @@ class RatFrac:
             other = self._coerce(other)
         if not isinstance(other, RatFrac):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.den_keys == other.den_keys and self.num == other.num
 
     def __hash__(self):
         raise TypeError("RatFrac is unhashable (equality is semantic)")
@@ -542,7 +497,7 @@ class RatFrac:
         if not self.den_keys:
             return RatFrac._make(num, ())
         dens = [_substitute_factor(k, images) for k in self.den_keys]
-        if all(map(_is_linear, self.den_keys)) and _independent(images):
+        if _independent(images):
             # an injective linear substitution maps coprime polynomials
             # to coprime ones and distinct linear factors to distinct
             # ones, so the image needs normalising but no cancelling
@@ -571,8 +526,7 @@ def common_denominator(fracs):
         for k, m in own.items():
             if m > need.get(k, 0):
                 need[k] = m
-    keys = tuple(sorted((k for k, m in need.items() for _ in range(m)),
-                        key=_key_order))
+    keys = tuple(sorted(k for k, m in need.items() for _ in range(m)))
     nums = []
     for f, own in zip(fracs, counts):
         num = f.num
@@ -586,15 +540,6 @@ def common_denominator(fracs):
 
 # -- factor keys ------------------------------------------------------------
 
-def _key_order(key):
-    """Sort key: linear keys (tuples of ints) before the other ones."""
-    return (not _is_linear(key), key)
-
-
-def _is_linear(key):
-    return type(key[0]) is int
-
-
 def _factor_keys(factors):
     """(c, keys): the product of `factors` is c times the product of the
     factors of the sorted `keys`; constant factors go into c."""
@@ -605,27 +550,20 @@ def _factor_keys(factors):
         if f.is_constant():
             scale *= f.constant_value()
             continue
-        c, key = _normalize(f)
+        coeffs = _linear_coeffs(f)
+        if coeffs is None:
+            raise ValueError("denominator factor is not a homogeneous "
+                             "linear form: %s" % f)
+        c, key = _normalize_linear(coeffs)
         scale *= c
         keys.append(key)
-    return scale, tuple(sorted(keys, key=_key_order))
-
-
-def _normalize(f):
-    """(c, key) with f = c * g, g the factor of `key`: content 1 and a
-    positive grlex-leading coefficient."""
-    coeffs = _linear_coeffs(f)
-    if coeffs is not None:
-        return _normalize_linear(coeffs)
-    c, g = f.sign_normalized()
-    return c, tuple(sorted((e, int(v)) for e, v in g.terms.items()))
+    return scale, tuple(sorted(keys))
 
 
 def _normalize_linear(coeffs):
     """(c, key) for the linear form sum coeffs[i] x_{i+1} = c * g, where
     key holds the coprime integer coefficients of g and its last nonzero
     one (the grlex-leading coefficient of a linear form) is positive."""
-    coeffs = [Fraction(x) for x in coeffs]
     lcm = 1
     for x in coeffs:
         lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
@@ -638,26 +576,20 @@ def _normalize_linear(coeffs):
 
 def _factor_poly(key):
     """The normalised factor of a key, as a MultiPoly."""
-    if _is_linear(key):
-        arity = len(key)
-        return _poly(arity, {_unit(i, arity): Fraction(c)
-                             for i, c in enumerate(key) if c})
-    return _poly(len(key[0][0]), {e: Fraction(c) for e, c in key})
+    arity = len(key)
+    return _poly(arity, {_unit(i, arity): Fraction(c)
+                         for i, c in enumerate(key) if c})
 
 
 def _substitute_factor(key, images):
-    """The factor of `key` with x_{i+1} replaced by images[i]; a linear
-    factor goes to the combination sum key[i] images[i]."""
-    if not _is_linear(key):
-        return _factor_poly(key).substitute_linear(images)
+    """The factor of `key` with x_{i+1} replaced by images[i]: the
+    combination sum key[i] images[i]."""
     return reduce(MultiPoly.__add__,
                   (x.scale(c) for c, x in zip(key, images) if c))
 
 
 def _times_factor(p, key):
-    """p times the factor of `key`; a linear one multiplies term by term."""
-    if not _is_linear(key):
-        return p * _factor_poly(key)
+    """p times the factor of `key`, term by term."""
     units = [(_unit(i, p.arity), c) for i, c in enumerate(key) if c]
     terms = {}
     for e, c in p.terms.items():

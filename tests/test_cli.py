@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from moulde import words
 from moulde.cli import run
 from moulde.mould import ma, mould_from_json_text, mould_to_json_text
@@ -51,6 +53,24 @@ def test_dims_vkrv_rejected():
 def test_dims_unknown_space():
     code, _, err = _run(["dims", "--space", "nope", "--n", "3", "--r", "1"])
     assert code == 2 and "usage error" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "5..3"),    # reversed
+    ("--n", "0..3"),    # non-positive
+    ("--n", ""),        # empty
+    ("--n", "3.."),     # missing upper bound
+    ("--r", "-1"),      # non-positive
+    ("--r", "2..1"),    # reversed
+    ("--r", "x"),       # not an integer
+])
+def test_dims_rejects_bad_range(flag, value):
+    argv = {"--n": "3..5", "--r": "1..2"}
+    argv[flag] = value
+    code, out, err = _run(["dims", "--space", "ls", "--n", argv["--n"],
+                           "--r", argv["--r"]])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: argument %s:" % flag)
 
 
 # -- basis -------------------------------------------------------------------
@@ -156,6 +176,14 @@ def test_dump_json_parses():
     assert sorted(M.depths()) == [1, 2]
 
 
+@pytest.mark.parametrize("depth", ["-2", "0", "7", "x"])
+def test_depth_out_of_bounds(depth):
+    code, out, err = _run(["dump", "--mould", "pic", "--depth", depth])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: argument --depth:")
+    assert _run(["section", "--input", "f.txt", "--depth", depth])[0] == 2
+
+
 def test_dump_unknown():
     code, _, err = _run(["dump", "--mould", "nope"])
     assert code == 2 and "usage error" in err
@@ -211,3 +239,24 @@ def test_verification_error_exit_code(monkeypatch):
     assert code == 3
     assert err.startswith("internal error: VerificationError: ls (n=8, r=2)")
     assert err.count("\n") == 1
+
+
+def test_apply_rejects_nonlinear_denominator(tmp_path):
+    # den = x1^2 + x2^2 is not a product of linear forms
+    doc = ('{"alphabet":"V","depths":{"2":{"num":[["1",[1,0]]],'
+           '"den":[["1",[2,0]],["1",[0,2]]]}}}')
+    path = _write(tmp_path, "quadric.json", doc)
+    code, out, err = _run(["apply", "--op", "swap", "--input", path])
+    assert code == 2 and out == ""
+    assert err == ("error: denominator factor is not a homogeneous linear "
+                   "form: 1 * x1^2 + 1 * x2^2\n")
+
+
+def test_map_verification_error_exit_code(tmp_path, monkeypatch, b3):
+    from moulde import mould
+    monkeypatch.setattr(mould, "is_push_invariant", lambda M: False)
+    path = _write(tmp_path, "b3.txt", ncpoly_to_text(b3))
+    code, out, err = _run(["section", "--input", path, "--depth", "3"])
+    assert code == 3 and out == ""
+    assert err == ("internal error: MapVerificationError: krv_section: "
+                   "image fails push-invariance\n")

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from moulde import ari, maps, mould, words
-from moulde.maps import (GateError, PipelineReport, depth_sign,
-                         is_anti_palindromic, krv_section, lkv_to_krv_ell,
-                         square_check, swap_circ_constant_star, verify_xi_image,
+from moulde.maps import (GateError, MapVerificationError, PipelineReport,
+                         depth_sign, is_anti_palindromic, krv_section,
+                         lkv_to_krv_ell, square_check,
+                         swap_circ_constant_star, verify_xi_image,
                          w_krv_gate, xi)
 from moulde.mould import Mould, delta_inv, delta_op, ma, swap
 from moulde.poly import MultiPoly
@@ -59,6 +60,13 @@ def test_lkv_to_krv_ell_rejects_non_push_invariant():
         lkv_to_krv_ell(lie_bracket(X, Y))
 
 
+def test_lkv_to_krv_ell_route_mismatch_is_typed(b3, monkeypatch):
+    monkeypatch.setattr(mould, "delta_op", lambda M: M)
+    with pytest.raises(MapVerificationError) as info:
+        lkv_to_krv_ell(b3)
+    assert info.value.stage == "lkv_to_krv_ell"
+
+
 # -- xi ----------------------------------------------------------------------
 
 def test_xi_gates_on_non_senary(b3):
@@ -100,6 +108,25 @@ def test_krv_section_b3_image(b3, A3):
 def test_krv_section_gates(b3):
     with pytest.raises(GateError):
         krv_section(lie_bracket(X, Y), 4)
+
+
+@pytest.mark.parametrize("name, skip, fail, check", [
+    ("is_alternal", 1, False, "alternality"),  # xi's gate calls it first
+    ("is_push_invariant", 0, False, "push-invariance"),
+    ("star_correction", 0, None, "*circ-neutrality"),
+])
+def test_krv_section_check_failure_is_typed(b3, monkeypatch, name, skip,
+                                            fail, check):
+    real, calls = getattr(mould, name), []
+
+    def fake(*args):
+        calls.append(args)
+        return real(*args) if len(calls) <= skip else fail
+
+    monkeypatch.setattr(mould, name, fake)
+    with pytest.raises(MapVerificationError) as info:
+        krv_section(b3, 4)
+    assert (info.value.stage, info.value.check) == ("krv_section", check)
 
 
 def test_krv_section_weight5(psi_minus):

@@ -2,10 +2,11 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moulde.poly import (MultiPoly, RatFrac, _divide_linear, _long_divide,
+from moulde.poly import (MultiPoly, RatFrac, _divide_linear,
                          exact_poly_divide, grlex_key, monomial_sum,
                          poly_to_text)
 
@@ -21,6 +22,15 @@ def polys(arity=2, max_deg=3, max_terms=4):
     exps = st.tuples(*[st.integers(0, max_deg) for _ in range(arity)])
     return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda d: MultiPoly(arity, d))
+
+
+def linear_forms(arity):
+    """Nonzero homogeneous linear forms, as (coefficients, polynomial)."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    return st.lists(small, min_size=arity, max_size=arity).filter(
+        any).map(lambda cs: (cs, MultiPoly(arity, {
+            tuple(int(i == j) for j in range(arity)): c
+            for i, c in enumerate(cs)})))
 
 
 # -- MultiPoly ---------------------------------------------------------------
@@ -75,13 +85,20 @@ def test_exact_divide():
     assert exact_poly_divide(y.scale(4) + x.scale(2), L) is None
 
 
-@given(polys(), polys())
+@given(polys(), linear_forms(2))
 @settings(max_examples=60, deadline=None)
-def test_divide_recovers_factor(a, b):
-    if a.is_zero() or b.is_zero():
-        return
-    q = exact_poly_divide(a * b, b)
-    assert q == a
+def test_divide_recovers_factor(a, form):
+    _, L = form
+    assert exact_poly_divide(a * L, L) == a
+
+
+def test_divisor_must_be_linear():
+    x = MultiPoly.variable(1, 2)
+    y = MultiPoly.variable(2, 2)
+    with pytest.raises(ValueError, match="not a homogeneous linear form"):
+        exact_poly_divide(x * x * y + y * y * y, x * x + y * y)
+    with pytest.raises(ValueError):
+        exact_poly_divide(x * x - x, x - 1)
 
 
 def test_monomial_sum():
@@ -157,15 +174,39 @@ def test_ratfrac_substitute_linear():
     assert g == RatFrac(y, (x,))
 
 
+def test_ratfrac_rejects_nonlinear_factors():
+    x = MultiPoly.variable(1, 2)
+    y = MultiPoly.variable(2, 2)
+    with pytest.raises(ValueError, match=r"linear form: 1 \* x1\^2 \+ 1"):
+        RatFrac(x, (x * x + y * y,))
+    with pytest.raises(ValueError):
+        RatFrac(x, (x + 1,))
+    with pytest.raises(ValueError):
+        RatFrac(x * x + y * y, (x,)).inverse()
+    assert RatFrac(x * x - y * y, (x,)).inverse() == RatFrac(x, (x - y, x + y))
+
+
 # -- linear factors ------------------------------------------------------------
 
-def linear_forms(arity):
-    """Nonzero homogeneous linear forms, as (coefficients, polynomial)."""
-    small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
-    return st.lists(small, min_size=arity, max_size=arity).filter(
-        any).map(lambda cs: (cs, MultiPoly(arity, {
-            tuple(int(i == j) for j in range(arity)): c
-            for i, c in enumerate(cs)})))
+def _long_divide(num, den):
+    """Grlex long division: q with num = q*den, or None.  The oracle for
+    the synthetic division of `_divide_linear`."""
+    def leading(p):
+        e = max(p.terms, key=grlex_key)
+        return e, p.terms[e]
+
+    lead_e, lead_c = leading(den)
+    q_terms = {}
+    rem = num
+    while not rem.is_zero():
+        re, rc = leading(rem)
+        qe = tuple(a - b for a, b in zip(re, lead_e))
+        if any(e < 0 for e in qe):
+            return None
+        qc = rc / lead_c
+        q_terms[qe] = q_terms.get(qe, F(0)) + qc
+        rem = rem - den * MultiPoly.monomial(qe, qc)
+    return MultiPoly(num.arity, q_terms)
 
 
 def divisions():
@@ -210,3 +251,37 @@ def test_sum_is_independent_of_order(case):
     for f in shuffled:
         pairwise = pairwise + f
     assert str(pairwise) == str(total)
+
+
+def _cross_equal(f, g):
+    """Equality of two fractions by cross-multiplication: the oracle for
+    the structural `RatFrac.__eq__`."""
+    return f.num * g.den == g.num * f.den
+
+
+def substitutions(arity=3):
+    """Images of x1..x3: linear forms with coefficients in -1..1, so a
+    substitution may be singular."""
+    form = st.lists(st.integers(-1, 1), min_size=arity,
+                    max_size=arity).map(lambda cs: MultiPoly(arity, {
+                        tuple(int(i == j) for j in range(arity)): c
+                        for i, c in enumerate(cs)}))
+    return st.lists(form, min_size=arity, max_size=arity)
+
+
+@given(st.lists(ratfracs(), min_size=3, max_size=3), substitutions())
+@settings(max_examples=80, deadline=None)
+def test_structural_equality_agrees_with_cross_multiplication(fgh, images):
+    f, g, h = fgh
+    over_x1 = RatFrac(MultiPoly.const(3, 1), (MultiPoly.variable(1, 3),))
+    pairs = [(f, g), (f + g, g + f), (f + h, g + h), (f, f * over_x1),
+             ((f + g) * h, f * h + g * h), (f * g, g * h)]
+    try:
+        fs, gs = f.substitute_linear(images), g.substitute_linear(images)
+        pairs += [(fs, gs), ((f * g).substitute_linear(images), fs * gs),
+                  ((f + g).substitute_linear(images), fs + gs)]
+    except ZeroDivisionError:
+        pass  # the image of a denominator factor vanished
+    for a, b in pairs:
+        assert (a == b) == _cross_equal(a, b), (a, b)
+        assert (b == a) == (a == b)

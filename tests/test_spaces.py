@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import moulde
-from moulde import mould, spaces, words
+from moulde import linalg, mould, spaces, words
 from moulde.mould import (delta_inv, is_alternal, is_push_invariant, ma, swap)
 from moulde.spaces import (VerificationError, dimension_table, solve_ds_ell,
                            solve_gr_krv, solve_krv_ell, solve_lkv, solve_ls,
@@ -58,6 +58,29 @@ def test_ls_known_cells():
     assert solve_ls(6, 2).dim == 0
     assert solve_ls(5, 1).dim == 1
     assert solve_ls(8, 2).dim == 1  # first depth-2 element
+
+
+# Broadhurst-Kreimer (hep-th/9609128; Brown, arXiv:1301.3053): inverting
+# 1/(1 - O y + S y^2 - S y^4), O = x^3/(1-x^2), S = x^12/((1-x^4)(1-x^6)),
+# predicts the Lie dimensions; every cell with n <= 12 not listed is 0.
+# Depth 1 holds one element at each odd weight; depth 2 has 1 at n = 8,
+# 10, 12 (2 at 14, 16, 18; 3 at 20); depth 3 has 1 at n = 11 (2 at 13,
+# 15; 4 at 17; 5 at 19); depth 4 has 1 at n = 12, 14 (3 at 16; 5 at 18;
+# 7 at 20).  The series starts at weight 3.
+BROADHURST_KREIMER = {
+    **{(n, 1): 1 for n in range(3, 13, 2)},
+    (8, 2): 1, (10, 2): 1, (12, 2): 1,
+    (11, 3): 1,
+    (12, 4): 1,
+}
+
+
+@pytest.mark.parametrize("solve", [solve_ls, solve_lkv])
+def test_dims_match_broadhurst_kreimer(solve):
+    cells = [(n, r) for n in range(3, 13) for r in (1, 2, 3)]
+    cells += [(n, 4) for n in range(3, 11)]
+    for n, r in cells:
+        assert solve(n, r).dim == BROADHURST_KREIMER.get((n, r), 0), (n, r)
 
 
 def test_lie_basis_is_the_depth_filtered_lyndon_basis():
@@ -135,6 +158,28 @@ def test_ds_ell_basis_alternal():
     cell = solve_ds_ell(7, 2)
     for P in cell.basis:
         assert is_alternal(delta_inv(P))
+
+
+def _mould_vector(M, keys):
+    return [M.get(r).as_poly().coeff(e) if r in M.values else 0
+            for r, e in keys]
+
+
+def test_ds_ell_lies_in_the_span_of_krv_ell():
+    checked = 0
+    for n in range(3, 11):
+        for r in (1, 2, 3):
+            ds = solve_ds_ell(n, r).basis
+            if not ds:
+                continue
+            krv = solve_krv_ell(n, r).basis
+            keys = sorted({(d, e) for M in ds + krv for d in M.depths()
+                           for e in M.get(d).as_poly().terms})
+            rows = [_mould_vector(M, keys) for M in krv]
+            assert linalg.rank(rows + [_mould_vector(M, keys) for M in ds]) \
+                == linalg.rank(rows), (n, r)
+            checked += len(ds)
+    assert checked >= 10
 
 
 @pytest.mark.parametrize("system", [spaces.krv_ell_system,
