@@ -1,15 +1,26 @@
 """Flexion binary operations, mould exponentials and the special moulds.
 
-All binary operations act depth by depth.  A mould with a cap is a
-truncated series: results inherit the smallest cap of the operands, and
-the exponential / logarithm routines require an explicit cap.
+A mould with a cap is a truncated series: results inherit the smallest
+cap of the operands, and the exponential / logarithm routines require
+an explicit cap.
+
+Every flexion product (mu, amit/anit and their v-side twins, arit, ari,
+preari, ganit) is a signed sum of splittings of the variable sequence,
+and one engine, `_flexion`, evaluates them all.  A splitting is a
+function `split(r, xs)` of the depth r and the variables xs = x1..xr
+that yields factor lists [(M, args), ...]: each term is the product of
+the values M(args), where M.get(len(args)) is evaluated on the linear
+forms `args`.  A factor list with a zero value is skipped.  The terms
+of all splittings of one depth go over one common denominator and are
+cancelled once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 import math
+from operator import mul
 
 from .poly import MultiPoly, RatFrac, monomial_sum
 from .mould import (Mould, AlphabetMismatch, _min_cap, _vars,
@@ -23,188 +34,154 @@ def _eval(value, args, arity):
     return value.substitute_linear(args)
 
 
-def _range_cap(A, B):
-    cap = _min_cap(A.cap, B.cap)
-    if cap is not None:
-        return cap, cap
-    return None, A.max_depth() + B.max_depth()
-
-
-def _check_same(A, B, alphabet=None):
+def _operands(A, B, alphabet=None):
+    """(alphabet, cap, top) of a product of A and B: the smaller cap, and
+    without one, depths up to the sum of the operands' depths."""
     if A.alphabet != B.alphabet:
         raise AlphabetMismatch("operands live on different alphabets")
     if alphabet is not None and A.alphabet != alphabet:
         raise AlphabetMismatch("operation requires %s-moulds" % alphabet)
+    cap = _min_cap(A.cap, B.cap)
+    if cap is not None:
+        return A.alphabet, cap, cap
+    return A.alphabet, None, A.max_depth() + B.max_depth()
+
+
+def _flexion(alphabet, cap, top, products):
+    """The mould sum over (sign, split) in `products` of sign times the
+    terms of the splitting, in depths 0..top."""
+    vals = {}
+    for r in range(top + 1):
+        xs = _vars(r)
+        terms = []
+        for sign, split in products:
+            for factors in split(r, xs):
+                values = [M.get(len(args)) for M, args in factors]
+                if any(v.is_zero() for v in values):
+                    continue
+                term = reduce(mul, [_eval(v, args, r) for v, (_, args)
+                                    in zip(values, factors)])
+                terms.append(term.scale(sign))
+        acc = RatFrac.sum(terms, r)
+        if not acc.is_zero():
+            vals[r] = acc
+    return Mould(alphabet, vals, cap)
 
 
 # ---------------------------------------------------------------------------
-# mu and lu
+# Splittings; in w = a b c, a = w[:s], b = w[s:e] is nonempty, c = w[e:]
+# ---------------------------------------------------------------------------
+
+def _mu(A, B):
+    """w = a b: A(a) B(b)."""
+    return lambda r, xs: ([(A, xs[:i]), (B, xs[i:])] for i in range(r + 1))
+
+
+def _amit(B, A):
+    """w = a b c, c nonempty: A(a, |b| + first(c), rest(c)) B(b)."""
+    return lambda r, xs: (
+        [(A, xs[:s] + [sum(xs[s:e + 1], MultiPoly.zero(r))] + xs[e + 1:]),
+         (B, xs[s:e])]
+        for s in range(r) for e in range(s + 1, r))
+
+
+def _anit(B, A):
+    """w = a b c, a nonempty: A(front(a), last(a) + |b|, c) B(b)."""
+    return lambda r, xs: (
+        [(A, xs[:s - 1] + [sum(xs[s - 1:e], MultiPoly.zero(r))] + xs[e:]),
+         (B, xs[s:e])]
+        for s in range(1, r) for e in range(s + 1, r + 1))
+
+
+def _amit_bar(B, A):
+    """w = a b c, c nonempty: A(a, c) B(b - first(c))."""
+    return lambda r, xs: ([(A, xs[:s] + xs[e:]),
+                           (B, [x - xs[e] for x in xs[s:e]])]
+                          for s in range(r) for e in range(s + 1, r))
+
+
+def _anit_bar(B, A):
+    """w = a b c, a nonempty: A(a, c) B(b - last(a))."""
+    return lambda r, xs: ([(A, xs[:s] + xs[e:]),
+                           (B, [x - xs[s - 1] for x in xs[s:e]])]
+                          for s in range(1, r) for e in range(s + 1, r + 1))
+
+
+# ---------------------------------------------------------------------------
+# mu, lu and the flexion derivations
 # ---------------------------------------------------------------------------
 
 def mu(A, B):
     """Mould multiplication: (mu(A,B))(w) = sum over w = w1 w2 of A(w1) B(w2)."""
-    _check_same(A, B)
-    cap, top = _range_cap(A, B)
-    vals = {}
-    for r in range(0, top + 1):
-        xs = _vars(r)
-        terms = []
-        for i in range(0, r + 1):
-            va, vb = A.get(i), B.get(r - i)
-            if va.is_zero() or vb.is_zero():
-                continue
-            terms.append(_eval(va, xs[:i], r) * _eval(vb, xs[i:], r))
-        acc = RatFrac.sum(terms, r)
-        if not acc.is_zero():
-            vals[r] = acc
-    return Mould(A.alphabet, vals, cap)
+    return _flexion(*_operands(A, B), [(1, _mu(A, B))])
 
 
 def lu(A, B):
     """mu-commutator."""
-    return mu(A, B) - mu(B, A)
+    return _flexion(*_operands(A, B), [(1, _mu(A, B)), (-1, _mu(B, A))])
 
-
-# ---------------------------------------------------------------------------
-# The four flexion derivations
-# ---------------------------------------------------------------------------
 
 def amit(B, A):
     """amit(B).A, with the sum over splittings a b c, c nonempty:
     A(a, |b| + first(c), rest(c)) B(b)."""
-    _check_same(A, B, "U")
-    cap, top = _range_cap(A, B)
-    vals = {}
-    for r in range(1, top + 1):
-        xs = _vars(r)
-        terms = []
-        for i in range(0, r - 1):          # a = u1..ui, possibly empty
-            for j in range(i + 1, r):      # b = u_{i+1}..u_j, c nonempty
-                vb = B.get(j - i)
-                va = A.get(r - (j - i))
-                if va.is_zero() or vb.is_zero():
-                    continue
-                slot = MultiPoly.zero(r)
-                for k in range(i, j + 1):
-                    slot = slot + xs[k]
-                args_a = xs[:i] + [slot] + xs[j + 1:]
-                terms.append(_eval(va, args_a, r) * _eval(vb, xs[i:j], r))
-        acc = RatFrac.sum(terms, r)
-        if not acc.is_zero():
-            vals[r] = acc
-    return Mould("U", vals, cap)
+    return _flexion(*_operands(A, B, "U"), [(1, _amit(B, A))])
 
 
 def anit(B, A):
     """anit(B).A, with the sum over splittings a b c, a nonempty:
     A(front(a), last(a) + |b|, c) B(b)."""
-    _check_same(A, B, "U")
-    cap, top = _range_cap(A, B)
-    vals = {}
-    for r in range(1, top + 1):
-        xs = _vars(r)
-        terms = []
-        for i in range(1, r):              # a = u1..ui, nonempty
-            for j in range(i + 1, r + 1):  # b = u_{i+1}..u_j, c may be empty
-                vb = B.get(j - i)
-                va = A.get(r - (j - i))
-                if va.is_zero() or vb.is_zero():
-                    continue
-                slot = MultiPoly.zero(r)
-                for k in range(i - 1, j):
-                    slot = slot + xs[k]
-                args_a = xs[:i - 1] + [slot] + xs[j:]
-                terms.append(_eval(va, args_a, r) * _eval(vb, xs[i:j], r))
-        acc = RatFrac.sum(terms, r)
-        if not acc.is_zero():
-            vals[r] = acc
-    return Mould("U", vals, cap)
+    return _flexion(*_operands(A, B, "U"), [(1, _anit(B, A))])
 
 
 def amit_bar(B, A):
     """v-side amit: A(a, c) B(b - last-of-c-anchor), c nonempty."""
-    _check_same(A, B, "V")
-    cap, top = _range_cap(A, B)
-    vals = {}
-    for r in range(1, top + 1):
-        xs = _vars(r)
-        terms = []
-        for i in range(1, r):              # b starts at v_i
-            for j in range(i, r):          # b = v_i..v_j, c nonempty
-                vb = B.get(j - i + 1)
-                va = A.get(r - (j - i + 1))
-                if va.is_zero() or vb.is_zero():
-                    continue
-                anchor = xs[j]             # v_{j+1}
-                args_a = xs[:i - 1] + xs[j:]
-                args_b = [xs[k] - anchor for k in range(i - 1, j)]
-                terms.append(_eval(va, args_a, r) * _eval(vb, args_b, r))
-        acc = RatFrac.sum(terms, r)
-        if not acc.is_zero():
-            vals[r] = acc
-    return Mould("V", vals, cap)
+    return _flexion(*_operands(A, B, "V"), [(1, _amit_bar(B, A))])
 
 
 def anit_bar(B, A):
     """v-side anit: A(a, c) B(b - last-of-a-anchor), a nonempty."""
-    _check_same(A, B, "V")
-    cap, top = _range_cap(A, B)
-    vals = {}
-    for r in range(1, top + 1):
-        xs = _vars(r)
-        terms = []
-        for i in range(2, r + 1):          # b starts at v_i, a nonempty
-            for j in range(i, r + 1):      # b = v_i..v_j, c may be empty
-                vb = B.get(j - i + 1)
-                va = A.get(r - (j - i + 1))
-                if va.is_zero() or vb.is_zero():
-                    continue
-                anchor = xs[i - 2]         # v_{i-1}
-                args_a = xs[:i - 1] + xs[j:]
-                args_b = [xs[k] - anchor for k in range(i - 1, j)]
-                terms.append(_eval(va, args_a, r) * _eval(vb, args_b, r))
-        acc = RatFrac.sum(terms, r)
-        if not acc.is_zero():
-            vals[r] = acc
-    return Mould("V", vals, cap)
+    return _flexion(*_operands(A, B, "V"), [(1, _anit_bar(B, A))])
 
 
 def arit(B, A):
     """arit(B).A = amit(B).A - anit(B).A (a derivation of mu)."""
-    return amit(B, A) - anit(B, A)
+    return _flexion(*_operands(A, B, "U"),
+                    [(1, _amit(B, A)), (-1, _anit(B, A))])
 
 
 def arit_bar(B, A):
-    return amit_bar(B, A) - anit_bar(B, A)
+    return _flexion(*_operands(A, B, "V"),
+                    [(1, _amit_bar(B, A)), (-1, _anit_bar(B, A))])
 
 
 # ---------------------------------------------------------------------------
 # ari, preari and their v-side twins
-#
-# Each is written out as one sum of flexion terms, so that every depth
-# goes over one common denominator and is cancelled once.
 # ---------------------------------------------------------------------------
 
 def ari(A, B):
     """arit(B).A - arit(A).B + lu(A, B)."""
-    return Mould.sum([amit(B, A), -anit(B, A), -amit(A, B), anit(A, B),
-                      mu(A, B), -mu(B, A)])
+    return _flexion(*_operands(A, B, "U"), [
+        (1, _amit(B, A)), (-1, _anit(B, A)), (-1, _amit(A, B)),
+        (1, _anit(A, B)), (1, _mu(A, B)), (-1, _mu(B, A))])
 
 
 def ari_bar(A, B):
     """arit_bar(B).A - arit_bar(A).B + lu(A, B)."""
-    return Mould.sum([amit_bar(B, A), -anit_bar(B, A), -amit_bar(A, B),
-                      anit_bar(A, B), mu(A, B), -mu(B, A)])
+    return _flexion(*_operands(A, B, "V"), [
+        (1, _amit_bar(B, A)), (-1, _anit_bar(B, A)), (-1, _amit_bar(A, B)),
+        (1, _anit_bar(A, B)), (1, _mu(A, B)), (-1, _mu(B, A))])
 
 
 def preari(A, B):
     """arit(B).A + mu(A, B)."""
-    return Mould.sum([amit(B, A), -anit(B, A), mu(A, B)])
+    return _flexion(*_operands(A, B, "U"),
+                    [(1, _amit(B, A)), (-1, _anit(B, A)), (1, _mu(A, B))])
 
 
 def preari_bar(A, B):
     """arit_bar(B).A + mu(A, B)."""
-    return Mould.sum([amit_bar(B, A), -anit_bar(B, A), mu(A, B)])
+    return _flexion(*_operands(A, B, "V"), [
+        (1, _amit_bar(B, A)), (-1, _anit_bar(B, A)), (1, _mu(A, B))])
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +192,8 @@ def darit(A, B):
     """Darit(A).B = dar((-arit + ad)(delta^{-1} A) . dar^{-1} B)."""
     L = delta_inv(A)
     C = dar_inv(B)
-    return dar(lu(L, C) - arit(L, C))
+    return dar(_flexion(*_operands(C, L, "U"), [
+        (1, _mu(L, C)), (-1, _mu(C, L)), (-1, _amit(L, C)), (1, _anit(L, C))]))
 
 
 def dari(A, B, route="delta"):
@@ -386,11 +364,9 @@ def named_mould(name, cap):
         vals = {}
         for r in range(1, cap + 1):
             xs = _vars(r)
-            s = MultiPoly.zero(r)
-            for x in xs:
-                s = s + x
             den = tuple(_chain_den(r)) + (xs[-1],)
-            vals[r] = RatFrac(s.scale(cs[r - 1]), den)
+            vals[r] = RatFrac(sum(xs, MultiPoly.zero(r)).scale(cs[r - 1]),
+                              den)
         return Mould("V", vals, cap)
     if name == "pil":
         return exp_ari_bar(named_mould("lopil", cap), cap)
@@ -420,57 +396,41 @@ def tnc_mould(n, c=1):
 # ---------------------------------------------------------------------------
 
 def _ganit_splittings(r):
-    """Decompositions of 1..r into a1 b1 ... as bs, every chunk nonempty
-    except possibly the final b.  Yields (a_positions, b_chunks) with
-    a_positions the concatenated a indices and b_chunks a list of
-    (start, length) pairs, all 1-based."""
+    """Decompositions of x1..xr into a1 b1 ... as bs, every chunk nonempty
+    except possibly the final b.  Yields (a, bs): the 0-based positions
+    of the concatenated a-chunks and the (start, end) slices of the
+    b-chunks."""
     def rec(pos, a_acc, b_acc):
-        if pos > r:
-            yield list(a_acc), list(b_acc)
-            return
-        # choose the next a-chunk (nonempty)
-        for a_end in range(pos, r + 1):
-            a_new = a_acc + list(range(pos, a_end + 1))
+        # the next a-chunk, then the end or the next b-chunk
+        for a_end in range(pos + 1, r + 1):
+            a_new = a_acc + list(range(pos, a_end))
             if a_end == r:
-                yield a_new, list(b_acc)
+                yield a_new, b_acc
                 continue
-            # choose the following b-chunk (nonempty)
             for b_end in range(a_end + 1, r + 1):
-                yield from rec(b_end + 1, a_new,
-                               b_acc + [(a_end + 1, b_end - a_end)])
-    yield from rec(1, [], [])
+                b_new = b_acc + [(a_end, b_end)]
+                if b_end == r:
+                    yield a_new, b_new
+                else:
+                    yield from rec(b_end, a_new, b_new)
+    yield from rec(0, [], [])
+
+
+def _ganit(Q, T):
+    """T on the concatenated a-chunks, Q on each b-chunk lowered by the
+    letter before it."""
+    return lambda r, xs: ([(T, [xs[p] for p in a])]
+                          + [(Q, [x - xs[s - 1] for x in xs[s:e]])
+                             for s, e in bs]
+                          for a, bs in _ganit_splittings(r))
 
 
 def ganit_bar(Q, T):
     """ganit(Q).T on the v side: sum over chunkings a1 b1 ... of
     T(a-chunks) times a product of Q over the lowered b-chunks."""
-    _check_same(T, Q, "V")
-    cap = _min_cap(T.cap, Q.cap)
-    top = cap if cap is not None else T.max_depth()
-    vals = {}
-    for r in range(1, top + 1):
-        xs = _vars(r)
-        terms = []
-        for a_pos, b_chunks in _ganit_splittings(r):
-            vt = T.get(len(a_pos))
-            if vt.is_zero():
-                continue
-            term = _eval(vt, [xs[p - 1] for p in a_pos], r)
-            ok = True
-            for start, length in b_chunks:
-                vq = Q.get(length)
-                if vq.is_zero():
-                    ok = False
-                    break
-                anchor = xs[start - 2]
-                args = [xs[start - 1 + k] - anchor for k in range(length)]
-                term = term * _eval(vq, args, r)
-            if ok:
-                terms.append(term)
-        acc = RatFrac.sum(terms, r)
-        if not acc.is_zero():
-            vals[r] = acc
-    return Mould("V", vals, cap)
+    alphabet, cap, top = _operands(T, Q, "V")
+    return _flexion(alphabet, cap, top if cap is not None else T.max_depth(),
+                    [(1, _ganit(Q, T))])
 
 
 # ---------------------------------------------------------------------------

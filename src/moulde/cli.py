@@ -15,8 +15,9 @@ or a map's image failing its own check: `spaces.VerificationError`,
 `maps.MapVerificationError`).
 
 `--depth` runs from 1 to MAX_DEPTH (6; the named moulds take minutes
-to build at depth 6 and far longer beyond), and the `--n`/`--r` ranges
-of `dims` must be nonempty and positive.
+to build at depth 6 and far longer beyond), the `--n`/`--r` ranges of
+`dims` must be nonempty and positive, and `basis --n`/`--r` must be
+positive integers.
 """
 
 from __future__ import annotations
@@ -72,6 +73,18 @@ def _parse_range(text):
     return values
 
 
+def _positive(text):
+    """'5' -> 5; anything but a positive integer is refused."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return value
+
+
 def _read_input(path):
     """Mould from .json, word polynomial otherwise."""
     with open(path) as fh:
@@ -114,9 +127,8 @@ def cmd_dims(args, out):
 def cmd_basis(args, out):
     if args.space not in SPACES:
         raise UsageError("unknown space %r" % args.space)
-    n = int(args.n)
     if args.space == "vkrv":
-        cell = spaces_mod.solve_vkrv(n)
+        cell = spaces_mod.solve_vkrv(args.n)
     elif args.space == "gr_krv":
         raise UsageError("gr_krv has dimensions only; use dims")
     else:
@@ -125,7 +137,7 @@ def cmd_basis(args, out):
         solver = {"lkv": spaces_mod.solve_lkv, "ls": spaces_mod.solve_ls,
                   "krv_ell": spaces_mod.solve_krv_ell,
                   "ds_ell": spaces_mod.solve_ds_ell}[args.space]
-        cell = solver(n, int(args.r))
+        cell = solver(args.n, args.r)
     if args.format == "json":
         items = []
         for b in cell.basis:
@@ -268,8 +280,8 @@ def build_parser():
 
     sp = sub.add_parser("basis")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--r")
+    sp.add_argument("--n", required=True, type=_positive)
+    sp.add_argument("--r", type=_positive)
     common(sp)
     sp.set_defaults(fn=cmd_basis)
 

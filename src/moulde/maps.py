@@ -143,17 +143,6 @@ def swap_circ_constant_star(B, n):
 _XY = X * Y - Y * X
 
 
-def _substitute_y_bracket(b):
-    """Algebra endomorphism x -> x, y -> [x,y] applied to b."""
-    out = NCPoly.zero()
-    for w, c in b.terms.items():
-        prod = NCPoly.one(c)
-        for ch in w:
-            prod = prod * (X if ch == "x" else _XY)
-        out = out + prod
-    return out
-
-
 def lkv_to_krv_ell(b):
     """The injective map b(x,y) -> [x, b(x,[x,y])].
 
@@ -165,7 +154,8 @@ def lkv_to_krv_ell(b):
         raise GateError("lkv_to_krv_ell", "input is not push-invariant")
     if not words_mod.is_circ_neutral_poly(b):
         raise GateError("lkv_to_krv_ell", "input is not circ-neutral")
-    word_image = words_mod.lie_bracket(X, _substitute_y_bracket(b))
+    word_image = words_mod.lie_bracket(
+        X, words_mod.substitute_letters(b, {"x": X, "y": _XY}))
     mould_image = mould_mod.delta_op(mould_mod.ma(b))
     if not mould_mod.ma(word_image).eq(mould_image):
         raise MapVerificationError("lkv_to_krv_ell",

@@ -14,8 +14,7 @@ from itertools import combinations
 import json
 import math
 
-from .poly import (MultiPoly, RatFrac, _linear_factor_split, exact_poly_divide,
-                   monomial_sum)
+from .poly import MultiPoly, RatFrac, _linear_factor_split, monomial_sum
 from . import words as W
 
 
@@ -309,7 +308,7 @@ def dar(M):
 def dar_inv(M):
     vals = {}
     for r, v in M.values.items():
-        vals[r] = RatFrac(v.num, v.den_factors + tuple(_vars(r)))
+        vals[r] = v * RatFrac(MultiPoly.const(r, 1), _vars(r))
     return Mould(M.alphabet, vals, M.cap)
 
 
@@ -342,10 +341,8 @@ def delta_inv(M):
         if r == 0:
             continue
         xs = _vars(r)
-        s = MultiPoly.zero(r)
-        for x in xs:
-            s = s + x
-        vals[r] = RatFrac(v.num, v.den_factors + tuple(xs) + (s,))
+        vals[r] = v * RatFrac(MultiPoly.const(r, 1),
+                              xs + [sum(xs, MultiPoly.zero(r))])
     return Mould("U", vals, M.cap)
 
 
@@ -481,11 +478,8 @@ def in_ari_delta(M):
     for r, v in M.values.items():
         if r == 0:
             continue
-        num = v.num * _delta_factor(r)
-        for f in v.den_factors:
-            num = exact_poly_divide(num, f)
-            if num is None:
-                return False
+        if not (v * RatFrac.from_poly(_delta_factor(r))).is_polynomial():
+            return False
     return True
 
 

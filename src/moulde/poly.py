@@ -345,19 +345,22 @@ def _divide_linear(num, coeffs):
     return _poly(arity, {e: c * scale for e, c in q.items()})
 
 
+def compositions(total, parts):
+    """Tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def monomial_sum(r, d):
     """Sum of all monomials of total degree d in r variables, coeff 1."""
     if r < 1:
         raise ValueError("need at least one variable")
-    terms = {}
-    def gen(prefix, remaining, slots):
-        if slots == 1:
-            terms[tuple(prefix + [remaining])] = Fraction(1)
-            return
-        for e in range(remaining + 1):
-            gen(prefix + [e], remaining - e, slots - 1)
-    gen([], d, r)
-    return MultiPoly(r, terms)
+    return MultiPoly(r, {e: Fraction(1) for e in compositions(d, r)})
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +616,8 @@ def _reduce(num, keys):
     `left` lists the factors that did not divide."""
     if num.is_zero():
         return num, ()
+    if num.is_constant():
+        return num, tuple(keys)
     left = []
     failed = None
     for k in keys:

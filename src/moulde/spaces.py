@@ -32,7 +32,8 @@ from . import mould as mould_mod
 from . import words as words_mod
 from .linalg import nullspace, rank
 from .mould import Mould
-from .poly import MultiPoly, RatFrac, common_denominator, grlex_key
+from .poly import (MultiPoly, RatFrac, common_denominator, compositions,
+                   grlex_key)
 from .words import NCPoly
 
 _ZERO = Fraction(0)
@@ -218,18 +219,7 @@ def _exp_tuples(d, r):
     """Exponent tuples of length r with total degree d, grlex order."""
     if d < 0:
         return []
-    out = []
-
-    def gen(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for k in range(remaining + 1):
-            gen(prefix + [k], remaining - k, slots - 1)
-
-    gen([], d, r)
-    out.sort(key=grlex_key)
-    return out
+    return sorted(compositions(d, r), key=grlex_key)
 
 
 def _monomials(n, r):

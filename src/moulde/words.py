@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import solve
+from .poly import compositions
 
 
 class PartnerNotFound(Exception):
@@ -454,21 +455,12 @@ def is_circ_constant_poly(f):
         sums = _cyclic_sum_family(d)
         # target: every tuple of size r and total n - r has cyclic sum c
         target = {}
-        for a in _compositions(n - r, r):
+        for a in compositions(n - r, r):
             if c != 0:
                 target[a] = c
         if sums != target:
             return False, None
     return True, c
-
-
-def _compositions(total, slots):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -587,20 +579,24 @@ def delta_2n(n):
 
 
 # ---------------------------------------------------------------------------
-# nu twist
+# Letter substitution and the nu twist
 # ---------------------------------------------------------------------------
+
+def substitute_letters(f, images):
+    """The algebra endomorphism sending each letter ch to images[ch],
+    applied to f."""
+    out = NCPoly.zero()
+    for w, c in f.terms.items():
+        term = NCPoly.one(c)
+        for ch in w:
+            term = term * images[ch]
+        out = out + term
+    return out
+
 
 def nu_twist(f):
     """Substitute x -> -x-y, y -> y."""
-    z = NCPoly({"x": Fraction(-1), "y": Fraction(-1)})
-    images = {"x": z, "y": Y}
-    out = NCPoly.zero()
-    for w, c in f.terms.items():
-        term = NCPoly.one()
-        for ch in w:
-            term = term * images[ch]
-        out = out + term.scale(c)
-    return out
+    return substitute_letters(f, {"x": -(X + Y), "y": Y})
 
 
 # ---------------------------------------------------------------------------

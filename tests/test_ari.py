@@ -1,19 +1,22 @@
 """The ari/dari algebra layer: brackets, exponentials, named moulds."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moulde import ari, mould, words
-from moulde.ari import (ad_ari_exp, ari as ari_bracket, ari_bar, dari, darit,
-                        exp_ari, exp_ari_bar, fundamental_identity_check,
-                        ganit_bar, goodfund_check, infinitesimal_generator,
-                        log_ari, log_ari_bar, lu, mu, named_mould, preari,
-                        tnc_mould)
-from moulde.mould import (Mould, delta_op, is_alternal, is_circ_constant,
-                          is_circ_neutral, ma, swap)
-from moulde.poly import MultiPoly
+from moulde.ari import (ad_ari_exp, amit, amit_bar, anit, anit_bar,
+                        ari as ari_bracket, ari_bar, arit, arit_bar, dari,
+                        darit, exp_ari, exp_ari_bar,
+                        fundamental_identity_check, ganit_bar, goodfund_check,
+                        infinitesimal_generator, log_ari, log_ari_bar, lu, mu,
+                        named_mould, preari, preari_bar, tnc_mould)
+from moulde.mould import (Mould, _vars, dar_inv, delta_op, is_alternal,
+                          is_circ_constant, is_circ_neutral, ma, swap)
+from moulde.poly import MultiPoly, RatFrac
 from moulde.words import X, Y, c_poly, lie_bracket, nu_twist
 
 
@@ -31,10 +34,18 @@ def _depth_polys(r, max_deg=2):
         lambda d: MultiPoly(r, d))
 
 
-def moulds(max_depth=3):
+def moulds(max_depth=3, alphabet="U"):
     return st.fixed_dictionaries(
         {r: _depth_polys(r) for r in range(1, max_depth + 1)}).map(
-        lambda d: Mould("U", d))
+        lambda d: Mould(alphabet, d))
+
+
+def operands(alphabet):
+    """Polynomial moulds and moulds with poles (dar_inv), capped or not."""
+    return st.builds(
+        lambda M, poles, cap: (dar_inv(M) if poles else M).with_cap(cap),
+        moulds(2, alphabet), st.booleans(),
+        st.one_of(st.none(), st.integers(1, 4)))
 
 
 # -- products and brackets ---------------------------------------------------
@@ -98,6 +109,36 @@ def test_darit_antisymmetrization_is_dari():
     A = delta_op(_u({1: {(2,): 1}}))
     B = delta_op(_u({1: {(3,): 1}}))
     assert (darit(A, B) - darit(B, A)).eq(dari(A, B, route="darit"))
+
+
+# Each compound product against the chain of `+`/`-` of its elementary
+# parts, every part cancelled on its own.
+COMPOUNDS = [
+    ("U", ari_bracket, lambda A, B: amit(B, A) - anit(B, A) - amit(A, B)
+     + anit(A, B) + mu(A, B) - mu(B, A)),
+    ("V", ari_bar, lambda A, B: amit_bar(B, A) - anit_bar(B, A)
+     - amit_bar(A, B) + anit_bar(A, B) + mu(A, B) - mu(B, A)),
+    ("U", preari, lambda A, B: amit(B, A) - anit(B, A) + mu(A, B)),
+    ("V", preari_bar, lambda A, B: amit_bar(B, A) - anit_bar(B, A)
+     + mu(A, B)),
+    ("U", arit, lambda B, A: amit(B, A) - anit(B, A)),
+    ("V", arit_bar, lambda B, A: amit_bar(B, A) - anit_bar(B, A)),
+    ("U", lu, lambda A, B: mu(A, B) - mu(B, A)),
+    ("V", lu, lambda A, B: mu(A, B) - mu(B, A)),
+]
+
+
+@pytest.mark.parametrize("alphabet, product, parts", COMPOUNDS,
+                         ids=["%s-%s" % (p.__name__, a)
+                              for a, p, _ in COMPOUNDS])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_compound_product_is_the_sum_of_its_parts(alphabet, product, parts,
+                                                  data):
+    A, B = data.draw(operands(alphabet)), data.draw(operands(alphabet))
+    got, want = product(A, B), parts(A, B)
+    assert got.cap == want.cap
+    assert got.eq(want)
 
 
 # -- structure preservation --------------------------------------------------
@@ -194,6 +235,40 @@ def test_ganit_bar_identity_on_depth1():
     T = Mould("V", {1: MultiPoly(1, {(3,): F(2)})}, 1)
     pic = named_mould("pic", 1)
     assert ganit_bar(pic, T).eq(T)
+
+
+def _ganit_by_compositions(Q, T):
+    """ganit(Q).T from its definition: each composition of r cuts
+    x1..xr into chunks a1 b1 a2 b2 ..., T takes the a-chunks and Q each
+    b-chunk lowered by the letter before it; depths up to the smaller
+    cap, or T's depth when both are uncapped."""
+    cap = mould._min_cap(Q.cap, T.cap)
+    vals = {}
+    for r in range(1, (T.max_depth() if cap is None else cap) + 1):
+        xs = _vars(r)
+        total = RatFrac.zero(r)
+        for k in range(r):
+            for cuts in combinations(range(1, r), k):
+                bounds = (0,) + cuts + (r,)
+                chunks = list(zip(bounds, bounds[1:]))
+                a = [x for s, e in chunks[0::2] for x in xs[s:e]]
+                term = T.get(len(a)).substitute_linear(a)
+                for s, e in chunks[1::2]:
+                    term = term * Q.get(e - s).substitute_linear(
+                        [x - xs[s - 1] for x in xs[s:e]])
+                total = total + term
+        vals[r] = total
+    return Mould("V", vals, cap)
+
+
+@pytest.mark.parametrize("cap", [None, 2, 4])
+@given(operands("V"), operands("V"))
+@settings(max_examples=15, deadline=None)
+def test_ganit_bar_matches_its_definition(cap, Q, T):
+    Q, T = Q.with_cap(None), T.with_cap(cap)
+    got, want = ganit_bar(Q, T), _ganit_by_compositions(Q, T)
+    assert got.cap == want.cap
+    assert got.eq(want)
 
 
 # -- structural identities ---------------------------------------------------

@@ -81,6 +81,23 @@ def test_basis_lkv():
     assert "dim=1" in out
 
 
+@pytest.mark.parametrize("space, n, r, flag", [
+    ("vkrv", "-3", None, "--n"),     # non-positive weight
+    ("ls", "0", "1", "--n"),
+    ("ls", "5", "-2", "--r"),        # non-positive depth
+    ("ls", "5", "0", "--r"),
+    ("vkrv", "x", None, "--n"),      # not an integer
+    ("lkv", "5", "1.5", "--r"),
+])
+def test_basis_rejects_bad_bound(space, n, r, flag):
+    argv = ["basis", "--space", space, "--n", n]
+    if r is not None:
+        argv += ["--r", r]
+    code, out, err = _run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: argument %s:" % flag)
+
+
 def test_basis_requires_r():
     code, _, err = _run(["basis", "--space", "lkv", "--n", "3"])
     assert code == 2 and "usage error" in err
