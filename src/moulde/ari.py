@@ -427,10 +427,13 @@ def _ganit(Q, T):
 
 def ganit_bar(Q, T):
     """ganit(Q).T on the v side: sum over chunkings a1 b1 ... of
-    T(a-chunks) times a product of Q over the lowered b-chunks."""
+    T(a-chunks) times a product of Q over the lowered b-chunks.  With
+    both operands uncapped, the series is cut at T's depth, which
+    becomes the cap of the result."""
     alphabet, cap, top = _operands(T, Q, "V")
-    return _flexion(alphabet, cap, top if cap is not None else T.max_depth(),
-                    [(1, _ganit(Q, T))])
+    if cap is None:
+        cap = top = T.max_depth()
+    return _flexion(alphabet, cap, top, [(1, _ganit(Q, T))])
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,25 @@ A mould is a depth-indexed family r -> rational function in r variables
 u1..ur) or V-side (v1..vr, the swap coordinates).  An optional cap
 records the truncation depth of series computations: values above the
 cap are unknown and are never compared.
+
+Each of the unary operators `swap`, `push`, `circ`, `neg_op` and
+`mantar` is a per-depth change of variables: it evaluates the depth-r
+value at r linear forms in x1..xr (`_substituted`), and the shuffle and
+cyclic sums add such images up.  When the forms are distinct variables,
+as in `circ`, `mantar` and both sums, the change of variables is a
+renaming, which `RatFrac.substitute_linear` does as an exponent
+shuffle.  `dar`, `delta_op` and their inverses multiply or divide each
+depth by a product of linear forms (`_times_forms`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate
 import json
 import math
+from operator import mul
 
 from .poly import MultiPoly, RatFrac, _linear_factor_split, monomial_sum
 from . import words as W
@@ -24,10 +35,6 @@ class AlphabetMismatch(Exception):
 
 class NonPolynomialValue(Exception):
     pass
-
-
-def _zero_value(r):
-    return RatFrac.zero(r)
 
 
 class Mould:
@@ -63,7 +70,7 @@ class Mould:
 
     # -- access -------------------------------------------------------
     def get(self, r):
-        return self.values.get(r, _zero_value(r))
+        return self.values.get(r, RatFrac.zero(r))
 
     def depths(self):
         return sorted(self.values)
@@ -123,14 +130,6 @@ class Mould:
     def scale(self, c):
         return Mould(self.alphabet,
                      {r: v.scale(c) for r, v in self.values.items()}, self.cap)
-
-    def map_values(self, fn):
-        vals = {}
-        for r, v in self.values.items():
-            nv = fn(r, v)
-            if not nv.is_zero():
-                vals[r] = nv
-        return Mould(self.alphabet, vals, self.cap)
 
     def eq(self, other, up_to=None):
         if self.alphabet != other.alphabet:
@@ -202,89 +201,71 @@ def ma_inverse(M):
 # Unary operators
 # ---------------------------------------------------------------------------
 
-def swap(M):
-    """Exchange the u and v coordinate systems (an involution)."""
-    target = "V" if M.alphabet == "U" else "U"
+def _substituted(M, images, alphabet=None):
+    """M with each depth-r value, r >= 1, evaluated at the linear forms
+    images(xs) of xs = x1..xr, on `alphabet` (default: M's); depth 0 is
+    kept."""
+    return Mould(alphabet or M.alphabet,
+                 {r: v.substitute_linear(images(_vars(r))) if r else v
+                  for r, v in M.values.items()}, M.cap)
+
+
+def _times_forms(M, forms, divide=False):
+    """M with each depth-r value multiplied, or divided, by the product
+    of the linear forms forms(x1..xr).  A depth where a form vanishes
+    (u1+...+ur in depth 0) is dropped."""
     vals = {}
     for r, v in M.values.items():
-        if r == 0:
-            vals[r] = v
+        fs = forms(_vars(r))
+        if any(f.is_zero() for f in fs):
             continue
-        xs = _vars(r)
-        if M.alphabet == "U":
-            # swap(A)(v1..vr) = A(v_r, v_{r-1}-v_r, ..., v_1-v_2)
-            images = []
-            for k in range(1, r + 1):
-                img = xs[r - k]
-                if k > 1:
-                    img = img - xs[r - k + 1]
-                images.append(img)
-        else:
-            # swap(B)(u1..ur) = B(u1+...+ur, u1+...+u_{r-1}, ..., u1)
-            images = []
-            for k in range(1, r + 1):
-                s = MultiPoly.zero(r)
-                for i in range(r + 1 - k):
-                    s = s + xs[i]
-                images.append(s)
-        vals[r] = v.substitute_linear(images)
-    return Mould(target, vals, M.cap)
+        one = MultiPoly.const(r, 1)
+        vals[r] = v * (RatFrac(one, fs) if divide
+                       else RatFrac.from_poly(reduce(mul, fs, one)))
+    return Mould(M.alphabet, vals, M.cap)
+
+
+def _delta_forms(xs):
+    """u1, ..., ur and u1+...+ur."""
+    return xs + [sum(xs, MultiPoly.zero(len(xs)))]
+
+
+def _require(M, alphabet, what):
+    if M.alphabet != alphabet:
+        raise AlphabetMismatch("%s acts on %s-moulds" % (what, alphabet))
+
+
+def swap(M):
+    """Exchange the u and v coordinate systems (an involution):
+    swap(A)(v1..vr) = A(v_r, v_{r-1}-v_r, ..., v_1-v_2) and
+    swap(B)(u1..ur) = B(u1+...+ur, u1+...+u_{r-1}, ..., u1)."""
+    if M.alphabet == "U":
+        return _substituted(M, lambda xs: xs[-1:] + [
+            a - b for a, b in zip(xs[-2::-1], xs[::-1])], "V")
+    return _substituted(M, lambda xs: list(accumulate(xs))[::-1], "U")
 
 
 def push(M):
     """(push B)(u1..ur) = B(u0, u1, ..., u_{r-1}), u0 = -u1-...-ur."""
-    if M.alphabet != "U":
-        raise AlphabetMismatch("push acts on U-moulds")
-    vals = {}
-    for r, v in M.values.items():
-        if r == 0:
-            vals[r] = v
-            continue
-        xs = _vars(r)
-        u0 = MultiPoly.zero(r)
-        for x in xs:
-            u0 = u0 - x
-        images = [u0] + xs[:-1]
-        vals[r] = v.substitute_linear(images)
-    return Mould("U", vals, M.cap)
+    _require(M, "U", "push")
+    return _substituted(
+        M, lambda xs: [-sum(xs, MultiPoly.zero(len(xs)))] + xs[:-1])
 
 
 def circ(M):
     """circ(B)(v1..vr) = B(v2, ..., vr, v1)."""
-    if M.alphabet != "V":
-        raise AlphabetMismatch("circ acts on V-moulds")
-    vals = {}
-    for r, v in M.values.items():
-        if r == 0:
-            vals[r] = v
-            continue
-        xs = _vars(r)
-        images = xs[1:] + xs[:1]
-        vals[r] = v.substitute_linear(images)
-    return Mould("V", vals, M.cap)
+    _require(M, "V", "circ")
+    return _substituted(M, lambda xs: xs[1:] + xs[:1])
 
 
 def neg_op(M):
     """neg(A)(u1..ur) = A(-u1, ..., -ur)."""
-    vals = {}
-    for r, v in M.values.items():
-        if r == 0:
-            vals[r] = v
-            continue
-        vals[r] = v.substitute_linear([-x for x in _vars(r)])
-    return Mould(M.alphabet, vals, M.cap)
+    return _substituted(M, lambda xs: [-x for x in xs])
 
 
 def mantar(M):
     """mantar(A)(u1..ur) = (-1)^{r-1} A(ur, ..., u1)."""
-    vals = {}
-    for r, v in M.values.items():
-        if r == 0:
-            vals[r] = -v
-            continue
-        xs = _vars(r)
-        vals[r] = v.substitute_linear(xs[::-1]).scale((-1) ** (r - 1))
-    return Mould(M.alphabet, vals, M.cap)
+    return -pari(_substituted(M, lambda xs: xs[::-1]))
 
 
 def pari(M):
@@ -296,61 +277,28 @@ def pari(M):
 
 def dar(M):
     """dar(A)(u1..ur) = u1...ur A(u1..ur)."""
-    vals = {}
-    for r, v in M.values.items():
-        p = MultiPoly.const(r, 1)
-        for x in _vars(r):
-            p = p * x
-        vals[r] = v * RatFrac.from_poly(p)
-    return Mould(M.alphabet, vals, M.cap)
+    return _times_forms(M, list)
 
 
 def dar_inv(M):
-    vals = {}
-    for r, v in M.values.items():
-        vals[r] = v * RatFrac(MultiPoly.const(r, 1), _vars(r))
-    return Mould(M.alphabet, vals, M.cap)
-
-
-def _delta_factor(r):
-    p = MultiPoly.const(r, 1)
-    s = MultiPoly.zero(r)
-    for x in _vars(r):
-        p = p * x
-        s = s + x
-    return p * s
+    return _times_forms(M, list, divide=True)
 
 
 def delta_op(M):
     """Multiply the depth-r part by u1...ur (u1+...+ur)."""
-    if M.alphabet != "U":
-        raise AlphabetMismatch("delta acts on U-moulds")
-    vals = {}
-    for r, v in M.values.items():
-        if r == 0:
-            continue
-        vals[r] = v * RatFrac.from_poly(_delta_factor(r))
-    return Mould("U", vals, M.cap)
+    _require(M, "U", "delta")
+    return _times_forms(M, _delta_forms)
 
 
 def delta_inv(M):
-    if M.alphabet != "U":
-        raise AlphabetMismatch("delta acts on U-moulds")
-    vals = {}
-    for r, v in M.values.items():
-        if r == 0:
-            continue
-        xs = _vars(r)
-        vals[r] = v * RatFrac(MultiPoly.const(r, 1),
-                              xs + [sum(xs, MultiPoly.zero(r))])
-    return Mould("U", vals, M.cap)
+    _require(M, "U", "delta")
+    return _times_forms(M, _delta_forms, divide=True)
 
 
 def teru(M):
     """teru(B) = B in depths 0, 1; in depth r > 1 adds
     (1/u_r)(B(u1..u_{r-2}, u_{r-1}) - B(u1..u_{r-2}, u_{r-1}+u_r))."""
-    if M.alphabet != "U":
-        raise AlphabetMismatch("teru acts on U-moulds")
+    _require(M, "U", "teru")
     out = {}
     depths = set(M.values)
     depths |= {r + 1 for r in M.values}  # corrections feed depth r from r-1
@@ -475,12 +423,7 @@ def in_ari_delta(M):
     u1...ur(u1+...+ur)."""
     if M.alphabet != "U":
         raise AlphabetMismatch("ARI^Delta is a U-side predicate")
-    for r, v in M.values.items():
-        if r == 0:
-            continue
-        if not (v * RatFrac.from_poly(_delta_factor(r))).is_polynomial():
-            return False
-    return True
+    return all(v.is_polynomial() for v in delta_op(M).values.values())
 
 
 def is_senary(M):
@@ -525,9 +468,6 @@ class ConstantMould:
 
     def get(self, r):
         return self.values.get(r, Fraction(0))
-
-    def as_mould(self, alphabet):
-        return Mould.constant(alphabet, self.values)
 
     def __eq__(self, other):
         return isinstance(other, ConstantMould) and self.values == other.values

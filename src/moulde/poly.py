@@ -25,6 +25,13 @@ of factor keys, `den_keys`:
   have equal keys and numerators, and byte-identical text, and
   `RatFrac.__eq__` compares just those, with no expansion and no
   cross-multiplication.
+* A renaming, a substitution whose images are distinct variables (a
+  permutation, or an injection into more variables), is an exponent
+  shuffle (`MultiPoly.permute_variables`): the numerator's exponent
+  tuples and the factor keys are permuted, and a key whose last nonzero
+  entry turns negative is negated with the sign moved into the
+  numerator.  Nothing is cancelled, since a renaming maps a reduced
+  fraction to a reduced one.
 
 Contract: every non-constant factor is a homogeneous linear form.
 `RatFrac(num, factors)` and `exact_poly_divide` raise `ValueError`
@@ -38,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 import math
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 
 def _frac(c):
@@ -205,10 +212,15 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
     def substitute_linear(self, images):
-        """Replace variable i by images[i] (polynomials of a common arity)."""
+        """Replace variable i by images[i] (polynomials of a common arity).
+        When the images are distinct variables, this is a renaming and
+        goes to `permute_variables`."""
         if len(images) != self.arity:
             raise ValueError("need one image per variable")
         tgt = images[0].arity if images else 0
+        perm = _renaming(images)
+        if perm is not None:
+            return self.permute_variables(perm, tgt)
         one = {(0,) * tgt: Fraction(1)}
         powers = [{} for _ in images]
         terms = {}
@@ -228,16 +240,24 @@ class MultiPoly:
                     terms.pop(te, None)
         return _poly(tgt, terms)
 
-    def permute_variables(self, perm):
-        """Apply x_i -> x_{perm[i-1]} (perm is a tuple of 1-based indices)."""
-        terms = {}
-        for expv, c in self.terms.items():
-            e = [0] * self.arity
-            for i, p in enumerate(perm):
-                e[p - 1] += expv[i]
-            e = tuple(e)
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.arity, terms)
+    def permute_variables(self, perm, arity=None):
+        """Rename x_i -> x_{perm[i-1]} among x1..x{arity} (default: the
+        same variables), for distinct 1-based indices perm: a
+        permutation, or an injection into more variables.  Only the
+        exponent tuples are shuffled."""
+        if arity is None:
+            arity = self.arity
+        if (len(perm) != self.arity or len(set(perm)) < len(perm)
+                or not all(0 < p <= arity for p in perm)):
+            raise ValueError("need distinct target variables, one per "
+                             "variable")
+        # target variable j reads position src[j] of e + (0,)
+        src = [self.arity] * arity
+        for i, p in enumerate(perm):
+            src[p - 1] = i
+        get = (itemgetter(*src) if arity > 1
+               else lambda e: tuple(e[j] for j in src))
+        return _poly(arity, {get(e + (0,)): c for e, c in self.terms.items()})
 
     def __str__(self):
         return poly_to_text(self)
@@ -495,18 +515,32 @@ class RatFrac:
         raise TypeError("RatFrac is unhashable (equality is semantic)")
 
     def substitute_linear(self, images):
-        """Substitute each variable by a linear form (must keep den nonzero)."""
-        num = self.num.substitute_linear(images)
-        if not self.den_keys:
-            return RatFrac._make(num, ())
-        dens = [_substitute_factor(k, images) for k in self.den_keys]
-        if _independent(images):
-            # an injective linear substitution maps coprime polynomials
-            # to coprime ones and distinct linear factors to distinct
-            # ones, so the image needs normalising but no cancelling
+        """Substitute each variable by a linear form (must keep den nonzero).
+        A renaming (distinct variables as images) renames the numerator
+        and the entries of the factor keys."""
+        perm = _renaming(images)
+        if perm is not None:
+            arity = images[0].arity if images else 0
+            num = self.num.permute_variables(perm, arity)
+            scale, keys = Fraction(1), []
+            for k in self.den_keys:
+                form = [0] * arity
+                for p, c in zip(perm, k):
+                    form[p - 1] = c
+                c, key = _normalize_linear(form)
+                scale *= c
+                keys.append(key)
+            keys = tuple(sorted(keys))
+        else:
+            num = self.num.substitute_linear(images)
+            dens = [_substitute_factor(k, images) for k in self.den_keys]
+            if dens and not _independent(images):
+                return RatFrac(num, dens)
             scale, keys = _factor_keys(dens)
-            return RatFrac._make(num.scale(1 / scale), keys)
-        return RatFrac(num, dens)
+        # an injective linear substitution maps coprime polynomials to
+        # coprime ones and distinct linear factors to distinct ones, so
+        # the image needs normalising but no cancelling
+        return RatFrac._make(num.scale(1 / scale), keys)
 
     def __str__(self):
         if not self.den_keys:
@@ -631,6 +665,20 @@ def _reduce(num, keys):
         else:
             num = q
     return num, tuple(left)
+
+
+def _renaming(images):
+    """The 1-based indices of the images when they are distinct
+    variables with coefficient 1, else None."""
+    perm = []
+    for x in images:
+        if len(x.terms) != 1:
+            return None
+        (e, c), = x.terms.items()
+        if c != 1 or sum(e) != 1:
+            return None
+        perm.append(e.index(1) + 1)
+    return perm if len(set(perm)) == len(perm) else None
 
 
 def _independent(images):

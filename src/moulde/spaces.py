@@ -274,8 +274,9 @@ def ls_system(n, r):
 
 def solve_ls(n, r):
     """Degree n-r polynomial moulds in depth r, alternal with alternal
-    swap; even in depth 1."""
-    if not 1 <= r <= n:
+    swap; even in depth 1.  The domain is that of `solve_lkv`, weight
+    n >= 3 and depth 1 <= r <= n - 1."""
+    if not (n >= 3 and 1 <= r <= n - 1):
         return BigradedBasis("ls", n, r, [])
     return _solve("ls", n, r, ls_system(n, r), _combine_mould, [
         ("alternal", mould_mod.is_alternal),

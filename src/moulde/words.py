@@ -573,11 +573,6 @@ def angle_bracket(b, b2):
     return apply_derivation(D2, b) - apply_derivation(D1, b2)
 
 
-def delta_2n(n):
-    """The derivation with x -> ad(x)^{2n}(y) annihilating [x, y]."""
-    return oder_pair(c_poly(2 * n + 1))
-
-
 # ---------------------------------------------------------------------------
 # Letter substitution and the nu twist
 # ---------------------------------------------------------------------------

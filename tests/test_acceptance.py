@@ -166,7 +166,7 @@ def test_criterion_08_lkv_ls_dimension_agreement():
     # ls and lkv agree in every cell, and every ls element (a mould)
     # is push-invariant with circ-neutral swap
     checked = 0
-    for n in range(3, 11):
+    for n in range(1, 11):
         for r in range(1, 5):
             cell = spaces.solve_ls(n, r)
             assert cell.dim == spaces.solve_lkv(n, r).dim, (n, r)

@@ -241,10 +241,13 @@ def _ganit_by_compositions(Q, T):
     """ganit(Q).T from its definition: each composition of r cuts
     x1..xr into chunks a1 b1 a2 b2 ..., T takes the a-chunks and Q each
     b-chunk lowered by the letter before it; depths up to the smaller
-    cap, or T's depth when both are uncapped."""
+    cap, or, when both are uncapped, up to T's depth, which is then the
+    cap of the result."""
     cap = mould._min_cap(Q.cap, T.cap)
+    if cap is None:
+        cap = T.max_depth()
     vals = {}
-    for r in range(1, (T.max_depth() if cap is None else cap) + 1):
+    for r in range(1, cap + 1):
         xs = _vars(r)
         total = RatFrac.zero(r)
         for k in range(r):
@@ -269,6 +272,17 @@ def test_ganit_bar_matches_its_definition(cap, Q, T):
     got, want = ganit_bar(Q, T), _ganit_by_compositions(Q, T)
     assert got.cap == want.cap
     assert got.eq(want)
+
+
+def test_uncapped_ganit_bar_carries_its_truncation_depth():
+    # both uncapped, the series stops at T's depth; deeper terms exist
+    Q = Mould("V", {1: RatFrac.const(1, 1)})
+    T = Mould("V", {1: MultiPoly.variable(1, 1)})
+    got = ganit_bar(Q, T)
+    assert got.cap == 1
+    deeper = ganit_bar(Q.with_cap(3), T.with_cap(3))
+    assert deeper.get(2) == RatFrac.from_poly(MultiPoly.variable(1, 2))
+    assert got.eq(deeper)
 
 
 # -- structural identities ---------------------------------------------------

@@ -1,12 +1,13 @@
 """Exact polynomial and rational-fraction arithmetic."""
 
 from fractions import Fraction as F
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moulde.poly import (MultiPoly, RatFrac, _divide_linear,
+from moulde.poly import (MultiPoly, RatFrac, _divide_linear, _renaming,
                          exact_poly_divide, grlex_key, monomial_sum,
                          poly_to_text)
 
@@ -285,3 +286,76 @@ def test_structural_equality_agrees_with_cross_multiplication(fgh, images):
     for a, b in pairs:
         assert (a == b) == _cross_equal(a, b), (a, b)
         assert (b == a) == (a == b)
+
+
+# -- renaming variables ------------------------------------------------------
+
+def _at(terms, point):
+    """Value of {exponent tuple: coefficient} at a point."""
+    total = F(0)
+    for e, c in terms.items():
+        for x, k in zip(point, e):
+            c *= x ** k
+        total += c
+    return total
+
+
+def _value(f, point):
+    """Value of a fraction at a point, read off its raw numerator terms
+    and factor keys (None where the denominator vanishes)."""
+    den = F(1)
+    for key in f.den_keys:
+        den *= sum(c * x for c, x in zip(key, point))
+    return None if den == 0 else _at(f.num.terms, point) / den
+
+
+def renamings(arity=3):
+    """(target arity, 1-based images of x1..x{arity}): a permutation, or
+    an injection into up to two more variables."""
+    return st.integers(arity, arity + 2).flatmap(
+        lambda r: st.permutations(range(1, r + 1)).map(
+            lambda p: (r, tuple(p[:arity]))))
+
+
+points = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                  min_size=5, max_size=5)
+
+
+@given(ratfracs(), renamings(), points)
+@settings(max_examples=150, deadline=None)
+def test_renaming_agrees_with_evaluation(f, renaming, point):
+    r, perm = renaming
+    images = [MultiPoly.variable(p, r) for p in perm]
+    assert _renaming(images) == list(perm)
+    g = f.substitute_linear(images)
+    num = f.num.substitute_linear(images)
+    assert g.arity == num.arity == r
+    assert num == f.num.permute_variables(perm, r)
+    # the image of x_i takes the value of x_{perm[i-1]}
+    target = point[:r]
+    source = [target[p - 1] for p in perm]
+    assert _at(num.terms, target) == _at(f.num.terms, source)
+    want = _value(f, source)
+    assume(want is not None)
+    assert _value(g, target) == want
+    # the renamed keys are normalised: primitive, last nonzero entry
+    # positive, sorted; and a renaming cancels nothing
+    assert list(g.den_keys) == sorted(g.den_keys)
+    assert len(g.den_keys) == len(f.den_keys)
+    for key in g.den_keys:
+        assert len(key) == r and math.gcd(*key) == 1
+        assert next(c for c in reversed(key) if c) > 0
+
+
+def test_renaming_needs_distinct_variables():
+    x, y = MultiPoly.variable(1, 2), MultiPoly.variable(2, 2)
+    assert _renaming([y, x]) == [2, 1]
+    assert _renaming([x, x]) is None
+    assert _renaming([x.scale(2), y]) is None
+    assert _renaming([x + y, y]) is None
+    with pytest.raises(ValueError):
+        (x * y).permute_variables((1, 1))
+    with pytest.raises(ValueError):
+        (x * y).permute_variables((1, 3))
+    assert (x * y * y).permute_variables((3, 1), 3) == MultiPoly(
+        3, {(2, 0, 1): F(1)})

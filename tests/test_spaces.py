@@ -48,7 +48,7 @@ def test_lkv_basis_elements_satisfy_defining_predicates():
 
 
 def test_ls_equals_lkv_small():
-    for n in range(3, 8):
+    for n in range(1, 8):
         for r in range(1, 4):
             assert solve_ls(n, r).dim == solve_lkv(n, r).dim, (n, r)
 
@@ -66,7 +66,7 @@ def test_ls_known_cells():
 # Depth 1 holds one element at each odd weight; depth 2 has 1 at n = 8,
 # 10, 12 (2 at 14, 16, 18; 3 at 20); depth 3 has 1 at n = 11 (2 at 13,
 # 15; 4 at 17; 5 at 19); depth 4 has 1 at n = 12, 14 (3 at 16; 5 at 18;
-# 7 at 20).  The series starts at weight 3.
+# 7 at 20).  The series starts at weight 3, so both spaces are 0 below it.
 BROADHURST_KREIMER = {
     **{(n, 1): 1 for n in range(3, 13, 2)},
     (8, 2): 1, (10, 2): 1, (12, 2): 1,
@@ -77,8 +77,8 @@ BROADHURST_KREIMER = {
 
 @pytest.mark.parametrize("solve", [solve_ls, solve_lkv])
 def test_dims_match_broadhurst_kreimer(solve):
-    cells = [(n, r) for n in range(3, 13) for r in (1, 2, 3)]
-    cells += [(n, 4) for n in range(3, 11)]
+    cells = [(n, r) for n in range(1, 13) for r in (1, 2, 3)]
+    cells += [(n, 4) for n in range(1, 11)]
     for n, r in cells:
         assert solve(n, r).dim == BROADHURST_KREIMER.get((n, r), 0), (n, r)
 
