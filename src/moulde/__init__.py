@@ -2,7 +2,8 @@
 
 Submodules:
   poly    exact sparse polynomials / rational fractions
-  linalg  rational Gaussian elimination
+  linalg  exact nullspace, rank and solve: elimination mod 2^61 - 1,
+          certified over Q, with Fraction elimination as fallback
   words   noncommutative polynomials in x, y; push / trace / divergence
   mould   the Mould type, ma, swap and the unary operator zoo
   ari     flexion binary operations, special moulds, ganit

@@ -1,13 +1,34 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of rows of `fractions.Fraction`.  Dense
-Gaussian elimination is entirely adequate at the problem sizes of this
-package (at most a few thousand columns).
+Matrices are plain lists of rows of `fractions.Fraction` (or `int`).
+`nullspace`, `rank` and `solve` share one sparse engine:
+
+1. each row is scaled to integers, as a `{column: int}` dict, and zero
+   rows are dropped;
+2. the rows are brought to reduced row echelon form modulo the prime
+   P = 2^61 - 1;
+3. for each free column f, the null vector v_f with v_f[f] = 1 is
+   lifted to Q by Wang's rational reconstruction of its pivot entries;
+4. the lift is certified exactly: M v_f = 0 over Z, and v_f is
+   supported on {f} and the pivot columns before f.
+
+Rank mod P is at most the rank over Q, and the certified vectors are
+independent, so together they prove that the modular pivots are the
+lex-first pivots over Q, and that the basis is the one exact `rref`
+gives.  When a reconstruction or a check fails, the engine falls back
+to the dense `Fraction` elimination `rref`, so the prime is never
+trusted alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+
+P = (1 << 61) - 1
+# Wang's bound: a fraction with |numerator|, denominator <= _BOUND is the
+# only one of that size with its residue, since 2 * _BOUND**2 < P.
+_BOUND = isqrt(P // 2)
 
 
 def _clone(matrix):
@@ -44,9 +65,115 @@ def rref(matrix):
     return m, pivots
 
 
-def rank(matrix):
-    _, pivots = rref(matrix)
-    return len(pivots)
+def _width(matrix, cols=None):
+    """Row length of a nonempty matrix; ValueError if rows are ragged or
+    disagree with a given `cols`."""
+    width = len(matrix[0]) if cols is None else cols
+    for i, row in enumerate(matrix):
+        if len(row) != width:
+            raise ValueError("row %d has %d entries, expected %d"
+                             % (i, len(row), width))
+    return width
+
+
+def _integer_rows(matrix):
+    """Each nonzero row as {column: int}, its denominators cleared."""
+    out = []
+    for row in matrix:
+        entries = {c: x for c, x in enumerate(row) if x}
+        if entries:
+            scale = lcm(*(x.denominator for x in entries.values()))
+            out.append({c: x.numerator * (scale // x.denominator)
+                        for c, x in entries.items()})
+    return out
+
+
+def _subtract(row, f, prow):
+    """row -= f * prow, mod P, in place."""
+    for c, x in prow.items():
+        y = (row.get(c, 0) - f * x) % P
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+
+
+def _echelon_mod_p(rows):
+    """Reduced row echelon form mod P as {pivot column: row}: each row
+    is 1 at its pivot and 0 at every other pivot column."""
+    pivots = {}
+    for row in rows:
+        row = {c: x % P for c, x in row.items() if x % P}
+        for pc in row.keys() & pivots.keys():
+            _subtract(row, row[pc], pivots[pc])
+        if not row:
+            continue
+        c = min(row)
+        inv = pow(row[c], -1, P)
+        row = {j: x * inv % P for j, x in row.items()}
+        for prow in pivots.values():
+            if c in prow:
+                _subtract(prow, prow[c], row)
+        pivots[c] = row
+    return pivots
+
+
+def _reconstruct(u):
+    """The fraction a/b = u mod P with |a|, b <= _BOUND, or None (Wang)."""
+    r0, r1, s0, s1 = P, u, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > _BOUND or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _certified(v, f, pivots, columns):
+    """Is v supported on {f} and the pivots before f, with M v = 0?"""
+    if any(c != f and (c > f or c not in pivots) for c in v):
+        return False
+    scale = lcm(*(q.denominator for q in v.values()))
+    acc = {}
+    for c, q in v.items():
+        a = q.numerator * (scale // q.denominator)
+        for i, x in columns[c].items():
+            acc[i] = acc.get(i, 0) + a * x
+    return not any(acc.values())
+
+
+def _modular_nullspace(matrix, cols):
+    """Certified null vectors as {column: Fraction}, or None when the
+    prime cannot be shown to give the answer over Q."""
+    rows = _integer_rows(matrix)
+    columns = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            columns[c][i] = x
+    pivots = _echelon_mod_p(rows)
+    vectors = {f: {f: Fraction(1)} for f in range(cols) if f not in pivots}
+    for pc, prow in pivots.items():
+        for f, x in prow.items():
+            if f != pc:
+                q = _reconstruct(x)
+                if q is None:
+                    return None
+                vectors[f][pc] = -q
+    if not all(_certified(v, f, pivots, columns) for f, v in vectors.items()):
+        return None
+    return [vectors[f] for f in sorted(vectors)]
+
+
+def _rational_nullspace(matrix, cols):
+    """Null vectors from the dense `Fraction` elimination."""
+    red, pivots = rref(matrix)
+    vectors = []
+    for fc in range(cols):
+        if fc not in pivots:
+            v = {pc: -red[r][fc] for r, pc in enumerate(pivots)}
+            v[fc] = Fraction(1)
+            vectors.append(v)
+    return vectors
 
 
 def nullspace(matrix, cols=None):
@@ -61,30 +188,32 @@ def nullspace(matrix, cols=None):
             raise ValueError("cols required for an empty matrix")
         return [[Fraction(1 if i == j else 0) for i in range(cols)]
                 for j in range(cols)]
-    cols = len(matrix[0])
-    red, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    cols = _width(matrix, cols)
+    vectors = _modular_nullspace(matrix, cols)
+    if vectors is None:
+        vectors = _rational_nullspace(matrix, cols)
+    zero = Fraction(0)
+    return [[v.get(c, zero) for c in range(cols)] for v in vectors]
+
+
+def rank(matrix):
+    if not matrix:
+        return 0
+    return _width(matrix) - len(nullspace(matrix))
 
 
 def solve(matrix, rhs):
-    """Solve M x = rhs exactly.  Returns one solution or None."""
+    """Solve M x = rhs exactly.  Returns one solution or None.
+
+    The solution is minus the null vector of [M | rhs] that is 1 in the
+    rhs column; there is none when that column is a pivot."""
+    if len(rhs) != len(matrix):
+        raise ValueError("%d rows but %d right-hand sides"
+                         % (len(matrix), len(rhs)))
     if not matrix:
-        return None if any(b != 0 for b in rhs) else []
-    cols = len(matrix[0])
-    aug = [row + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    if cols in pivots:
+        return []
+    cols = _width(matrix)
+    basis = nullspace([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if not basis or not basis[-1][cols]:
         return None  # inconsistent: pivot in the rhs column
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+    return [-x for x in basis[-1][:cols]]

@@ -2,10 +2,12 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moulde.linalg import nullspace, rank, rref, solve
+from moulde import linalg
+from moulde.linalg import P, nullspace, rank, rref, solve
 
 
 def _m(rows):
@@ -102,3 +104,111 @@ def test_solve_verifies(m):
     assert x is not None
     for row, b in zip(m, rhs):
         assert sum(a * v for a, v in zip(row, x)) == b
+
+
+# -- the modular engine against the dense Fraction elimination ---------------
+
+def _rref_nullspace(m):
+    red, pivots = rref(m)
+    cols = len(m[0])
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [F(0)] * cols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _rref_solve(m, rhs):
+    cols = len(m[0])
+    red, pivots = rref([row + [b] for row, b in zip(m, rhs)])
+    if cols in pivots:
+        return None
+    x = [F(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
+def _fractions(value):
+    return all(type(x) is F for x in value)
+
+
+rationals = st.one_of(st.just(F(0)), st.integers(-9, 9).map(F),
+                      st.fractions(-9, 9, max_denominator=12))
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.lists(rationals, min_size=c, max_size=c),
+                 min_size=1, max_size=7),
+        st.lists(rationals, min_size=7, max_size=7))))
+@settings(max_examples=200, deadline=None)
+def test_engine_equals_rref(case):
+    m, rhs = case
+    rhs = rhs[:len(m)]
+    basis = nullspace(m)
+    assert basis == _rref_nullspace(m)
+    assert all(_fractions(v) for v in basis)
+    assert rank(m) == len(rref(m)[1])
+    x = solve(m, rhs)
+    assert x == _rref_solve(m, rhs)
+    assert x is None or _fractions(x)
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return rref(matrix)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    return calls
+
+
+def test_unlucky_prime_falls_back_to_q(rref_calls):
+    # P vanishes mod P: the modular rank is too small, and the lifted
+    # vectors fail M v = 0 over Z
+    assert nullspace([[P]]) == []
+    assert rank([[P]]) == 1
+    assert nullspace(_m([[1, 1], [1, 1 + P]])) == []
+    assert rank(_m([[1, 1], [1, 1 + P]])) == 2
+    # mod P the pivot of [P, 1] moves to column 1; over Q it is column 0
+    assert solve([[P, 1]], [1]) == [F(1, P), F(0)]
+    assert len(rref_calls) == 5
+
+
+def test_reconstruction_failure_falls_back_to_q(rref_calls):
+    # the null vector's entry -b/a has numerator and denominator near
+    # 2^40, beyond the reconstruction bound isqrt(P // 2) < 2^30
+    a, b = 2 ** 40 + 15, 2 ** 40 + 3
+    assert linalg._reconstruct((-b * pow(a, -1, P)) % P) != F(-b, a)
+    assert nullspace([[a, b]]) == [[F(-b, a), F(1)]]
+    assert solve([[a, b]], [1]) == [F(1, a), F(0)]
+    assert len(rref_calls) == 2
+
+
+def test_exact_inputs_take_the_modular_path(rref_calls):
+    m = _m([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert nullspace(m) == [[F(-1), F(-1), F(1)]]
+    assert rank(m) == 2
+    assert solve(m, [F(6), F(12), F(2)]) == [F(2), F(2), F(0)]
+    assert rref_calls == []
+
+
+def test_bad_shapes_are_typed_errors():
+    ragged = [[F(1), F(2)], [F(3)]]
+    for call in (lambda: nullspace(ragged), lambda: rank(ragged),
+                 lambda: solve(ragged, [F(1), F(1)]),
+                 lambda: nullspace(_m([[1, 2]]), cols=3),
+                 lambda: solve(_m([[1, 2]]), [F(1), F(2)]),
+                 lambda: solve(_m([[1, 2], [3, 4]]), [F(1)]),
+                 lambda: solve([], [F(1)])):
+        with pytest.raises(ValueError):
+            call()

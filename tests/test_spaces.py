@@ -62,7 +62,7 @@ def test_ls_known_cells():
 
 # Broadhurst-Kreimer (hep-th/9609128; Brown, arXiv:1301.3053): inverting
 # 1/(1 - O y + S y^2 - S y^4), O = x^3/(1-x^2), S = x^12/((1-x^4)(1-x^6)),
-# predicts the Lie dimensions; every cell with n <= 12 not listed is 0.
+# predicts the Lie dimensions; every tested cell not listed is 0.
 # Depth 1 holds one element at each odd weight; depth 2 has 1 at n = 8,
 # 10, 12 (2 at 14, 16, 18; 3 at 20); depth 3 has 1 at n = 11 (2 at 13,
 # 15; 4 at 17; 5 at 19); depth 4 has 1 at n = 12, 14 (3 at 16; 5 at 18;
@@ -71,14 +71,15 @@ BROADHURST_KREIMER = {
     **{(n, 1): 1 for n in range(3, 13, 2)},
     (8, 2): 1, (10, 2): 1, (12, 2): 1,
     (11, 3): 1,
-    (12, 4): 1,
+    (12, 4): 1, (14, 4): 1,
 }
 
 
 @pytest.mark.parametrize("solve", [solve_ls, solve_lkv])
 def test_dims_match_broadhurst_kreimer(solve):
-    cells = [(n, r) for n in range(1, 13) for r in (1, 2, 3)]
-    cells += [(n, 4) for n in range(1, 11)]
+    cells = [(n, r) for n in range(1, 13) for r in (1, 2, 3, 4)]
+    if solve is solve_ls:
+        cells += [(13, 4), (14, 4)]
     for n, r in cells:
         assert solve(n, r).dim == BROADHURST_KREIMER.get((n, r), 0), (n, r)
 
@@ -120,6 +121,28 @@ def test_gr_krv_dims():
 def test_gr_krv_matches_lkv_in_depth1():
     for n in range(3, 8):
         assert solve_gr_krv(n, 1) == solve_lkv(n, 1).dim, n
+
+
+def test_solver_path_never_falls_back_to_fraction_elimination(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("Fraction fallback taken")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    nullities = {spaces.ls_system(10, 4): 0, spaces.ls_system(15, 3): 2,
+                 spaces.lkv_system(10, 4): 0, spaces.vkrv_system(8): 1}
+    for system, nullity in nullities.items():
+        assert len(system.null_vectors()) == nullity
+    spaces._vkrv_basis.cache_clear()
+    try:
+        for n in range(3, 8):
+            for r in range(1, 4):
+                assert solve_gr_krv(n, r) == int(n % 2 == 1 and r == 1)
+    finally:
+        spaces._vkrv_basis.cache_clear()
+    b = words.lie_bracket(words.X, words.lie_bracket(words.X, words.Y))
+    a = words.partner(b)
+    assert (words.lie_bracket(words.X, a)
+            + words.lie_bracket(words.Y, b)).is_zero()
 
 
 # -- krv_ell / ds_ell --------------------------------------------------------
