@@ -5,6 +5,13 @@ anywhere in this package.  Polynomials are stored as a dict mapping
 exponent tuples (one entry per variable) to nonzero Fraction
 coefficients.
 
+That is a contract on values, not on the arithmetic inside a kernel.
+The linear substitution (`MultiPoly.substitute_linear`), the sum over a
+common denominator (`RatFrac.sum`) and the synthetic division
+(`_divide_linear`) clear denominators once, run on Python ints over one
+common denominator, and make one Fraction per output term.  Going
+through Fraction at every product instead costs a gcd per operation.
+
 In this calculus every denominator that ever arises is a product of
 homogeneous linear forms such as u_i, u_i+...+u_j or v_i-v_j, and
 `RatFrac` is built on that fact.  Its denominator is a sorted multiset
@@ -221,24 +228,36 @@ class MultiPoly:
         perm = _renaming(images)
         if perm is not None:
             return self.permute_variables(perm, tgt)
-        one = {(0,) * tgt: Fraction(1)}
-        powers = [{} for _ in images]
-        terms = {}
+        # image i is g_i / d_i with g_i integral; a term c x^e goes to
+        # c / prod d_i^e_i times prod g_i^e_i, on integers throughout
+        forms, dens = [], []
+        for x in images:
+            d = math.lcm(*(c.denominator for c in x.terms.values()))
+            forms.append({e: c.numerator * (d // c.denominator)
+                          for e, c in x.terms.items()})
+            dens.append(d)
+        weights = []
         for expv, c in self.terms.items():
+            den = c.denominator
+            for d, e in zip(dens, expv):
+                if e and d != 1:
+                    den *= d ** e
+            weights.append((expv, c.numerator, den))
+        common = math.lcm(*(den for _, _, den in weights))
+        powers = [{1: g} for g in forms]
+        one = {(0,) * tgt: 1}
+        acc = {}
+        for expv, num, den in weights:
             mono = None
             for i, e in enumerate(expv):
                 if e:
-                    p = powers[i].get(e)
-                    if p is None:
-                        p = powers[i][e] = images[i] ** e
-                    mono = p if mono is None else mono * p
-            for te, tc in (one if mono is None else mono.terms).items():
-                s = terms.get(te, 0) + c * tc
-                if s:
-                    terms[te] = s
-                else:
-                    terms.pop(te, None)
-        return _poly(tgt, terms)
+                    p = _int_power(powers[i], forms[i], e)
+                    mono = p if mono is None else _int_mul(mono, p)
+            k = num * (common // den)
+            for te, tc in (one if mono is None else mono).items():
+                acc[te] = acc.get(te, 0) + k * tc
+        return _poly(tgt, {e: Fraction(v, common)
+                           for e, v in acc.items() if v})
 
     def permute_variables(self, perm, arity=None):
         """Rename x_i -> x_{perm[i-1]} among x1..x{arity} (default: the
@@ -272,6 +291,30 @@ def _poly(arity, terms):
     out.terms = terms
     out._hash = None
     return out
+
+
+def _int_mul(a, b):
+    """Product of two {exponent tuple: int} polynomials."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _int_power(powers, g, e):
+    """g^e from `powers`, a {k: g^k} cache holding k = 1..max(powers)
+    that is filled upwards: multiplying by a linear form is cheaper than
+    squaring its power."""
+    p = powers.get(e)
+    if p is None:
+        k = max(powers)
+        p = powers[k]
+        while k < e:
+            k += 1
+            p = powers[k] = _int_mul(p, g)
+    return p
 
 
 def exact_poly_divide(num, den):
@@ -428,7 +471,19 @@ class RatFrac:
     def sum(cls, fracs, arity):
         """Sum of `fracs` over one common denominator, cancelled once."""
         keys, nums = common_denominator(fracs)
-        return cls._make(*_reduce(sum(nums, MultiPoly.zero(arity)), keys))
+        if any(num.arity != arity for num in nums):
+            raise ValueError("arity mismatch")
+        # integer numerators over the lcm of the coefficient denominators
+        den = math.lcm(*(c.denominator for num in nums
+                         for c in num.terms.values()))
+        terms = {}
+        for num in nums:
+            for e, c in num.terms.items():
+                terms[e] = terms.get(e, 0) + c.numerator * (
+                    den // c.denominator)
+        total = _poly(arity, {e: Fraction(v, den)
+                              for e, v in terms.items() if v})
+        return cls._make(*_reduce(total, keys))
 
     # -- views --------------------------------------------------------
     @property

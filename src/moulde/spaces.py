@@ -123,7 +123,10 @@ def _assemble(parameters, conditions, constant=False):
     The constant enters as one more image, -weight, so the images of a
     condition, the constant's included, go over one common denominator.
     There is one row per key (tag, monomial or word) in the union of
-    all numerators."""
+    all numerators.  Without parameters the system is empty, the
+    constant's column included."""
+    if not parameters:
+        return ConstraintSystem([], [], [])
     if constant:
         parameters = list(parameters) + ["c"]
     columns = [{} for _ in parameters]

@@ -10,6 +10,7 @@ used to parameterize linear solvers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .linalg import solve
@@ -633,24 +634,48 @@ def to_c_basis(f):
 
     Triangular elimination on the lexicographically least word (x < y),
     which for a C-span element always ends in y (or is the empty word).
-    Raises NotInCSpan otherwise."""
+    Raises NotInCSpan otherwise.  The C-monomials are integral, with
+    coefficient 1 on their least word, so the elimination runs on the
+    integer numerators of f over the lcm of its denominators and makes
+    one Fraction per returned coefficient."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    rem = {w: c.numerator * (den // c.denominator)
+           for w, c in f.terms.items()}
+    # integer C-monomials of this call, each from its longest prefix
+    monomials = {(): {"": 1}}
     coeffs = []
-    rem = NCPoly(dict(f.terms))
-    while not rem.is_zero():
-        w = min(rem.terms)
-        c = rem.terms[w]
-        if w == "":
-            coeffs.append(((), c))
-            rem = rem - NCPoly.one(c)
-            continue
-        if w[-1] != "y":
+    while rem:
+        w = min(rem)
+        k = rem[w]
+        if w and w[-1] != "y":
             raise NotInCSpan("leading word %r not of C-monomial form" % w)
-        blocks = _word_blocks(w)
-        a = tuple(e + 1 for e in blocks[:-1])
-        coeffs.append((a, c))
-        rem = rem - c_monomial(a).scale(c)
+        a = tuple(e + 1 for e in _word_blocks(w)[:-1])
+        coeffs.append((a, Fraction(k, den)))
+        for u, c in _c_monomial_ints(a, monomials).items():
+            left = rem.get(u, 0) - k * c
+            if left:
+                rem[u] = left
+            else:
+                del rem[u]
     coeffs.sort(key=lambda t: (len(t[0]), t[0]))
     return coeffs
+
+
+def _c_monomial_ints(a, monomials):
+    """C_{a1}...C_{ar} as {word: int}, extending the longest prefix of a
+    in `monomials` (which holds ()) and memoising every longer prefix
+    there.  All words of a C-monomial have the same length, so
+    concatenation never merges two terms."""
+    j = len(a)
+    while a[:j] not in monomials:
+        j -= 1
+    mono = monomials[a[:j]]
+    for j in range(j, len(a)):
+        c_i = c_poly(a[j]).terms
+        mono = monomials[a[:j + 1]] = {
+            u + v: c * d.numerator for u, c in mono.items()
+            for v, d in c_i.items()}
+    return mono
 
 
 # ---------------------------------------------------------------------------

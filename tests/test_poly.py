@@ -17,9 +17,10 @@ def _poly(arity, terms):
 
 
 coeffs = st.integers(-5, 5).map(F)
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
-def polys(arity=2, max_deg=3, max_terms=4):
+def polys(arity=2, max_deg=3, max_terms=4, coeffs=coeffs):
     exps = st.tuples(*[st.integers(0, max_deg) for _ in range(arity)])
     return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda d: MultiPoly(arity, d))
@@ -345,6 +346,34 @@ def test_renaming_agrees_with_evaluation(f, renaming, point):
     for key in g.den_keys:
         assert len(key) == r and math.gcd(*key) == 1
         assert next(c for c in reversed(key) if c) > 0
+
+
+def substitutions_of(arity=3):
+    """(target arity, images of x1..x{arity}) in 1..4 variables: each
+    image zero, a linear form, or a polynomial of degree up to 2, with
+    rational coefficients."""
+    def image(r):
+        linear = st.lists(rationals, min_size=r, max_size=r).map(
+            lambda cs: MultiPoly(r, {
+                tuple(int(i == j) for j in range(r)): c
+                for i, c in enumerate(cs)}))
+        return st.one_of(st.just(MultiPoly.zero(r)), linear,
+                         polys(r, max_deg=2, coeffs=rationals))
+    return st.integers(1, 4).flatmap(lambda r: st.tuples(
+        st.just(r), st.lists(image(r), min_size=arity, max_size=arity)))
+
+
+@given(polys(3, max_deg=3, max_terms=5, coeffs=rationals),
+       substitutions_of(), points)
+@settings(max_examples=150, deadline=None)
+def test_substitution_agrees_with_evaluation(p, substitution, point):
+    r, images = substitution
+    q = p.substitute_linear(images)
+    assert q.arity == r
+    assert all(c != 0 and isinstance(c, F) for c in q.terms.values())
+    target = point[:r]
+    assert _at(q.terms, target) == _at(
+        p.terms, [_at(x.terms, target) for x in images])
 
 
 def test_renaming_needs_distinct_variables():

@@ -1,5 +1,6 @@
 """Bigraded space solvers and dimension tables."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -216,6 +217,137 @@ def test_adjoined_constant_is_never_alone(system):
             assert s.parameters[-1] == "c"
             for v in s.null_vectors():
                 assert any(v[:-1]), (n, r, v)
+
+
+# -- pinned constraint systems ------------------------------------------------
+
+# One digest per system with n <= 10, r <= 4: the parameters, the tags
+# and str(Fraction(x)) of every row entry, so a kernel that changes how
+# rows are computed must leave them equal as values.  A change that
+# alters rows on purpose re-captures these with `_system_digest` and
+# says so.  The krv_ell/ds_ell cells with r > n are the empty system,
+# checked below.
+PINNED_SYSTEMS = {
+    "lkv": {
+        (1, 1): "4523b3db5f3cf5ee", (1, 2): "620a09ff7eec8d4a",
+        (1, 3): "620a09ff7eec8d4a", (1, 4): "620a09ff7eec8d4a",
+        (2, 1): "c38f8c6703c80a50", (2, 2): "620a09ff7eec8d4a",
+        (2, 3): "620a09ff7eec8d4a", (2, 4): "620a09ff7eec8d4a",
+        (3, 1): "ca6c1f197c416054", (3, 2): "90e544f621117891",
+        (3, 3): "620a09ff7eec8d4a", (3, 4): "620a09ff7eec8d4a",
+        (4, 1): "c342a686fe74bc1d", (4, 2): "e6e1810fafb3cfaa",
+        (4, 3): "c7829b14fd52f082", (4, 4): "620a09ff7eec8d4a",
+        (5, 1): "b70008c5b0988cf8", (5, 2): "62dd010de86f4b58",
+        (5, 3): "2b7054167de26107", (5, 4): "926db99916b29fb9",
+        (6, 1): "5d3027233d18d141", (6, 2): "d4af2805db0981b8",
+        (6, 3): "9f68c299e60d11d8", (6, 4): "7c0ab11fcc49b5cb",
+        (7, 1): "daccabe804883dd5", (7, 2): "c75b0a2fa69fc43f",
+        (7, 3): "a0fd6e3d424e36cc", (7, 4): "d2f3e30ab7a19832",
+        (8, 1): "8392a23db7d9b419", (8, 2): "eb86f3934ef11391",
+        (8, 3): "5bf0eeee28ded13e", (8, 4): "4a3d92c3db263448",
+        (9, 1): "fb1d6ddeadff16fa", (9, 2): "8426bcbe23ccb8eb",
+        (9, 3): "05c7420eee79bb99", (9, 4): "cd3640bda666b9d2",
+        (10, 1): "e0db35e232d025cf", (10, 2): "33d9aee4a3c30c1d",
+        (10, 3): "35f46bb40490e8e3", (10, 4): "9571897b31e72bca",
+    },
+    "ls": {
+        (1, 1): "96cef3cb980bdf86", (1, 2): "620a09ff7eec8d4a",
+        (1, 3): "620a09ff7eec8d4a", (1, 4): "620a09ff7eec8d4a",
+        (2, 1): "fa78cf84e80cc02d", (2, 2): "9a0e2d739bd938e4",
+        (2, 3): "620a09ff7eec8d4a", (2, 4): "620a09ff7eec8d4a",
+        (3, 1): "13388fafaed44f50", (3, 2): "e6bfcc11a538f0cc",
+        (3, 3): "976c07698f893370", (3, 4): "620a09ff7eec8d4a",
+        (4, 1): "58cea866d89fb219", (4, 2): "ee4956d269d04a45",
+        (4, 3): "86c47a441df684ea", (4, 4): "d4ffa8df697f9447",
+        (5, 1): "3ee4e446555abf3a", (5, 2): "09a81f7afd637c0d",
+        (5, 3): "821fd86bc954d652", (5, 4): "bbed8d640a9152e5",
+        (6, 1): "b01a5bc4c6677c99", (6, 2): "abec1eb89f37ce53",
+        (6, 3): "ee677b61dbb69ffc", (6, 4): "8fa4aa689236998e",
+        (7, 1): "930be75de8edfffe", (7, 2): "45e06c577ae893c9",
+        (7, 3): "bac0b87a6182aaad", (7, 4): "75cdce88894e52cb",
+        (8, 1): "7a814cf159145f51", (8, 2): "5d0dcd0d42f53111",
+        (8, 3): "376c7a210bcd6c96", (8, 4): "f10c43778e342b00",
+        (9, 1): "a77cee36eb0ae6bc", (9, 2): "02c25847a8f4d714",
+        (9, 3): "b0febc2d49f74222", (9, 4): "a83dbc4ac16594da",
+        (10, 1): "966b9835609b617f", (10, 2): "d33a4c72f6d72fca",
+        (10, 3): "f44b7f3fb5b326c5", (10, 4): "408f088fabb0fac7",
+    },
+    "krv_ell": {
+        (1, 1): "96cef3cb980bdf86", (2, 1): "fa78cf84e80cc02d",
+        (2, 2): "66c22ee490f0fd41", (3, 1): "13388fafaed44f50",
+        (3, 2): "3bd04ddec8ccc674", (3, 3): "9fbd8c9576c27492",
+        (4, 1): "58cea866d89fb219", (4, 2): "f36e505df711af2e",
+        (4, 3): "c1d31778543df5bf", (4, 4): "0b97e9cbb21142c8",
+        (5, 1): "3ee4e446555abf3a", (5, 2): "5ea555543113efe7",
+        (5, 3): "ca7c709663517c36", (5, 4): "8b99186039164fc2",
+        (6, 1): "b01a5bc4c6677c99", (6, 2): "a844af00a0663ab6",
+        (6, 3): "77f2b4291b2fe9b0", (6, 4): "fcb9f0065f2f2820",
+        (7, 1): "930be75de8edfffe", (7, 2): "d4ba4d0191e4540a",
+        (7, 3): "2611a36ad832b33e", (7, 4): "38ead3011422b985",
+        (8, 1): "7a814cf159145f51", (8, 2): "bf125e446d4aaf6f",
+        (8, 3): "d36a7b2dab753fcb", (8, 4): "9ccc8847fdb208b5",
+        (9, 1): "a77cee36eb0ae6bc", (9, 2): "7ec140542491301c",
+        (9, 3): "b7b2a2aa96a0e151", (9, 4): "d6600b6cd660decb",
+        (10, 1): "966b9835609b617f", (10, 2): "5394e1c6b0eccd8f",
+        (10, 3): "261a26952812a28e", (10, 4): "a397c93209502b7e",
+    },
+    "ds_ell": {
+        (1, 1): "96cef3cb980bdf86", (2, 1): "fa78cf84e80cc02d",
+        (2, 2): "57e51622dd4d5978", (3, 1): "13388fafaed44f50",
+        (3, 2): "ef65a748fc55e4db", (3, 3): "628483b3f2e5a953",
+        (4, 1): "58cea866d89fb219", (4, 2): "e6437385d0d46608",
+        (4, 3): "1ff423b2a9eb6655", (4, 4): "0423c1ac2289c9f3",
+        (5, 1): "3ee4e446555abf3a", (5, 2): "2115916858860899",
+        (5, 3): "2157ccd1b8c82e4f", (5, 4): "880324d1af7566aa",
+        (6, 1): "b01a5bc4c6677c99", (6, 2): "4a09c1ed52e5c1d0",
+        (6, 3): "913b109351f66d7b", (6, 4): "cd3a38db39699507",
+        (7, 1): "930be75de8edfffe", (7, 2): "b924e581e2d5b40e",
+        (7, 3): "3a71d0f2dc3e7ce3", (7, 4): "d60f46ded12edd38",
+        (8, 1): "7a814cf159145f51", (8, 2): "79d33988c57ec5f5",
+        (8, 3): "953aebc9f705aa9f", (8, 4): "54cf5ab700e0baca",
+        (9, 1): "a77cee36eb0ae6bc", (9, 2): "408c3df3f5df3cf5",
+        (9, 3): "c95ea89170531b48", (9, 4): "cc15b4e62f6195a0",
+        (10, 1): "966b9835609b617f", (10, 2): "6fcd14ff67939d65",
+        (10, 3): "357605ca83d61da8", (10, 4): "93ba22415b59ec33",
+    },
+    "vkrv": {
+        1: "e66c3ae41cd0dcfc", 2: "6b4cd3ccd1ee522f", 3: "4ad350bf49f671a5",
+        4: "74bb543417c5c630", 5: "67374738820d7c53", 6: "61df3a93af486db4",
+        7: "a71e5d3e0290ab96", 8: "d399ddac515b36b1", 9: "08145795db4f84a7",
+        10: "8622be3977291435",
+    },
+}
+
+
+def _system_digest(system):
+    text = repr(([str(p) for p in system.parameters],
+                 [repr(t) for t in system.tags],
+                 [[str(F(x)) for x in row] for row in system.rows]))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("space", ["lkv", "ls", "krv_ell", "ds_ell"])
+def test_constraint_systems_are_pinned(space):
+    build = getattr(spaces, space + "_system")
+    pinned = PINNED_SYSTEMS[space]
+    got = {cell: _system_digest(build(*cell)) for cell in pinned}
+    assert got == pinned
+
+
+def test_vkrv_systems_are_pinned():
+    pinned = PINNED_SYSTEMS["vkrv"]
+    assert {n: _system_digest(spaces.vkrv_system(n)) for n in pinned} \
+        == pinned
+
+
+@pytest.mark.parametrize("system", [spaces.krv_ell_system,
+                                    spaces.ds_ell_system])
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 4)
+                                  for r in range(n + 1, 5)])
+def test_depth_above_weight_is_the_empty_system(system, n, r):
+    s = system(n, r)
+    assert (s.parameters, s.rows, s.tags) == ([], [], [])
+    assert s.null_vectors() == []
 
 
 # -- verification -----------------------------------------------------------

@@ -3,7 +3,8 @@
 from fractions import Fraction as F
 from math import comb
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moulde import words
@@ -171,6 +172,27 @@ def test_c_basis_roundtrip():
     coeffs = [((2, 1), F(3)), ((1, 1, 1), F(-1, 2)), ((3,), F(1))]
     f = from_c_basis(coeffs)
     assert sorted(to_c_basis(f)) == sorted(coeffs)
+
+
+# index tuples of C-monomials of weight <= 8 and depth <= 4, with () for 1
+c_indices = st.lists(st.integers(1, 8), max_size=4).map(tuple).filter(
+    lambda a: sum(a) <= 8)
+c_coeffs = st.dictionaries(
+    c_indices, st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    .filter(bool), min_size=1, max_size=6).map(lambda d: list(d.items()))
+
+
+@given(c_coeffs)
+@settings(max_examples=100, deadline=None)
+def test_c_basis_roundtrip_rational(coeffs):
+    assume(any(c.denominator != 1 for _, c in coeffs))
+    f = from_c_basis(coeffs)
+    assert to_c_basis(f) == sorted(coeffs, key=lambda t: (len(t[0]), t[0]))
+    # a word ending in x above every word of f: the C-span part is
+    # eliminated first, and then that word is the leading one
+    tail = "y" * 9 + "x"
+    with pytest.raises(words.NotInCSpan, match=tail):
+        to_c_basis(f + NCPoly.word(tail, F(1, 3)))
 
 
 def test_to_c_basis_rejects_x():
