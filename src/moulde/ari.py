@@ -7,12 +7,13 @@ an explicit cap.
 Every flexion product (mu, amit/anit and their v-side twins, arit, ari,
 preari, ganit) is a signed sum of splittings of the variable sequence,
 and one engine, `_flexion`, evaluates them all.  A splitting is a
-function `split(r, xs)` of the depth r and the variables xs = x1..xr
-that yields factor lists [(M, args), ...]: each term is the product of
-the values M(args), where M.get(len(args)) is evaluated on the linear
-forms `args`.  A factor list with a zero value is skipped.  The terms
-of all splittings of one depth go over one common denominator and are
-cancelled once.
+function `split(r, xs, live)` of the depth r and the variables
+xs = x1..xr that yields factor lists [(M, args), ...]: each term is the
+product of the values M(args), where M.get(len(args)) is evaluated on
+the linear forms `args`.  A splitting yields only the lists whose every
+factor is `live(M, depth)`, a nonzero value, and tests that before it
+builds the argument forms.  The terms of all splittings of one depth go
+over one common denominator and are cancelled once.
 """
 
 from __future__ import annotations
@@ -50,17 +51,17 @@ def _operands(A, B, alphabet=None):
 def _flexion(alphabet, cap, top, products):
     """The mould sum over (sign, split) in `products` of sign times the
     terms of the splitting, in depths 0..top."""
+    def live(M, depth):
+        return not M.get(depth).is_zero()
+
     vals = {}
     for r in range(top + 1):
         xs = _vars(r)
         terms = []
         for sign, split in products:
-            for factors in split(r, xs):
-                values = [M.get(len(args)) for M, args in factors]
-                if any(v.is_zero() for v in values):
-                    continue
-                term = reduce(mul, [_eval(v, args, r) for v, (_, args)
-                                    in zip(values, factors)])
+            for factors in split(r, xs, live):
+                term = reduce(mul, [_eval(M.get(len(args)), args, r)
+                                    for M, args in factors])
                 terms.append(term.scale(sign))
         acc = RatFrac.sum(terms, r)
         if not acc.is_zero():
@@ -74,37 +75,46 @@ def _flexion(alphabet, cap, top, products):
 
 def _mu(A, B):
     """w = a b: A(a) B(b)."""
-    return lambda r, xs: ([(A, xs[:i]), (B, xs[i:])] for i in range(r + 1))
+    return lambda r, xs, live: ([(A, xs[:i]), (B, xs[i:])]
+                                for i in range(r + 1)
+                                if live(A, i) and live(B, r - i))
 
+
+# In the four splittings below, A takes r - |b| arguments and B takes |b|.
 
 def _amit(B, A):
     """w = a b c, c nonempty: A(a, |b| + first(c), rest(c)) B(b)."""
-    return lambda r, xs: (
+    return lambda r, xs, live: (
         [(A, xs[:s] + [sum(xs[s:e + 1], MultiPoly.zero(r))] + xs[e + 1:]),
          (B, xs[s:e])]
-        for s in range(r) for e in range(s + 1, r))
+        for s in range(r) for e in range(s + 1, r)
+        if live(A, r - e + s) and live(B, e - s))
 
 
 def _anit(B, A):
     """w = a b c, a nonempty: A(front(a), last(a) + |b|, c) B(b)."""
-    return lambda r, xs: (
+    return lambda r, xs, live: (
         [(A, xs[:s - 1] + [sum(xs[s - 1:e], MultiPoly.zero(r))] + xs[e:]),
          (B, xs[s:e])]
-        for s in range(1, r) for e in range(s + 1, r + 1))
+        for s in range(1, r) for e in range(s + 1, r + 1)
+        if live(A, r - e + s) and live(B, e - s))
 
 
 def _amit_bar(B, A):
     """w = a b c, c nonempty: A(a, c) B(b - first(c))."""
-    return lambda r, xs: ([(A, xs[:s] + xs[e:]),
-                           (B, [x - xs[e] for x in xs[s:e]])]
-                          for s in range(r) for e in range(s + 1, r))
+    return lambda r, xs, live: ([(A, xs[:s] + xs[e:]),
+                                 (B, [x - xs[e] for x in xs[s:e]])]
+                                for s in range(r) for e in range(s + 1, r)
+                                if live(A, r - e + s) and live(B, e - s))
 
 
 def _anit_bar(B, A):
     """w = a b c, a nonempty: A(a, c) B(b - last(a))."""
-    return lambda r, xs: ([(A, xs[:s] + xs[e:]),
-                           (B, [x - xs[s - 1] for x in xs[s:e]])]
-                          for s in range(1, r) for e in range(s + 1, r + 1))
+    return lambda r, xs, live: ([(A, xs[:s] + xs[e:]),
+                                 (B, [x - xs[s - 1] for x in xs[s:e]])]
+                                for s in range(1, r)
+                                for e in range(s + 1, r + 1)
+                                if live(A, r - e + s) and live(B, e - s))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +429,12 @@ def _ganit_splittings(r):
 def _ganit(Q, T):
     """T on the concatenated a-chunks, Q on each b-chunk lowered by the
     letter before it."""
-    return lambda r, xs: ([(T, [xs[p] for p in a])]
-                          + [(Q, [x - xs[s - 1] for x in xs[s:e]])
-                             for s, e in bs]
-                          for a, bs in _ganit_splittings(r))
+    return lambda r, xs, live: ([(T, [xs[p] for p in a])]
+                                + [(Q, [x - xs[s - 1] for x in xs[s:e]])
+                                   for s, e in bs]
+                                for a, bs in _ganit_splittings(r)
+                                if live(T, len(a))
+                                and all(live(Q, e - s) for s, e in bs))
 
 
 def ganit_bar(Q, T):

@@ -25,7 +25,8 @@ import json
 import math
 from operator import mul
 
-from .poly import MultiPoly, RatFrac, _linear_factor_split, monomial_sum
+from .poly import (MultiPoly, RatFrac, _linear_factor_split, _poly, _unit,
+                   monomial_sum)
 from . import words as W
 
 
@@ -161,7 +162,8 @@ def _min_cap(a, b):
 
 
 def _vars(r):
-    return [MultiPoly.variable(i, r) for i in range(1, r + 1)]
+    """The variables x1..xr, built without `MultiPoly`'s validation."""
+    return [_poly(r, {_unit(i, r): Fraction(1)}) for i in range(r)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,23 @@ exponent tuples (one entry per variable) to nonzero Fraction
 coefficients.
 
 That is a contract on values, not on the arithmetic inside a kernel.
-The linear substitution (`MultiPoly.substitute_linear`), the sum over a
-common denominator (`RatFrac.sum`) and the synthetic division
-(`_divide_linear`) clear denominators once, run on Python ints over one
-common denominator, and make one Fraction per output term.  Going
-through Fraction at every product instead costs a gcd per operation.
+The linear substitution (`MultiPoly.substitute_linear`) and the
+`RatFrac` sum, product and cancellation clear the coefficient
+denominators once, run on Python ints over one common denominator, and
+make one Fraction per output term:
+
+* the common denominator (`common_denominator`, `RatFrac.sum`) brings
+  each integer numerator over it by multiplying it by the factors its
+  own denominator lacks (`_times_key`), and a sum adds the results in
+  one {exponent: int} dict;
+* the product (`RatFrac.__mul__`) multiplies the two integer
+  numerators (`_int_mul`);
+* the cancellation divides the integer numerator by the factor keys
+  themselves (`_int_divide`; `exact_poly_divide` and `_divide_linear`
+  wrap the same walk for MultiPoly arguments).
+
+Going through Fraction at every product instead costs a gcd per
+operation.
 
 In this calculus every denominator that ever arises is a product of
 homogeneous linear forms such as u_i, u_i+...+u_j or v_i-v_j, and
@@ -24,11 +36,12 @@ of factor keys, `den_keys`:
 * A homogeneous linear factor c_1 x1 + ... + c_n xn is keyed by its
   primitive integer tuple (c_1, ..., c_n).  Multiplying by it works term
   by term, and dividing by it is a synthetic division in one pivot
-  variable, on integers (`_divide_linear`).
+  variable, on integers (`_int_divide`).
 * A fraction is always reduced: every factor is tried once against the
-  numerator, and sums go over one common denominator
-  (`common_denominator`, `RatFrac.sum`) that is cancelled once.  Linear
-  forms are prime, so a reduced fraction is canonical: equal fractions
+  numerator (a numerator that does not vanish at one point of the
+  factor's hyperplane is refused without a division), and sums go over
+  one common denominator that is cancelled once.  Linear forms are
+  prime, so a reduced fraction is canonical: equal fractions
   have equal keys and numerators, and byte-identical text, and
   `RatFrac.__eq__` compares just those, with no expansion and no
   cross-multiplication.
@@ -317,6 +330,20 @@ def _int_power(powers, g, e):
     return p
 
 
+def _ints(p):
+    """(terms, den): p = terms / den, with integer terms over the lcm of
+    p's coefficient denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in p.terms.items()}, den
+
+
+def _from_ints(arity, terms, den):
+    """The MultiPoly terms / den, one Fraction per term, for integer
+    terms that hold no zero and an integer den."""
+    return _poly(arity, {e: Fraction(v, den) for e, v in terms.items()})
+
+
 def exact_poly_divide(num, den):
     """Return q with num = q*den exactly, or None if not divisible.
 
@@ -350,33 +377,53 @@ def _unit(i, arity):
 
 
 def _divide_linear(num, coeffs):
-    """q with num = q*L for L = sum coeffs[i] x_{i+1}, or None.
-
-    Synthetic division in one pivot variable x = x_p: write
-    L = c (a x + rest) with a x + rest primitive over the integers, and
-    num = N / D with N integral.  With N = sum_k x^k N_k, N_k free of x,
-    the quotient's parts are Q_{k-1} = (N_k - rest Q_k) / a, walked down
-    once from the top pivot degree.  By Gauss's lemma an exact quotient
-    of N by a primitive form is integral, so the walk runs on integers
-    and stops at the first coefficient that a does not divide; L divides
-    num exactly when nothing is left in pivot degree 0."""
-    arity = num.arity
+    """q with num = q*L for L = sum coeffs[i] x_{i+1}, or None: the
+    integer walk of `_int_divide` on num's integer numerator, against
+    L's primitive key."""
     if not num.terms:
         return num
     scale, key = _normalize_linear(coeffs)
+    terms, den = _ints(num)
+    q = _int_divide(terms, key)
+    if q is None:
+        return None
+    scale = 1 / (scale * den)
+    return _poly(num.arity, {e: c * scale for e, c in q.items()})
+
+
+def _int_divide(terms, key):
+    """q with terms = q * g for the factor g of `key`, on integers, or
+    None when g does not divide `terms`, an {exponent tuple: int}
+    polynomial with no zero coefficient.
+
+    A multiple of g vanishes on the hyperplane g = 0, so terms that do
+    not vanish at one integer point of it are refused at once; most
+    tries of a cancellation end there.  Otherwise this is a synthetic
+    division in one pivot variable x = x_p: write g = a x + rest and
+    terms = sum_k x^k N_k with N_k free of x; the quotient's parts are
+    Q_{k-1} = (N_k - rest Q_k) / a, walked down once from the top pivot
+    degree.  The key is primitive, so by Gauss's lemma an exact quotient
+    of an integral polynomial is integral: the walk stops at the first
+    coefficient that a does not divide, and g divides exactly when
+    nothing is left in pivot degree 0."""
+    if not terms:
+        return terms
+    arity = len(key)
     p = max((i for i, c in enumerate(key) if c),
             key=lambda i: (abs(key[i]) == 1, i))
     a = key[p]
+    # x_j = a (j + 2) off the pivot, and x_p solves g = 0
+    point = [a * (j + 2) for j in range(arity)]
+    point[p] = -sum(c * (j + 2) for j, c in enumerate(key) if j != p)
+    if sum(v * math.prod(map(pow, point, e)) for e, v in terms.items()):
+        return None
     down = _unit(p, arity)
     # the term rest * (c/a) x^(e - down) lands on e - down + unit_j
     rest = [(tuple(u - d for u, d in zip(_unit(j, arity), down)), -c)
             for j, c in enumerate(key) if c and j != p]
-    den = 1
-    for c in num.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
     buckets = {}
-    for e, c in num.terms.items():
-        buckets.setdefault(e[p], {})[e] = c.numerator * (den // c.denominator)
+    for e, c in terms.items():
+        buckets.setdefault(e[p], {})[e] = c
     q = {}
     for k in range(max(buckets), 0, -1):
         upper = buckets.get(k)
@@ -404,8 +451,7 @@ def _divide_linear(num, coeffs):
                         del lower[te]
     if buckets.get(0):
         return None
-    scale = 1 / (scale * den)
-    return _poly(arity, {e: c * scale for e, c in q.items()})
+    return q
 
 
 def compositions(total, parts):
@@ -444,7 +490,11 @@ class RatFrac:
         if isinstance(num, (int, Fraction)):
             raise TypeError("wrap scalars via RatFrac.const")
         scale, keys = _factor_keys(den_factors)
-        self.num, self.den_keys = _reduce(num.scale(1 / scale), keys)
+        terms, den = _ints(num)
+        scale *= den  # num / scale = terms / (scale * den)
+        self.num, self.den_keys = _reduced(
+            num.arity, {e: v * scale.denominator for e, v in terms.items()},
+            scale.numerator, keys)
 
     @classmethod
     def _make(cls, num, den_keys):
@@ -470,20 +520,24 @@ class RatFrac:
     @classmethod
     def sum(cls, fracs, arity):
         """Sum of `fracs` over one common denominator, cancelled once."""
-        keys, nums = common_denominator(fracs)
-        if any(num.arity != arity for num in nums):
+        if any(f.arity != arity for f in fracs):
             raise ValueError("arity mismatch")
-        # integer numerators over the lcm of the coefficient denominators
-        den = math.lcm(*(c.denominator for num in nums
-                         for c in num.terms.values()))
-        terms = {}
-        for num in nums:
-            for e, c in num.terms.items():
-                terms[e] = terms.get(e, 0) + c.numerator * (
-                    den // c.denominator)
-        total = _poly(arity, {e: Fraction(v, den)
-                              for e, v in terms.items() if v})
-        return cls._make(*_reduce(total, keys))
+        # numerators over the same denominator add up before lifting
+        den = _coefficient_lcm(fracs)
+        groups = {}
+        for f in fracs:
+            acc = groups.setdefault(f.den_keys, {})
+            for e, c in f.num.terms.items():
+                acc[e] = acc.get(e, 0) + c.numerator * (den // c.denominator)
+        keys, nums = _lifted(
+            (k, {e: v for e, v in terms.items() if v})
+            for k, terms in groups.items())
+        total = {}
+        for terms in nums:
+            for e, v in terms.items():
+                total[e] = total.get(e, 0) + v
+        return cls._make(*_reduced(
+            arity, {e: v for e, v in total.items() if v}, den, keys))
 
     # -- views --------------------------------------------------------
     @property
@@ -496,10 +550,11 @@ class RatFrac:
 
     @property
     def den(self):
-        out = MultiPoly.const(self.num.arity, 1)
+        arity = self.num.arity
+        terms = {(0,) * arity: 1}
         for k in self.den_keys:
-            out = _times_factor(out, k)
-        return out
+            terms = _times_key(terms, k)
+        return _from_ints(arity, terms, 1)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -541,8 +596,10 @@ class RatFrac:
         other = self._coerce(other)
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        return RatFrac._make(*_reduce(
-            self.num * other.num,
+        a, da = _ints(self.num)
+        b, db = _ints(other.num)
+        return RatFrac._make(*_reduced(
+            self.arity, _int_mul(a, b), da * db,
             sorted(self.den_keys + other.den_keys)))
 
     __rmul__ = __mul__
@@ -609,10 +666,31 @@ def common_denominator(fracs):
     """(keys, numerators): the least common multiple of the denominators
     of `fracs`, as sorted factor keys, and each numerator brought over
     it.  Nothing is cancelled."""
+    den = _coefficient_lcm(fracs)
+    keys, nums = _lifted(
+        (f.den_keys, {e: c.numerator * (den // c.denominator)
+                      for e, c in f.num.terms.items()})
+        for f in fracs)
+    return keys, [_from_ints(f.arity, terms, den)
+                  for f, terms in zip(fracs, nums)]
+
+
+def _coefficient_lcm(fracs):
+    """The lcm of the coefficient denominators of the fracs' numerators."""
+    return math.lcm(*(c.denominator for f in fracs
+                      for c in f.num.terms.values()))
+
+
+def _lifted(parts):
+    """(keys, numerators) for (den_keys, integer terms) pairs: the lcm of
+    the denominators of the nonzero numerators, as sorted factor keys,
+    and each numerator multiplied on integers by the factors its own
+    denominator lacks."""
+    parts = list(parts)
     need, counts = {}, []
-    for f in fracs:
+    for den_keys, terms in parts:
         own = {}
-        for k in f.den_keys:
+        for k in (den_keys if terms else ()):
             own[k] = own.get(k, 0) + 1
         counts.append(own)
         for k, m in own.items():
@@ -620,13 +698,12 @@ def common_denominator(fracs):
                 need[k] = m
     keys = tuple(sorted(k for k, m in need.items() for _ in range(m)))
     nums = []
-    for f, own in zip(fracs, counts):
-        num = f.num
-        if not num.is_zero():
+    for (_, terms), own in zip(parts, counts):
+        if terms:
             for k, m in need.items():
                 for _ in range(m - own.get(k, 0)):
-                    num = _times_factor(num, k)
-        nums.append(num)
+                    terms = _times_key(terms, k)
+        nums.append(terms)
     return keys, nums
 
 
@@ -666,6 +743,20 @@ def _normalize_linear(coeffs):
     return Fraction(g, lcm), tuple(x // g for x in ints)
 
 
+def _times_key(terms, key):
+    """The {exponent tuple: int} polynomial `terms` times the factor of
+    `key`: each term shifts up by one in every variable of the key."""
+    units = [(i, c) for i, c in enumerate(key) if c]
+    out = {}
+    for e, v in terms.items():
+        for i, c in units:
+            te = list(e)
+            te[i] += 1
+            te = tuple(te)
+            out[te] = out.get(te, 0) + v * c
+    return {e: v for e, v in out.items() if v}
+
+
 def _factor_poly(key):
     """The normalised factor of a key, as a MultiPoly."""
     arity = len(key)
@@ -680,46 +771,25 @@ def _substitute_factor(key, images):
                   (x.scale(c) for c, x in zip(key, images) if c))
 
 
-def _times_factor(p, key):
-    """p times the factor of `key`, term by term."""
-    units = [(_unit(i, p.arity), c) for i, c in enumerate(key) if c]
-    terms = {}
-    for e, c in p.terms.items():
-        for u, ci in units:
-            te = tuple(map(add, e, u))
-            v = c if ci == 1 else -c if ci == -1 else c * ci
-            s = terms.get(te)
-            if s is None:
-                terms[te] = v
-            else:
-                s += v
-                if s:
-                    terms[te] = s
-                else:
-                    del terms[te]
-    return _poly(p.arity, terms)
-
-
-def _reduce(num, keys):
-    """(num', left): divide num by each factor of `keys` that divides it;
+def _reduced(arity, terms, den, keys):
+    """(num, left): the numerator terms / den, integer terms without a
+    zero, divided on integers by each factor of `keys` that divides it;
     `left` lists the factors that did not divide."""
-    if num.is_zero():
-        return num, ()
-    if num.is_constant():
-        return num, tuple(keys)
+    if not terms:
+        return _poly(arity, {}), ()
     left = []
     failed = None
     for k in keys:
         if k == failed:
             left.append(k)
             continue
-        q = exact_poly_divide(num, _factor_poly(k))
+        q = _int_divide(terms, k)
         if q is None:
             left.append(k)
             failed = k
         else:
-            num = q
-    return num, tuple(left)
+            terms = q
+    return _from_ints(arity, terms, den), tuple(left)
 
 
 def _renaming(images):

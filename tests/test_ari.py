@@ -141,6 +141,31 @@ def test_compound_product_is_the_sum_of_its_parts(alphabet, product, parts,
     assert got.eq(want)
 
 
+SPLITTINGS = [ari._mu, ari._amit, ari._anit, ari._amit_bar, ari._anit_bar,
+              ari._ganit]
+
+
+@pytest.mark.parametrize("splitting", SPLITTINGS,
+                         ids=[s.__name__ for s in SPLITTINGS])
+def test_splittings_ask_live_for_the_depths_they_build(splitting):
+    """A splitting drops exactly the factor lists with a factor that is
+    not live at the number of arguments it builds for that factor."""
+    P, Q = object(), object()
+
+    def shape(factor_lists):
+        return [[(id(M), args) for M, args in fs] for fs in factor_lists]
+
+    for r in range(6):
+        xs = _vars(r)
+        every = list(splitting(P, Q)(r, xs, lambda M, k: True))
+        assert every or r < 2
+        for dead in [(M, d) for M in (P, Q) for d in range(r + 1)]:
+            kept = splitting(P, Q)(r, xs, lambda M, k: (M, k) != dead)
+            assert shape(kept) == shape(
+                fs for fs in every
+                if all((M, len(args)) != dead for M, args in fs))
+
+
 # -- structure preservation --------------------------------------------------
 
 def test_ari_preserves_alternality():

@@ -1,7 +1,9 @@
 """Exact polynomial and rational-fraction arithmetic."""
 
 from fractions import Fraction as F
+from functools import reduce
 import math
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -230,15 +232,21 @@ def test_linear_division_agrees_with_long_division(case):
     assert exact_poly_divide(num, L) == _long_divide(num, L)
 
 
-def ratfracs(arity=3):
-    factor = st.sampled_from([
-        MultiPoly(arity, {e: F(c) for e, c in terms.items()}) for terms in (
-            {(1, 0, 0): 1}, {(0, 1, 0): -2}, {(1, 0, 0): 1, (0, 1, 0): -1},
-            {(0, 1, 0): 1, (0, 0, 1): 1}, {(1, 0, 0): -1, (0, 0, 1): 1},
-            {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})])
-    return st.tuples(polys(arity, max_deg=2, max_terms=3),
-                     st.lists(factor, max_size=3)).map(
-        lambda t: RatFrac(*t))
+FACTORS = [MultiPoly(3, {e: F(c) for e, c in terms.items()}) for terms in (
+    {(1, 0, 0): 1}, {(0, 1, 0): -2}, {(1, 0, 0): 1, (0, 1, 0): -1},
+    {(0, 1, 0): 1, (0, 0, 1): 1}, {(1, 0, 0): -1, (0, 0, 1): 1},
+    {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})]
+
+
+def fraction_parts(coeffs=coeffs, min_factors=0):
+    """(numerator, factors) in 3 variables; a factor may repeat."""
+    return st.tuples(polys(3, max_deg=2, max_terms=3, coeffs=coeffs),
+                     st.lists(st.sampled_from(FACTORS), min_size=min_factors,
+                              max_size=3))
+
+
+def ratfracs(coeffs=coeffs):
+    return fraction_parts(coeffs).map(lambda t: RatFrac(*t))
 
 
 @given(st.lists(ratfracs(), min_size=1, max_size=5).flatmap(
@@ -320,6 +328,48 @@ def renamings(arity=3):
 
 points = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
                   min_size=5, max_size=5)
+
+
+def _parts_value(parts, point):
+    """Value of numerator / product of factors at a point, from the
+    parts alone (None where a factor vanishes)."""
+    num, factors = parts
+    den = math.prod(_at(f.terms, point) for f in factors)
+    return None if den == 0 else _at(num.terms, point) / den
+
+
+def _assert_reduced(f):
+    """No factor left in the denominator divides the numerator."""
+    if f.num.is_zero():
+        assert f.den_keys == ()
+    for key in set(f.den_keys):
+        factor = MultiPoly(3, {tuple(int(i == j) for j in range(3)): c
+                               for i, c in enumerate(key) if c})
+        assert _long_divide(f.num, factor) is None, (f, key)
+
+
+@given(st.lists(fraction_parts(rationals), min_size=1, max_size=4),
+       fraction_parts(rationals, min_factors=1),
+       polys(3, max_deg=2, max_terms=3, coeffs=rationals), points)
+@settings(max_examples=200, deadline=None)
+def test_sum_and_product_agree_with_evaluation(parts, pair, q, point):
+    p, factors = pair
+    first = factors[0]
+    # f = p / factors, g = (q first - p) / factors, h = q first / factors:
+    # f + g and f * h both have `first` to cancel
+    parts = parts + [pair, (q * first - p, factors), (q * first, factors)]
+    x = point[:3]
+    values = [_parts_value(t, x) for t in parts]
+    assume(all(v is not None for v in values))
+    fracs = [RatFrac(*t) for t in parts]
+    total = RatFrac.sum(fracs, 3)
+    product = reduce(mul, fracs)
+    assert _value(total, x) == sum(values)
+    assert _value(product, x) == math.prod(values)
+    assert _value(fracs[-3] * fracs[-1], x) == values[-3] * values[-1]
+    for f in (total, product, fracs[-3] + fracs[-2], fracs[-3] * fracs[-1]):
+        _assert_reduced(f)
+        assert list(f.den_keys) == sorted(f.den_keys)
 
 
 @given(ratfracs(), renamings(), points)
