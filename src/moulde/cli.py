@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import ari as ari_mod
 from . import maps as maps_mod
@@ -110,6 +109,27 @@ def _mould_text(M):
     return "\n".join(lines) + "\n"
 
 
+def _write_mould(M, args, out):
+    """Write M as text or JSON (`--format`) to `--output`, else to out."""
+    text = (mould_mod.mould_to_json_text(M) if args.format == "json"
+            else _mould_text(M))
+    if getattr(args, "output", None):
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
+    return 0
+
+
+def _basis_item(b, fmt):
+    """One basis element: a mould as JSON or text, a word polynomial as
+    its text."""
+    if isinstance(b, mould_mod.Mould):
+        return mould_mod.mould_to_json(b) if fmt == "json" else _mould_text(b)
+    text = words_mod.ncpoly_to_text(b)
+    return text if fmt == "json" else text + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
@@ -138,24 +158,14 @@ def cmd_basis(args, out):
                   "krv_ell": spaces_mod.solve_krv_ell,
                   "ds_ell": spaces_mod.solve_ds_ell}[args.space]
         cell = solver(args.n, args.r)
+    items = [_basis_item(b, args.format) for b in cell.basis]
     if args.format == "json":
-        items = []
-        for b in cell.basis:
-            if isinstance(b, mould_mod.Mould):
-                items.append(mould_mod.mould_to_json(b))
-            else:
-                items.append(words_mod.ncpoly_to_text(b))
         out.write(json.dumps({"space": cell.space, "n": cell.n, "r": cell.r,
                               "dim": cell.dim, "basis": items},
                              indent=2, sort_keys=True) + "\n")
     else:
         out.write("%s n=%s r=%s dim=%d\n"
-                  % (cell.space, cell.n, cell.r, cell.dim))
-        for b in cell.basis:
-            if isinstance(b, mould_mod.Mould):
-                out.write(_mould_text(b))
-            else:
-                out.write(words_mod.ncpoly_to_text(b) + "\n")
+                  % (cell.space, cell.n, cell.r, cell.dim) + "".join(items))
     return 0
 
 
@@ -216,40 +226,21 @@ def cmd_apply(args, out):
     if args.op not in UNARY_OPS:
         raise UsageError("unknown operator %r" % args.op)
     obj = _read_input(args.input)
-    M = _as_mould(obj)
-    result = UNARY_OPS[args.op](M)
-    text = (mould_mod.mould_to_json_text(result) if args.format == "json"
-            else _mould_text(result))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
-    return 0
+    return _write_mould(UNARY_OPS[args.op](_as_mould(obj)), args, out)
 
 
 def cmd_section(args, out):
     obj = _read_input(args.input)
     if isinstance(obj, mould_mod.Mould):
         raise UsageError("section expects a word-polynomial input")
-    image = maps_mod.krv_section(obj, args.depth)
-    text = (mould_mod.mould_to_json_text(image) if args.format == "json"
-            else _mould_text(image))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
-    return 0
+    return _write_mould(maps_mod.krv_section(obj, args.depth), args, out)
 
 
 def cmd_dump(args, out):
     if args.mould not in NAMED_MOULDS:
         raise UsageError("unknown mould %r" % args.mould)
-    M = ari_mod.named_mould(args.mould, args.depth)
-    out.write(mould_mod.mould_to_json_text(M) if args.format == "json"
-              else _mould_text(M))
-    return 0
+    return _write_mould(ari_mod.named_mould(args.mould, args.depth), args,
+                        out)
 
 
 # ---------------------------------------------------------------------------

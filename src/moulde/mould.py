@@ -25,8 +25,8 @@ import json
 import math
 from operator import mul
 
-from .poly import (MultiPoly, RatFrac, _linear_factor_split, _poly, _unit,
-                   monomial_sum)
+from .poly import (MultiPoly, RatFrac, _divided, _linear_factor_split, _poly,
+                   _unit, monomial_sum)
 from . import words as W
 
 
@@ -526,12 +526,21 @@ def _poly_to_json(p):
     return [[str(c), list(e)] for e, c in p.sorted_terms()]
 
 
-def _poly_from_json(data, arity):
+def _poly_from_json(data, arity, where):
+    """The polynomial of the JSON terms [[coefficient, exponents], ...]
+    of field `where`, in `arity` variables."""
     terms = {}
-    for c, e in data:
-        if len(e) != arity:
-            raise ValueError("exponent vector length mismatch")
-        terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + Fraction(c)
+    for term in data if isinstance(data, list) else [data]:
+        try:
+            c, e = term
+            c = Fraction(c)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError("%s: bad term %r" % (where, term)) from None
+        if not (isinstance(e, list) and len(e) == arity
+                and all(type(k) is int and k >= 0 for k in e)):
+            raise ValueError("%s: exponents must be %d non-negative "
+                             "integers, got %r" % (where, arity, e))
+        terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + c
     return MultiPoly(arity, terms)
 
 
@@ -559,18 +568,32 @@ def mould_to_json_text(M):
 
 
 def mould_from_json(doc):
+    """The mould of a `mould_to_json` document; `ValueError` naming the
+    field of a malformed one."""
+    if not (isinstance(doc, dict) and "alphabet" in doc
+            and isinstance(doc.get("depths", {}), dict)):
+        raise ValueError("a JSON mould is an object with an 'alphabet' "
+                         "and a 'depths' object, got %.60r" % (doc,))
+    cap = doc.get("cap")
+    if cap is not None and not (type(cap) is int and cap > 0):
+        raise ValueError("field 'cap' must be a positive integer, got %r"
+                         % (cap,))
     vals = {}
     for rs, entry in doc.get("depths", {}).items():
+        where = "depths[%r]" % rs
+        if not (rs.isdecimal() and isinstance(entry, dict) and "num" in entry):
+            raise ValueError("%s: expected a depth >= 0 with a 'num' field"
+                             % where)
         r = int(rs)
-        num = _poly_from_json(entry["num"], r)
+        num = _poly_from_json(entry["num"], r, where + ".num")
         if "den" in entry:
-            den = _poly_from_json(entry["den"], r)
+            den = _poly_from_json(entry["den"], r, where + ".den")
             if den.is_zero():
                 raise ValueError("zero denominator in depth %d" % r)
-            vals[r] = RatFrac(num, _linear_factor_split(den))
+            vals[r] = RatFrac._make(*_divided(num, *_linear_factor_split(den)))
         else:
             vals[r] = RatFrac.from_poly(num)
-    return Mould(doc["alphabet"], vals, doc.get("cap"))
+    return Mould(doc["alphabet"], vals, cap)
 
 
 def mould_from_json_text(text):

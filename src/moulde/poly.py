@@ -18,8 +18,8 @@ make one Fraction per output term:
 * the product (`RatFrac.__mul__`) multiplies the two integer
   numerators (`_int_mul`);
 * the cancellation divides the integer numerator by the factor keys
-  themselves (`_int_divide`; `exact_poly_divide` and `_divide_linear`
-  wrap the same walk for MultiPoly arguments).
+  themselves (`_int_divide`; `exact_poly_divide` wraps the same walk
+  for MultiPoly arguments).
 
 Going through Fraction at every product instead costs a gcd per
 operation.
@@ -45,25 +45,26 @@ of factor keys, `den_keys`:
   have equal keys and numerators, and byte-identical text, and
   `RatFrac.__eq__` compares just those, with no expansion and no
   cross-multiplication.
-* A renaming, a substitution whose images are distinct variables (a
-  permutation, or an injection into more variables), is an exponent
-  shuffle (`MultiPoly.permute_variables`): the numerator's exponent
-  tuples and the factor keys are permuted, and a key whose last nonzero
-  entry turns negative is negated with the sign moved into the
-  numerator.  Nothing is cancelled, since a renaming maps a reduced
-  fraction to a reduced one.
+* A linear form becomes its key once, where it enters
+  (`RatFrac(num, factors)`, `exact_poly_divide`, a JSON `den`), and is
+  only a key from there on.  A substitution maps each key k on integers
+  to sum k_i row_i over the images' integer coefficient rows, and
+  cancels only when it is not injective (dependent, zero or non-linear
+  images).  A renaming (distinct variables as images) is injective, and
+  its numerator is an exponent shuffle (`MultiPoly.permute_variables`).
 
 Contract: every non-constant factor is a homogeneous linear form.
-`RatFrac(num, factors)` and `exact_poly_divide` raise `ValueError`
-naming any other factor.  `RatFrac.inverse()` and a JSON `den` go
-through `_linear_factor_split`, so they raise the same error for a
-polynomial that is not a product of the linear forms it tries.
+`RatFrac(num, factors)`, `exact_poly_divide` and a JSON `den` (split by
+`_linear_factor_split`) raise `ValueError` naming any other factor;
+`RatFrac.substitute_linear` raises it for a key that touches an image
+that is not a homogeneous linear form, and `ZeroDivisionError` for a
+key whose image vanishes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 import math
 from operator import add, itemgetter, sub
 
@@ -243,12 +244,7 @@ class MultiPoly:
             return self.permute_variables(perm, tgt)
         # image i is g_i / d_i with g_i integral; a term c x^e goes to
         # c / prod d_i^e_i times prod g_i^e_i, on integers throughout
-        forms, dens = [], []
-        for x in images:
-            d = math.lcm(*(c.denominator for c in x.terms.values()))
-            forms.append({e: c.numerator * (d // c.denominator)
-                          for e, c in x.terms.items()})
-            dens.append(d)
+        forms, dens = zip(*map(_ints, images))
         weights = []
         for expv, c in self.terms.items():
             den = c.denominator
@@ -347,48 +343,47 @@ def _from_ints(arity, terms, den):
 def exact_poly_divide(num, den):
     """Return q with num = q*den exactly, or None if not divisible.
 
-    `den` must be a homogeneous linear form; the division is the
-    synthetic division of `_divide_linear`."""
+    `den` must be a homogeneous linear form; the division is the integer
+    synthetic division of `_int_divide` against its key."""
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if num.arity != den.arity:
         raise ValueError("arity mismatch")
-    coeffs = _linear_coeffs(den)
-    if coeffs is None:
+    (row,), d = _linear_rows((den,))
+    if row is None:
         raise ValueError("not a homogeneous linear form: %s" % den)
-    return _divide_linear(num, coeffs)
+    if not num.terms:
+        return num
+    g, key = _normalize_linear(row)
+    terms, n = _ints(num)
+    q = _int_divide(terms, key)
+    if q is None:
+        return None
+    # num = q * key / n and den = g * key / d
+    return _poly(num.arity, {e: Fraction(c * d, n * g) for e, c in q.items()})
 
 
-def _linear_coeffs(p):
-    """Coefficients (c_1, ..., c_n) of a homogeneous linear form
-    c_1 x1 + ... + c_n xn, or None when p is not one."""
-    coeffs = [0] * p.arity
-    for e, c in p.terms.items():
-        if sum(e) != 1:
-            return None
-        coeffs[e.index(1)] = c
-    return coeffs if p.terms else None
+def _linear_rows(polys):
+    """(rows, d): polys[i] = sum rows[i][j] x_{j+1} / d, with integer rows
+    over one common denominator d; rows[i] is None when polys[i] is
+    neither zero nor a homogeneous linear form."""
+    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    rows = []
+    for p in polys:
+        row = [0] * p.arity
+        for e, c in p.terms.items():
+            if sum(e) != 1:
+                row = None
+                break
+            row[e.index(1)] = c.numerator * (d // c.denominator)
+        rows.append(row)
+    return rows, d
 
 
 @lru_cache(maxsize=None)
 def _unit(i, arity):
     """Exponent tuple of x_{i+1} in `arity` variables."""
     return tuple(1 if j == i else 0 for j in range(arity))
-
-
-def _divide_linear(num, coeffs):
-    """q with num = q*L for L = sum coeffs[i] x_{i+1}, or None: the
-    integer walk of `_int_divide` on num's integer numerator, against
-    L's primitive key."""
-    if not num.terms:
-        return num
-    scale, key = _normalize_linear(coeffs)
-    terms, den = _ints(num)
-    q = _int_divide(terms, key)
-    if q is None:
-        return None
-    scale = 1 / (scale * den)
-    return _poly(num.arity, {e: c * scale for e, c in q.items()})
 
 
 def _int_divide(terms, key):
@@ -489,12 +484,7 @@ class RatFrac:
     def __init__(self, num, den_factors=()):
         if isinstance(num, (int, Fraction)):
             raise TypeError("wrap scalars via RatFrac.const")
-        scale, keys = _factor_keys(den_factors)
-        terms, den = _ints(num)
-        scale *= den  # num / scale = terms / (scale * den)
-        self.num, self.den_keys = _reduced(
-            num.arity, {e: v * scale.denominator for e, v in terms.items()},
-            scale.numerator, keys)
+        self.num, self.den_keys = _divided(num, *_factor_keys(den_factors))
 
     @classmethod
     def _make(cls, num, den_keys):
@@ -543,10 +533,6 @@ class RatFrac:
     @property
     def arity(self):
         return self.num.arity
-
-    @property
-    def den_factors(self):
-        return tuple(_factor_poly(k) for k in self.den_keys)
 
     @property
     def den(self):
@@ -607,15 +593,6 @@ class RatFrac:
     def scale(self, c):
         return RatFrac._make(self.num.scale(c), self.den_keys)
 
-    def inverse(self):
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of zero fraction")
-        return RatFrac(self.den, _linear_factor_split(self.num))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
             other = self._coerce(other)
@@ -627,32 +604,36 @@ class RatFrac:
         raise TypeError("RatFrac is unhashable (equality is semantic)")
 
     def substitute_linear(self, images):
-        """Substitute each variable by a linear form (must keep den nonzero).
-        A renaming (distinct variables as images) renames the numerator
-        and the entries of the factor keys."""
-        perm = _renaming(images)
-        if perm is not None:
-            arity = images[0].arity if images else 0
-            num = self.num.permute_variables(perm, arity)
-            scale, keys = Fraction(1), []
-            for k in self.den_keys:
-                form = [0] * arity
-                for p, c in zip(perm, k):
-                    form[p - 1] = c
-                c, key = _normalize_linear(form)
-                scale *= c
-                keys.append(key)
-            keys = tuple(sorted(keys))
-        else:
-            num = self.num.substitute_linear(images)
-            dens = [_substitute_factor(k, images) for k in self.den_keys]
-            if dens and not _independent(images):
-                return RatFrac(num, dens)
-            scale, keys = _factor_keys(dens)
-        # an injective linear substitution maps coprime polynomials to
-        # coprime ones and distinct linear factors to distinct ones, so
-        # the image needs normalising but no cancelling
-        return RatFrac._make(num.scale(1 / scale), keys)
+        """Substitute each variable by a polynomial image: one key
+        mapping for every substitution (see the module docstring).  An
+        injective substitution, with independent rows, maps coprime
+        polynomials to coprime ones and distinct linear factors to
+        distinct ones, so its image needs normalising but no cancelling."""
+        num = self.num.substitute_linear(images)
+        if not self.den_keys:
+            return RatFrac._make(num, ())
+        rows, d = _linear_rows(images)
+        scale, keys = 1, []
+        for k in self.den_keys:
+            form = [0] * num.arity
+            for c, row in zip(k, rows):
+                if c:
+                    if row is None:
+                        raise ValueError("denominator factor %s does not map "
+                                         "to a homogeneous linear form"
+                                         % (k,))
+                    for j, x in enumerate(row):
+                        form[j] += c * x
+            if not any(form):
+                raise ZeroDivisionError("zero denominator factor")
+            g, key = _normalize_linear(form)
+            scale *= g
+            keys.append(key)
+        scale = Fraction(scale, d ** len(keys))
+        keys = tuple(sorted(keys))
+        if _independent_rows(rows):
+            return RatFrac._make(num.scale(1 / scale), keys)
+        return RatFrac._make(*_divided(num, scale, keys))
 
     def __str__(self):
         if not self.den_keys:
@@ -719,28 +700,25 @@ def _factor_keys(factors):
         if f.is_constant():
             scale *= f.constant_value()
             continue
-        coeffs = _linear_coeffs(f)
-        if coeffs is None:
+        (row,), d = _linear_rows((f,))
+        if row is None:
             raise ValueError("denominator factor is not a homogeneous "
                              "linear form: %s" % f)
-        c, key = _normalize_linear(coeffs)
-        scale *= c
+        g, key = _normalize_linear(row)
+        scale *= Fraction(g, d)
         keys.append(key)
     return scale, tuple(sorted(keys))
 
 
-def _normalize_linear(coeffs):
-    """(c, key) for the linear form sum coeffs[i] x_{i+1} = c * g, where
-    key holds the coprime integer coefficients of g and its last nonzero
-    one (the grlex-leading coefficient of a linear form) is positive."""
-    lcm = 1
-    for x in coeffs:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [x.numerator * (lcm // x.denominator) for x in coeffs]
-    g = math.gcd(*ints)
-    if next(x for x in reversed(ints) if x) < 0:
+def _normalize_linear(form):
+    """(g, key) for the nonzero integer linear form sum form[i] x_{i+1}
+    = g * (factor of key), where key holds coprime integers whose last
+    nonzero one (the grlex-leading coefficient of a linear form) is
+    positive."""
+    g = math.gcd(*form)
+    if next(x for x in reversed(form) if x) < 0:
         g = -g
-    return Fraction(g, lcm), tuple(x // g for x in ints)
+    return g, tuple(x // g for x in form)
 
 
 def _times_key(terms, key):
@@ -757,18 +735,14 @@ def _times_key(terms, key):
     return {e: v for e, v in out.items() if v}
 
 
-def _factor_poly(key):
-    """The normalised factor of a key, as a MultiPoly."""
-    arity = len(key)
-    return _poly(arity, {_unit(i, arity): Fraction(c)
-                         for i, c in enumerate(key) if c})
-
-
-def _substitute_factor(key, images):
-    """The factor of `key` with x_{i+1} replaced by images[i]: the
-    combination sum key[i] images[i]."""
-    return reduce(MultiPoly.__add__,
-                  (x.scale(c) for c, x in zip(key, images) if c))
+def _divided(num, scale, keys):
+    """(num', keys'): num / (scale times the factors of the sorted keys),
+    reduced."""
+    terms, den = _ints(num)
+    scale *= den  # num / scale = terms / (scale * den)
+    return _reduced(
+        num.arity, {e: v * scale.denominator for e, v in terms.items()},
+        scale.numerator, keys)
 
 
 def _reduced(arity, terms, den, keys):
@@ -806,68 +780,66 @@ def _renaming(images):
     return perm if len(set(perm)) == len(perm) else None
 
 
-def _independent(images):
-    """Whether the polynomials are linearly independent linear forms."""
-    rows = [_linear_coeffs(x) for x in images]
-    if any(v is None for v in rows):
+def _independent_rows(rows):
+    """Whether the integer rows (None for no row) are linearly
+    independent: a fraction-free elimination, in which each later row
+    becomes a * row - b * pivot row and stays integral."""
+    if None in rows:
         return False
-    rows = [[Fraction(x) for x in v] for v in rows]
+    rows = [list(row) for row in rows]
     for i, row in enumerate(rows):
         col = next((j for j, x in enumerate(row) if x), None)
         if col is None:
             return False
+        a = row[col]
         for other in rows[i + 1:]:
-            if other[col]:
-                f = other[col] / row[col]
-                for j in range(col, len(row)):
-                    other[j] -= f * row[j]
+            b = other[col]
+            if b:
+                other[:] = [a * y - b * x for x, y in zip(row, other)]
     return True
 
 
 def _linear_factor_split(p):
-    """Split p into linear factors by trial division where possible.
-
-    Returns a factor list whose product is p; non-factorable remainders
-    are kept as single (possibly nonlinear) factors.
-    """
-    factors = []
-    if p.is_constant():
-        return [p]
-    rem = p
-    changed = True
-    while changed and not rem.is_constant():
-        changed = False
-        for cand in _linear_candidates(rem):
-            q = exact_poly_divide(rem, cand)
-            if q is not None:
-                factors.append(cand)
-                rem = q
-                changed = True
-                break
-    factors.append(rem)
-    return factors
-
-
-def _linear_candidates(p):
-    """Candidate linear divisors built from the variables present in p."""
+    """(c, keys) with the nonzero polynomial p equal to c times the
+    factors of the sorted keys.  Linear factors are split off by trial
+    division over `_linear_candidates`; what is left must be a constant
+    or one more homogeneous linear form (`ValueError` naming it
+    otherwise)."""
     arity = p.arity
-    used = [i for i in range(arity) if any(e[i] for e in p.terms)]
-    cands = []
+    terms, den = _ints(p)
+    found = []
+    while any(map(any, terms)):  # not constant
+        for cand in _linear_candidates(terms, arity):
+            q = _int_divide(terms, cand)
+            if q is not None:
+                found.append(cand)
+                terms = q
+                break
+        else:
+            break
+    scale, keys = _factor_keys((_from_ints(arity, terms, den),))
+    for cand in found:
+        g, key = _normalize_linear(cand)
+        scale *= g
+        keys += (key,)
+    return scale, tuple(sorted(keys))
+
+
+def _linear_candidates(terms, arity):
+    """Candidate linear divisors of the {exponent tuple: int} polynomial
+    `terms`, as coefficient tuples over the variables present in it: each
+    x_i, each x_i - x_j with i < j, and the contiguous sums (covering
+    u_i + ... + u_j)."""
+    used = [i for i in range(arity) if any(e[i] for e in terms)]
     for i in used:
-        cands.append(MultiPoly.variable(i + 1, arity))
+        yield _unit(i, arity)
     for i in used:
         for j in used:
             if i < j:
-                cands.append(MultiPoly.variable(i + 1, arity)
-                             - MultiPoly.variable(j + 1, arity))
-    # contiguous sums over the used variables (covers u_i + ... + u_j)
+                yield tuple(map(sub, _unit(i, arity), _unit(j, arity)))
     for a in range(len(used)):
-        s = MultiPoly.zero(arity)
-        for b in range(a, len(used)):
-            s = s + MultiPoly.variable(used[b] + 1, arity)
-            if b > a:
-                cands.append(s)
-    return cands
+        for b in range(a + 1, len(used)):
+            yield tuple(int(i in used[a:b + 1]) for i in range(arity))
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def test_pic_poc_values():
     pic = named_mould("pic", 2)
     assert str(pic.get(2)) == str(pic.get(2))  # stable
     v = pic.get(2)
-    assert v.num.is_constant() and len(v.den_factors) == 2
+    assert v.num.is_constant() and len(v.den_keys) == 2
     poc = named_mould("poc", 2)
     from moulde.poly import RatFrac
     x1 = MultiPoly.variable(1, 2)

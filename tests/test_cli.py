@@ -269,6 +269,38 @@ def test_apply_rejects_nonlinear_denominator(tmp_path):
                    "form: 1 * x1^2 + 1 * x2^2\n")
 
 
+MALFORMED = {
+    "coefficient-1/0": (
+        "swap", '{"alphabet":"V","depths":{"1":{"num":[["1/0",[1]]]}}}',
+        "depths['1'].num: bad term ['1/0', [1]]"),
+    "no-alphabet": (
+        "swap", '{"depths":{"1":{"num":[["1",[1]]]}}}', "'alphabet'"),
+    "depth-without-num": (
+        "swap", '{"alphabet":"V","depths":{"1":{"den":[["1",[1]]]}}}',
+        "depths['1']"),
+    "not-an-object": ("swap", '[1,2]', "a JSON mould is an object"),
+    "negative-exponent": (
+        "swap", '{"alphabet":"V","depths":{"1":{"num":[["1",[-2]]]}}}',
+        "depths['1'].num: exponents"),
+    "negative-exponent-dar": (
+        "dar", '{"alphabet":"V","depths":{"1":{"num":[["1",[-2]]]}}}',
+        "depths['1'].num: exponents"),
+    "cap-not-int": (
+        "teru",
+        '{"alphabet":"U","cap":"x","depths":{"1":{"num":[["1",[1]]]}}}',
+        "'cap'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_apply_rejects_malformed_mould(tmp_path, case):
+    op, doc, field = MALFORMED[case]
+    path = _write(tmp_path, "bad.json", doc)
+    code, out, err = _run(["apply", "--op", op, "--input", path])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err, err
+
+
 def test_map_verification_error_exit_code(tmp_path, monkeypatch, b3):
     from moulde import mould
     monkeypatch.setattr(mould, "is_push_invariant", lambda M: False)

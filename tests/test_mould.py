@@ -214,7 +214,7 @@ def test_json_den_splits_into_linear_factors():
     from moulde import ari
     P = ari.named_mould("poc", 3)
     L = mould_from_json_text(mould_to_json_text(P))
-    assert [len(L.get(r).den_factors) for r in (1, 2, 3)] == [1, 2, 3]
+    assert [len(L.get(r).den_keys) for r in (1, 2, 3)] == [1, 2, 3]
     # a loaded mould reduces like the computed one: depth 2 of dar(poc)
     # is v2/(v1-v2) up to sign, not v1v2/(v1^2-v1v2)
     assert mould_to_json_text(dar(L)) == mould_to_json_text(dar(P))

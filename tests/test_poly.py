@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moulde.poly import (MultiPoly, RatFrac, _divide_linear, _renaming,
+from moulde.poly import (MultiPoly, RatFrac, _linear_factor_split, _renaming,
                          exact_poly_divide, grlex_key, monomial_sum,
                          poly_to_text)
 
@@ -134,7 +134,7 @@ def test_ratfrac_cancellation():
     # a repeated factor cancels as often as it divides
     assert RatFrac(x * x * y, (x, x)).as_poly() == y
     g = RatFrac(x * y, (x, x, y - x))
-    assert g.num == y and len(g.den_factors) == 2
+    assert g.num == y and len(g.den_keys) == 2
 
 
 def test_ratfrac_add_with_denominators():
@@ -144,13 +144,6 @@ def test_ratfrac_add_with_denominators():
     g = RatFrac(MultiPoly.const(2, 1), (y,))
     s = f + g
     assert s == RatFrac(x + y, (x, y))
-
-
-def test_ratfrac_inverse_roundtrip():
-    x = MultiPoly.variable(1, 2)
-    y = MultiPoly.variable(2, 2)
-    f = RatFrac(x + y, (x, x - y))
-    assert f * f.inverse() == RatFrac.const(2, 1)
 
 
 def test_ratfrac_cross_multiplication_equality():
@@ -185,16 +178,18 @@ def test_ratfrac_rejects_nonlinear_factors():
         RatFrac(x, (x * x + y * y,))
     with pytest.raises(ValueError):
         RatFrac(x, (x + 1,))
-    with pytest.raises(ValueError):
-        RatFrac(x * x + y * y, (x,)).inverse()
-    assert RatFrac(x * x - y * y, (x,)).inverse() == RatFrac(x, (x - y, x + y))
+    # a JSON denominator is split into the linear forms it tries
+    with pytest.raises(ValueError, match=r"linear form: 1 \* x1\^2 \+ 1"):
+        _linear_factor_split(x * x + y * y)
+    c, keys = _linear_factor_split((x * x - y * y).scale(F(2, 3)))
+    assert (c, keys) == (F(-2, 3), ((-1, 1), (1, 1)))
 
 
 # -- linear factors ------------------------------------------------------------
 
 def _long_divide(num, den):
     """Grlex long division: q with num = q*den, or None.  The oracle for
-    the synthetic division of `_divide_linear`."""
+    the synthetic division of `exact_poly_divide`."""
     def leading(p):
         e = max(p.terms, key=grlex_key)
         return e, p.terms[e]
@@ -223,12 +218,11 @@ def divisions():
 @given(divisions())
 @settings(max_examples=150, deadline=None)
 def test_linear_division_agrees_with_long_division(case):
-    q, (coeffs, L), noise = case
-    assert _divide_linear(q * L, coeffs) == q
+    q, (_, L), noise = case
+    assert exact_poly_divide(q * L, L) == q
     num = q * L + noise
     if num.is_zero():
         return
-    assert _divide_linear(num, coeffs) == _long_divide(num, L)
     assert exact_poly_divide(num, L) == _long_divide(num, L)
 
 
@@ -343,8 +337,9 @@ def _assert_reduced(f):
     if f.num.is_zero():
         assert f.den_keys == ()
     for key in set(f.den_keys):
-        factor = MultiPoly(3, {tuple(int(i == j) for j in range(3)): c
-                               for i, c in enumerate(key) if c})
+        factor = MultiPoly(f.arity, {
+            tuple(int(i == j) for j in range(f.arity)): c
+            for i, c in enumerate(key) if c})
         assert _long_divide(f.num, factor) is None, (f, key)
 
 
@@ -438,3 +433,73 @@ def test_renaming_needs_distinct_variables():
         (x * y).permute_variables((1, 3))
     assert (x * y * y).permute_variables((3, 1), 3) == MultiPoly(
         3, {(2, 0, 1): F(1)})
+
+
+# -- linear substitution ----------------------------------------------------
+
+def linear_substitutions(arity=3):
+    """(target arity, coefficient rows of the images of x1..x{arity}) in
+    1..4 variables; entries are often 0 or +-1, so the rows may be
+    independent, dependent or zero."""
+    entry = st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(-2)])
+    return st.integers(1, 4).flatmap(lambda r: st.tuples(
+        st.just(r), st.lists(st.lists(entry, min_size=r, max_size=r),
+                             min_size=arity, max_size=arity)))
+
+
+def _linear(row):
+    r = len(row)
+    return MultiPoly(r, {tuple(int(i == j) for j in range(r)): c
+                         for i, c in enumerate(row)})
+
+
+@given(ratfracs(rationals), linear_substitutions(), points)
+@settings(max_examples=200, deadline=None)
+def test_linear_substitution_agrees_with_evaluation(f, substitution, point):
+    r, rows = substitution
+    images = [_linear(row) for row in rows]
+    # the image of key k is sum k_i row_i, computed here on Fractions
+    vanishes = any(
+        not any(sum(k * row[j] for k, row in zip(key, rows)) for j in range(r))
+        for key in f.den_keys)
+    if vanishes:
+        with pytest.raises(ZeroDivisionError):
+            f.substitute_linear(images)
+        return
+    g = f.substitute_linear(images)
+    assert g.arity == r
+    _assert_reduced(g)
+    assert list(g.den_keys) == sorted(g.den_keys)
+    for key in g.den_keys:
+        assert len(key) == r and math.gcd(*key) == 1
+        assert next(c for c in reversed(key) if c) > 0
+    target = point[:r]
+    source = [_at(x.terms, target) for x in images]
+    want = _value(f, source)
+    assume(want is not None)
+    assert _value(g, target) == want
+
+
+def test_linear_substitution_cases():
+    x, y = MultiPoly.variable(1, 2), MultiPoly.variable(2, 2)
+    t = MultiPoly.variable(1, 1)
+    f = RatFrac(x * y + x, (x, x - y))
+    assert str(f.substitute_linear([x, x + y])) == \
+        "(-1 - 1 * x1 - 1 * x2) / (1 * x2)"
+    # dependent images: (x1 + x2) / (x1 x2) at [t, t] is 2t / t^2 = 2 / t
+    assert str(RatFrac(x + y, (x, y)).substitute_linear([t, t])) == \
+        "(2) / (1 * x1)"
+    # a zero image is refused only where a key's image vanishes
+    g = RatFrac(y, (x,))
+    assert g.substitute_linear([x, MultiPoly.zero(2)]) == RatFrac.zero(2)
+    with pytest.raises(ZeroDivisionError):
+        g.substitute_linear([MultiPoly.zero(2), y])
+    with pytest.raises(ZeroDivisionError):
+        RatFrac(y, (x - y,)).substitute_linear([x, x])
+    # a key may touch only homogeneous linear images: constant, affine
+    # and quadratic ones are refused
+    for bad in (MultiPoly.const(2, 2), x + 1, x * x):
+        with pytest.raises(ValueError, match="homogeneous linear form"):
+            g.substitute_linear([bad, y])
+    # an image that no key touches may be anything
+    assert g.substitute_linear([x, x * x + 1]) == RatFrac(x * x + 1, (x,))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,26 +62,76 @@ def test_ls_known_cells():
     assert solve_ls(8, 2).dim == 1  # first depth-2 element
 
 
-# Broadhurst-Kreimer (hep-th/9609128; Brown, arXiv:1301.3053): inverting
-# 1/(1 - O y + S y^2 - S y^4), O = x^3/(1-x^2), S = x^12/((1-x^4)(1-x^6)),
-# predicts the Lie dimensions; every tested cell not listed is 0.
-# Depth 1 holds one element at each odd weight; depth 2 has 1 at n = 8,
-# 10, 12 (2 at 14, 16, 18; 3 at 20); depth 3 has 1 at n = 11 (2 at 13,
-# 15; 4 at 17; 5 at 19); depth 4 has 1 at n = 12, 14 (3 at 16; 5 at 18;
-# 7 at 20).  The series starts at weight 3, so both spaces are 0 below it.
-BROADHURST_KREIMER = {
-    **{(n, 1): 1 for n in range(3, 13, 2)},
-    (8, 2): 1, (10, 2): 1, (12, 2): 1,
-    (11, 3): 1,
-    (12, 4): 1, (14, 4): 1,
-}
+# Broadhurst-Kreimer (hep-th/9609128; Brown, arXiv:1301.3053): the
+# series 1/(1 - O y + S y^2 - S y^4), O = x^3/(1-x^2) and
+# S = x^12/((1-x^4)(1-x^6)), predicts the Lie dimensions.  The series
+# starts at weight 3, so both spaces are 0 below it.
+def _mobius(k):
+    """The Moebius function of k >= 1."""
+    m, p = 1, 2
+    while k > 1:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            m = -m
+        p += 1
+    return m
+
+
+def _broadhurst_kreimer(top_n, top_r):
+    """{(n, r): d} for 1 <= r <= top_r, n <= top_n, nonzero d only: the
+    dimensions of the depth-graded Lie algebra that the Broadhurst-Kreimer
+    series predicts.  Its enveloping algebra has the Hilbert series
+    P = 1/Q, Q = 1 - O y + S y^2 - S y^4, so -log Q = sum l_{n,r} x^n y^r
+    with l_{n,r} = sum_{k | (n,r)} d_{n/k,r/k} / k, which Moebius
+    inversion undoes.  n l_{n,r} is read off x dQ/dx * P = -x d(log Q)/dx."""
+    odd = [int(n >= 3 and n % 2) for n in range(top_n + 1)]
+    # S = x^12 / ((1 - x^4)(1 - x^6)): the ways to write n - 12 = 4a + 6b
+    cusp = [sum(1 for a in range(top_n) for b in range(top_n)
+                if 12 + 4 * a + 6 * b == n) for n in range(top_n + 1)]
+    q = {(n, r): c for n in range(top_n + 1)
+         for r, c in ((1, -odd[n]), (2, cusp[n]), (4, -cusp[n])) if c}
+    p = {}
+    for n in range(top_n + 1):
+        for r in range(top_r + 1):
+            p[n, r] = int((n, r) == (0, 0)) - sum(
+                c * p[n - a, r - b] for (a, b), c in q.items()
+                if a <= n and b <= r)
+    log = {(n, r): F(-sum(a * c * p[n - a, r - b] for (a, b), c in q.items()
+                          if a <= n and b <= r), n)
+           for n in range(1, top_n + 1) for r in range(1, top_r + 1)}
+    dims = {}
+    for (n, r) in log:
+        d = sum(F(_mobius(k), k) * log[n // k, r // k]
+                for k in range(1, math.gcd(n, r) + 1) if n % k == r % k == 0)
+        assert d.denominator == 1
+        if d:
+            dims[n, r] = int(d)
+    return dims
+
+
+BROADHURST_KREIMER = _broadhurst_kreimer(20, 6)
+
+
+def test_broadhurst_kreimer_series():
+    # the expansion written out by depth, weights 3..20
+    by_depth = {r: [d for (n, rr), d in sorted(BROADHURST_KREIMER.items())
+                    if rr == r] for r in range(1, 7)}
+    assert by_depth[1] == [1] * 9  # n = 3, 5, ..., 19
+    assert by_depth[2] == [1, 1, 1, 2, 2, 2, 3]  # n = 8, 10, ..., 20
+    assert by_depth[3] == [1, 2, 2, 4, 5]  # n = 11, 13, ..., 19
+    assert by_depth[4] == [1, 1, 3, 5, 7]  # n = 12, 14, ..., 20
+    assert by_depth[5] == [1, 2, 5]  # n = 15, 17, 19
+    assert by_depth[6] == [1, 3]  # n = 18, 20
+    assert BROADHURST_KREIMER[16, 4] == 3
 
 
 @pytest.mark.parametrize("solve", [solve_ls, solve_lkv])
 def test_dims_match_broadhurst_kreimer(solve):
     cells = [(n, r) for n in range(1, 13) for r in (1, 2, 3, 4)]
     if solve is solve_ls:
-        cells += [(13, 4), (14, 4)]
+        cells += [(13, 4), (14, 4), (16, 4)]
     for n, r in cells:
         assert solve(n, r).dim == BROADHURST_KREIMER.get((n, r), 0), (n, r)
 
