@@ -206,14 +206,10 @@ def darit(A, B):
         (1, _mu(L, C)), (-1, _mu(C, L)), (-1, _amit(L, C)), (1, _anit(L, C))]))
 
 
-def dari(A, B, route="delta"):
-    """Dari bracket; route 'delta' conjugates ari by Delta, route 'darit'
-    antisymmetrizes Darit."""
-    if route == "delta":
-        return delta_op(ari(delta_inv(A), delta_inv(B)))
-    if route == "darit":
-        return darit(A, B) - darit(B, A)
-    raise ValueError("unknown route %r" % route)
+def dari(A, B):
+    """Dari bracket: ari conjugated by Delta.  It equals the
+    antisymmetrized Darit, darit(A, B) - darit(B, A)."""
+    return delta_op(ari(delta_inv(A), delta_inv(B)))
 
 
 # ---------------------------------------------------------------------------

@@ -528,11 +528,14 @@ def _poly_to_json(p):
 
 def _poly_from_json(data, arity, where):
     """The polynomial of the JSON terms [[coefficient, exponents], ...]
-    of field `where`, in `arity` variables."""
+    of field `where`, in `arity` variables.  A coefficient is a string
+    or an integer: a JSON float or bool is refused."""
     terms = {}
     for term in data if isinstance(data, list) else [data]:
         try:
             c, e = term
+            if type(c) is not int and not isinstance(c, str):
+                raise TypeError
             c = Fraction(c)
         except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError("%s: bad term %r" % (where, term)) from None

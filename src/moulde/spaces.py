@@ -1,13 +1,16 @@
 """Linear-constraint solvers for the bigraded spaces.
 
-Every space runs through one constraint engine.  Its parameter basis is
-Lyndon Lie elements for the word-level spaces and monomial moulds per
-depth for the mould-level ones.  The space is a list of linear
-conditions on that basis, built from shared pieces: alternality,
-push-invariance, circ-neutrality, the swap and the Delta-quotient
-(Schneps, "ARI, GARI, Zig and Zag", arXiv:1507.01534).  `_assemble`
-turns the conditions into an exact rational matrix, and `_solve` takes
-its nullspace and re-verifies every basis element against the defining
+Every space runs through one constraint engine.  The bigraded spaces
+`lkv`, `ls`, `krv_ell` and `ds_ell` share one parameter basis, the
+degree-(n-r) monomial moulds in depth r; only `vkrv` is solved on
+Lyndon Lie elements.  The space is a list of linear conditions on that
+basis, built from shared pieces: alternality, push-invariance,
+circ-neutrality, the swap and the Delta-quotient (Schneps, "ARI, GARI,
+Zig and Zag", arXiv:1507.01534).  `lkv` is solved on the alternal
+moulds, onto which `ma` maps the depth-r Lie elements, and its basis
+returns to Lie elements through `ma_inverse`.  `_assemble` turns the
+conditions into an exact rational matrix, and `_solve` takes its
+nullspace and re-verifies every basis element against the defining
 predicates of the space, raising `VerificationError` on a failure.
 
 Spaces:
@@ -235,7 +238,8 @@ def lie_basis(n, r):
     """Lyndon basis of the weight-n, depth-r part of the free Lie algebra.
 
     Bracketing keeps the number of letters y, so only the Lyndon words
-    with r letters y are bracketed."""
+    with r letters y are bracketed.  No solver uses it: it is the basis
+    of the Lyndon-word route to `lkv`, kept as an independent check."""
     return [words_mod._standard_bracketing(w)
             for w in words_mod.lyndon_words(n) if w.count("y") == r]
 
@@ -245,20 +249,26 @@ def lie_basis(n, r):
 # ---------------------------------------------------------------------------
 
 def lkv_system(n, r):
-    gens = lie_basis(n, r)
-    B = [mould_mod.ma(g) for g in gens]
-    conditions = [_push(B, r)]
+    """The alternal moulds, images under `ma` of the depth-r Lie
+    elements, that are push-invariant with circ-neutral swap."""
+    gens, B = _monomials(n, r)
+    conditions = _alternal(B, r, "al") + [_push(B, r)]
     if r > 1:
         conditions.append(_circ(_swap(B), r))
     return _assemble(gens, conditions)
 
 
+def _combine_lie(gens, vec):
+    return mould_mod.ma_inverse(_combine_mould(gens, vec))
+
+
 def solve_lkv(n, r):
     """Lie elements of weight n, depth r that are push-invariant with
-    circ-neutral swap mould."""
+    circ-neutral swap mould.  The system is solved on monomial moulds,
+    and each basis element is the `ma_inverse` of an alternal one."""
     if not (n >= 3 and 1 <= r <= n - 1):
         return BigradedBasis("lkv", n, r, [])
-    return _solve("lkv", n, r, lkv_system(n, r), _combine_ncpoly, [
+    return _solve("lkv", n, r, lkv_system(n, r), _combine_lie, [
         ("push-invariant", words_mod.is_push_invariant),
         ("circ-neutral", words_mod.is_circ_neutral_poly)])
 

@@ -273,6 +273,12 @@ MALFORMED = {
     "coefficient-1/0": (
         "swap", '{"alphabet":"V","depths":{"1":{"num":[["1/0",[1]]]}}}',
         "depths['1'].num: bad term ['1/0', [1]]"),
+    "coefficient-float": (
+        "swap", '{"alphabet":"U","depths":{"1":{"num":[[0.1,[1]]]}}}',
+        "depths['1'].num: bad term [0.1, [1]]"),
+    "coefficient-bool": (
+        "swap", '{"alphabet":"U","depths":{"1":{"num":[[true,[1]]]}}}',
+        "depths['1'].num: bad term [True, [1]]"),
     "no-alphabet": (
         "swap", '{"depths":{"1":{"num":[["1",[1]]]}}}', "'alphabet'"),
     "depth-without-num": (

@@ -130,10 +130,46 @@ def test_broadhurst_kreimer_series():
 @pytest.mark.parametrize("solve", [solve_ls, solve_lkv])
 def test_dims_match_broadhurst_kreimer(solve):
     cells = [(n, r) for n in range(1, 13) for r in (1, 2, 3, 4)]
-    if solve is solve_ls:
-        cells += [(13, 4), (14, 4), (16, 4)]
+    cells += [(13, 4), (14, 4), (16, 4)]
     for n, r in cells:
         assert solve(n, r).dim == BROADHURST_KREIMER.get((n, r), 0), (n, r)
+
+
+# The Lyndon-word route to lkv, kept as the independent oracle: the
+# parameters are the bracketed Lyndon words of depth r, pushed through
+# `ma` before the push and circ rows are written.
+def _lyndon_lkv_system(n, r):
+    gens = spaces.lie_basis(n, r)
+    B = [ma(g) for g in gens]
+    conditions = [spaces._push(B, r)]
+    if r > 1:
+        conditions.append(spaces._circ(spaces._swap(B), r))
+    return spaces._assemble(gens, conditions)
+
+
+def test_lkv_spans_equal_the_lyndon_oracle():
+    for n in range(3, 13):
+        for r in range(1, min(4, n - 1) + 1):
+            system = _lyndon_lkv_system(n, r)
+            oracle = [spaces._combine_ncpoly(system.parameters, v)
+                      for v in system.null_vectors()]
+            basis = solve_lkv(n, r).basis
+            assert len(basis) == len(oracle), (n, r)
+            words_seen = sorted({w for f in basis + oracle for w in f.terms})
+            stacked = [[f.coeff(w) for w in words_seen]
+                       for f in basis + oracle]
+            assert linalg.rank(stacked) == len(basis), (n, r)
+
+
+def test_lkv_solve_path_takes_no_word_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("word route taken")
+
+    for module, name in [(spaces, "lie_basis"), (words, "lyndon_lie_basis"),
+                         (mould, "ma"), (words, "to_c_basis")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert solve_lkv(12, 4).dim == 1
+    assert solve_lkv(13, 3).dim == 2
 
 
 def test_lie_basis_is_the_depth_filtered_lyndon_basis():
@@ -181,7 +217,8 @@ def test_solver_path_never_falls_back_to_fraction_elimination(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", refuse)
     nullities = {spaces.ls_system(10, 4): 0, spaces.ls_system(15, 3): 2,
-                 spaces.lkv_system(10, 4): 0, spaces.vkrv_system(8): 1}
+                 spaces.lkv_system(10, 4): 0, spaces.lkv_system(12, 4): 1,
+                 spaces.vkrv_system(8): 1}
     for system, nullity in nullities.items():
         assert len(system.null_vectors()) == nullity
     spaces._vkrv_basis.cache_clear()
@@ -277,7 +314,9 @@ def test_adjoined_constant_is_never_alone(system):
 # rows are computed must leave them equal as values.  A change that
 # alters rows on purpose re-captures these with `_system_digest` and
 # says so.  The krv_ell/ds_ell cells with r > n are the empty system,
-# checked below.
+# checked below.  "lkv" pins the Lyndon oracle `_lyndon_lkv_system`,
+# and "lkv_monomials" pins `spaces.lkv_system`, captured when lkv moved
+# to monomial parameters.
 PINNED_SYSTEMS = {
     "lkv": {
         (1, 1): "4523b3db5f3cf5ee", (1, 2): "620a09ff7eec8d4a",
@@ -300,6 +339,28 @@ PINNED_SYSTEMS = {
         (9, 3): "05c7420eee79bb99", (9, 4): "cd3640bda666b9d2",
         (10, 1): "e0db35e232d025cf", (10, 2): "33d9aee4a3c30c1d",
         (10, 3): "35f46bb40490e8e3", (10, 4): "9571897b31e72bca",
+    },
+    "lkv_monomials": {
+        (1, 1): "96cef3cb980bdf86", (1, 2): "620a09ff7eec8d4a",
+        (1, 3): "620a09ff7eec8d4a", (1, 4): "620a09ff7eec8d4a",
+        (2, 1): "fa78cf84e80cc02d", (2, 2): "f25a8f9522a5fd71",
+        (2, 3): "620a09ff7eec8d4a", (2, 4): "620a09ff7eec8d4a",
+        (3, 1): "13388fafaed44f50", (3, 2): "cba1ac84913f15af",
+        (3, 3): "5fadd524bc2e041f", (3, 4): "620a09ff7eec8d4a",
+        (4, 1): "58cea866d89fb219", (4, 2): "9cdac89fe82a66db",
+        (4, 3): "0c9f8eb80e8c5d47", (4, 4): "3ea1d85e50eebc30",
+        (5, 1): "3ee4e446555abf3a", (5, 2): "fbff9fb525da4fe9",
+        (5, 3): "2cc58e7b4ca60dcc", (5, 4): "07b041d330aeffb8",
+        (6, 1): "b01a5bc4c6677c99", (6, 2): "77a56b55313117fa",
+        (6, 3): "f15600f7090ec4b8", (6, 4): "8d8ddbf72d0b3acb",
+        (7, 1): "930be75de8edfffe", (7, 2): "b89552fdd473d540",
+        (7, 3): "9ce7736f8bdbac5e", (7, 4): "ef577926828cd099",
+        (8, 1): "7a814cf159145f51", (8, 2): "1c2d503a1ab6f6ea",
+        (8, 3): "9853ab3b4f9ed70d", (8, 4): "292b761bbb4895dd",
+        (9, 1): "a77cee36eb0ae6bc", (9, 2): "237804096de784ba",
+        (9, 3): "3ea2c28b3ef733e0", (9, 4): "9d563a99083a5915",
+        (10, 1): "966b9835609b617f", (10, 2): "5837293b4af9d100",
+        (10, 3): "8b6467ce4e710cf0", (10, 4): "4d38006636752ef7",
     },
     "ls": {
         (1, 1): "96cef3cb980bdf86", (1, 2): "620a09ff7eec8d4a",
@@ -377,9 +438,14 @@ def _system_digest(system):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("space", ["lkv", "ls", "krv_ell", "ds_ell"])
+PINNED_BUILDERS = {"lkv": _lyndon_lkv_system,
+                   "lkv_monomials": spaces.lkv_system}
+
+
+@pytest.mark.parametrize("space", ["lkv", "lkv_monomials", "ls", "krv_ell",
+                                   "ds_ell"])
 def test_constraint_systems_are_pinned(space):
-    build = getattr(spaces, space + "_system")
+    build = PINNED_BUILDERS.get(space) or getattr(spaces, space + "_system")
     pinned = PINNED_SYSTEMS[space]
     got = {cell: _system_digest(build(*cell)) for cell in pinned}
     assert got == pinned
@@ -403,22 +469,33 @@ def test_depth_above_weight_is_the_empty_system(system, n, r):
 
 # -- verification -----------------------------------------------------------
 
-def test_failed_check_raises_verification_error(monkeypatch):
-    monkeypatch.setattr(mould, "is_alternal", lambda M: False)
+# (space, the predicate patched to fail, the name of its check)
+FAILING_CHECKS = pytest.mark.parametrize(
+    "space, predicate, check",
+    [("ls", "mould.is_alternal", "alternal"),
+     ("lkv", "words.is_push_invariant", "push-invariant")],
+    ids=["solve_ls", "solve_lkv"])
+
+
+@FAILING_CHECKS
+def test_failed_check_raises_verification_error(monkeypatch, space,
+                                                predicate, check):
+    monkeypatch.setattr("moulde." + predicate, lambda f: False)
     with pytest.raises(VerificationError) as info:
-        solve_ls(8, 2)
+        getattr(spaces, "solve_" + space)(8, 2)
     assert (info.value.space, info.value.n, info.value.r,
-            info.value.check) == ("ls", 8, 2, "alternal")
+            info.value.check) == (space, 8, 2, check)
 
 
-def test_verification_survives_optimize_flag():
+@FAILING_CHECKS
+def test_verification_survives_optimize_flag(space, predicate, check):
     script = (
-        "from moulde import mould, spaces\n"
-        "mould.is_alternal = lambda M: False\n"
+        "from moulde import mould, spaces, words\n"
+        "%s = lambda f: False\n"
         "try:\n"
-        "    spaces.solve_ls(8, 2)\n"
+        "    spaces.solve_%s(8, 2)\n"
         "except spaces.VerificationError as e:\n"
-        "    print(__debug__, e.check)\n")
+        "    print(__debug__, e.check)\n" % (predicate, space))
     src = os.path.dirname(os.path.dirname(os.path.abspath(moulde.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -426,7 +503,7 @@ def test_verification_survives_optimize_flag():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False alternal\n"
+    assert done.stdout == "False %s\n" % check
 
 
 # -- dimension tables --------------------------------------------------------
