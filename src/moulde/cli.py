@@ -9,10 +9,13 @@ Verbs:
   section   the krv -> krv_ell section of a word-polynomial input
   dump      named moulds and fixtures
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 internal error (any other exception, such as a solved basis element
-or a map's image failing its own check: `spaces.VerificationError`,
-`maps.MapVerificationError`).
+Exit codes: 0 success, 1 verification failure, 2 usage error or bad
+input (an unreadable file or any `ValueError`, such as a malformed
+mould, a mould on the wrong alphabet for its operator
+(`mould.AlphabetMismatch`) or a word polynomial outside the C-span
+(`words.NotInCSpan`)), 3 internal error (any other exception, such as
+a solved basis element or a map's image failing its own check:
+`spaces.VerificationError`, `maps.MapVerificationError`).
 
 `--depth` runs from 1 to MAX_DEPTH (6; the named moulds take minutes
 to build at depth 6 and far longer beyond), the `--n`/`--r` ranges of

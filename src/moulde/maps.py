@@ -18,7 +18,6 @@ from . import mould as mould_mod
 from . import spaces as spaces_mod
 from . import words as words_mod
 from .mould import Mould
-from .poly import MultiPoly, monomial_sum
 from .words import NCPoly, X, Y
 
 
@@ -97,9 +96,7 @@ def depth_sign(M):
     This is the twist under which the word-level and mould-level
     circ-constance verdicts agree for polynomials whose words do not all
     end in y (see the v-family construction in words)."""
-    return Mould(M.alphabet,
-                 {r: v.scale(Fraction((-1) ** (r - 1)))
-                  for r, v in M.values.items()}, cap=M.cap)
+    return -mould_mod.pari(M)
 
 
 def _yn_adjust(b, n, c):
@@ -113,27 +110,15 @@ def swap_circ_constant_star(B, n):
     """Is the (sign-twisted) swap of the U-mould B circ-constant up to
     per-depth constants?  Returns (flag, c).
 
-    c is pinned by the depth-1 value c*v1^(n-1); for 2 <= r < n the
-    cyclic sum minus c times the all-monomials sum must be a constant
-    (absorbable by a constant-valued correction mould); depth n is
-    unconstrained."""
-    V = depth_sign(mould_mod.swap(B))
-    v1 = V.get(1)
-    if not v1.is_polynomial():
+    c is pinned by the depth-1 value c*v1^(n-1); for 2 <= r < n every
+    defect of `mould.circ_defects` (an absent depth counts as zero) must
+    be a constant, absorbable by a constant-valued correction mould;
+    depth n is unconstrained."""
+    found = mould_mod.circ_defects(depth_sign(mould_mod.swap(B)), n)
+    if found is None or not all(d.is_polynomial() and d.num.is_constant()
+                                for d in found[1]):
         return False, None
-    c = v1.num.coeff((n - 1,))
-    if not (v1.num == MultiPoly.monomial((n - 1,), c)):
-        return False, None
-    for r in V.depths():
-        if r < 2 or r >= n:
-            continue
-        s = mould_mod.circ_cycle_sum(V, r)
-        if not s.is_polynomial():
-            return False, None
-        diff = s.num - monomial_sum(r, n - r).scale(c)
-        if not diff.is_constant():
-            return False, None
-    return True, c
+    return True, found[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ as in `circ`, `mantar` and both sums, the change of variables is a
 renaming, which `RatFrac.substitute_linear` does as an exponent
 shuffle.  `dar`, `delta_op` and their inverses multiply or divide each
 depth by a product of linear forms (`_times_forms`).
+
+Circ-constance is decided from one helper, `circ_defects(M, n)`, which
+reads c off depth 1 and yields each depth's cyclic sum minus c times
+the all-monomials sum: `is_circ_constant` wants every defect zero and
+`maps.swap_circ_constant_star` wants each one a constant.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ from .poly import (MultiPoly, RatFrac, _divided, _linear_factor_split, _poly,
 from . import words as W
 
 
-class AlphabetMismatch(Exception):
+class AlphabetMismatch(ValueError):
     pass
 
 
-class NonPolynomialValue(Exception):
+class NonPolynomialValue(ValueError):
     pass
 
 
@@ -394,30 +399,34 @@ def is_circ_neutral(M):
     return True
 
 
-def is_circ_constant(M, weight=None):
-    """Cyclic sums equal c times the all-monomials sum; returns (flag, c).
+def circ_defects(M, n):
+    """(c, defects) of the V-mould M at weight n, or None.
 
-    c is read off the depth-1 value, which must be c*v1^{n-1}.  Depths
-    2..n-1 are all checked (an absent depth counts as zero); depth n is
-    skipped, since its constant value is the freely adjustable one."""
+    c is read off the depth-1 value, which must be c*v1^{n-1} (else
+    None).  The defects are, lazily for r = 2..n-1, the depth-r cyclic
+    sum minus c times the all-monomials sum; an absent depth counts as
+    zero.  Depth n is not among them: its constant value is the freely
+    adjustable one."""
+    v1 = M.get(1)
+    if not v1.is_polynomial():
+        return None
+    c = v1.num.coeff((n - 1,))
+    if v1.num != MultiPoly.monomial((n - 1,), c):
+        return None
+    return c, (circ_cycle_sum(M, r) - monomial_sum(r, n - r).scale(c)
+               for r in range(2, n))
+
+
+def is_circ_constant(M, weight=None):
+    """Cyclic sums equal c times the all-monomials sum; returns (flag, c):
+    every defect of `circ_defects` at weight n must vanish."""
     if M.alphabet != "V":
         raise AlphabetMismatch("circ-constance is a V-side predicate")
     n = weight if weight is not None else M.weight()
-    if n is None:
+    found = circ_defects(M, n) if n is not None and n >= 1 else None
+    if found is None or not all(d.is_zero() for d in found[1]):
         return False, None
-    v1 = M.get(1)
-    if not v1.is_polynomial():
-        return False, None
-    if n < 1:
-        return False, None
-    c = v1.num.coeff((n - 1,))
-    if not (v1 == RatFrac.from_poly(MultiPoly.monomial((n - 1,), c))):
-        return False, None
-    for r in range(2, n):
-        target = RatFrac.from_poly(monomial_sum(r, n - r).scale(c))
-        if not (circ_cycle_sum(M, r) == target):
-            return False, None
-    return True, c
+    return True, found[0]
 
 
 def in_ari_delta(M):

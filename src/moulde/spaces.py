@@ -301,23 +301,10 @@ def solve_ls(n, r):
 # vkrv: push-invariant Lie b with b^y - b^x push-constant
 # ---------------------------------------------------------------------------
 
-def _push_classes(m):
-    """Push orbits (with repetition) of the words of weight m and depth
-    1..m-1, one per class."""
-    seen, orbits = set(), []
-    for r in range(1, m):
-        for w in words_mod._words_of(m, r):
-            if w not in seen:
-                orbit = words_mod.push_orbit(w)
-                seen.update(orbit)
-                orbits.append(orbit)
-    return orbits
-
-
 def vkrv_system(n):
     gens = sorted(words_mod.lyndon_lie_basis(n), key=NCPoly.depths)
     m = n - 1
-    orbits = _push_classes(m)
+    orbits = [o for r in range(1, m) for o in words_mod.push_classes(m, r)]
     push, ym, classes = [], [], []
     for g in gens:
         _, _, _, gux, guy = words_mod.decompose(g)

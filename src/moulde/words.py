@@ -6,12 +6,18 @@ length), depth = y-degree.  The module provides the Lie structure,
 derivations, the push / trace / divergence machinery, the C-basis of
 Lazard elimination (C_i = ad(x)^{i-1}(y)) and a Lyndon-word Lie basis
 used to parameterize linear solvers.
+
+The push predicates and `spaces.vkrv_system` walk one enumeration,
+`push_classes(m, r)`: the push orbits of the weight-m, depth-r words,
+with repetition, one per class.  Both directions of the C-basis build
+the C-monomials on integers by one helper, `_c_monomial_ints`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from .linalg import solve
 from .poly import compositions
@@ -21,7 +27,7 @@ class PartnerNotFound(Exception):
     pass
 
 
-class NotInCSpan(Exception):
+class NotInCSpan(ValueError):
     pass
 
 
@@ -301,35 +307,35 @@ def is_push_invariant(f):
     return push_word(f) == f
 
 
+def push_classes(m, r):
+    """The push orbits (with repetition, as `push_orbit` lists them) of
+    the words of weight m and depth r, one per class."""
+    seen, orbits = set(), []
+    for ys in combinations(range(m), r):
+        w = "".join("y" if i in ys else "x" for i in range(m))
+        if w not in seen:
+            orbit = push_orbit(w)
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
+
+
 def is_push_neutral(f):
-    """Each (weight, depth >= 1)-homogeneous part has vanishing push-orbit sums."""
-    for n in f.weights():
-        fn = f.weight_component(n)
-        for r in fn.depths():
-            if r == 0:
-                if not fn.depth_component(0).is_zero():
-                    return False
-                continue
-            part = fn.depth_component(r)
-            seen = set()
-            for w in part.terms:
-                if w in seen:
-                    continue
-                orbit = push_orbit(w)
-                seen.update(orbit)
-                if sum(part.coeff(v) for v in orbit) != 0:
-                    return False
-    return True
+    """Every push-class sum of every (weight, depth)-homogeneous part
+    vanishes; in depth 0 the class is {x^n}, so f has no x^n term."""
+    return all(sum(f.coeff(v) for v in orbit) == 0
+               for m, r in {(len(w), w.count("y")) for w in f.terms}
+               for orbit in push_classes(m, r))
 
 
 def is_push_constant(f, c=None):
     """Decide push-constance; returns (flag, c).
 
     Per weight-homogeneous f of weight m: no y^m monomial, and every
-    push-orbit class sum at each depth where f has support equals c
-    (the classes {x^m} and {y^m} excepted).  Depths with no support are
-    skipped: the fixtures of the source definitions are depth-
-    homogeneous and silent on the missing depths.
+    class of `push_classes` at each depth 1..m-1 where f has support
+    sums to c; a class outside the support sums to 0.  Depths with no
+    support are skipped: the fixtures of the source definitions are
+    depth-homogeneous and silent on the missing depths.
     """
     if f.is_zero():
         return True, (c if c is not None else Fraction(0))
@@ -338,44 +344,13 @@ def is_push_constant(f, c=None):
     m = f.weight()
     if f.coeff("y" * m) != 0:
         return False, None
-    value = _frac(c) if c is not None else None
-    for r in f.depths():
-        if r == 0 or r == m:
-            continue
-        part = f.depth_component(r)
-        seen = set()
-        for w in part.terms:
-            if w in seen:
-                continue
-            orbit = push_orbit(w)
-            seen.update(orbit)
-            s = sum(part.coeff(v) for v in orbit)
-            if value is None:
-                value = s
-            elif s != value:
-                return False, None
-        # orbits entirely outside the support must also sum to `value`;
-        # they sum to 0, so a nonzero constant is only consistent if the
-        # support covers all classes of this depth
-        if value != 0:
-            all_words = {w for w in _words_of(m, r)}
-            covered = set()
-            for w in part.terms:
-                covered.update(push_orbit(w))
-            if all_words - covered:
-                return False, None
-    if value is None:
-        value = Fraction(0)
-    if c is not None and value != _frac(c):
+    sums = {sum(f.coeff(v) for v in orbit) for r in f.depths() if 0 < r < m
+            for orbit in push_classes(m, r)}
+    if c is not None:
+        sums.add(_frac(c))
+    if len(sums) > 1:
         return False, None
-    return True, value
-
-
-def _words_of(n, r):
-    """All words of weight n and depth r."""
-    from itertools import combinations
-    for positions in combinations(range(n), r):
-        yield "".join("y" if i in positions else "x" for i in range(n))
+    return True, (sums.pop() if sums else Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +591,25 @@ def c_poly(i):
 
 def c_monomial(a):
     """C_{a1} C_{a2} ... C_{ar} (empty tuple -> 1)."""
-    out = NCPoly.one()
-    for i in a:
-        out = out * c_poly(i)
-    return out
+    return from_c_basis([(a, 1)])
 
 
 def from_c_basis(coeffs):
-    out = NCPoly.zero()
-    for a, c in coeffs:
-        out = out + c_monomial(tuple(a)).scale(c)
+    """sum k_a C_{a1}...C_{ar} over the pairs (a, k_a) of coeffs.
+
+    The integer C-monomials of `_c_monomial_ints` are accumulated over
+    the lcm of the coefficient denominators, with one Fraction per
+    word of the result."""
+    coeffs = [(tuple(a), _frac(k)) for a, k in coeffs]
+    den = math.lcm(*(k.denominator for _, k in coeffs))
+    monomials = {(): {"": 1}}
+    acc = {}
+    for a, k in coeffs:
+        scale = k.numerator * (den // k.denominator)
+        for u, c in _c_monomial_ints(a, monomials).items():
+            acc[u] = acc.get(u, 0) + scale * c
+    out = NCPoly.__new__(NCPoly)
+    out.terms = {u: Fraction(c, den) for u, c in acc.items() if c}
     return out
 
 

@@ -315,3 +315,28 @@ def test_map_verification_error_exit_code(tmp_path, monkeypatch, b3):
     assert code == 3 and out == ""
     assert err == ("internal error: MapVerificationError: krv_section: "
                    "image fails push-invariance\n")
+
+
+V_MOULD = '{"alphabet":"V","depths":{"1":{"num":[["1",[2]]]}}}'
+U_MOULD = '{"alphabet":"U","depths":{"1":{"num":[["1",[2]]]}}}'
+BAD_INPUT = {
+    "push-on-V": (["apply", "--op", "push"], "in.json", V_MOULD,
+                  "push acts on U-moulds"),
+    "circ-on-U": (["apply", "--op", "circ"], "in.json", U_MOULD,
+                  "circ acts on V-moulds"),
+    "senary-on-V": (["check", "--identity", "senary"], "in.json", V_MOULD,
+                    "senary is a U-side predicate"),
+    "word-outside-C-span": (["check"], "in.txt", "1*yx",
+                            "leading word 'yx' not of C-monomial form"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_2(tmp_path, case):
+    # input the operation does not accept is a typed ValueError, so the
+    # CLI reports it as bad input rather than as an internal error
+    argv, name, text, message = BAD_INPUT[case]
+    path = _write(tmp_path, name, text)
+    code, out, err = _run(argv + ["--input", path])
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message

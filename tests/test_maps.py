@@ -37,6 +37,18 @@ def test_swap_circ_constant_star_on_w3(w3):
     assert ok and c == w3.coeff("xxy")
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_swap_circ_constant_star_counts_absent_depths(n):
+    # ma(C_n) lives in depth 1 only, with c = 1: every depth 2 <= r < n
+    # is absent, so its defect -monomial_sum(r, n - r) is no constant
+    assert swap_circ_constant_star(ma(words.c_poly(n)), n) == (False, None)
+
+
+def test_swap_circ_constant_star_keeps_w_krv(w3, psi_minus):
+    assert swap_circ_constant_star(ma(w3), 3) == (True, 1)
+    assert swap_circ_constant_star(ma(psi_minus), 5) == (True, -1)
+
+
 # -- lkv -> krv_ell ----------------------------------------------------------
 
 def test_lkv_to_krv_ell_b3(b3):

@@ -195,6 +195,32 @@ def test_c_basis_roundtrip_rational(coeffs):
         to_c_basis(f + NCPoly.word(tail, F(1, 3)))
 
 
+def _from_c_basis_by_definition(coeffs):
+    """sum c_a C_{a1}...C_{ar} as products of `c_poly` in NCPoly."""
+    out = NCPoly.zero()
+    for a, c in coeffs:
+        term = NCPoly.one()
+        for i in a:
+            term = term * c_poly(i)
+        out = out + term.scale(c)
+    return out
+
+
+@given(c_coeffs)
+@settings(max_examples=100, deadline=None)
+def test_from_c_basis_matches_its_definition(coeffs):
+    assert from_c_basis(coeffs) == _from_c_basis_by_definition(coeffs)
+    for a, _ in coeffs:
+        assert c_monomial(a) == _from_c_basis_by_definition([(a, 1)])
+
+
+def test_from_c_basis_integer_zero_and_empty_coefficients():
+    coeffs = [([2, 1], 3), ((1, 2), 0), ((), -1), ((2, 1), F(1, 2))]
+    assert from_c_basis(coeffs) == _from_c_basis_by_definition(coeffs)
+    assert from_c_basis([]) == NCPoly.zero()
+    assert from_c_basis([((1, 2), 1), ((1, 2), -1)]) == NCPoly.zero()
+
+
 def test_to_c_basis_rejects_x():
     try:
         to_c_basis(X)
