@@ -245,7 +245,8 @@ def exp_ari_bar(A, cap=None):
 
 
 def log_ari(M, cap=None, pre=preari):
-    """Inverse of exp_ari, solved depth by depth."""
+    """Inverse of exp_ari, solved depth by depth: depth r of exp(L) reads
+    only the depths up to r of L, so each step runs exp_ari at cap r."""
     cap = _min_cap(M.cap, cap)
     if cap is None:
         raise ValueError("log requires a cap")
@@ -254,7 +255,7 @@ def log_ari(M, cap=None, pre=preari):
     M = M.with_cap(cap)
     L = Mould(M.alphabet, {}, cap)
     for r in range(1, cap + 1):
-        E = exp_ari(L, cap, pre=pre)
+        E = exp_ari(L.with_cap(r), r, pre=pre)
         diff = M.get(r) - E.get(r)
         if not diff.is_zero():
             L = L + Mould(M.alphabet, {r: diff}, cap)
@@ -465,10 +466,15 @@ def goodfund_check(N, cap):
 
     ganit_bar(-poc) is the operator inverse of ganit_bar(pic); the sign
     is forced by the depth-2 composition."""
-    inv_lopal = named_mould("invpal_log", cap)
+    image = ad_ari_exp(named_mould("invpal_log", cap), N.with_cap(cap), cap)
+    return _goodfund(N, image, cap)
+
+
+def _goodfund(N, image, cap):
+    """goodfund_check(N, cap) with its right-hand side read from
+    `image`, which must be Ad_ari(invpal) N to the cap."""
     inv_lopil = named_mould("invpil_log", cap)
     poc = named_mould("poc", cap)
     lhs = ad_ari_bar_exp(inv_lopil, ganit_bar(-poc, swap(N).with_cap(cap)),
                          cap)
-    rhs = swap(ad_ari_exp(inv_lopal, N.with_cap(cap), cap))
-    return lhs.eq(rhs)
+    return lhs.eq(swap(image))

@@ -15,8 +15,9 @@ make one Fraction per output term:
   each integer numerator over it by multiplying it by the factors its
   own denominator lacks (`_times_key`), and a sum adds the results in
   one {exponent: int} dict;
-* the product (`RatFrac.__mul__`) multiplies the two integer
-  numerators (`_int_mul`);
+* the product (`RatFrac.__mul__`) first divides each integer
+  numerator by the keys that only the other denominator has, then
+  multiplies the two (`_int_mul`); it never cancels over the product;
 * the cancellation divides the integer numerator by the factor keys
   themselves (`_int_divide`; `exact_poly_divide` wraps the same walk
   for MultiPoly arguments).
@@ -582,11 +583,21 @@ class RatFrac:
         other = self._coerce(other)
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
+        # both factors are reduced and every key is prime: a key of one
+        # denominator can cancel only against the other numerator, and a
+        # key in both denominators divides neither numerator
         a, da = _ints(self.num)
         b, db = _ints(other.num)
-        return RatFrac._make(*_reduced(
-            self.arity, _int_mul(a, b), da * db,
-            sorted(self.den_keys + other.den_keys)))
+        own_a, own_b = set(self.den_keys), set(other.den_keys)
+        b, left_a = _cancelled(b, [k for k in self.den_keys
+                                   if k not in own_b])
+        a, left_b = _cancelled(a, [k for k in other.den_keys
+                                   if k not in own_a])
+        shared = [k for k in self.den_keys + other.den_keys
+                  if k in own_a and k in own_b]
+        return RatFrac._make(
+            _from_ints(self.arity, _int_mul(a, b), da * db),
+            tuple(sorted(left_a + left_b + shared)))
 
     __rmul__ = __mul__
 
@@ -751,6 +762,14 @@ def _reduced(arity, terms, den, keys):
     `left` lists the factors that did not divide."""
     if not terms:
         return _poly(arity, {}), ()
+    terms, left = _cancelled(terms, keys)
+    return _from_ints(arity, terms, den), tuple(left)
+
+
+def _cancelled(terms, keys):
+    """(terms', left): the {exponent tuple: int} polynomial `terms`
+    divided by each factor of the sorted `keys` that divides it, and the
+    list of the factors that did not divide."""
     left = []
     failed = None
     for k in keys:
@@ -763,7 +782,7 @@ def _reduced(arity, terms, den, keys):
             failed = k
         else:
             terms = q
-    return _from_ints(arity, terms, den), tuple(left)
+    return terms, left
 
 
 def _renaming(images):

@@ -329,7 +329,7 @@ def solve_vkrv(n):
     def push_constant(b):
         _, _, _, bux, buy = words_mod.decompose(b)
         ok, got = words_mod.is_push_constant(buy - bux)
-        return ok and (got is None or got == b.coeff("x" * (n - 1) + "y"))
+        return ok and got == b.coeff("x" * (n - 1) + "y")
 
     return _solve("vkrv", n, None, vkrv_system(n), _combine_ncpoly, [
         ("push-invariant", words_mod.is_push_invariant),

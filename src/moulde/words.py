@@ -329,7 +329,8 @@ def is_push_neutral(f):
 
 
 def is_push_constant(f, c=None):
-    """Decide push-constance; returns (flag, c).
+    """Decide push-constance; returns (flag, c), and c is never None
+    when the flag is true.
 
     Per weight-homogeneous f of weight m: no y^m monomial, and every
     class of `push_classes` at each depth 1..m-1 where f has support

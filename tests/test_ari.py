@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import combinations
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +196,54 @@ def test_exp_log_roundtrip():
     A = _u({1: {(1,): 1}, 2: {(1, 1): F(1, 2)}}).with_cap(3)
     assert log_ari(exp_ari(A, 3), 3).eq(A)
     assert log_ari_bar(exp_ari_bar(swap(A), 3), 3).eq(swap(A))
+
+
+def oracle_log_ari(M, cap, pre=preari):
+    """The full-cap algorithm: exp_ari(L) at the whole cap for every r."""
+    M = M.with_cap(cap)
+    L = Mould(M.alphabet, {}, cap)
+    for r in range(1, cap + 1):
+        diff = M.get(r) - exp_ari(L, cap, pre=pre).get(r)
+        if not diff.is_zero():
+            L = L + Mould(M.alphabet, {r: diff}, cap)
+    return L
+
+
+def group_likes(alphabet):
+    """1 plus a random polynomial mould or one with poles (dar_inv), at
+    a cap of 2..5, with values in depths up to 3."""
+    return st.builds(
+        lambda M, poles, cap: (
+            Mould(alphabet, {0: RatFrac.const(0, 1)})
+            + (dar_inv(M) if poles else M)).with_cap(cap),
+        moulds(3, alphabet), st.booleans(), st.integers(2, 5))
+
+
+def _mould_json(M):
+    return json.dumps(mould.mould_to_json(M), sort_keys=True)
+
+
+@given(group_likes("U"))
+@settings(max_examples=20, deadline=None)
+def test_log_ari_agrees_with_full_cap_oracle(M):
+    L = log_ari(M, M.cap)
+    assert _mould_json(L) == _mould_json(oracle_log_ari(M, M.cap))
+    assert exp_ari(L, M.cap).eq(M)
+
+
+@given(group_likes("V"))
+@settings(max_examples=20, deadline=None)
+def test_log_ari_bar_agrees_with_full_cap_oracle(M):
+    L = log_ari_bar(M, M.cap)
+    assert _mould_json(L) == _mould_json(
+        oracle_log_ari(M, M.cap, pre=preari_bar))
+    assert exp_ari_bar(L, M.cap).eq(M)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_lopal_json_agrees_with_full_cap_oracle(cap):
+    want = oracle_log_ari(named_mould("pal", cap), cap)
+    assert _mould_json(named_mould("lopal", cap)) == _mould_json(want)
 
 
 def test_adjoint_exp_of_zero_is_identity():

@@ -104,6 +104,43 @@ def test_verify_xi_image_w5(psi_minus):
     assert report.all_true()
 
 
+@pytest.fixture(scope="module")
+def xi_inputs(w3, psi_minus):
+    return {"w3": ma(w3), "w5": ma(psi_minus)}
+
+
+@pytest.mark.parametrize("name", ["w3", "w5"])
+@pytest.mark.parametrize("D", [3, 4])
+def test_verify_xi_image_shares_the_goodfund_verdict(xi_inputs, name, D):
+    B = xi_inputs[name]
+    report = verify_xi_image(B, D)
+    assert report.stages["image"].eq(xi(B, D))
+    verdict = ari.goodfund_check(B.with_cap(D), D)
+    assert verdict is True
+    assert report.verdicts["fundamental_identity"] is verdict
+
+
+@pytest.mark.parametrize("name", ["w3", "w5"])
+def test_goodfund_refuses_a_perturbed_image(xi_inputs, name):
+    D = 4
+    N = xi_inputs[name].with_cap(D)
+    image = maps._adjoint_image(N, D)
+    assert ari._goodfund(N, image, D)
+    assert image.depths()
+    for r in image.depths():
+        bumped = Mould("U", {**image.values, r: image.get(r).scale(2)}, D)
+        assert not ari._goodfund(N, bumped, D), r
+
+
+@pytest.mark.parametrize("name", ["w3", "w5"])
+def test_verify_xi_image_depth5(xi_inputs, name):
+    report = verify_xi_image(xi_inputs[name], 5)
+    assert set(report.verdicts) == {
+        "precondition", "push_invariant", "alternal", "circ_neutral_star",
+        "in_ari_delta", "fundamental_identity"}
+    assert report.all_true()
+
+
 def test_verify_xi_image_bad_input(b3):
     report = verify_xi_image(ma(b3), 4)
     assert report.verdicts["precondition"] is False

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moulde.poly import (MultiPoly, RatFrac, _linear_factor_split, _renaming,
+from moulde.poly import (MultiPoly, RatFrac, _int_mul, _ints,
+                         _linear_factor_split, _reduced, _renaming,
                          exact_poly_divide, grlex_key, monomial_sum,
                          poly_to_text)
 
@@ -365,6 +366,67 @@ def test_sum_and_product_agree_with_evaluation(parts, pair, q, point):
     for f in (total, product, fracs[-3] + fracs[-2], fracs[-3] * fracs[-1]):
         _assert_reduced(f)
         assert list(f.den_keys) == sorted(f.den_keys)
+
+
+def _product_oracle(f, g):
+    """The product before cross-cancellation: multiply the integer
+    numerators, then `_reduced` over every key of both denominators."""
+    a, da = _ints(f.num)
+    b, db = _ints(g.num)
+    return RatFrac._make(*_reduced(f.arity, _int_mul(a, b), da * db,
+                                   sorted(f.den_keys + g.den_keys)))
+
+
+def _assert_product(f, g):
+    got, want = f * g, _product_oracle(f, g)
+    assert got.den_keys == want.den_keys and got.num == want.num
+    assert str(got) == str(want)
+    assert list(got.den_keys) == sorted(got.den_keys)
+    _assert_reduced(got)
+    return got
+
+
+def crossed_fractions():
+    """p * (numerator factors) / (denominator factors), reduced, with
+    both factor lists drawn from four of FACTORS: a key of one
+    denominator often divides another fraction's numerator, two
+    denominators often share a key, and keys repeat."""
+    factors = st.lists(st.sampled_from(FACTORS[:4]), max_size=3)
+    return st.tuples(polys(3, max_deg=2, max_terms=3, coeffs=rationals),
+                     factors, factors).map(
+        lambda t: RatFrac(reduce(mul, t[1], t[0]), t[2]))
+
+
+@given(crossed_fractions(), crossed_fractions())
+@settings(max_examples=300, deadline=None)
+def test_product_cancels_like_the_full_reduction(f, g):
+    _assert_product(f, g)
+    _assert_product(g, f)
+
+
+_x, _y, _z = (MultiPoly.variable(i, 3) for i in (1, 2, 3))
+
+
+@pytest.mark.parametrize("f, g, want", [
+    # a key of one denominator divides the other numerator
+    ((1, [_x]), (_x * _y, [_y + _z]), (_y, [_y + _z])),
+    # a shared key never cancels
+    ((1, [_x]), (_y, [_x]), (_y, [_x, _x])),
+    ((_y, [_x, _y + _z]), ((_y + _z) * _z, [_x]), (_y * _z, [_x, _x])),
+    # repeated keys cancel as far as the other numerator allows
+    ((1, [_x, _x, _x]), (_x * _x * _y, []), (_y, [_x])),
+    ((_y, [_x, _x, _x - _y]), (_x * (_x - _y) * (_x - _y), [_y + _z] * 2),
+     (_y * (_x - _y), [_x, _y + _z, _y + _z])),
+    # scalars in the numerators and a zero factor
+    ((_y.scale(F(2, 3)), [_x]), (_x.scale(F(-3, 4)), []),
+     (_y.scale(F(-1, 2)), [])),
+    ((MultiPoly.zero(3), []), (_y, [_x]), (MultiPoly.zero(3), [])),
+])
+def test_product_cancellation_cases(f, g, want):
+    f, g = (RatFrac(MultiPoly.const(3, p) if isinstance(p, int) else p, fs)
+            for p, fs in (f, g))
+    assert _assert_product(f, g) == RatFrac(*want)
+    assert _assert_product(g, f) == RatFrac(*want)
 
 
 @given(ratfracs(), renamings(), points)

@@ -179,6 +179,14 @@ def test_push_constant_agrees_with_oracle(f, c):
     assert is_push_constant(f) == oracle_is_push_constant(f)
 
 
+@given(push_polys(), st.one_of(st.none(), values))
+@settings(max_examples=300, deadline=None)
+def test_push_constant_true_flag_carries_a_constant(f, c):
+    # the callers compare the constant without a None case
+    for ok, got in (is_push_constant(f, c), is_push_constant(f)):
+        assert (got is not None) if ok else (got is None)
+
+
 @given(st.lists(push_polys(), max_size=3))
 @settings(max_examples=300, deadline=None)
 def test_push_neutral_agrees_with_oracle(parts):
