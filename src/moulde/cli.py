@@ -37,9 +37,8 @@ from . import mould as mould_mod
 from . import spaces as spaces_mod
 from . import words as words_mod
 from .maps import GateError
-from .poly import poly_to_text
 
-SPACES = ("lkv", "ls", "vkrv", "gr_krv", "krv_ell", "ds_ell")
+SPACES = (*spaces_mod.CELL_SOLVERS, "vkrv", "gr_krv")
 NAMED_MOULDS = ("pic", "poc", "lopil", "pil", "pal", "lopal")
 UNARY_OPS = {
     "swap": mould_mod.swap,
@@ -159,10 +158,7 @@ def cmd_basis(args, out):
     else:
         if args.r is None:
             raise UsageError("--r required for space %r" % args.space)
-        solver = {"lkv": spaces_mod.solve_lkv, "ls": spaces_mod.solve_ls,
-                  "krv_ell": spaces_mod.solve_krv_ell,
-                  "ds_ell": spaces_mod.solve_ds_ell}[args.space]
-        cell = solver(args.n, args.r)
+        cell = spaces_mod.CELL_SOLVERS[args.space](args.n, args.r)
     items = [_basis_item(b, args.format) for b in cell.basis]
     if args.format == "json":
         out.write(json.dumps({"space": cell.space, "n": cell.n, "r": cell.r,

@@ -99,6 +99,13 @@ def depth_sign(M):
     return -mould_mod.pari(M)
 
 
+def _space_gate(stage, space, b):
+    """Refuse b unless it passes every check of `spaces.checks(space)`."""
+    failed = spaces_mod.failed_check(space, b)
+    if failed is not None:
+        raise GateError(stage, "input is not %s" % failed)
+
+
 def _yn_adjust(b, n, c):
     """b + (c/n) y^n."""
     if c == 0:
@@ -135,10 +142,7 @@ def lkv_to_krv_ell(b):
     image, which is ma(b) multiplied per depth by u1...ur(u1+...+ur)."""
     if not words_mod.is_lie_element(b):
         raise GateError("lkv_to_krv_ell", "input is not a Lie element")
-    if not words_mod.is_push_invariant(b):
-        raise GateError("lkv_to_krv_ell", "input is not push-invariant")
-    if not words_mod.is_circ_neutral_poly(b):
-        raise GateError("lkv_to_krv_ell", "input is not circ-neutral")
+    _space_gate("lkv_to_krv_ell", "lkv", b)
     word_image = words_mod.lie_bracket(
         X, words_mod.substitute_letters(b, {"x": X, "y": _XY}))
     mould_image = mould_mod.delta_op(mould_mod.ma(b))
@@ -219,36 +223,21 @@ def _vkrv_gate(b, stage):
         raise GateError(stage, "input is not a Lie element")
     if not b.is_weight_homogeneous():
         raise GateError(stage, "input is not weight-homogeneous")
-    n = b.weight()
-    if not words_mod.is_push_invariant(b):
-        raise GateError(stage, "input is not push-invariant")
-    _, _, _, bux, buy = words_mod.decompose(b)
-    c = b.coeff("x" * (n - 1) + "y")
-    ok, got = words_mod.is_push_constant(buy - bux)
-    if not (ok and got == c):
-        raise GateError(stage, "b^y - b^x is not push-constant for "
-                               "(b | x^{n-1}y)")
-    return n
+    _space_gate(stage, "vkrv", b)
 
 
 def krv_section(b, D=4):
     """Section of krv into ma(krv_ell): Delta(xi(ma(nu(b)))) at depth D.
 
-    The input is gated as a V_krv element; the image is verified against
-    the krv_ell predicates (alternality, push-invariance and
-    *circ-neutral swap of the Delta-quotient)."""
+    The input is gated as a V_krv element, and the image is verified
+    against the krv_ell checks."""
     _vkrv_gate(b, "krv_section")
-    w = words_mod.nu_twist(b)
-    A = xi(mould_mod.ma(w), D)
-    image = mould_mod.delta_op(A).truncated(D)
-    quotient = mould_mod.delta_inv(image)
-    if not mould_mod.is_alternal(quotient):
-        raise MapVerificationError("krv_section", "alternality")
-    if not mould_mod.is_push_invariant(quotient):
-        raise MapVerificationError("krv_section", "push-invariance")
-    corr = mould_mod.star_correction(mould_mod.swap(quotient), "circ_neutral")
-    if corr is None:
-        raise MapVerificationError("krv_section", "*circ-neutrality")
+    image = mould_mod.delta_op(xi(mould_mod.ma(words_mod.nu_twist(b)), D))
+    # Delta is symmetric and push-invariant, so the image is alternal or
+    # push-invariant exactly when its Delta-quotient is
+    failed = spaces_mod.failed_check("krv_ell", image)
+    if failed is not None:
+        raise MapVerificationError("krv_section", failed)
     return image
 
 
@@ -301,10 +290,10 @@ def w_krv_gate(b):
 def square_check(n, D=4, w_krv_elements=None):
     """Instance checks of the ds_ell / krv_ell square at weight n.
 
-    Bottom row: every solver-produced ds_ell basis mould has a
-    Delta-quotient passing the krv_ell predicate suite (alternal,
-    push-invariant, *circ-neutral swap), and pari is an involution on it
-    (which is what makes the middle row an inclusion).
+    Bottom row: every solver-produced ds_ell basis mould passes the
+    krv_ell checks (a failure names the check as its witness), and pari
+    is an involution on it (which is what makes the middle row an
+    inclusion).
 
     Left column: for each supplied W_krv element w (weight-3 default
     nu(ad_x^2 y)), the adjoint image Ad_ari(invpal) . ma(w) lands in
@@ -316,14 +305,8 @@ def square_check(n, D=4, w_krv_elements=None):
         cell = spaces_mod.solve_ds_ell(n, r)
         for idx, P in enumerate(cell.basis):
             tag = "r%d_%d" % (r, idx)
-            quotient = mould_mod.delta_inv(P)
-            ok_krv = (mould_mod.is_alternal(P)
-                      and mould_mod.is_push_invariant(P)
-                      and (r == 1
-                           or mould_mod.star_correction(
-                               mould_mod.swap(quotient), "circ_neutral")
-                           is not None))
-            report.record("krv_ell_%s" % tag, ok_krv)
+            failed = spaces_mod.failed_check("krv_ell", P)
+            report.record("krv_ell_%s" % tag, failed is None, witness=failed)
             pp = mould_mod.pari(mould_mod.pari(P))
             report.record("pari_involution_%s" % tag, pp.eq(P))
             checked += 1

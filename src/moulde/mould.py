@@ -15,6 +15,9 @@ renaming, which `RatFrac.substitute_linear` does as an exponent
 shuffle.  `dar`, `delta_op` and their inverses multiply or divide each
 depth by a product of linear forms (`_times_forms`).
 
+`is_alternal`, `is_circ_neutral` and `star_correction` read the shuffle
+and cyclic sums from one walk each, `_shuffle_sums` and `_cycle_sums`.
+
 Circ-constance is decided from one helper, `circ_defects(M, n)`, which
 reads c off depth 1 and yields each depth's cyclic sum minus c times
 the all-monomials sum: `is_circ_constant` wants every defect zero and
@@ -65,10 +68,6 @@ class Mould:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, alphabet="U"):
-        return cls(alphabet, {})
-
-    @classmethod
     def constant(cls, alphabet, assignment, cap=None):
         """Constant-valued mould from {depth: scalar}."""
         vals = {r: RatFrac.const(r, c) for r, c in assignment.items() if c != 0}
@@ -88,9 +87,6 @@ class Mould:
         vals = {r: v for r, v in self.values.items()
                 if cap is None or r <= cap}
         return Mould(self.alphabet, vals, cap)
-
-    def truncated(self, cap):
-        return self.with_cap(_min_cap(self.cap, cap))
 
     def weight(self):
         """Homogeneous weight n (degree of depth-r part is n - r), or None."""
@@ -137,10 +133,10 @@ class Mould:
         return Mould(self.alphabet,
                      {r: v.scale(c) for r, v in self.values.items()}, self.cap)
 
-    def eq(self, other, up_to=None):
+    def eq(self, other):
         if self.alphabet != other.alphabet:
             return False
-        cap = _min_cap(_min_cap(self.cap, other.cap), up_to)
+        cap = _min_cap(self.cap, other.cap)
         depths = set(self.values) | set(other.values)
         for r in depths:
             if cap is not None and r > cap:
@@ -358,17 +354,17 @@ def shuffle_sum(value, r, i):
         r)
 
 
-def is_alternal(M, witness=False):
-    """Shuffle sums vanish in every depth >= 2 (void in depth 1)."""
-    for r in M.depths():
-        if r < 2:
-            continue
-        v = M.get(r)
+def _shuffle_sums(M):
+    """(r, C(r, i), shuffle sum Sh((1..i)(i+1..r)) of the depth-r value),
+    lazily for every depth r >= 2 of M and 1 <= i <= r/2."""
+    for r, v in sorted(M.values.items()):
         for i in range(1, r // 2 + 1):
-            s = shuffle_sum(v, r, i)
-            if not s.is_zero():
-                return (False, (r, i, s)) if witness else False
-    return (True, None) if witness else True
+            yield r, math.comb(r, i), shuffle_sum(v, r, i)
+
+
+def is_alternal(M):
+    """Shuffle sums vanish in every depth >= 2 (void in depth 1)."""
+    return all(s.is_zero() for _, _, s in _shuffle_sums(M))
 
 
 def is_push_invariant(M):
@@ -387,16 +383,19 @@ def circ_cycle_sum(M, r):
                         for k in range(r)], r)
 
 
+def _cycle_sums(M):
+    """(r, r, cyclic sum of the depth-r value), lazily for every depth
+    r >= 2 of M."""
+    for r in M.depths():
+        if r >= 2:
+            yield r, r, circ_cycle_sum(M, r)
+
+
 def is_circ_neutral(M):
     """Cyclic sums of every depth >= 2 vanish."""
     if M.alphabet != "V":
         raise AlphabetMismatch("circ-neutrality is a V-side predicate")
-    for r in M.depths():
-        if r < 2:
-            continue
-        if not circ_cycle_sum(M, r).is_zero():
-            return False
-    return True
+    return all(s.is_zero() for _, _, s in _cycle_sums(M))
 
 
 def circ_defects(M, n):
@@ -445,7 +444,7 @@ def is_senary(M):
     return T.eq(push(mantar(T)))
 
 
-def predicates(M, weight=None):
+def predicates(M):
     """Run the full predicate battery appropriate to M's alphabet."""
     report = {}
     if M.alphabet == "U":
@@ -457,7 +456,7 @@ def predicates(M, weight=None):
     else:
         report["alternal"] = is_alternal(M)
         report["circ_neutral"] = is_circ_neutral(M)
-        flag, c = is_circ_constant(M, weight)
+        flag, c = is_circ_constant(M)
         report["circ_constant"] = flag
         report["circ_constant_value"] = c
         report["mantar_invariant"] = is_mantar_invariant(M)
@@ -489,42 +488,20 @@ class ConstantMould:
 
 def star_correction(M, prop):
     """Per-depth constants kappa_r with M + kappa satisfying the property,
-    or None when constants cannot repair it.
-
-    circ_neutral: cyclic sum + r*kappa_r = 0, so the cyclic sum must be
-    a constant.  alternal: each shuffle sum + C(r,i)*kappa_r = 0 must
-    pin the same constant."""
-    if prop not in ("circ_neutral", "alternal"):
+    or None when constants cannot repair it: each sum s of the property
+    (k copies of kappa_r each) must be a constant, and all sums of depth
+    r must pin the same kappa_r = -s/k."""
+    sums = {"circ_neutral": _cycle_sums, "alternal": _shuffle_sums}.get(prop)
+    if sums is None:
         raise ValueError("unknown property %r" % prop)
-    out = {}
-    for r in M.depths():
-        if r < 2:
-            continue
-        if prop == "circ_neutral":
-            s = circ_cycle_sum(M, r)
-            if s.is_zero():
-                continue
-            if not s.is_polynomial() or not s.num.is_constant():
-                return None
-            out[r] = -s.num.constant_value() / r
-        else:
-            kappa = None
-            v = M.get(r)
-            for i in range(1, r // 2 + 1):
-                s = shuffle_sum(v, r, i)
-                if s.is_zero():
-                    k = Fraction(0)
-                elif s.is_polynomial() and s.num.is_constant():
-                    k = -s.num.constant_value() / math.comb(r, i)
-                else:
-                    return None
-                if kappa is None:
-                    kappa = k
-                elif kappa != k:
-                    return None
-            if kappa:
-                out[r] = kappa
-    return ConstantMould(out)
+    kappa = {}
+    for r, k, s in sums(M):
+        if not (s.is_polynomial() and s.num.is_constant()):
+            return None
+        value = -s.num.constant_value() / k
+        if kappa.setdefault(r, value) != value:
+            return None
+    return ConstantMould(kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -865,20 +865,18 @@ def _linear_candidates(terms, arity):
 # Text form
 # ---------------------------------------------------------------------------
 
-def poly_to_text(p, names=None):
+def poly_to_text(p):
     """Render as e.g. "1 * x1^2 x2 - 1/3 * x2^3"; "0" for zero."""
     if p.is_zero():
         return "0"
-    if names is None:
-        names = ["x%d" % (i + 1) for i in range(p.arity)]
     parts = []
     for expv, c in p.sorted_terms():
         factors = []
-        for i, e in enumerate(expv):
+        for i, e in enumerate(expv, 1):
             if e == 1:
-                factors.append(names[i])
+                factors.append("x%d" % i)
             elif e > 1:
-                factors.append("%s^%d" % (names[i], e))
+                factors.append("x%d^%d" % (i, e))
         body = " ".join(factors)
         mag = abs(c)
         cs = str(mag)

@@ -13,6 +13,10 @@ conditions into an exact rational matrix, and `_solve` takes its
 nullspace and re-verifies every basis element against the defining
 predicates of the space, raising `VerificationError` on a failure.
 
+The defining predicates of each space are written once, in `checks`;
+the solvers and the maps that land in a space read them through
+`failed_check`.  `CELL_SOLVERS` holds the (n, r) cell solvers.
+
 Spaces:
   lkv      push-invariant, circ-neutral Lie elements (depth-graded)
   ls       alternal moulds with alternal swap, even in depth 1
@@ -143,12 +147,12 @@ def _assemble(parameters, conditions, constant=False):
     return ConstraintSystem(parameters, rows, keys)
 
 
-def _solve(space, n, r, system, combine, checks, constant=None):
+def _solve(space, n, r, system, combine, constant=None):
     """Basis of `space` from the nullspace of `system`.
 
     Each null vector is combined into an element, which must pass every
-    (name, predicate) in `checks`.  With `constant`, extras[constant]
-    lists each element's adjoined constant (0 without a "c" column)."""
+    check of `checks(space)`.  With `constant`, extras[constant] lists
+    each element's adjoined constant (0 without a "c" column)."""
     params = system.parameters
     adjoined = constant is not None and params[-1:] == ["c"]
     if adjoined:
@@ -156,9 +160,9 @@ def _solve(space, n, r, system, combine, checks, constant=None):
     basis, constants = [], []
     for v in system.null_vectors():
         element = combine(params, v)
-        for name, holds in checks:
-            if not holds(element):
-                raise VerificationError(space, n, r, name)
+        failed = failed_check(space, element)
+        if failed is not None:
+            raise VerificationError(space, n, r, failed)
         basis.append(element)
         constants.append(v[-1] if adjoined else _ZERO)
     extras = {constant: constants} if constant is not None else None
@@ -221,6 +225,37 @@ def _star(prop):
         mould_mod.swap(mould_mod.delta_inv(M)), prop) is not None
 
 
+def _push_constant(b):
+    """b^y - b^x is push-constant for the value (b | x^{n-1} y)."""
+    _, _, _, bux, buy = words_mod.decompose(b)
+    ok, got = words_mod.is_push_constant(buy - bux)
+    return ok and got == b.coeff("x" * (b.weight() - 1) + "y")
+
+
+def checks(space):
+    """The (name, predicate) pairs that define `space`, built on each
+    call so that every predicate is looked up in its module when it runs."""
+    alternal = ("alternal", mould_mod.is_alternal)
+    even = ("even in depth 1", _even_in_depth1)
+    lie_push = ("push-invariant", words_mod.is_push_invariant)
+    return {
+        "lkv": [lie_push, ("circ-neutral", words_mod.is_circ_neutral_poly)],
+        "ls": [alternal, ("swap-alternal", lambda M: mould_mod.is_alternal(
+            mould_mod.swap(M))), even],
+        "vkrv": [lie_push, ("push-constant", _push_constant)],
+        "krv_ell": [alternal,
+                    ("push-invariant", mould_mod.is_push_invariant),
+                    ("*circ-neutral", _star("circ_neutral"))],
+        "ds_ell": [alternal, even, ("*alternal", _star("alternal"))],
+    }[space]
+
+
+def failed_check(space, element):
+    """The name of the first check of `space` that `element` fails, or None."""
+    return next((name for name, holds in checks(space)
+                 if not holds(element)), None)
+
+
 def _exp_tuples(d, r):
     """Exponent tuples of length r with total degree d, grlex order."""
     if d < 0:
@@ -268,9 +303,7 @@ def solve_lkv(n, r):
     and each basis element is the `ma_inverse` of an alternal one."""
     if not (n >= 3 and 1 <= r <= n - 1):
         return BigradedBasis("lkv", n, r, [])
-    return _solve("lkv", n, r, lkv_system(n, r), _combine_lie, [
-        ("push-invariant", words_mod.is_push_invariant),
-        ("circ-neutral", words_mod.is_circ_neutral_poly)])
+    return _solve("lkv", n, r, lkv_system(n, r), _combine_lie)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +324,7 @@ def solve_ls(n, r):
     n >= 3 and depth 1 <= r <= n - 1."""
     if not (n >= 3 and 1 <= r <= n - 1):
         return BigradedBasis("ls", n, r, [])
-    return _solve("ls", n, r, ls_system(n, r), _combine_mould, [
-        ("alternal", mould_mod.is_alternal),
-        ("swap-alternal", lambda M: mould_mod.is_alternal(mould_mod.swap(M))),
-        ("even in depth 1", _even_in_depth1)])
+    return _solve("ls", n, r, ls_system(n, r), _combine_mould)
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +355,7 @@ def solve_vkrv(n):
     b^y - b^x is push-constant for the value (b | x^{n-1} y)."""
     if n < 3:
         return BigradedBasis("vkrv", n, None, [])
-
-    def push_constant(b):
-        _, _, _, bux, buy = words_mod.decompose(b)
-        ok, got = words_mod.is_push_constant(buy - bux)
-        return ok and got == b.coeff("x" * (n - 1) + "y")
-
-    return _solve("vkrv", n, None, vkrv_system(n), _combine_ncpoly, [
-        ("push-invariant", words_mod.is_push_invariant),
-        ("push-constant", push_constant)])
+    return _solve("vkrv", n, None, vkrv_system(n), _combine_ncpoly)
 
 
 @lru_cache(maxsize=1)
@@ -375,11 +397,8 @@ def solve_krv_ell(n, r):
     u1...ur(u1+...+ur)."""
     if not 1 <= r <= n:
         return BigradedBasis("krv_ell", n, r, [])
-    return _solve("krv_ell", n, r, krv_ell_system(n, r), _combine_mould, [
-        ("alternal", mould_mod.is_alternal),
-        ("push-invariant", mould_mod.is_push_invariant),
-        ("*circ-neutral", _star("circ_neutral"))],
-        constant="circ_constants")
+    return _solve("krv_ell", n, r, krv_ell_system(n, r), _combine_mould,
+                  constant="circ_constants")
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +422,16 @@ def solve_ds_ell(n, r):
     and swap alternal up to a constant mould."""
     if not 1 <= r <= n:
         return BigradedBasis("ds_ell", n, r, [])
-    return _solve("ds_ell", n, r, ds_ell_system(n, r), _combine_mould, [
-        ("alternal", mould_mod.is_alternal),
-        ("even in depth 1", _even_in_depth1),
-        ("*alternal", _star("alternal"))],
-        constant="alternal_constants")
+    return _solve("ds_ell", n, r, ds_ell_system(n, r), _combine_mould,
+                  constant="alternal_constants")
 
 
 # ---------------------------------------------------------------------------
 # Dimension tables
 # ---------------------------------------------------------------------------
 
-_SOLVERS = {
-    "lkv": lambda n, r: solve_lkv(n, r).dim,
-    "ls": lambda n, r: solve_ls(n, r).dim,
-    "gr_krv": solve_gr_krv,
-    "krv_ell": lambda n, r: solve_krv_ell(n, r).dim,
-    "ds_ell": lambda n, r: solve_ds_ell(n, r).dim,
-}
+CELL_SOLVERS = {"lkv": solve_lkv, "ls": solve_ls, "krv_ell": solve_krv_ell,
+                "ds_ell": solve_ds_ell}
 
 
 class DimensionTable:
@@ -457,9 +468,14 @@ class DimensionTable:
 
 
 def dimension_table(space, n_range, r_range):
-    """Exact dimension grid over n_range x r_range."""
-    if space not in _SOLVERS:
+    """Exact dimension grid over n_range x r_range of gr_krv or of a
+    space of `CELL_SOLVERS`."""
+    if space == "gr_krv":
+        dim = solve_gr_krv
+    elif space in CELL_SOLVERS:
+        def dim(n, r):
+            return CELL_SOLVERS[space](n, r).dim
+    else:
         raise ValueError("unknown space %r" % space)
-    solver = _SOLVERS[space]
     cells = sorted((n, r) for n in n_range for r in r_range)
-    return DimensionTable(space, [(n, r, solver(n, r)) for n, r in cells])
+    return DimensionTable(space, [(n, r, dim(n, r)) for n, r in cells])

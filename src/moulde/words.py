@@ -16,6 +16,7 @@ the C-monomials on integers by one helper, `_c_monomial_ints`.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -667,19 +668,18 @@ def _c_monomial_ints(a, monomials):
 # Lyndon basis
 # ---------------------------------------------------------------------------
 
-def lyndon_words(n, alphabet="xy"):
-    """All Lyndon words of length n (Duval's algorithm)."""
-    k = len(alphabet)
+def lyndon_words(n):
+    """All Lyndon words of length n over x < y (Duval's algorithm)."""
     out = []
     w = [-1]
     while w:
         w[-1] += 1
         m = len(w)
         if m == n:
-            out.append("".join(alphabet[i] for i in w))
+            out.append("".join("xy"[i] for i in w))
         while len(w) < n:
             w.append(w[len(w) - m])
-        while w and w[-1] == k - 1:
+        while w and w[-1] == 1:
             w.pop()
     return sorted(w for w in out if len(w) == n)
 
@@ -724,62 +724,27 @@ def ncpoly_to_text(f):
     return " ".join(parts)
 
 
+_COEF, _WORD = r"(\d+(?:/\d+)?)", r"([xy]+|1)"
+_TERM = re.compile(r"\s*([+-]?)\s*(?:%s\s*\*\s*%s|%s|%s)\s*"
+                   % (_COEF, _WORD, _COEF, _WORD))
+
+
 def ncpoly_from_text(s):
-    """Parse the text form; raises ValueError with an offset on errors."""
-    terms = {}
-    i, n = 0, len(s)
-    sign = 1
-    expect_term = True
-    while i < n:
-        if s[i].isspace():
-            i += 1
-            continue
-        if s[i] in "+-":
-            sign = 1 if s[i] == "+" else -1
-            i += 1
-            expect_term = True
-            continue
-        # a term: [coefficient *] word  or a bare rational (constant)
-        j = i
-        while j < n and (s[j].isdigit() or s[j] == "/"):
-            j += 1
-        if j > i:
-            try:
-                coeff = Fraction(s[i:j])
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("bad coefficient at offset %d" % i)
-            i = j
-            while i < n and s[i].isspace():
-                i += 1
-            if i < n and s[i] == "*":
-                i += 1
-                while i < n and s[i].isspace():
-                    i += 1
-                j = i
-                while j < n and not s[j].isspace() and s[j] not in "+-":
-                    j += 1
-                word = s[i:j]
-                if word == "1":
-                    word = ""
-                elif any(ch not in "xy" for ch in word):
-                    raise ValueError("bad word at offset %d" % i)
-                i = j
-            else:
-                word = ""
-        else:
-            j = i
-            while j < n and not s[j].isspace() and s[j] not in "+-":
-                j += 1
-            word = s[i:j]
-            if word == "1":
-                word = ""
-            elif not word or any(ch not in "xy" for ch in word):
-                raise ValueError("bad term at offset %d" % i)
-            coeff = Fraction(1)
-            i = j
-        terms[word] = terms.get(word, Fraction(0)) + sign * coeff
-        sign = 1
-        expect_term = False
-    if expect_term and terms:
-        raise ValueError("dangling sign at end of input")
+    """Parse the text form: terms COEF*WORD, COEF or WORD, with COEF an
+    integer or a fraction n/m and WORD a word in x, y or 1 (the empty
+    word), and a sign before every term after the first.  Empty text is
+    0; anything else raises ValueError with an offset."""
+    terms, i, end = {}, 0, len(s.rstrip())
+    while i < end:
+        m = _TERM.match(s, i)
+        if m is None or (i and not m.group(1)):
+            raise ValueError("bad term at offset %d" % i)
+        sign, coeff, word, const, bare = m.groups()
+        try:
+            c = Fraction(coeff or const or 1)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator at offset %d" % i) from None
+        w = (word or bare or "").replace("1", "")
+        terms[w] = terms.get(w, Fraction(0)) + (-c if sign == "-" else c)
+        i = m.end()
     return NCPoly(terms)

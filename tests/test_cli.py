@@ -314,7 +314,7 @@ def test_map_verification_error_exit_code(tmp_path, monkeypatch, b3):
     code, out, err = _run(["section", "--input", path, "--depth", "3"])
     assert code == 3 and out == ""
     assert err == ("internal error: MapVerificationError: krv_section: "
-                   "image fails push-invariance\n")
+                   "image fails push-invariant\n")
 
 
 V_MOULD = '{"alphabet":"V","depths":{"1":{"num":[["1",[2]]]}}}'
@@ -328,6 +328,8 @@ BAD_INPUT = {
                     "senary is a U-side predicate"),
     "word-outside-C-span": (["check"], "in.txt", "1*yx",
                             "leading word 'yx' not of C-monomial form"),
+    "malformed-word-polynomial": (["check"], "in.txt", "2x",
+                                  "bad term at offset 1"),
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from moulde import ari, maps, mould, words
+from moulde import ari, maps, mould, spaces, words
 from moulde.maps import (GateError, MapVerificationError, PipelineReport,
                          depth_sign, is_anti_palindromic, krv_section,
                          lkv_to_krv_ell, square_check,
@@ -13,6 +13,10 @@ from moulde.maps import (GateError, MapVerificationError, PipelineReport,
 from moulde.mould import Mould, delta_inv, delta_op, ma, swap
 from moulde.poly import MultiPoly
 from moulde.words import NCPoly, X, Y, lie_bracket
+
+
+def _check_names(space):
+    return [name for name, _ in spaces.checks(space)]
 
 
 # -- helpers -----------------------------------------------------------------
@@ -77,6 +81,18 @@ def test_lkv_to_krv_ell_route_mismatch_is_typed(b3, monkeypatch):
     with pytest.raises(MapVerificationError) as info:
         lkv_to_krv_ell(b3)
     assert info.value.stage == "lkv_to_krv_ell"
+
+
+@pytest.mark.parametrize("predicate, check", [
+    ("is_push_invariant", "push-invariant"),
+    ("is_circ_neutral_poly", "circ-neutral")])
+def test_lkv_to_krv_ell_names_the_failed_lkv_check(b3, monkeypatch,
+                                                  predicate, check):
+    monkeypatch.setattr(words, predicate, lambda f: False)
+    with pytest.raises(GateError) as info:
+        lkv_to_krv_ell(b3)
+    assert str(info.value) == "lkv_to_krv_ell: input is not %s" % check
+    assert check in _check_names("lkv")
 
 
 # -- xi ----------------------------------------------------------------------
@@ -160,9 +176,9 @@ def test_krv_section_gates(b3):
 
 
 @pytest.mark.parametrize("name, skip, fail, check", [
-    ("is_alternal", 1, False, "alternality"),  # xi's gate calls it first
-    ("is_push_invariant", 0, False, "push-invariance"),
-    ("star_correction", 0, None, "*circ-neutrality"),
+    ("is_alternal", 1, False, "alternal"),  # xi's gate calls it first
+    ("is_push_invariant", 0, False, "push-invariant"),
+    ("star_correction", 0, None, "*circ-neutral"),
 ])
 def test_krv_section_check_failure_is_typed(b3, monkeypatch, name, skip,
                                             fail, check):
@@ -176,6 +192,19 @@ def test_krv_section_check_failure_is_typed(b3, monkeypatch, name, skip,
     with pytest.raises(MapVerificationError) as info:
         krv_section(b3, 4)
     assert (info.value.stage, info.value.check) == ("krv_section", check)
+    assert check in _check_names("krv_ell")
+
+
+@pytest.mark.parametrize("predicate, fake, check", [
+    ("is_push_invariant", False, "push-invariant"),
+    ("is_push_constant", (False, None), "push-constant")])
+def test_krv_section_gate_names_the_failed_vkrv_check(b3, monkeypatch,
+                                                     predicate, fake, check):
+    monkeypatch.setattr(words, predicate, lambda *args: fake)
+    with pytest.raises(GateError) as info:
+        krv_section(b3, 4)
+    assert str(info.value) == "krv_section: input is not %s" % check
+    assert check in _check_names("vkrv")
 
 
 def test_krv_section_weight5(psi_minus):
@@ -235,6 +264,29 @@ def test_square_check_n5(psi_minus):
     report = square_check(5, D=4, w_krv_elements=[psi_minus])
     assert report.all_true([k for k in report.verdicts if k != "vacuous"])
     assert not report.verdicts["vacuous"]
+
+
+def _fail_star(prop):
+    """star_correction failing for `prop` only."""
+    real = mould.star_correction
+    return lambda M, p: None if p == prop else real(M, p)
+
+
+# the ds_ell solver that square_check runs first needs *alternality and
+# evenness in depth 1, so the fakes leave both alone
+@pytest.mark.parametrize("predicate, fake, check", [
+    ("is_push_invariant", lambda M: M.depths() == [1], "push-invariant"),
+    ("star_correction", _fail_star("circ_neutral"), "*circ-neutral")],
+    ids=["is_push_invariant", "star_correction"])
+def test_square_check_names_the_failed_krv_ell_check(monkeypatch, predicate,
+                                                     fake, check):
+    monkeypatch.setattr(mould, predicate, fake)
+    report = square_check(5, D=4)
+    tags = [k for k in report.verdicts
+            if k.startswith("krv_ell_") and not k.startswith("krv_ell_r1_")]
+    assert tags and not any(report.verdicts[k] for k in tags)
+    assert {report.witnesses[k] for k in tags} == {check}
+    assert check in _check_names("krv_ell")
 
 
 # -- report plumbing ---------------------------------------------------------

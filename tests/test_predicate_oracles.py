@@ -1,12 +1,15 @@
-"""Push-class and circ-class predicates against their earlier bodies.
+"""Push-class, circ-class and sum predicates against their earlier bodies.
 
 `words.is_push_neutral`, `words.is_push_constant` and
 `mould.is_circ_constant` decide membership through `words.push_classes`
-and `mould.circ_defects`.  The oracles below are the earlier,
+and `mould.circ_defects`; `mould.is_alternal`, `mould.is_circ_neutral`
+and `mould.star_correction` read their sums from `mould._shuffle_sums`
+and `mould._cycle_sums`.  The oracles below are the earlier,
 hand-written orbit walks and depth loops, kept verbatim in substance;
 the new versions must give the same flag and the same constant.
 """
 
+import math
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -14,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moulde.mould import AlphabetMismatch, Mould, circ_cycle_sum, \
-    circ_defects, is_circ_constant
+from moulde import mould
+from moulde.mould import AlphabetMismatch, ConstantMould, Mould, \
+    circ_cycle_sum, circ_defects, is_alternal, is_circ_constant, \
+    is_circ_neutral, star_correction
 from moulde.poly import MultiPoly, RatFrac, compositions, monomial_sum
 from moulde.words import NCPoly, is_push_constant, is_push_neutral, \
-    push_classes, push_orbit
+    lyndon_lie_basis, push_classes, push_orbit
 
 
 # -- oracles -----------------------------------------------------------------
@@ -106,6 +111,66 @@ def oracle_is_circ_constant(M, weight=None):
     return True, c
 
 
+# The sum oracles call the sums through the module, so a test can patch
+# them.
+
+def oracle_is_alternal(M):
+    for r in M.depths():
+        if r < 2:
+            continue
+        v = M.get(r)
+        for i in range(1, r // 2 + 1):
+            s = mould.shuffle_sum(v, r, i)
+            if not s.is_zero():
+                return False
+    return True
+
+
+def oracle_is_circ_neutral(M):
+    if M.alphabet != "V":
+        raise AlphabetMismatch("circ-neutrality is a V-side predicate")
+    for r in M.depths():
+        if r < 2:
+            continue
+        if not mould.circ_cycle_sum(M, r).is_zero():
+            return False
+    return True
+
+
+def oracle_star_correction(M, prop):
+    if prop not in ("circ_neutral", "alternal"):
+        raise ValueError("unknown property %r" % prop)
+    out = {}
+    for r in M.depths():
+        if r < 2:
+            continue
+        if prop == "circ_neutral":
+            s = mould.circ_cycle_sum(M, r)
+            if s.is_zero():
+                continue
+            if not s.is_polynomial() or not s.num.is_constant():
+                return None
+            out[r] = -s.num.constant_value() / r
+        else:
+            kappa = None
+            v = M.get(r)
+            for i in range(1, r // 2 + 1):
+                s = mould.shuffle_sum(v, r, i)
+                if s.is_zero():
+                    k = F(0)
+                elif s.is_polynomial() and s.num.is_constant():
+                    k = -s.num.constant_value() / math.comb(r, i)
+                else:
+                    return None
+                if kappa is None:
+                    kappa = k
+                elif kappa != k:
+                    return None
+            if kappa:
+                out[r] = kappa
+    return ConstantMould(out)
+
+
 # -- strategies --------------------------------------------------------------
 
 values = st.sampled_from([F(0), F(1), F(-1), F(2, 3)])
@@ -168,6 +233,53 @@ def circ_moulds(draw, max_weight=6):
             terms = g
         vals[r] = MultiPoly(r, terms)
     return Mould("V", vals)
+
+
+LIE = {n: lyndon_lie_basis(n) for n in range(2, 6)}
+
+
+@st.composite
+def values_in(draw, r, degree):
+    """A depth-r value of the given degree with small coefficients, over
+    a pole x1 + ... + x_k when one is drawn."""
+    exps = sorted(compositions(degree, r))
+    p = MultiPoly(r, {e: draw(small) for e in draw(
+        st.sets(st.sampled_from(exps), min_size=1, max_size=3))})
+    k = draw(st.integers(0, r))
+    if not k:
+        return RatFrac.from_poly(p)
+    return RatFrac(p, (sum(mould._vars(r)[:k], MultiPoly.zero(r)),))
+
+
+@st.composite
+def sum_moulds(draw):
+    """A U- or V-mould in depths 1..4 with or without poles, drawn so
+    that its shuffle and cyclic sums often vanish or are constants.
+
+    The parts, each drawn or not: ma of a Lie combination, alternal with
+    polynomial values, divided by Delta for poles (Delta is symmetric,
+    so alternality stays); g - rot(g) in a depth, whose cyclic sum is
+    zero; a constant per depth; a random value in one depth."""
+    parts = [Mould("U", {})]
+    if draw(st.booleans()):
+        f = NCPoly.zero()
+        for n, basis in LIE.items():
+            for b in basis:
+                if draw(st.integers(0, 2)) == 0:
+                    f = f + b.scale(draw(small))
+        A = mould.ma(f)
+        parts.append(mould.delta_inv(A) if draw(st.booleans()) else A)
+    for r in draw(st.sets(st.integers(2, 4), max_size=2)):
+        g = draw(values_in(r, draw(st.integers(0, 2))))
+        xs = mould._vars(r)
+        parts.append(Mould("U", {r: g - g.substitute_linear(xs[1:] + xs[:1])}))
+    parts.append(Mould.constant("U", draw(st.dictionaries(
+        st.integers(1, 4), values, max_size=4))))
+    if draw(st.integers(0, 3)) == 0:
+        r = draw(st.integers(1, 4))
+        parts.append(Mould("U", {r: draw(values_in(r, draw(
+            st.integers(0, 2))))}))
+    return Mould(draw(st.sampled_from("UV")), Mould.sum(parts).values)
 
 
 # -- agreement ---------------------------------------------------------------
@@ -252,3 +364,46 @@ def test_push_classes_partition_the_words():
             found = [w for o in orbits for w in sorted(set(o))]
             assert sorted(found) == sorted(_words_of(m, r))
             assert all(o == push_orbit(o[0]) for o in orbits)
+
+
+@given(sum_moulds())
+@settings(max_examples=150, deadline=None)
+def test_alternal_and_its_star_agree_with_oracles(M):
+    assert is_alternal(M) == oracle_is_alternal(M)
+    assert star_correction(M, "alternal") \
+        == oracle_star_correction(M, "alternal")
+
+
+@given(sum_moulds())
+@settings(max_examples=150, deadline=None)
+def test_circ_neutral_and_its_star_agree_with_oracles(M):
+    if M.alphabet == "V":
+        assert is_circ_neutral(M) == oracle_is_circ_neutral(M)
+    else:
+        for predicate in (is_circ_neutral, oracle_is_circ_neutral):
+            with pytest.raises(AlphabetMismatch):
+                predicate(M)
+    assert star_correction(M, "circ_neutral") \
+        == oracle_star_correction(M, "circ_neutral")
+
+
+@pytest.mark.parametrize("pinned, expected", [
+    (math.comb, {4: F(-1)}),     # every sum of depth 4 pins kappa_4 = -1
+    (lambda r, i: i, None),      # i = 1 pins -1/4, i = 2 pins -1/3
+])
+def test_star_alternal_wants_one_constant_per_depth(monkeypatch, pinned,
+                                                    expected):
+    # No mould has constant shuffle sums that pin different constants:
+    # summing Sh_i(f) = c_i over all permutations of the variables gives
+    # r! c_i = C(r, i) Sym(f).  So the sums themselves are patched.
+    monkeypatch.setattr(mould, "shuffle_sum",
+                        lambda v, r, i: RatFrac.const(r, pinned(r, i)))
+    M = Mould("U", {4: MultiPoly(4, {(1, 0, 0, 0): F(1)})})
+    got = star_correction(M, "alternal")
+    assert got == oracle_star_correction(M, "alternal")
+    assert (None if got is None else got.values) == expected
+
+
+def test_star_correction_refuses_an_unknown_property():
+    with pytest.raises(ValueError):
+        star_correction(Mould("U", {}), "senary")

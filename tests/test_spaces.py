@@ -469,33 +469,43 @@ def test_depth_above_weight_is_the_empty_system(system, n, r):
 
 # -- verification -----------------------------------------------------------
 
-# (space, the predicate patched to fail, the name of its check)
+# (space, a cell with a nonempty basis, the predicate patched to fail,
+# the value it then returns, the name of the check that fails)
 FAILING_CHECKS = pytest.mark.parametrize(
-    "space, predicate, check",
-    [("ls", "mould.is_alternal", "alternal"),
-     ("lkv", "words.is_push_invariant", "push-invariant")],
-    ids=["solve_ls", "solve_lkv"])
+    "space, cell, predicate, fake, check",
+    [("ls", (8, 2), "mould.is_alternal", False, "alternal"),
+     ("lkv", (8, 2), "words.is_push_invariant", False, "push-invariant"),
+     ("vkrv", (5,), "words.is_push_constant", (False, None),
+      "push-constant"),
+     ("krv_ell", (5, 2), "mould.star_correction", None, "*circ-neutral"),
+     ("ds_ell", (7, 1), "mould.is_push_invariant", False,
+      "even in depth 1")],
+    ids=["solve_ls", "solve_lkv", "solve_vkrv", "solve_krv_ell",
+         "solve_ds_ell"])
 
 
 @FAILING_CHECKS
-def test_failed_check_raises_verification_error(monkeypatch, space,
-                                                predicate, check):
-    monkeypatch.setattr("moulde." + predicate, lambda f: False)
+def test_failed_check_raises_verification_error(monkeypatch, space, cell,
+                                                predicate, fake, check):
+    monkeypatch.setattr("moulde." + predicate, lambda *args: fake)
     with pytest.raises(VerificationError) as info:
-        getattr(spaces, "solve_" + space)(8, 2)
+        getattr(spaces, "solve_" + space)(*cell)
+    n, r = cell if len(cell) == 2 else (cell[0], None)
     assert (info.value.space, info.value.n, info.value.r,
-            info.value.check) == (space, 8, 2, check)
+            info.value.check) == (space, n, r, check)
+    assert check in [name for name, _ in spaces.checks(space)]
 
 
 @FAILING_CHECKS
-def test_verification_survives_optimize_flag(space, predicate, check):
+def test_verification_survives_optimize_flag(space, cell, predicate, fake,
+                                             check):
     script = (
         "from moulde import mould, spaces, words\n"
-        "%s = lambda f: False\n"
+        "%s = lambda *args: %r\n"
         "try:\n"
-        "    spaces.solve_%s(8, 2)\n"
+        "    spaces.solve_%s%r\n"
         "except spaces.VerificationError as e:\n"
-        "    print(__debug__, e.check)\n" % (predicate, space))
+        "    print(__debug__, e.check)\n" % (predicate, fake, space, cell))
     src = os.path.dirname(os.path.dirname(os.path.abspath(moulde.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -270,9 +270,15 @@ def test_text_roundtrip_random(f):
 
 
 def test_text_parse_error():
-    try:
-        ncpoly_from_text("1*xz")
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected a parse error")
+    # every term after the first needs a sign; a term is COEF * WORD,
+    # COEF or WORD, and nothing else is read
+    for text in ["1*xz", "x--y", "2x", "x y", "2*", "2 * ", "x+", "1/0"]:
+        with pytest.raises(ValueError, match="offset"):
+            ncpoly_from_text(text)
+
+
+def test_text_parse_forms():
+    assert ncpoly_from_text("") == ncpoly_from_text("  ") == NCPoly.zero()
+    assert ncpoly_from_text("0") == NCPoly.zero()
+    assert ncpoly_from_text(" -x + 2 * xy - 1/2*1 + 3") \
+        == NCPoly({"x": F(-1), "xy": F(2), "": F(5, 2)})
