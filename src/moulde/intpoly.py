@@ -1,0 +1,206 @@
+"""The integer kernels under `moulde.poly`: {exponent tuple: int}
+polynomials with no zero coefficient, and linear-form keys (see the
+`moulde.poly` docstring)."""
+
+from __future__ import annotations
+
+from functools import lru_cache
+import math
+from operator import add, itemgetter, sub
+
+
+def _int_mul(a, b):
+    """Product of two {exponent tuple: int} polynomials."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _times_key(terms, key):
+    """The {exponent tuple: int} polynomial `terms` times the factor of
+    `key`: each term shifts up by one in every variable of the key."""
+    units = [(i, c) for i, c in enumerate(key) if c]
+    out = {}
+    for e, v in terms.items():
+        for i, c in units:
+            te = list(e)
+            te[i] += 1
+            te = tuple(te)
+            out[te] = out.get(te, 0) + v * c
+    return {e: v for e, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def _unit(i, arity):
+    """Exponent tuple of x_{i+1} in `arity` variables."""
+    return tuple(1 if j == i else 0 for j in range(arity))
+
+
+def _int_divide(terms, key):
+    """q with terms = q * g for the factor g of `key`, on integers, or
+    None when g does not divide `terms`, an {exponent tuple: int}
+    polynomial with no zero coefficient.
+
+    A multiple of g vanishes on the hyperplane g = 0, so terms that do
+    not vanish at one integer point of it are refused at once; most
+    tries of a cancellation end there.  Otherwise this is a synthetic
+    division in one pivot variable x = x_p: write g = a x + rest and
+    terms = sum_k x^k N_k with N_k free of x; the quotient's parts are
+    Q_{k-1} = (N_k - rest Q_k) / a, walked down once from the top pivot
+    degree.  The key is primitive, so by Gauss's lemma an exact quotient
+    of an integral polynomial is integral: the walk stops at the first
+    coefficient that a does not divide, and g divides exactly when
+    nothing is left in pivot degree 0."""
+    if not terms:
+        return terms
+    arity = len(key)
+    p = max((i for i, c in enumerate(key) if c),
+            key=lambda i: (abs(key[i]) == 1, i))
+    a = key[p]
+    # x_j = a (j + 2) off the pivot, and x_p solves g = 0
+    point = [a * (j + 2) for j in range(arity)]
+    point[p] = -sum(c * (j + 2) for j, c in enumerate(key) if j != p)
+    if sum(v * math.prod(map(pow, point, e)) for e, v in terms.items()):
+        return None
+    down = _unit(p, arity)
+    # the term rest * (c/a) x^(e - down) lands on e - down + unit_j
+    rest = [(tuple(u - d for u, d in zip(_unit(j, arity), down)), -c)
+            for j, c in enumerate(key) if c and j != p]
+    buckets = {}
+    for e, c in terms.items():
+        buckets.setdefault(e[p], {})[e] = c
+    q = {}
+    for k in range(max(buckets), 0, -1):
+        upper = buckets.get(k)
+        if not upper:
+            continue
+        lower = buckets.setdefault(k - 1, {})
+        for e, c in upper.items():
+            if a == 1:
+                qc = c
+            else:
+                qc, r = divmod(c, a)
+                if r:
+                    return None
+            q[tuple(map(sub, e, down))] = qc
+            for shift, c_neg in rest:
+                te = tuple(map(add, e, shift))
+                s = lower.get(te)
+                if s is None:
+                    lower[te] = qc * c_neg
+                else:
+                    s += qc * c_neg
+                    if s:
+                        lower[te] = s
+                    else:
+                        del lower[te]
+    if buckets.get(0):
+        return None
+    return q
+
+
+def _cancelled(terms, keys):
+    """(terms', left): the {exponent tuple: int} polynomial `terms`
+    divided by each factor of the sorted `keys` that divides it, and the
+    list of the factors that did not divide."""
+    left = []
+    failed = None
+    for k in keys:
+        if k == failed:
+            left.append(k)
+            continue
+        q = _int_divide(terms, k)
+        if q is None:
+            left.append(k)
+            failed = k
+        else:
+            terms = q
+    return terms, left
+
+
+def _lifted(parts):
+    """(keys, numerators) for (den_keys, integer terms) pairs: the lcm of
+    the denominators of the nonzero numerators, as sorted factor keys,
+    and each numerator multiplied on integers by the factors its own
+    denominator lacks."""
+    parts = list(parts)
+    need, counts = {}, []
+    for den_keys, terms in parts:
+        own = {}
+        for k in (den_keys if terms else ()):
+            own[k] = own.get(k, 0) + 1
+        counts.append(own)
+        for k, m in own.items():
+            if m > need.get(k, 0):
+                need[k] = m
+    keys = tuple(sorted(k for k, m in need.items() for _ in range(m)))
+    nums = []
+    for (_, terms), own in zip(parts, counts):
+        if terms:
+            for k, m in need.items():
+                for _ in range(m - own.get(k, 0)):
+                    terms = _times_key(terms, k)
+        nums.append(terms)
+    return keys, nums
+
+
+def _normalize_linear(form):
+    """(g, key) for the nonzero integer linear form sum form[i] x_{i+1}
+    = g * (factor of key), where key holds coprime integers whose last
+    nonzero one (the grlex-leading coefficient of a linear form) is
+    positive."""
+    g = math.gcd(*form)
+    if next(x for x in reversed(form) if x) < 0:
+        g = -g
+    return g, tuple(x // g for x in form)
+
+
+def _independent_rows(rows):
+    """Whether the integer rows (None for no row) are linearly
+    independent: a fraction-free elimination, in which each later row
+    becomes a * row - b * pivot row and stays integral."""
+    if None in rows:
+        return False
+    rows = [list(row) for row in rows]
+    for i, row in enumerate(rows):
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        a = row[col]
+        for other in rows[i + 1:]:
+            b = other[col]
+            if b:
+                other[:] = [a * y - b * x for x, y in zip(row, other)]
+    return True
+
+
+def _shuffler(perm, arity, target):
+    """The exponent map of x_i -> x_{perm[i-1]}, from x1..x{arity} into
+    x1..x{target}, for distinct 1-based indices perm."""
+    if (len(perm) != arity or len(set(perm)) < arity
+            or not all(0 < p <= target for p in perm)):
+        raise ValueError("need distinct target variables, one per "
+                         "variable")
+    # target variable j reads position src[j] of e, or 0 past its end
+    src = [arity] * target
+    for i, p in enumerate(perm):
+        src[p - 1] = i
+    get = (itemgetter(*src) if target > 1
+           else lambda e: tuple(e[j] for j in src))
+    return get if arity not in src else lambda e: get(e + (0,))
+
+
+def _renamed_keys(keys, get):
+    """(sorted keys', sign): the keys shuffled by `get` and re-signed to
+    a positive last entry; sign is -1 for an odd number of flips."""
+    sign, out = 1, []
+    for k in keys:
+        k = get(k)
+        if next(x for x in reversed(k) if x) < 0:
+            k = tuple(-x for x in k)
+            sign = -sign
+        out.append(k)
+    return tuple(sorted(out)), sign

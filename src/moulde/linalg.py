@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of rows of `fractions.Fraction` (or `int`).
-`nullspace`, `rank` and `solve` share one sparse engine:
+Matrices are plain lists of rows of `fractions.Fraction` (or `int`),
+or for `nullspace` sparse `{column: int}` rows.  `nullspace`, `rank`
+and `solve` share one sparse engine:
 
 1. each row is scaled to integers, as a `{column: int}` dict, and zero
    rows are dropped;
@@ -142,10 +143,9 @@ def _certified(v, f, pivots, columns):
     return not any(acc.values())
 
 
-def _modular_nullspace(matrix, cols):
+def _modular_nullspace(rows, cols):
     """Certified null vectors as {column: Fraction}, or None when the
     prime cannot be shown to give the answer over Q."""
-    rows = _integer_rows(matrix)
     columns = [{} for _ in range(cols)]
     for i, row in enumerate(rows):
         for c, x in row.items():
@@ -164,9 +164,10 @@ def _modular_nullspace(matrix, cols):
     return [vectors[f] for f in sorted(vectors)]
 
 
-def _rational_nullspace(matrix, cols):
+def _rational_nullspace(rows, cols):
     """Null vectors from the dense `Fraction` elimination."""
-    red, pivots = rref(matrix)
+    red, pivots = rref([[row.get(c, 0) for c in range(cols)]
+                        for row in rows])
     vectors = []
     for fc in range(cols):
         if fc not in pivots:
@@ -179,19 +180,20 @@ def _rational_nullspace(matrix, cols):
 def nullspace(matrix, cols=None):
     """Exact basis of the right nullspace of the matrix.
 
-    `cols` must be given when the matrix has no rows.  Basis vectors are
-    normalized with leading free-variable entry 1, ordered by free
-    column index (deterministic).
+    `cols` must be given for sparse rows and when the matrix has no
+    rows.  Basis vectors are normalized with leading free-variable entry
+    1, ordered by free column index (deterministic).
     """
-    if not matrix:
+    if not matrix or isinstance(matrix[0], dict):
         if cols is None:
-            raise ValueError("cols required for an empty matrix")
-        return [[Fraction(1 if i == j else 0) for i in range(cols)]
-                for j in range(cols)]
-    cols = _width(matrix, cols)
-    vectors = _modular_nullspace(matrix, cols)
+            raise ValueError("cols required for an empty or sparse matrix")
+        rows = [row for row in matrix if any(row.values())]
+    else:
+        cols = _width(matrix, cols)
+        rows = _integer_rows(matrix)
+    vectors = _modular_nullspace(rows, cols)
     if vectors is None:
-        vectors = _rational_nullspace(matrix, cols)
+        vectors = _rational_nullspace(rows, cols)
     zero = Fraction(0)
     return [[v.get(c, zero) for c in range(cols)] for v in vectors]
 

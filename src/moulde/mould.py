@@ -8,12 +8,12 @@ cap are unknown and are never compared.
 
 Each of the unary operators `swap`, `push`, `circ`, `neg_op` and
 `mantar` is a per-depth change of variables: it evaluates the depth-r
-value at r linear forms in x1..xr (`_substituted`), and the shuffle and
-cyclic sums add such images up.  When the forms are distinct variables,
-as in `circ`, `mantar` and both sums, the change of variables is a
-renaming, which `RatFrac.substitute_linear` does as an exponent
-shuffle.  `dar`, `delta_op` and their inverses multiply or divide each
-depth by a product of linear forms (`_times_forms`).
+value at r linear forms in x1..xr (`_substituted`); `dar`, `delta_op`
+and their inverses multiply or divide each depth by a product of linear
+forms (`_times_forms`).  Both act on a list of moulds, one kernel call
+per depth; the public operators are their one-element calls, and
+`spaces` passes its parameter list to `_swap`, `_push` and
+`_delta_inv`.  The shuffle and cyclic sums are `poly.renaming_sums`.
 
 `is_alternal`, `is_circ_neutral` and `star_correction` read the shuffle
 and cyclic sums from one walk each, `_shuffle_sums` and `_cycle_sums`.
@@ -34,7 +34,7 @@ import math
 from operator import mul
 
 from .poly import (MultiPoly, RatFrac, _divided, _linear_factor_split, _poly,
-                   _unit, monomial_sum)
+                   _unit, monomial_sum, renaming_sums, substitute)
 from . import words as W
 
 
@@ -204,28 +204,35 @@ def ma_inverse(M):
 # Unary operators
 # ---------------------------------------------------------------------------
 
-def _substituted(M, images, alphabet=None):
-    """M with each depth-r value, r >= 1, evaluated at the linear forms
-    images(xs) of xs = x1..xr, on `alphabet` (default: M's); depth 0 is
-    kept."""
-    return Mould(alphabet or M.alphabet,
-                 {r: v.substitute_linear(images(_vars(r))) if r else v
-                  for r, v in M.values.items()}, M.cap)
+def _substituted(moulds, images, alphabet=None):
+    """The moulds with each depth-r value, r >= 1, evaluated at the
+    linear forms images(x1..xr), on `alphabet` (default: each mould's);
+    depth 0 is kept."""
+    by_depth = {}
+    for M in moulds:
+        for r, v in M.values.items():
+            if r:
+                by_depth.setdefault(r, []).append(v)
+    done = {r: iter(substitute(vs, images(_vars(r))))
+            for r, vs in by_depth.items()}
+    return [Mould(alphabet or M.alphabet,
+                  {r: next(done[r]) if r else v for r, v in M.values.items()},
+                  M.cap) for M in moulds]
 
 
-def _times_forms(M, forms, divide=False):
-    """M with each depth-r value multiplied, or divided, by the product
-    of the linear forms forms(x1..xr).  A depth where a form vanishes
-    (u1+...+ur in depth 0) is dropped."""
-    vals = {}
-    for r, v in M.values.items():
+def _times_forms(moulds, forms, divide=False):
+    """The moulds with each depth-r value multiplied, or divided, by the
+    product of the linear forms forms(x1..xr).  A depth where a form
+    vanishes (u1+...+ur in depth 0) is dropped."""
+    factors = {}
+    for r in {r for M in moulds for r in M.values}:
         fs = forms(_vars(r))
-        if any(f.is_zero() for f in fs):
-            continue
-        one = MultiPoly.const(r, 1)
-        vals[r] = v * (RatFrac(one, fs) if divide
-                       else RatFrac.from_poly(reduce(mul, fs, one)))
-    return Mould(M.alphabet, vals, M.cap)
+        if not any(f.is_zero() for f in fs):
+            one = MultiPoly.const(r, 1)
+            factors[r] = (RatFrac(one, fs) if divide
+                          else RatFrac.from_poly(reduce(mul, fs, one)))
+    return [Mould(M.alphabet, {r: v * factors[r] for r, v in M.values.items()
+                               if r in factors}, M.cap) for M in moulds]
 
 
 def _delta_forms(xs):
@@ -233,8 +240,8 @@ def _delta_forms(xs):
     return xs + [sum(xs, MultiPoly.zero(len(xs)))]
 
 
-def _require(M, alphabet, what):
-    if M.alphabet != alphabet:
+def _require(moulds, alphabet, what):
+    if any(M.alphabet != alphabet for M in moulds):
         raise AlphabetMismatch("%s acts on %s-moulds" % (what, alphabet))
 
 
@@ -242,33 +249,45 @@ def swap(M):
     """Exchange the u and v coordinate systems (an involution):
     swap(A)(v1..vr) = A(v_r, v_{r-1}-v_r, ..., v_1-v_2) and
     swap(B)(u1..ur) = B(u1+...+ur, u1+...+u_{r-1}, ..., u1)."""
-    if M.alphabet == "U":
-        return _substituted(M, lambda xs: xs[-1:] + [
+    return _swap([M])[0]
+
+
+def _swap(moulds):
+    """swap of each mould of a list on one alphabet."""
+    alphabet = moulds[0].alphabet if moulds else "U"
+    _require(moulds, alphabet, "swap of a list")
+    if alphabet == "U":
+        return _substituted(moulds, lambda xs: xs[-1:] + [
             a - b for a, b in zip(xs[-2::-1], xs[::-1])], "V")
-    return _substituted(M, lambda xs: list(accumulate(xs))[::-1], "U")
+    return _substituted(moulds, lambda xs: list(accumulate(xs))[::-1], "U")
 
 
 def push(M):
     """(push B)(u1..ur) = B(u0, u1, ..., u_{r-1}), u0 = -u1-...-ur."""
-    _require(M, "U", "push")
+    return _push([M])[0]
+
+
+def _push(moulds):
+    """push of each U-mould of a list."""
+    _require(moulds, "U", "push")
     return _substituted(
-        M, lambda xs: [-sum(xs, MultiPoly.zero(len(xs)))] + xs[:-1])
+        moulds, lambda xs: [-sum(xs, MultiPoly.zero(len(xs)))] + xs[:-1])
 
 
 def circ(M):
     """circ(B)(v1..vr) = B(v2, ..., vr, v1)."""
-    _require(M, "V", "circ")
-    return _substituted(M, lambda xs: xs[1:] + xs[:1])
+    _require([M], "V", "circ")
+    return _substituted([M], lambda xs: xs[1:] + xs[:1])[0]
 
 
 def neg_op(M):
     """neg(A)(u1..ur) = A(-u1, ..., -ur)."""
-    return _substituted(M, lambda xs: [-x for x in xs])
+    return _substituted([M], lambda xs: [-x for x in xs])[0]
 
 
 def mantar(M):
     """mantar(A)(u1..ur) = (-1)^{r-1} A(ur, ..., u1)."""
-    return -pari(_substituted(M, lambda xs: xs[::-1]))
+    return -pari(_substituted([M], lambda xs: xs[::-1])[0])
 
 
 def pari(M):
@@ -280,28 +299,33 @@ def pari(M):
 
 def dar(M):
     """dar(A)(u1..ur) = u1...ur A(u1..ur)."""
-    return _times_forms(M, list)
+    return _times_forms([M], list)[0]
 
 
 def dar_inv(M):
-    return _times_forms(M, list, divide=True)
+    return _times_forms([M], list, divide=True)[0]
 
 
 def delta_op(M):
     """Multiply the depth-r part by u1...ur (u1+...+ur)."""
-    _require(M, "U", "delta")
-    return _times_forms(M, _delta_forms)
+    _require([M], "U", "delta")
+    return _times_forms([M], _delta_forms)[0]
 
 
 def delta_inv(M):
-    _require(M, "U", "delta")
-    return _times_forms(M, _delta_forms, divide=True)
+    return _delta_inv([M])[0]
+
+
+def _delta_inv(moulds):
+    """delta_inv of each U-mould of a list."""
+    _require(moulds, "U", "delta")
+    return _times_forms(moulds, _delta_forms, divide=True)
 
 
 def teru(M):
     """teru(B) = B in depths 0, 1; in depth r > 1 adds
     (1/u_r)(B(u1..u_{r-2}, u_{r-1}) - B(u1..u_{r-2}, u_{r-1}+u_r))."""
-    _require(M, "U", "teru")
+    _require([M], "U", "teru")
     out = {}
     depths = set(M.values)
     depths |= {r + 1 for r in M.values}  # corrections feed depth r from r-1
@@ -347,11 +371,13 @@ def _shuffles(left, right):
 
 def shuffle_sum(value, r, i):
     """Sum of value(u_{w_1},...,u_{w_r}) over w in Sh((1..i)(i+1..r))."""
-    xs = _vars(r)
-    return RatFrac.sum(
-        [value.substitute_linear([xs[k - 1] for k in w])
-         for w in _shuffles(list(range(1, i + 1)), list(range(i + 1, r + 1)))],
-        r)
+    return _shuffle_sum([value], r, i)[0]
+
+
+def _shuffle_sum(values, r, i):
+    """`shuffle_sum` of each depth-r value of a list: one renaming sum."""
+    return renaming_sums(
+        values, _shuffles(list(range(1, i + 1)), list(range(i + 1, r + 1))))
 
 
 def _shuffle_sums(M):
@@ -377,10 +403,13 @@ def is_mantar_invariant(M):
 
 def circ_cycle_sum(M, r):
     """Sum of the r cyclic rotations of the depth-r part."""
-    v = M.get(r)
-    xs = _vars(r)
-    return RatFrac.sum([v.substitute_linear(xs[k:] + xs[:k])
-                        for k in range(r)], r)
+    return _cycle_sum([M.get(r)], r)[0]
+
+
+def _cycle_sum(values, r):
+    """The cyclic sum of each depth-r value of a list: one renaming sum."""
+    xs = list(range(1, r + 1))
+    return renaming_sums(values, [xs[k:] + xs[:k] for k in range(r)])
 
 
 def _cycle_sums(M):

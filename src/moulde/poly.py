@@ -6,11 +6,17 @@ exponent tuples (one entry per variable) to nonzero Fraction
 coefficients.
 
 That is a contract on values, not on the arithmetic inside a kernel.
-The linear substitution (`MultiPoly.substitute_linear`) and the
-`RatFrac` sum, product and cancellation clear the coefficient
-denominators once, run on Python ints over one common denominator, and
-make one Fraction per output term:
+The linear substitution (`substitute`), the renaming sums
+(`renaming_sums`) and the `RatFrac` sum, product and cancellation clear
+the coefficient denominators once, run on Python ints over one common
+denominator, and make one Fraction per output term:
 
+* `substitute` takes a list of values and builds each monomial's
+  image once for all of them; `substitute_linear` is its one-element
+  call;
+* a renaming shuffles the numerator's exponents and the keys'
+  coordinates (`permute_variables`); `renaming_sums` adds the
+  renamings of a value in one pass;
 * the common denominator (`common_denominator`, `RatFrac.sum`) brings
   each integer numerator over it by multiplying it by the factors its
   own denominator lacks (`_times_key`), and a sum adds the results in
@@ -23,7 +29,7 @@ make one Fraction per output term:
   for MultiPoly arguments).
 
 Going through Fraction at every product instead costs a gcd per
-operation.
+operation.  The integer kernels live in `moulde.intpoly`.
 
 In this calculus every denominator that ever arises is a product of
 homogeneous linear forms such as u_i, u_i+...+u_j or v_i-v_j, and
@@ -51,23 +57,25 @@ of factor keys, `den_keys`:
   only a key from there on.  A substitution maps each key k on integers
   to sum k_i row_i over the images' integer coefficient rows, and
   cancels only when it is not injective (dependent, zero or non-linear
-  images).  A renaming (distinct variables as images) is injective, and
-  its numerator is an exponent shuffle (`MultiPoly.permute_variables`).
+  images).  A renaming is injective and never reaches those rows.
 
 Contract: every non-constant factor is a homogeneous linear form.
 `RatFrac(num, factors)`, `exact_poly_divide` and a JSON `den` (split by
 `_linear_factor_split`) raise `ValueError` naming any other factor;
-`RatFrac.substitute_linear` raises it for a key that touches an image
-that is not a homogeneous linear form, and `ZeroDivisionError` for a
-key whose image vanishes.
+`substitute` raises it for a key that touches an image that is not a
+homogeneous linear form, and `ZeroDivisionError` for a key whose image
+vanishes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 import math
-from operator import add, itemgetter, sub
+from operator import sub
+
+from .intpoly import (_cancelled, _independent_rows, _int_divide, _int_mul,
+                      _lifted, _normalize_linear, _renamed_keys, _shuffler,
+                      _times_key, _unit)
 
 
 def _frac(c):
@@ -234,59 +242,18 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
     def substitute_linear(self, images):
-        """Replace variable i by images[i] (polynomials of a common arity).
-        When the images are distinct variables, this is a renaming and
-        goes to `permute_variables`."""
-        if len(images) != self.arity:
-            raise ValueError("need one image per variable")
-        tgt = images[0].arity if images else 0
-        perm = _renaming(images)
-        if perm is not None:
-            return self.permute_variables(perm, tgt)
-        # image i is g_i / d_i with g_i integral; a term c x^e goes to
-        # c / prod d_i^e_i times prod g_i^e_i, on integers throughout
-        forms, dens = zip(*map(_ints, images))
-        weights = []
-        for expv, c in self.terms.items():
-            den = c.denominator
-            for d, e in zip(dens, expv):
-                if e and d != 1:
-                    den *= d ** e
-            weights.append((expv, c.numerator, den))
-        common = math.lcm(*(den for _, _, den in weights))
-        powers = [{1: g} for g in forms]
-        one = {(0,) * tgt: 1}
-        acc = {}
-        for expv, num, den in weights:
-            mono = None
-            for i, e in enumerate(expv):
-                if e:
-                    p = _int_power(powers[i], forms[i], e)
-                    mono = p if mono is None else _int_mul(mono, p)
-            k = num * (common // den)
-            for te, tc in (one if mono is None else mono).items():
-                acc[te] = acc.get(te, 0) + k * tc
-        return _poly(tgt, {e: Fraction(v, common)
-                           for e, v in acc.items() if v})
+        """Replace variable i by images[i] (polynomials of a common
+        arity): the one-element call of `substitute`."""
+        return substitute([self], images)[0]
 
     def permute_variables(self, perm, arity=None):
         """Rename x_i -> x_{perm[i-1]} among x1..x{arity} (default: the
         same variables), for distinct 1-based indices perm: a
         permutation, or an injection into more variables.  Only the
         exponent tuples are shuffled."""
-        if arity is None:
-            arity = self.arity
-        if (len(perm) != self.arity or len(set(perm)) < len(perm)
-                or not all(0 < p <= arity for p in perm)):
-            raise ValueError("need distinct target variables, one per "
-                             "variable")
-        # target variable j reads position src[j] of e + (0,)
-        src = [self.arity] * arity
-        for i, p in enumerate(perm):
-            src[p - 1] = i
-        get = (itemgetter(*src) if arity > 1
-               else lambda e: tuple(e[j] for j in src))
-        return _poly(arity, {get(e + (0,)): c for e, c in self.terms.items()})
+        arity = self.arity if arity is None else arity
+        get = _shuffler(perm, self.arity, arity)
+        return _poly(arity, {get(e): c for e, c in self.terms.items()})
 
     def __str__(self):
         return poly_to_text(self)
@@ -301,30 +268,6 @@ def _poly(arity, terms):
     out.terms = terms
     out._hash = None
     return out
-
-
-def _int_mul(a, b):
-    """Product of two {exponent tuple: int} polynomials."""
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _int_power(powers, g, e):
-    """g^e from `powers`, a {k: g^k} cache holding k = 1..max(powers)
-    that is filled upwards: multiplying by a linear form is cheaper than
-    squaring its power."""
-    p = powers.get(e)
-    if p is None:
-        k = max(powers)
-        p = powers[k]
-        while k < e:
-            k += 1
-            p = powers[k] = _int_mul(p, g)
-    return p
 
 
 def _ints(p):
@@ -379,75 +322,6 @@ def _linear_rows(polys):
             row[e.index(1)] = c.numerator * (d // c.denominator)
         rows.append(row)
     return rows, d
-
-
-@lru_cache(maxsize=None)
-def _unit(i, arity):
-    """Exponent tuple of x_{i+1} in `arity` variables."""
-    return tuple(1 if j == i else 0 for j in range(arity))
-
-
-def _int_divide(terms, key):
-    """q with terms = q * g for the factor g of `key`, on integers, or
-    None when g does not divide `terms`, an {exponent tuple: int}
-    polynomial with no zero coefficient.
-
-    A multiple of g vanishes on the hyperplane g = 0, so terms that do
-    not vanish at one integer point of it are refused at once; most
-    tries of a cancellation end there.  Otherwise this is a synthetic
-    division in one pivot variable x = x_p: write g = a x + rest and
-    terms = sum_k x^k N_k with N_k free of x; the quotient's parts are
-    Q_{k-1} = (N_k - rest Q_k) / a, walked down once from the top pivot
-    degree.  The key is primitive, so by Gauss's lemma an exact quotient
-    of an integral polynomial is integral: the walk stops at the first
-    coefficient that a does not divide, and g divides exactly when
-    nothing is left in pivot degree 0."""
-    if not terms:
-        return terms
-    arity = len(key)
-    p = max((i for i, c in enumerate(key) if c),
-            key=lambda i: (abs(key[i]) == 1, i))
-    a = key[p]
-    # x_j = a (j + 2) off the pivot, and x_p solves g = 0
-    point = [a * (j + 2) for j in range(arity)]
-    point[p] = -sum(c * (j + 2) for j, c in enumerate(key) if j != p)
-    if sum(v * math.prod(map(pow, point, e)) for e, v in terms.items()):
-        return None
-    down = _unit(p, arity)
-    # the term rest * (c/a) x^(e - down) lands on e - down + unit_j
-    rest = [(tuple(u - d for u, d in zip(_unit(j, arity), down)), -c)
-            for j, c in enumerate(key) if c and j != p]
-    buckets = {}
-    for e, c in terms.items():
-        buckets.setdefault(e[p], {})[e] = c
-    q = {}
-    for k in range(max(buckets), 0, -1):
-        upper = buckets.get(k)
-        if not upper:
-            continue
-        lower = buckets.setdefault(k - 1, {})
-        for e, c in upper.items():
-            if a == 1:
-                qc = c
-            else:
-                qc, r = divmod(c, a)
-                if r:
-                    return None
-            q[tuple(map(sub, e, down))] = qc
-            for shift, c_neg in rest:
-                te = tuple(map(add, e, shift))
-                s = lower.get(te)
-                if s is None:
-                    lower[te] = qc * c_neg
-                else:
-                    s += qc * c_neg
-                    if s:
-                        lower[te] = s
-                    else:
-                        del lower[te]
-    if buckets.get(0):
-        return None
-    return q
 
 
 def compositions(total, parts):
@@ -520,15 +394,7 @@ class RatFrac:
             acc = groups.setdefault(f.den_keys, {})
             for e, c in f.num.terms.items():
                 acc[e] = acc.get(e, 0) + c.numerator * (den // c.denominator)
-        keys, nums = _lifted(
-            (k, {e: v for e, v in terms.items() if v})
-            for k, terms in groups.items())
-        total = {}
-        for terms in nums:
-            for e, v in terms.items():
-                total[e] = total.get(e, 0) + v
-        return cls._make(*_reduced(
-            arity, {e: v for e, v in total.items() if v}, den, keys))
+        return _group_sum(arity, groups, den)
 
     # -- views --------------------------------------------------------
     @property
@@ -615,36 +481,19 @@ class RatFrac:
         raise TypeError("RatFrac is unhashable (equality is semantic)")
 
     def substitute_linear(self, images):
-        """Substitute each variable by a polynomial image: one key
-        mapping for every substitution (see the module docstring).  An
-        injective substitution, with independent rows, maps coprime
-        polynomials to coprime ones and distinct linear factors to
-        distinct ones, so its image needs normalising but no cancelling."""
-        num = self.num.substitute_linear(images)
-        if not self.den_keys:
-            return RatFrac._make(num, ())
-        rows, d = _linear_rows(images)
-        scale, keys = 1, []
-        for k in self.den_keys:
-            form = [0] * num.arity
-            for c, row in zip(k, rows):
-                if c:
-                    if row is None:
-                        raise ValueError("denominator factor %s does not map "
-                                         "to a homogeneous linear form"
-                                         % (k,))
-                    for j, x in enumerate(row):
-                        form[j] += c * x
-            if not any(form):
-                raise ZeroDivisionError("zero denominator factor")
-            g, key = _normalize_linear(form)
-            scale *= g
-            keys.append(key)
-        scale = Fraction(scale, d ** len(keys))
-        keys = tuple(sorted(keys))
-        if _independent_rows(rows):
-            return RatFrac._make(num.scale(1 / scale), keys)
-        return RatFrac._make(*_divided(num, scale, keys))
+        """Substitute each variable by a polynomial image: the
+        one-element call of `substitute`."""
+        return substitute([self], images)[0]
+
+    def permute_variables(self, perm, arity=None):
+        """Rename variables as `MultiPoly.permute_variables` does, and
+        each key's coordinates; a key re-signed negates the numerator."""
+        arity = self.arity if arity is None else arity
+        get = _shuffler(perm, self.arity, arity)
+        keys, sign = _renamed_keys(self.den_keys, get)
+        num = self.num if sign > 0 else -self.num
+        return RatFrac._make(
+            _poly(arity, {get(e): c for e, c in num.terms.items()}), keys)
 
     def __str__(self):
         if not self.den_keys:
@@ -673,32 +522,6 @@ def _coefficient_lcm(fracs):
                       for c in f.num.terms.values()))
 
 
-def _lifted(parts):
-    """(keys, numerators) for (den_keys, integer terms) pairs: the lcm of
-    the denominators of the nonzero numerators, as sorted factor keys,
-    and each numerator multiplied on integers by the factors its own
-    denominator lacks."""
-    parts = list(parts)
-    need, counts = {}, []
-    for den_keys, terms in parts:
-        own = {}
-        for k in (den_keys if terms else ()):
-            own[k] = own.get(k, 0) + 1
-        counts.append(own)
-        for k, m in own.items():
-            if m > need.get(k, 0):
-                need[k] = m
-    keys = tuple(sorted(k for k, m in need.items() for _ in range(m)))
-    nums = []
-    for (_, terms), own in zip(parts, counts):
-        if terms:
-            for k, m in need.items():
-                for _ in range(m - own.get(k, 0)):
-                    terms = _times_key(terms, k)
-        nums.append(terms)
-    return keys, nums
-
-
 # -- factor keys ------------------------------------------------------------
 
 def _factor_keys(factors):
@@ -721,31 +544,6 @@ def _factor_keys(factors):
     return scale, tuple(sorted(keys))
 
 
-def _normalize_linear(form):
-    """(g, key) for the nonzero integer linear form sum form[i] x_{i+1}
-    = g * (factor of key), where key holds coprime integers whose last
-    nonzero one (the grlex-leading coefficient of a linear form) is
-    positive."""
-    g = math.gcd(*form)
-    if next(x for x in reversed(form) if x) < 0:
-        g = -g
-    return g, tuple(x // g for x in form)
-
-
-def _times_key(terms, key):
-    """The {exponent tuple: int} polynomial `terms` times the factor of
-    `key`: each term shifts up by one in every variable of the key."""
-    units = [(i, c) for i, c in enumerate(key) if c]
-    out = {}
-    for e, v in terms.items():
-        for i, c in units:
-            te = list(e)
-            te[i] += 1
-            te = tuple(te)
-            out[te] = out.get(te, 0) + v * c
-    return {e: v for e, v in out.items() if v}
-
-
 def _divided(num, scale, keys):
     """(num', keys'): num / (scale times the factors of the sorted keys),
     reduced."""
@@ -766,23 +564,147 @@ def _reduced(arity, terms, den, keys):
     return _from_ints(arity, terms, den), tuple(left)
 
 
-def _cancelled(terms, keys):
-    """(terms', left): the {exponent tuple: int} polynomial `terms`
-    divided by each factor of the sorted `keys` that divides it, and the
-    list of the factors that did not divide."""
-    left = []
-    failed = None
-    for k in keys:
-        if k == failed:
-            left.append(k)
+def _group_sum(arity, groups, den):
+    """The RatFrac sum of {den_keys: integer numerator} groups over den,
+    cancelled once."""
+    keys, nums = _lifted(
+        (k, {e: v for e, v in terms.items() if v})
+        for k, terms in groups.items())
+    total = {}
+    for terms in nums:
+        for e, v in terms.items():
+            total[e] = total.get(e, 0) + v
+    return RatFrac._make(*_reduced(
+        arity, {e: v for e, v in total.items() if v}, den, keys))
+
+
+# -- linear substitution ----------------------------------------------------
+
+def substitute(values, images):
+    """Each MultiPoly or RatFrac value with variable i replaced by the
+    polynomial images[i]; the images are read, and each key mapped,
+    once per call."""
+    if any(v.arity != len(images) for v in values):
+        raise ValueError("need one image per variable")
+    tgt = images[0].arity if images else 0
+    perm = _renaming(images)
+    if perm is not None:
+        return [v.permute_variables(perm, tgt) for v in values]
+    keyed = [v.den_keys if isinstance(v, RatFrac) else None for v in values]
+    # injective images keep coprime parts coprime: no cancelling
+    rows, d, injective, seen = None, 1, True, {}
+    if any(keyed):
+        rows, d = _linear_rows(images)
+        injective = _independent_rows(rows)
+    out = list(values)
+    for i, terms, den in _substituted_terms(
+            [v.num if k is not None else v for v, k in zip(values, keyed)],
+            images, tgt):
+        if keyed[i] is None:
+            out[i] = _from_ints(tgt, terms, den)
             continue
-        q = _int_divide(terms, k)
-        if q is None:
-            left.append(k)
-            failed = k
+        scale, keys = 1, []
+        for k in keyed[i]:
+            hit = seen.get(k)
+            if hit is None:
+                hit = seen[k] = _key_image(k, rows, tgt)
+            scale *= hit[0]
+            keys.append(hit[1])
+        lift = d ** len(keys)  # the image of each key is g * key' / d
+        if lift != 1:
+            terms = {e: c * lift for e, c in terms.items()}
+        keys = tuple(sorted(keys))
+        if injective:
+            out[i] = RatFrac._make(_from_ints(tgt, terms, den * scale), keys)
         else:
-            terms = q
-    return terms, left
+            out[i] = RatFrac._make(*_reduced(tgt, terms, den * scale, keys))
+    return out
+
+
+def _substituted_terms(polys, images, tgt):
+    """Yield (i, integer terms, den) once the image of polys[i] is
+    complete.  image(x^e) = image(x^(e - unit_j)) * images[j], j the
+    last variable of e, is built once; the walk takes the words of the
+    monomials (x1 e_1 times, x2 e_2 times, ...) in order, so it keeps
+    only the images of the current word's prefixes."""
+    forms, dens = zip(*map(_ints, images)) if images else ((), ())
+    at, left, commons = {}, [], []
+    for i, p in enumerate(polys):
+        # a term c x^e adds c / prod dens[j]^e_j times the image of x^e
+        weights = {e: (c.numerator,
+                       c.denominator * math.prod(map(pow, dens, e)))
+                   for e, c in p.terms.items()}
+        common = math.lcm(*(den for _, den in weights.values()))
+        commons.append(common)
+        left.append(len(weights))
+        if not weights:
+            yield i, {}, 1
+        for e, (num, den) in weights.items():
+            at.setdefault(e, []).append((i, num * (common // den)))
+    # path[n]: the image of the first n letters of the last word
+    word, path, accs = (), [{(0,) * tgt: 1}], {}
+    for w, e in sorted((sum(((j,) * x for j, x in enumerate(e)), ()), e)
+                       for e in at):
+        n = 0
+        for a, b in zip(word, w):
+            if a != b:
+                break
+            n += 1
+        del path[n + 1:]
+        for j in w[n:]:
+            path.append(_int_mul(path[-1], forms[j]) if len(path) > 1
+                        else forms[j])
+        word, image = w, path[-1]
+        for i, k in at[e]:
+            acc = accs.setdefault(i, {})
+            for te, tc in image.items():
+                acc[te] = acc.get(te, 0) + k * tc
+            left[i] -= 1
+            if not left[i]:
+                acc = accs.pop(i)
+                yield i, {te: v for te, v in acc.items() if v}, commons[i]
+
+
+def _key_image(key, rows, tgt):
+    """(g, key') with the image sum key_i rows[i] of a key equal to g
+    times the factor of key' (rows[i] None: not a linear form)."""
+    form = [0] * tgt
+    for c, row in zip(key, rows):
+        if c:
+            if row is None:
+                raise ValueError("denominator factor %s does not map to a "
+                                 "homogeneous linear form" % (key,))
+            for j, x in enumerate(row):
+                form[j] += c * x
+    if not any(form):
+        raise ZeroDivisionError("zero denominator factor")
+    return _normalize_linear(form)
+
+
+# -- renaming ---------------------------------------------------------------
+
+def renaming_sums(values, perms):
+    """[RatFrac.sum([v.permute_variables(p) for p in perms], r) for v in
+    values], permutations of the values' r variables, on integers: the
+    terms gather by renamed keys and each sum is cancelled once."""
+    if not values:
+        return []
+    r = values[0].arity
+    if any(v.arity != r for v in values):
+        raise ValueError("arity mismatch")
+    gets = [_shuffler(p, r, r) for p in perms]
+    out = []
+    for v in values:
+        terms, den = _ints(v.num)
+        groups = {}
+        for get in gets:
+            keys, sign = _renamed_keys(v.den_keys, get)
+            acc = groups.setdefault(keys, {})
+            for e, c in terms.items():
+                e = get(e)
+                acc[e] = acc.get(e, 0) + sign * c
+        out.append(_group_sum(r, groups, den))
+    return out
 
 
 def _renaming(images):
@@ -797,25 +719,6 @@ def _renaming(images):
             return None
         perm.append(e.index(1) + 1)
     return perm if len(set(perm)) == len(perm) else None
-
-
-def _independent_rows(rows):
-    """Whether the integer rows (None for no row) are linearly
-    independent: a fraction-free elimination, in which each later row
-    becomes a * row - b * pivot row and stays integral."""
-    if None in rows:
-        return False
-    rows = [list(row) for row in rows]
-    for i, row in enumerate(rows):
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            return False
-        a = row[col]
-        for other in rows[i + 1:]:
-            b = other[col]
-            if b:
-                other[:] = [a * y - b * x for x, y in zip(row, other)]
-    return True
 
 
 def _linear_factor_split(p):

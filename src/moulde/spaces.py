@@ -8,10 +8,11 @@ basis, built from shared pieces: alternality, push-invariance,
 circ-neutrality, the swap and the Delta-quotient (Schneps, "ARI, GARI,
 Zig and Zag", arXiv:1507.01534).  `lkv` is solved on the alternal
 moulds, onto which `ma` maps the depth-r Lie elements, and its basis
-returns to Lie elements through `ma_inverse`.  `_assemble` turns the
-conditions into an exact rational matrix, and `_solve` takes its
-nullspace and re-verifies every basis element against the defining
-predicates of the space, raising `VerificationError` on a failure.
+returns to Lie elements through `ma_inverse`.  Each operator acts once
+on the whole parameter list.  `_assemble` keeps the rows sparse and on
+integers, as `linalg.nullspace` takes them, and `_solve` re-verifies
+every basis element against the defining predicates of the space,
+raising `VerificationError` on a failure.
 
 The defining predicates of each space are written once, in `checks`;
 the solvers and the maps that land in a space read them through
@@ -63,17 +64,26 @@ class VerificationError(Exception):
 
 
 class ConstraintSystem:
-    """Parameter basis plus one row per instantiated linear identity."""
+    """Parameter basis plus one row per instantiated linear identity:
+    row i, tagged tags[i], is {column: entry * scales[i]} in
+    `integer_rows`; `rows` builds the dense rational rows on demand."""
 
-    __slots__ = ("parameters", "rows", "tags")
+    __slots__ = ("parameters", "tags", "integer_rows", "scales")
 
-    def __init__(self, parameters, rows, tags):
+    def __init__(self, parameters, tags, integer_rows, scales):
         self.parameters = parameters
-        self.rows = rows
         self.tags = tags
+        self.integer_rows = integer_rows
+        self.scales = scales
+
+    @property
+    def rows(self):
+        cols = range(len(self.parameters))
+        return [[Fraction(row.get(j, 0), scale) for j in cols]
+                for row, scale in zip(self.integer_rows, self.scales)]
 
     def null_vectors(self):
-        return nullspace(self.rows, cols=len(self.parameters))
+        return nullspace(self.integer_rows, len(self.parameters))
 
 
 class BigradedBasis:
@@ -130,21 +140,28 @@ def _assemble(parameters, conditions, constant=False):
     The constant enters as one more image, -weight, so the images of a
     condition, the constant's included, go over one common denominator.
     There is one row per key (tag, monomial or word) in the union of
-    all numerators.  Without parameters the system is empty, the
-    constant's column included."""
+    all numerators, kept sparse and scaled to integers.  Without
+    parameters the system is empty, the constant's column included."""
     if not parameters:
-        return ConstraintSystem([], [], [])
+        return ConstraintSystem([], [], [], [])
     if constant:
         parameters = list(parameters) + ["c"]
-    columns = [{} for _ in parameters]
+    entries = {}
     for tag, images, weight in conditions:
         if constant:
             images = list(images) + [RatFrac.const(images[0].arity, -weight)]
-        for column, image in zip(columns, _cleared(images)):
-            column.update(((tag, k), c) for k, c in _terms(image).items())
-    keys = sorted(set().union(*columns))
-    rows = [[column.get(k, _ZERO) for column in columns] for k in keys]
-    return ConstraintSystem(parameters, rows, keys)
+        for j, image in enumerate(_cleared(images)):
+            for k, c in _terms(image).items():
+                entries.setdefault((tag, k), {})[j] = c
+    tags = sorted(entries)
+    rows, scales = [], []
+    for tag in tags:
+        row = entries.pop(tag)
+        scale = math.lcm(*(c.denominator for c in row.values()))
+        rows.append({j: c.numerator * (scale // c.denominator)
+                     for j, c in row.items()})
+        scales.append(scale)
+    return ConstraintSystem(parameters, tags, rows, scales)
 
 
 def _solve(space, n, r, system, combine, constant=None):
@@ -189,29 +206,31 @@ def _combine_mould(gens, vec):
 def _alternal(moulds, r, tag, constant=False):
     """Shuffle sums Sh((1..i)(i+1..r)) for i <= r/2 vanish, or equal
     C(r, i) c: the shuffle sums of the constant mould c."""
-    return [("%s:%d" % (tag, i),
-             [mould_mod.shuffle_sum(M.get(r), r, i) for M in moulds],
+    values = [M.get(r) for M in moulds]
+    return [("%s:%d" % (tag, i), mould_mod._shuffle_sum(values, r, i),
              math.comb(r, i) if constant else 0)
             for i in range(1, r // 2 + 1)]
 
 
 def _push(moulds, r):
     """push(B) = B in depth r; in depth 1 this is evenness."""
-    return ("push", [mould_mod.push(B).get(r) - B.get(r) for B in moulds], 0)
+    return ("push", [P.get(r) - B.get(r) for P, B
+                     in zip(mould_mod._push(moulds), moulds)], 0)
 
 
 def _circ(moulds, r, weight=0):
     """The cyclic sum of the depth-r value vanishes, or equals c."""
-    return ("circ", [mould_mod.circ_cycle_sum(M, r) for M in moulds], weight)
+    return ("circ", mould_mod._cycle_sum([M.get(r) for M in moulds], r),
+            weight)
 
 
 def _swap(moulds):
-    return [mould_mod.swap(M) for M in moulds]
+    return mould_mod._swap(moulds)
 
 
 def _quotient(moulds):
     """The Delta-quotients P/(u1..ur(u1+..+ur))."""
-    return [mould_mod.delta_inv(M) for M in moulds]
+    return mould_mod._delta_inv(moulds)
 
 
 def _even_in_depth1(M):

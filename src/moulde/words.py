@@ -86,6 +86,8 @@ class NCPoly:
 
     def weight(self):
         ws = self.weights()
+        if not ws:
+            raise ValueError("the zero polynomial has no weight")
         if len(ws) != 1:
             raise ValueError("not weight-homogeneous")
         return ws[0]

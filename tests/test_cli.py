@@ -330,6 +330,11 @@ BAD_INPUT = {
                             "leading word 'yx' not of C-monomial form"),
     "malformed-word-polynomial": (["check"], "in.txt", "2x",
                                   "bad term at offset 1"),
+    # the commands that need a weight refuse the zero polynomial
+    "zero-for-wkrv": (["check", "--space", "wkrv"], "in.txt", "0",
+                      "the zero polynomial has no weight"),
+    "zero-for-section": (["section"], "in.txt", "0",
+                         "the zero polynomial has no weight"),
 }
 
 

@@ -202,6 +202,24 @@ def test_exact_inputs_take_the_modular_path(rref_calls):
     assert rref_calls == []
 
 
+@given(st.integers(1, 6).flatmap(lambda c: st.tuples(
+    st.just(c), st.lists(st.lists(st.integers(-9, 9), min_size=c,
+                                  max_size=c), max_size=7))))
+@settings(max_examples=150, deadline=None)
+def test_sparse_integer_rows_give_the_dense_basis(case):
+    cols, m = case
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+    assert nullspace(sparse, cols) == nullspace(m, cols)
+
+
+def test_sparse_rows_fall_back_and_need_cols(rref_calls):
+    assert nullspace([{0: P}], 1) == []
+    assert nullspace([{}, {1: 2}], 2) == [[F(1), F(0)]]
+    assert len(rref_calls) == 1
+    with pytest.raises(ValueError):
+        nullspace([{0: 1}])
+
+
 def test_bad_shapes_are_typed_errors():
     ragged = [[F(1), F(2)], [F(3)]]
     for call in (lambda: nullspace(ragged), lambda: rank(ragged),

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import moulde
-from moulde import linalg, mould, spaces, words
+from moulde import linalg, mould, poly, spaces, words
 from moulde.mould import (delta_inv, is_alternal, is_push_invariant, ma, swap)
 from moulde.spaces import (VerificationError, dimension_table, solve_ds_ell,
                            solve_gr_krv, solve_krv_ell, solve_lkv, solve_ls,
@@ -232,6 +232,58 @@ def test_solver_path_never_falls_back_to_fraction_elimination(monkeypatch):
     a = words.partner(b)
     assert (words.lie_bracket(words.X, a)
             + words.lie_bracket(words.Y, b)).is_zero()
+
+
+def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
+    # each operator reaches the kernels once per depth with the whole
+    # parameter list, and a renaming never reaches the linear-map setup
+    calls, renaming = [], []
+    substitute, renaming_sums = poly.substitute, poly.renaming_sums
+    linear_rows = poly._linear_rows
+
+    def counted_substitute(values, images):
+        calls.append(("substitute", len(values)))
+        renaming.append(poly._renaming(images) is not None)
+        try:
+            return substitute(values, images)
+        finally:
+            renaming.pop()
+
+    def counted_sums(values, perms):
+        calls.append(("renaming_sums", len(values)))
+        renaming.append(True)
+        try:
+            return renaming_sums(values, perms)
+        finally:
+            renaming.pop()
+
+    def watched_rows(polys):
+        if renaming and renaming[-1]:
+            raise AssertionError("a renaming reached _linear_rows")
+        return linear_rows(polys)
+
+    monkeypatch.setattr(mould, "substitute", counted_substitute)
+    monkeypatch.setattr(mould, "renaming_sums", counted_sums)
+    monkeypatch.setattr(poly, "_linear_rows", watched_rows)
+    # 36 monomials of degree 7 in 3 variables; krv_ell has the al:1 sum,
+    # push, the swap of the Delta-quotients and their cyclic sum
+    built = spaces.krv_ell_system(10, 3)
+    assert len(built.parameters) == 37
+    assert sorted(calls) == [("renaming_sums", 36)] * 2 + [("substitute",
+                                                             36)] * 2
+    # ls has the al:1 sum, the swap and the sal:1 sum of the swaps
+    calls.clear()
+    built = spaces.ls_system(10, 3)
+    assert len(built.parameters) == 36
+    assert sorted(calls) == [("renaming_sums", 36)] * 2 + [("substitute",
+                                                             36)]
+    # the one-element operators still run through the same kernels, and
+    # a renaming of fractions (circ of a Delta-quotient) is a shuffle
+    calls.clear()
+    quotient = delta_inv(mould.Mould("U", {3: poly.MultiPoly.monomial(
+        (1, 2, 4))}))
+    mould.circ(swap(quotient))
+    assert calls == [("substitute", 1), ("substitute", 1)]
 
 
 # -- krv_ell / ds_ell --------------------------------------------------------

@@ -34,6 +34,18 @@ def test_concatenation_product():
                                  + NCPoly.word("yx") - NCPoly.word("yy"))
 
 
+def test_weight_of_zero_is_refused():
+    # zero is weight-homogeneous (it has no weight to disagree), but has
+    # no weight to report
+    assert NCPoly.zero().is_weight_homogeneous()
+    with pytest.raises(ValueError, match="^the zero polynomial has no "
+                       "weight$"):
+        NCPoly.zero().weight()
+    with pytest.raises(ValueError, match="not weight-homogeneous"):
+        (X + X * Y).weight()
+    assert (X * Y).weight() == 2
+
+
 def test_lie_bracket_and_dynkin():
     b3 = lie_bracket(X, lie_bracket(X, Y))
     assert b3 == (NCPoly.word("xxy") - NCPoly.word("xyx").scale(2)
