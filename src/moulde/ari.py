@@ -12,27 +12,29 @@ xs = x1..xr that yields factor lists [(M, args), ...]: each term is the
 product of the values M(args), where M.get(len(args)) is evaluated on
 the linear forms `args`.  A splitting yields only the lists whose every
 factor is `live(M, depth)`, a nonzero value, and tests that before it
-builds the argument forms.  The terms of all splittings of one depth go
-over one common denominator and are cancelled once.
+builds the argument forms.
+
+Each depth is one integer pass.  The factor lists of every splitting
+are collected first; each distinct (value, arguments) pair is then
+evaluated once, by one `substitute` call per distinct argument tuple,
+and kept as integer terms over a denominator with its factor keys.
+Each term is multiplied on integers, cancelling before it multiplies
+as `RatFrac.__mul__` does, with its sign folded into the denominator,
+and the terms of the depth are summed on integers over one common
+denominator and cancelled once (`poly._signed_sum`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 import math
-from operator import mul
 
-from .poly import MultiPoly, RatFrac, monomial_sum
+from .intpoly import _product
+from .poly import (MultiPoly, RatFrac, _ints, _signed_sum, monomial_sum,
+                   substitute)
 from .mould import (Mould, AlphabetMismatch, _min_cap, _vars,
                     swap, pari, dar, dar_inv, delta_op, delta_inv)
-
-
-def _eval(value, args, arity):
-    """Evaluate a depth-len(args) mould value on polynomial arguments."""
-    if value.arity == 0:
-        return RatFrac.const(arity, value.num.constant_value())
-    return value.substitute_linear(args)
 
 
 def _operands(A, B, alphabet=None):
@@ -50,20 +52,39 @@ def _operands(A, B, alphabet=None):
 
 def _flexion(alphabet, cap, top, products):
     """The mould sum over (sign, split) in `products` of sign times the
-    terms of the splitting, in depths 0..top."""
+    terms of the splitting, in depths 0..top, one integer pass per
+    depth."""
     def live(M, depth):
-        return not M.get(depth).is_zero()
+        return depth in M.values  # a mould stores no zero value
 
     vals = {}
     for r in range(top + 1):
         xs = _vars(r)
-        terms = []
+        # each term as its sign and factor slots (args, id of the value),
+        # and per argument tuple the distinct values evaluated on it
+        terms, on = [], {}
         for sign, split in products:
             for factors in split(r, xs, live):
-                term = reduce(mul, [_eval(M.get(len(args)), args, r)
-                                    for M, args in factors])
-                terms.append(term.scale(sign))
-        acc = RatFrac.sum(terms, r)
+                slots = []
+                for M, args in factors:
+                    value, args = M.values[len(args)], tuple(args)
+                    on.setdefault(args, {})[id(value)] = value
+                    slots.append((args, id(value)))
+                terms.append((sign, slots))
+        evaluated = {}
+        for args, values in on.items():
+            if args:
+                images = substitute(list(values.values()), list(args))
+            else:  # depth-0 constants, lifted to depth r
+                images = [RatFrac.const(r, v.num.constant_value())
+                          for v in values.values()]
+            for i, image in zip(values, images):
+                evaluated[args, i] = (*_ints(image.num), image.den_keys)
+        parts = []
+        for sign, slots in terms:
+            num, den, keys = _product([evaluated[s] for s in slots])
+            parts.append((num, sign * den, keys))
+        acc = _signed_sum(r, parts)
         if not acc.is_zero():
             vals[r] = acc
     return Mould(alphabet, vals, cap)

@@ -28,6 +28,7 @@ integers.
 from __future__ import annotations
 
 import argparse
+from functools import lru_cache
 import json
 import sys
 
@@ -315,10 +316,17 @@ def build_parser():
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser of `run`, built on its first call: parsing keeps no
+    state, so every call shares it."""
+    return build_parser()
+
+
 def run(argv, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "verb", None):

@@ -121,6 +121,29 @@ def _cancelled(terms, keys):
     return terms, left
 
 
+def _product(factors):
+    """(terms, den, keys): the product of the reduced fractions
+    terms / (den times the factors of keys) in the list `factors`.
+
+    Every key is prime, so a key of one denominator can cancel only
+    against the other numerator, and a key in both denominators divides
+    neither: each numerator is divided by the keys only the other
+    denominator has, then the two are multiplied (`_int_mul`), and the
+    product is reduced again."""
+    terms, den, keys = factors[0]
+    for other, other_den, other_keys in factors[1:]:
+        own, own_other = set(keys), set(other_keys)
+        other, left = _cancelled(other, [k for k in keys
+                                         if k not in own_other])
+        terms, left_other = _cancelled(terms, [k for k in other_keys
+                                               if k not in own])
+        shared = [k for k in keys + other_keys
+                  if k in own and k in own_other]
+        terms, den = _int_mul(terms, other), den * other_den
+        keys = tuple(sorted(left + left_other + shared))
+    return terms, den, keys
+
+
 def _lifted(parts):
     """(keys, numerators) for (den_keys, integer terms) pairs: the lcm of
     the denominators of the nonzero numerators, as sorted factor keys,

@@ -24,6 +24,9 @@ denominator, and make one Fraction per output term:
 * the product (`RatFrac.__mul__`) first divides each integer
   numerator by the keys that only the other denominator has, then
   multiplies the two (`_int_mul`); it never cancels over the product;
+* `RatFrac.sum` and `RatFrac.__mul__` are thin calls to the integer
+  sum (`_signed_sum`) and product (`intpoly._product`) that the flexion
+  engine of `moulde.ari` runs on directly;
 * the cancellation divides the integer numerator by the factor keys
   themselves (`_int_divide`; `exact_poly_divide` wraps the same walk
   for MultiPoly arguments).
@@ -74,8 +77,8 @@ import math
 from operator import sub
 
 from .intpoly import (_cancelled, _independent_rows, _int_divide, _int_mul,
-                      _lifted, _normalize_linear, _renamed_keys, _shuffler,
-                      _times_key, _unit)
+                      _lifted, _normalize_linear, _product, _renamed_keys,
+                      _shuffler, _times_key, _unit)
 
 
 def _frac(c):
@@ -387,14 +390,8 @@ class RatFrac:
         """Sum of `fracs` over one common denominator, cancelled once."""
         if any(f.arity != arity for f in fracs):
             raise ValueError("arity mismatch")
-        # numerators over the same denominator add up before lifting
-        den = _coefficient_lcm(fracs)
-        groups = {}
-        for f in fracs:
-            acc = groups.setdefault(f.den_keys, {})
-            for e, c in f.num.terms.items():
-                acc[e] = acc.get(e, 0) + c.numerator * (den // c.denominator)
-        return _group_sum(arity, groups, den)
+        return _signed_sum(arity, [(*_ints(f.num), f.den_keys)
+                                   for f in fracs])
 
     # -- views --------------------------------------------------------
     @property
@@ -449,21 +446,9 @@ class RatFrac:
         other = self._coerce(other)
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        # both factors are reduced and every key is prime: a key of one
-        # denominator can cancel only against the other numerator, and a
-        # key in both denominators divides neither numerator
-        a, da = _ints(self.num)
-        b, db = _ints(other.num)
-        own_a, own_b = set(self.den_keys), set(other.den_keys)
-        b, left_a = _cancelled(b, [k for k in self.den_keys
-                                   if k not in own_b])
-        a, left_b = _cancelled(a, [k for k in other.den_keys
-                                   if k not in own_a])
-        shared = [k for k in self.den_keys + other.den_keys
-                  if k in own_a and k in own_b]
-        return RatFrac._make(
-            _from_ints(self.arity, _int_mul(a, b), da * db),
-            tuple(sorted(left_a + left_b + shared)))
+        terms, den, keys = _product([(*_ints(f.num), f.den_keys)
+                                     for f in (self, other)])
+        return RatFrac._make(_from_ints(self.arity, terms, den), keys)
 
     __rmul__ = __mul__
 
@@ -507,19 +492,14 @@ def common_denominator(fracs):
     """(keys, numerators): the least common multiple of the denominators
     of `fracs`, as sorted factor keys, and each numerator brought over
     it.  Nothing is cancelled."""
-    den = _coefficient_lcm(fracs)
+    den = math.lcm(*(c.denominator for f in fracs
+                     for c in f.num.terms.values()))
     keys, nums = _lifted(
         (f.den_keys, {e: c.numerator * (den // c.denominator)
                       for e, c in f.num.terms.items()})
         for f in fracs)
     return keys, [_from_ints(f.arity, terms, den)
                   for f, terms in zip(fracs, nums)]
-
-
-def _coefficient_lcm(fracs):
-    """The lcm of the coefficient denominators of the fracs' numerators."""
-    return math.lcm(*(c.denominator for f in fracs
-                      for c in f.num.terms.values()))
 
 
 # -- factor keys ------------------------------------------------------------
@@ -562,6 +542,21 @@ def _reduced(arity, terms, den, keys):
         return _poly(arity, {}), ()
     terms, left = _cancelled(terms, keys)
     return _from_ints(arity, terms, den), tuple(left)
+
+
+def _signed_sum(arity, parts):
+    """The RatFrac sum of (integer terms, den, keys) parts, each the
+    fraction terms / (den times the factors of keys), cancelled once.  A
+    den may be negative: the sign of a part rides on it.  Parts with the
+    same keys add up over the lcm of the dens before lifting."""
+    den = math.lcm(*(d for _, d, _ in parts))
+    groups = {}
+    for terms, d, keys in parts:
+        lift = den // d
+        acc = groups.setdefault(keys, {})
+        for e, c in terms.items():
+            acc[e] = acc.get(e, 0) + c * lift
+    return _group_sum(arity, groups, den)
 
 
 def _group_sum(arity, groups, den):

@@ -1,14 +1,16 @@
 """The ari/dari algebra layer: brackets, exponentials, named moulds."""
 
 from fractions import Fraction as F
+from functools import reduce
 from itertools import combinations
 import json
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moulde import ari, mould, words
+from moulde import ari, mould, poly, words
 from moulde.ari import (ad_ari_exp, amit, amit_bar, anit, anit_bar,
                         ari as ari_bracket, ari_bar, arit, arit_bar, dari,
                         darit, exp_ari, exp_ari_bar,
@@ -17,7 +19,7 @@ from moulde.ari import (ad_ari_exp, amit, amit_bar, anit, anit_bar,
                         named_mould, preari, preari_bar, tnc_mould)
 from moulde.mould import (Mould, _vars, dar_inv, delta_op, is_alternal,
                           is_circ_constant, is_circ_neutral, ma, swap)
-from moulde.poly import MultiPoly, RatFrac
+from moulde.poly import MultiPoly, RatFrac, monomial_sum, substitute
 from moulde.words import X, Y, c_poly, lie_bracket, nu_twist
 
 
@@ -165,6 +167,97 @@ def test_splittings_ask_live_for_the_depths_they_build(splitting):
             assert shape(kept) == shape(
                 fs for fs in every
                 if all((M, len(args)) != dead for M, args in fs))
+
+
+# -- the flexion engine against the per-term route ---------------------------
+
+def _eval(value, args, arity):
+    """A depth-len(args) mould value evaluated on polynomial arguments."""
+    if value.arity == 0:
+        return RatFrac.const(arity, value.num.constant_value())
+    return value.substitute_linear(args)
+
+
+def per_term_flexion(alphabet, cap, top, products):
+    """`ari._flexion` term by term: every factor evaluated on its own,
+    the factors multiplied as RatFracs, each term scaled by its sign and
+    the terms of a depth summed with `RatFrac.sum`."""
+    def live(M, depth):
+        return not M.get(depth).is_zero()
+
+    vals = {}
+    for r in range(top + 1):
+        xs = _vars(r)
+        terms = []
+        for sign, split in products:
+            for factors in split(r, xs, live):
+                term = reduce(mul, [_eval(M.get(len(args)), args, r)
+                                    for M, args in factors])
+                terms.append(term.scale(sign))
+        acc = RatFrac.sum(terms, r)
+        if not acc.is_zero():
+            vals[r] = acc
+    return Mould(alphabet, vals, cap)
+
+
+def engine_operands(alphabet):
+    """A depth-0 constant, often nonzero, and depths 1..2 that may
+    vanish; polynomial or with poles (dar_inv), capped or not."""
+    return st.builds(
+        lambda c, M, poles, cap: (
+            Mould(alphabet, {0: RatFrac.const(0, c)})
+            + (dar_inv(M) if poles else M)).with_cap(cap),
+        coeffs, moulds(2, alphabet), st.booleans(),
+        st.one_of(st.none(), st.integers(1, 4)))
+
+
+FLEXION_PRODUCTS = [
+    ("U", mu), ("V", mu), ("U", lu), ("V", lu), ("U", amit), ("U", anit),
+    ("V", amit_bar), ("V", anit_bar), ("U", arit), ("V", arit_bar),
+    ("U", ari_bracket), ("V", ari_bar), ("U", preari), ("V", preari_bar),
+    ("U", darit), ("V", ganit_bar)]
+
+
+@pytest.mark.parametrize("alphabet, product", FLEXION_PRODUCTS,
+                         ids=["%s-%s" % (p.__name__, a)
+                              for a, p in FLEXION_PRODUCTS])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_flexion_engine_matches_the_per_term_route(alphabet, product, data):
+    A = data.draw(engine_operands(alphabet))
+    B = data.draw(engine_operands(alphabet))
+    got = product(A, B)
+    engine, ari._flexion = ari._flexion, per_term_flexion
+    try:
+        want = product(A, B)
+    finally:
+        ari._flexion = engine
+    assert got.cap == want.cap
+    assert _mould_json(got) == _mould_json(want)
+
+
+def test_each_factor_is_substituted_once_per_depth(monkeypatch):
+    """One depth of ari(A, B) makes one substitution call per distinct
+    argument tuple, and evaluates no value twice on the same arguments;
+    the per-term route substitutes each factor slot on its own."""
+    forms = {r: monomial_sum(r, 1) for r in range(1, 5)}
+    A = dar_inv(Mould("U", forms)).with_cap(4)
+    B = Mould("U", {r: forms[r] * forms[r] for r in forms}).with_cap(4)
+    calls = []
+
+    def spy(values, images):
+        calls.append((images[0].arity, tuple(images),
+                       [id(v) for v in values]))
+        return substitute(values, images)
+
+    monkeypatch.setattr(poly, "substitute", spy)
+    monkeypatch.setattr(ari, "substitute", spy)
+    ari_bracket(A, B)
+    assert {r for r, _, _ in calls} == {2, 3, 4}
+    tuples = [(r, args) for r, args, _ in calls]
+    assert len(set(tuples)) == len(tuples)
+    pairs = [(r, args, v) for r, args, ids in calls for v in ids]
+    assert len(set(pairs)) == len(pairs)
 
 
 # -- structure preservation --------------------------------------------------

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from moulde import words
+from moulde import cli, words
 from moulde.cli import run
 from moulde.mould import ma, mould_from_json_text, mould_to_json_text
 from moulde.words import ncpoly_to_text
@@ -347,3 +347,18 @@ def test_bad_input_exits_2(tmp_path, case):
     code, out, err = _run(argv + ["--input", path])
     assert code == 2 and out == ""
     assert err == "error: %s\n" % message
+
+
+def test_shared_parser_matches_fresh_parsers(monkeypatch):
+    # a usage error between two good calls leaves the shared parser as a
+    # fresh one would be: the same outputs and exit codes
+    calls = [["dims", "--space", "ls", "--n", "3..4", "--r", "1..2"],
+             ["dims", "--space", "ls", "--n", "4..3", "--r", "1"],
+             ["dims", "--space", "lkv", "--n", "3..5", "--r", "1..2"]]
+    shared = [_run(argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_run(argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0]
+    assert shared[1][2].startswith("usage error: ")
