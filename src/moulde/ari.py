@@ -31,8 +31,7 @@ from functools import lru_cache
 import math
 
 from .intpoly import _product
-from .poly import (MultiPoly, RatFrac, _ints, _signed_sum, monomial_sum,
-                   substitute)
+from .poly import MultiPoly, RatFrac, _signed_sum, monomial_sum, substitute
 from .mould import (Mould, AlphabetMismatch, _min_cap, _vars,
                     swap, pari, dar, dar_inv, delta_op, delta_inv)
 
@@ -76,10 +75,11 @@ def _flexion(alphabet, cap, top, products):
             if args:
                 images = substitute(list(values.values()), list(args))
             else:  # depth-0 constants, lifted to depth r
-                images = [RatFrac.const(r, v.num.constant_value())
+                one = (0,) * r
+                images = [RatFrac._make(r, {one: v.terms[()]}, v.denom, ())
                           for v in values.values()]
             for i, image in zip(values, images):
-                evaluated[args, i] = (*_ints(image.num), image.den_keys)
+                evaluated[args, i] = image.terms, image.denom, image.den_keys
         parts = []
         for sign, slots in terms:
             num, den, keys = _product([evaluated[s] for s in slots])

@@ -18,8 +18,8 @@ a solved basis element or a map's image failing its own check:
 `spaces.VerificationError`, `maps.MapVerificationError`).
 
 `--depth` runs from 1 to MAX_DEPTH (6).  At depth 6 the named moulds
-take about 8 s to build, and `verify_xi_image` of the weight-5 W_krv
-generator about 50 s with them (single runs on a 2-CPU machine, Python
+take about 6 s to build, and `verify_xi_image` of the weight-5 W_krv
+generator about 41 s with them (single runs on a 2-CPU machine, Python
 3.11); depth 7 takes far longer.  The `--n`/`--r` ranges of `dims`
 must be nonempty and positive, and `basis --n`/`--r` must be positive
 integers.

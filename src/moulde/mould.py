@@ -75,7 +75,8 @@ class Mould:
 
     # -- access -------------------------------------------------------
     def get(self, r):
-        return self.values.get(r, RatFrac.zero(r))
+        v = self.values.get(r)
+        return RatFrac.zero(r) if v is None else v
 
     def depths(self):
         return sorted(self.values)
@@ -92,9 +93,10 @@ class Mould:
         """Homogeneous weight n (degree of depth-r part is n - r), or None."""
         ns = set()
         for r, v in self.values.items():
-            if not v.num.is_homogeneous():
+            degrees = {sum(e) for e in v.terms}
+            if len(degrees) != 1:
                 return None
-            ns.add(v.num.total_degree() - len(v.den_keys) + r)
+            ns.add(degrees.pop() - len(v.den_keys) + r)
         if len(ns) == 1:
             return ns.pop()
         return None
@@ -567,9 +569,8 @@ def mould_to_json(M):
     for r in M.depths():
         v = M.get(r)
         entry = {"num": _poly_to_json(v.num)}
-        den = v.den
-        if not (den.is_constant() and den.constant_value() == 1):
-            entry["den"] = _poly_to_json(den)
+        if v.den_keys:
+            entry["den"] = _poly_to_json(v.den)
         depths[str(r)] = entry
     doc = {"alphabet": M.alphabet, "depths": depths}
     w = M.weight()

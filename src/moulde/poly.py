@@ -1,26 +1,29 @@
 """Exact sparse multivariate polynomials and rational fractions.
 
-All coefficients are `fractions.Fraction`; there is no floating point
-anywhere in this package.  Polynomials are stored as a dict mapping
-exponent tuples (one entry per variable) to nonzero Fraction
-coefficients.
+Every coefficient a caller sees is a `fractions.Fraction`; there is no
+floating point anywhere in this package.  Polynomials are stored as a
+dict mapping exponent tuples (one entry per variable) to nonzero
+Fraction coefficients.
 
-That is a contract on values, not on the arithmetic inside a kernel.
-The linear substitution (`substitute`), the renaming sums
-(`renaming_sums`) and the `RatFrac` sum, product and cancellation clear
-the coefficient denominators once, run on Python ints over one common
-denominator, and make one Fraction per output term:
+A `RatFrac` stores what its kernels compute: integer terms, one
+positive integer `denom` coprime to them, and the factor keys below.
+Its `num` and `den` are views that build Fraction polynomials on
+demand.  A Fraction is built only at the edges: MultiPoly inputs
+(`RatFrac.from_poly`, `RatFrac(num, factors)`, a JSON mould), those
+views, `exact_poly_divide` and `_linear_factor_split`.  The linear
+substitution (`substitute`), the renaming sums (`renaming_sums`) and
+the `RatFrac` sum, product and cancellation run on Python ints:
 
 * `substitute` takes a list of values and builds each monomial's
   image once for all of them; `substitute_linear` is its one-element
-  call;
+  call, and a MultiPoly goes through as a fraction without keys;
 * a renaming shuffles the numerator's exponents and the keys'
   coordinates (`permute_variables`); `renaming_sums` adds the
   renamings of a value in one pass;
-* the common denominator (`common_denominator`, `RatFrac.sum`) brings
-  each integer numerator over it by multiplying it by the factors its
-  own denominator lacks (`_times_key`), and a sum adds the results in
-  one {exponent: int} dict;
+* a sum brings each integer numerator over the lcm of the
+  denominators by multiplying it by the factors its own denominator
+  lacks (`intpoly._lifted`), and adds the results in one
+  {exponent: int} dict;
 * the product (`RatFrac.__mul__`) first divides each integer
   numerator by the keys that only the other denominator has, then
   multiplies the two (`_int_mul`); it never cancels over the product;
@@ -32,7 +35,7 @@ denominator, and make one Fraction per output term:
   for MultiPoly arguments).
 
 Going through Fraction at every product instead costs a gcd per
-operation.  The integer kernels live in `moulde.intpoly`.
+term.  The integer kernels live in `moulde.intpoly`.
 
 In this calculus every denominator that ever arises is a product of
 homogeneous linear forms such as u_i, u_i+...+u_j or v_i-v_j, and
@@ -52,7 +55,7 @@ of factor keys, `den_keys`:
   factor's hyperplane is refused without a division), and sums go over
   one common denominator that is cancelled once.  Linear forms are
   prime, so a reduced fraction is canonical: equal fractions
-  have equal keys and numerators, and byte-identical text, and
+  have equal keys, terms and denom, and byte-identical text, and
   `RatFrac.__eq__` compares just those, with no expansion and no
   cross-multiplication.
 * A linear form becomes its key once, where it enters
@@ -215,18 +218,6 @@ class MultiPoly:
             return self
         return _poly(self.arity, {e: cc * c for e, cc in self.terms.items()})
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.const(self.arity, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.arity, other)
@@ -350,64 +341,84 @@ def monomial_sum(r, d):
 # ---------------------------------------------------------------------------
 
 class RatFrac:
-    """Quotient of polynomials; denominator stored as a factor multiset.
+    """Quotient of polynomials, terms / (denom times the factors of
+    den_keys).
 
-    `den_keys` is the sorted multiset of factor keys (see the module
-    docstring), and the fraction is always reduced: no factor of the
-    denominator divides the numerator.
+    `terms` is an {exponent tuple: int} dict holding no zero, `denom` a
+    positive int coprime to the terms, and `den_keys` the sorted
+    multiset of factor keys (see the module docstring).  The fraction is
+    always reduced: no factor of the denominator divides the numerator.
+    `num` and `den` are views that build the Fraction polynomials.
     """
 
-    __slots__ = ("num", "den_keys")
+    __slots__ = ("arity", "terms", "denom", "den_keys")
 
     def __init__(self, num, den_factors=()):
         if isinstance(num, (int, Fraction)):
             raise TypeError("wrap scalars via RatFrac.const")
-        self.num, self.den_keys = _divided(num, *_factor_keys(den_factors))
+        self._set(*_divided(num, *_factor_keys(den_factors)))
+
+    def _set(self, arity, terms, den, keys):
+        """Store terms / (den times the factors of the sorted keys), for
+        integer terms holding no zero and a nonzero int den: only the
+        sign and the gcd of den and the terms are taken out."""
+        if not terms:
+            den, keys = 1, ()
+        else:
+            g = math.gcd(den, *terms.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                terms = {e: v // g for e, v in terms.items()}
+                den //= g
+        self.arity, self.terms, self.denom, self.den_keys = (
+            arity, terms, den, keys)
 
     @classmethod
-    def _make(cls, num, den_keys):
-        """Wrap a numerator and sorted normalised keys as they are."""
+    def _make(cls, arity, terms, den, keys):
+        """Wrap integer terms, a den and sorted normalised keys, with no
+        cancelling (see `_set`)."""
         out = cls.__new__(cls)
-        out.num = num
-        out.den_keys = den_keys if not num.is_zero() else ()
+        out._set(arity, terms, den, keys)
         return out
 
     # -- constructors -------------------------------------------------
     @classmethod
     def from_poly(cls, p):
-        return cls._make(p, ())
+        return cls._make(p.arity, *_ints(p), ())
 
     @classmethod
     def const(cls, arity, c):
-        return cls._make(MultiPoly.const(arity, c), ())
+        c = _frac(c)
+        return cls._make(arity, {(0,) * arity: c.numerator} if c else {},
+                         c.denominator, ())
 
     @classmethod
     def zero(cls, arity):
-        return cls._make(MultiPoly.zero(arity), ())
+        return cls._make(arity, {}, 1, ())
 
     @classmethod
     def sum(cls, fracs, arity):
         """Sum of `fracs` over one common denominator, cancelled once."""
         if any(f.arity != arity for f in fracs):
             raise ValueError("arity mismatch")
-        return _signed_sum(arity, [(*_ints(f.num), f.den_keys)
+        return _signed_sum(arity, [(f.terms, f.denom, f.den_keys)
                                    for f in fracs])
 
     # -- views --------------------------------------------------------
     @property
-    def arity(self):
-        return self.num.arity
+    def num(self):
+        return _from_ints(self.arity, self.terms, self.denom)
 
     @property
     def den(self):
-        arity = self.num.arity
-        terms = {(0,) * arity: 1}
+        terms = {(0,) * self.arity: 1}
         for k in self.den_keys:
             terms = _times_key(terms, k)
-        return _from_ints(arity, terms, 1)
+        return _from_ints(self.arity, terms, 1)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.terms
 
     def is_polynomial(self):
         return not self.den_keys
@@ -434,7 +445,7 @@ class RatFrac:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFrac._make(-self.num, self.den_keys)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -446,21 +457,26 @@ class RatFrac:
         other = self._coerce(other)
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        terms, den, keys = _product([(*_ints(f.num), f.den_keys)
-                                     for f in (self, other)])
-        return RatFrac._make(_from_ints(self.arity, terms, den), keys)
+        return RatFrac._make(self.arity, *_product(
+            [(f.terms, f.denom, f.den_keys) for f in (self, other)]))
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        return RatFrac._make(self.num.scale(c), self.den_keys)
+        c = _frac(c)
+        if not c:
+            return RatFrac.zero(self.arity)
+        return RatFrac._make(
+            self.arity, {e: v * c.numerator for e, v in self.terms.items()},
+            self.denom * c.denominator, self.den_keys)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
             other = self._coerce(other)
         if not isinstance(other, RatFrac):
             return NotImplemented
-        return self.den_keys == other.den_keys and self.num == other.num
+        return (self.arity == other.arity and self.den_keys == other.den_keys
+                and self.denom == other.denom and self.terms == other.terms)
 
     def __hash__(self):
         raise TypeError("RatFrac is unhashable (equality is semantic)")
@@ -476,9 +492,9 @@ class RatFrac:
         arity = self.arity if arity is None else arity
         get = _shuffler(perm, self.arity, arity)
         keys, sign = _renamed_keys(self.den_keys, get)
-        num = self.num if sign > 0 else -self.num
         return RatFrac._make(
-            _poly(arity, {get(e): c for e, c in num.terms.items()}), keys)
+            arity, {get(e): sign * v for e, v in self.terms.items()},
+            self.denom, keys)
 
     def __str__(self):
         if not self.den_keys:
@@ -486,20 +502,6 @@ class RatFrac:
         return "(" + poly_to_text(self.num) + ") / (" + poly_to_text(self.den) + ")"
 
     __repr__ = __str__
-
-
-def common_denominator(fracs):
-    """(keys, numerators): the least common multiple of the denominators
-    of `fracs`, as sorted factor keys, and each numerator brought over
-    it.  Nothing is cancelled."""
-    den = math.lcm(*(c.denominator for f in fracs
-                     for c in f.num.terms.values()))
-    keys, nums = _lifted(
-        (f.den_keys, {e: c.numerator * (den // c.denominator)
-                      for e, c in f.num.terms.items()})
-        for f in fracs)
-    return keys, [_from_ints(f.arity, terms, den)
-                  for f, terms in zip(fracs, nums)]
 
 
 # -- factor keys ------------------------------------------------------------
@@ -525,23 +527,22 @@ def _factor_keys(factors):
 
 
 def _divided(num, scale, keys):
-    """(num', keys'): num / (scale times the factors of the sorted keys),
-    reduced."""
+    """The `RatFrac._make` parts of num / (scale times the factors of the
+    sorted keys), reduced."""
     terms, den = _ints(num)
-    scale *= den  # num / scale = terms / (scale * den)
+    # num / scale = terms * scale.denominator / (den * scale.numerator)
     return _reduced(
         num.arity, {e: v * scale.denominator for e, v in terms.items()},
-        scale.numerator, keys)
+        den * scale.numerator, keys)
 
 
 def _reduced(arity, terms, den, keys):
-    """(num, left): the numerator terms / den, integer terms without a
-    zero, divided on integers by each factor of `keys` that divides it;
-    `left` lists the factors that did not divide."""
-    if not terms:
-        return _poly(arity, {}), ()
+    """The `RatFrac._make` parts (arity, terms', den, left) of the
+    integer terms / den, without a zero, divided on integers by each
+    factor of `keys` that divides them; `left` lists the factors that
+    did not divide."""
     terms, left = _cancelled(terms, keys)
-    return _from_ints(arity, terms, den), tuple(left)
+    return arity, terms, den, tuple(left)
 
 
 def _signed_sum(arity, parts):
@@ -578,64 +579,59 @@ def _group_sum(arity, groups, den):
 def substitute(values, images):
     """Each MultiPoly or RatFrac value with variable i replaced by the
     polynomial images[i]; the images are read, and each key mapped,
-    once per call."""
+    once per call.  A MultiPoly goes through as a fraction without keys
+    and comes back as its numerator."""
     if any(v.arity != len(images) for v in values):
         raise ValueError("need one image per variable")
     tgt = images[0].arity if images else 0
+    fracs = [RatFrac.from_poly(v) if isinstance(v, MultiPoly) else v
+             for v in values]
     perm = _renaming(images)
     if perm is not None:
-        return [v.permute_variables(perm, tgt) for v in values]
-    keyed = [v.den_keys if isinstance(v, RatFrac) else None for v in values]
-    # injective images keep coprime parts coprime: no cancelling
-    rows, d, injective, seen = None, 1, True, {}
-    if any(keyed):
-        rows, d = _linear_rows(images)
-        injective = _independent_rows(rows)
-    out = list(values)
-    for i, terms, den in _substituted_terms(
-            [v.num if k is not None else v for v, k in zip(values, keyed)],
-            images, tgt):
-        if keyed[i] is None:
-            out[i] = _from_ints(tgt, terms, den)
-            continue
-        scale, keys = 1, []
-        for k in keyed[i]:
-            hit = seen.get(k)
-            if hit is None:
-                hit = seen[k] = _key_image(k, rows, tgt)
-            scale *= hit[0]
-            keys.append(hit[1])
-        lift = d ** len(keys)  # the image of each key is g * key' / d
-        if lift != 1:
-            terms = {e: c * lift for e, c in terms.items()}
-        keys = tuple(sorted(keys))
-        if injective:
-            out[i] = RatFrac._make(_from_ints(tgt, terms, den * scale), keys)
-        else:
-            out[i] = RatFrac._make(*_reduced(tgt, terms, den * scale, keys))
-    return out
+        out = [f.permute_variables(perm, tgt) for f in fracs]
+    else:
+        out = list(fracs)
+        # injective images keep coprime parts coprime: no cancelling
+        rows, d, injective, seen = None, 1, True, {}
+        if any(f.den_keys for f in fracs):
+            rows, d = _linear_rows(images)
+            injective = _independent_rows(rows)
+        for i, terms, den in _substituted_terms(fracs, images, tgt):
+            scale, keys = 1, []
+            for k in fracs[i].den_keys:
+                hit = seen.get(k)
+                if hit is None:
+                    hit = seen[k] = _key_image(k, rows, tgt)
+                scale *= hit[0]
+                keys.append(hit[1])
+            lift = d ** len(keys)  # the image of each key is g * key' / d
+            if lift != 1:
+                terms = {e: c * lift for e, c in terms.items()}
+            parts = tgt, terms, den * scale, tuple(sorted(keys))
+            out[i] = RatFrac._make(*(parts if injective
+                                     else _reduced(*parts)))
+    return [f.num if isinstance(v, MultiPoly) else f
+            for v, f in zip(values, out)]
 
 
-def _substituted_terms(polys, images, tgt):
-    """Yield (i, integer terms, den) once the image of polys[i] is
-    complete.  image(x^e) = image(x^(e - unit_j)) * images[j], j the
-    last variable of e, is built once; the walk takes the words of the
-    monomials (x1 e_1 times, x2 e_2 times, ...) in order, so it keeps
+def _substituted_terms(fracs, images, tgt):
+    """Yield (i, integer terms, den) once the image of the numerator of
+    fracs[i] is complete.  image(x^e) = image(x^(e - unit_j)) * images[j],
+    j the last variable of e, is built once; the walk takes the words of
+    the monomials (x1 e_1 times, x2 e_2 times, ...) in order, so it keeps
     only the images of the current word's prefixes."""
     forms, dens = zip(*map(_ints, images)) if images else ((), ())
     at, left, commons = {}, [], []
-    for i, p in enumerate(polys):
-        # a term c x^e adds c / prod dens[j]^e_j times the image of x^e
-        weights = {e: (c.numerator,
-                       c.denominator * math.prod(map(pow, dens, e)))
-                   for e, c in p.terms.items()}
-        common = math.lcm(*(den for _, den in weights.values()))
-        commons.append(common)
+    for i, f in enumerate(fracs):
+        # c x^e adds c / (denom prod dens[j]^e_j) times the image of x^e
+        weights = {e: math.prod(map(pow, dens, e)) for e in f.terms}
+        common = math.lcm(*weights.values())
+        commons.append(common * f.denom)
         left.append(len(weights))
         if not weights:
             yield i, {}, 1
-        for e, (num, den) in weights.items():
-            at.setdefault(e, []).append((i, num * (common // den)))
+        for e, w in weights.items():
+            at.setdefault(e, []).append((i, f.terms[e] * (common // w)))
     # path[n]: the image of the first n letters of the last word
     word, path, accs = (), [{(0,) * tgt: 1}], {}
     for w, e in sorted((sum(((j,) * x for j, x in enumerate(e)), ()), e)
@@ -690,15 +686,14 @@ def renaming_sums(values, perms):
     gets = [_shuffler(p, r, r) for p in perms]
     out = []
     for v in values:
-        terms, den = _ints(v.num)
         groups = {}
         for get in gets:
             keys, sign = _renamed_keys(v.den_keys, get)
             acc = groups.setdefault(keys, {})
-            for e, c in terms.items():
+            for e, c in v.terms.items():
                 e = get(e)
                 acc[e] = acc.get(e, 0) + sign * c
-        out.append(_group_sum(r, groups, den))
+        out.append(_group_sum(r, groups, v.denom))
     return out
 
 

@@ -40,8 +40,8 @@ from . import mould as mould_mod
 from . import words as words_mod
 from .linalg import nullspace, rank
 from .mould import Mould
-from .poly import (MultiPoly, RatFrac, common_denominator, compositions,
-                   grlex_key)
+from .intpoly import _lifted
+from .poly import MultiPoly, RatFrac, compositions, grlex_key
 from .words import NCPoly
 
 _ZERO = Fraction(0)
@@ -66,7 +66,8 @@ class VerificationError(Exception):
 class ConstraintSystem:
     """Parameter basis plus one row per instantiated linear identity:
     row i, tagged tags[i], is {column: entry * scales[i]} in
-    `integer_rows`; `rows` builds the dense rational rows on demand."""
+    `integer_rows`, which may carry a common factor; `rows` builds the
+    dense rational rows on demand, reduced."""
 
     __slots__ = ("parameters", "tags", "integer_rows", "scales")
 
@@ -113,22 +114,21 @@ class BigradedBasis:
 # The constraint engine
 # ---------------------------------------------------------------------------
 
-def _terms(image):
-    """Nonzero {key: coefficient} of a polynomial, word polynomial or dict."""
-    if isinstance(image, RatFrac):
-        if not image.is_polynomial():
-            raise ValueError("expected a polynomial value")
-        image = image.as_poly()
-    if not isinstance(image, dict):
-        image = image.terms
-    return {k: c for k, c in image.items() if c}
-
-
 def _cleared(images):
-    """Numerators of the images over their common denominator."""
-    if all(not isinstance(f, RatFrac) or f.is_polynomial() for f in images):
-        return images
-    return common_denominator(images)[1]
+    """(nonzero integer terms, den) of each image, over one common
+    denominator of the images: each RatFrac numerator lifted over the
+    lcm of their keys (`intpoly._lifted`), and a word polynomial or
+    {key: coefficient} dict over the lcm of its coefficients'
+    denominators."""
+    if isinstance(images[0], RatFrac):
+        _, nums = _lifted((f.den_keys, f.terms) for f in images)
+        yield from zip(nums, (f.denom for f in images))
+        return
+    for image in images:
+        terms = getattr(image, "terms", image)
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        yield {k: c.numerator * (den // c.denominator)
+               for k, c in terms.items() if c}, den
 
 
 def _assemble(parameters, conditions, constant=False):
@@ -140,26 +140,28 @@ def _assemble(parameters, conditions, constant=False):
     The constant enters as one more image, -weight, so the images of a
     condition, the constant's included, go over one common denominator.
     There is one row per key (tag, monomial or word) in the union of
-    all numerators, kept sparse and scaled to integers.  Without
-    parameters the system is empty, the constant's column included."""
+    all numerators, kept sparse and scaled to integers by the lcm of the
+    dens of its columns.  Without parameters the system is empty, the
+    constant's column included."""
     if not parameters:
         return ConstraintSystem([], [], [], [])
     if constant:
         parameters = list(parameters) + ["c"]
-    entries = {}
+    entries, dens = {}, {}
     for tag, images, weight in conditions:
         if constant:
             images = list(images) + [RatFrac.const(images[0].arity, -weight)]
-        for j, image in enumerate(_cleared(images)):
-            for k, c in _terms(image).items():
+        cols = dens[tag] = {}
+        for j, (terms, den) in enumerate(_cleared(images)):
+            cols[j] = den
+            for k, c in terms.items():
                 entries.setdefault((tag, k), {})[j] = c
     tags = sorted(entries)
     rows, scales = [], []
     for tag in tags:
-        row = entries.pop(tag)
-        scale = math.lcm(*(c.denominator for c in row.values()))
-        rows.append({j: c.numerator * (scale // c.denominator)
-                     for j, c in row.items()})
+        row, cols = entries.pop(tag), dens[tag[0]]
+        scale = math.lcm(*(cols[j] for j in row))
+        rows.append({j: c * (scale // cols[j]) for j, c in row.items()})
         scales.append(scale)
     return ConstraintSystem(parameters, tags, rows, scales)
 

@@ -12,7 +12,7 @@ from moulde.mould import (ConstantMould, Mould, circ, dar, dar_inv, delta_inv,
                           is_senary, ma, ma_inverse, mantar,
                           mould_from_json_text, mould_to_json_text, neg_op,
                           pari, push, star_correction, swap, teru)
-from moulde.poly import MultiPoly
+from moulde.poly import MultiPoly, RatFrac
 from moulde.words import NCPoly, X, Y, lie_bracket
 
 
@@ -34,6 +34,20 @@ def moulds(max_depth=3):
     return st.fixed_dictionaries(
         {r: _depth_polys(r) for r in range(1, max_depth + 1)}).map(
         lambda d: Mould("U", d))
+
+
+def test_get_builds_its_zero_only_on_a_miss(monkeypatch):
+    M = _u({1: {(2,): 1}})
+    stored = M.values[1]
+
+    def refuse(cls, arity):
+        raise AssertionError("RatFrac.zero(%d) built for a present depth"
+                             % arity)
+
+    monkeypatch.setattr(RatFrac, "zero", classmethod(refuse))
+    assert M.get(1) is stored
+    monkeypatch.undo()
+    assert M.get(2) == RatFrac.zero(2) and M.get(2).arity == 2
 
 
 # -- ma ----------------------------------------------------------------------

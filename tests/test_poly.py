@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moulde.poly import (MultiPoly, RatFrac, _int_mul, _ints,
+from moulde.mould import Mould, mould_from_json, mould_to_json
+from moulde.poly import (MultiPoly, RatFrac, _int_mul,
                          _linear_factor_split, _reduced, _renaming,
                          exact_poly_divide, grlex_key, monomial_sum,
                          poly_to_text)
@@ -45,7 +46,6 @@ def test_basic_arithmetic():
     y = MultiPoly.variable(2, 2)
     p = (x + y) * (x - y)
     assert p == x * x - y * y
-    assert (x + y) ** 2 == x * x + x * y.scale(2) + y * y
 
 
 def test_substitute_linear_swap_of_variables():
@@ -305,12 +305,12 @@ def _at(terms, point):
 
 
 def _value(f, point):
-    """Value of a fraction at a point, read off its raw numerator terms
-    and factor keys (None where the denominator vanishes)."""
-    den = F(1)
+    """Value of a fraction at a point, read off its raw integer terms,
+    denom and factor keys (None where the denominator vanishes)."""
+    den = F(f.denom)
     for key in f.den_keys:
         den *= sum(c * x for c, x in zip(key, point))
-    return None if den == 0 else _at(f.num.terms, point) / den
+    return None if den == 0 else _at(f.terms, point) / den
 
 
 def renamings(arity=3):
@@ -334,8 +334,14 @@ def _parts_value(parts, point):
 
 
 def _assert_reduced(f):
-    """No factor left in the denominator divides the numerator."""
-    if f.num.is_zero():
+    """The canonical form: int terms holding no zero over a positive int
+    denom coprime to them, sorted keys, and no factor left in the
+    denominator that divides the numerator."""
+    assert all(type(c) is int and c for c in f.terms.values()), f
+    assert type(f.denom) is int and f.denom > 0, f
+    assert math.gcd(f.denom, *f.terms.values()) == 1, f
+    assert list(f.den_keys) == sorted(f.den_keys), f
+    if not f.terms:
         assert f.den_keys == ()
     for key in set(f.den_keys):
         factor = MultiPoly(f.arity, {
@@ -368,18 +374,46 @@ def test_sum_and_product_agree_with_evaluation(parts, pair, q, point):
         assert list(f.den_keys) == sorted(f.den_keys)
 
 
+# a rational point of large height: no nonzero fraction drawn here
+# vanishes at it, and no key of FACTORS
+GENERIC = (F(7919, 1009), F(-6007, 2003), F(4999, 3001))
+
+
+def _json_round_trip(f):
+    return mould_from_json(mould_to_json(Mould("U", {3: f}))).get(3)
+
+
+@given(st.lists(ratfracs(rationals), min_size=3, max_size=3),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(
+           bool))
+@settings(max_examples=150, deadline=None)
+def test_equality_holds_exactly_when_values_agree(fgh, c):
+    """Fractions reached by different routes are equal exactly when
+    their values at a generic rational point agree, and each is in the
+    canonical form."""
+    f, g, h = fgh
+    pairs = [((f + g) + h, f + (g + h)), (f.scale(c).scale(1 / c), f),
+             (_json_round_trip(f), f), (f, g), (f + h, g + h),
+             (f * g, g * f), ((f + g) * h, f * h + g * h), (f * h, g * h),
+             (f - g + g, f), (f.scale(c), f)]
+    for a, b in pairs:
+        _assert_reduced(a)
+        _assert_reduced(b)
+        assert (a == b) == (_value(a, GENERIC) == _value(b, GENERIC)), (a, b)
+
+
 def _product_oracle(f, g):
     """The product before cross-cancellation: multiply the integer
     numerators, then `_reduced` over every key of both denominators."""
-    a, da = _ints(f.num)
-    b, db = _ints(g.num)
-    return RatFrac._make(*_reduced(f.arity, _int_mul(a, b), da * db,
-                                   sorted(f.den_keys + g.den_keys)))
+    return RatFrac._make(*_reduced(
+        f.arity, _int_mul(f.terms, g.terms), f.denom * g.denom,
+        sorted(f.den_keys + g.den_keys)))
 
 
 def _assert_product(f, g):
     got, want = f * g, _product_oracle(f, g)
     assert got.den_keys == want.den_keys and got.num == want.num
+    assert (got.terms, got.denom) == (want.terms, want.denom)
     assert str(got) == str(want)
     assert list(got.den_keys) == sorted(got.den_keys)
     _assert_reduced(got)

@@ -346,6 +346,24 @@ def test_ds_ell_lies_in_the_span_of_krv_ell():
     assert checked >= 10
 
 
+def test_rows_clear_rational_coefficients_and_keys():
+    """Row (tag, e) holds the coefficient of x^e in each numerator
+    f_j * D, D the lcm of the denominators, whatever the coefficient
+    denominators of the f_j; the solvers' own images have none."""
+    x, y = poly.MultiPoly.variable(1, 2), poly.MultiPoly.variable(2, 2)
+    images = [poly.RatFrac(x.scale(F(1, 2)) + y.scale(F(2, 3)), (x,)),
+              poly.RatFrac(x.scale(F(3, 4)), (x + y,)),
+              poly.RatFrac.from_poly(x.scale(F(-5, 6)))]
+    D = poly.RatFrac.from_poly(x * (x + y))
+    system = spaces._assemble(["a", "b", "c"], [("t", images, 0)])
+    want = {}
+    for j, f in enumerate(images):
+        for e, c in (f * D).as_poly().terms.items():
+            want.setdefault(("t", e), [F(0)] * 3)[j] = c
+    assert system.tags == sorted(want)
+    assert system.rows == [want[t] for t in system.tags]
+
+
 @pytest.mark.parametrize("system", [spaces.krv_ell_system,
                                     spaces.ds_ell_system])
 def test_adjoined_constant_is_never_alone(system):

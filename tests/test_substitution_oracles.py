@@ -77,10 +77,16 @@ def oracle_poly_substitute(p, images):
     return _from_ints(tgt, {e: v for e, v in acc.items() if v}, common)
 
 
+def _wrapped(num, keys):
+    """The fraction of the MultiPoly num over the factors of the sorted
+    keys, as they are: nothing is cancelled."""
+    return RatFrac._make(num.arity, *_ints(num), keys)
+
+
 def oracle_ratfrac_substitute(f, images):
     num = oracle_poly_substitute(f.num, images)
     if not f.den_keys:
-        return RatFrac._make(num, ())
+        return _wrapped(num, ())
     rows, d = _linear_rows(images)
     scale, keys = 1, []
     for k in f.den_keys:
@@ -99,7 +105,7 @@ def oracle_ratfrac_substitute(f, images):
     scale = F(scale, d ** len(keys))
     keys = tuple(sorted(keys))
     if _independent_rows(rows):
-        return RatFrac._make(num.scale(1 / scale), keys)
+        return _wrapped(num.scale(1 / scale), keys)
     return RatFrac._make(*_divided(num, scale, keys))
 
 
