@@ -3,8 +3,9 @@
 Every space runs through one constraint engine.  The bigraded spaces
 `lkv`, `ls`, `krv_ell` and `ds_ell` share one parameter basis, the
 degree-(n-r) monomial moulds in depth r; only `vkrv` is solved on
-Lyndon Lie elements.  The space is a list of linear conditions on that
-basis, built from shared pieces: alternality, push-invariance,
+Lyndon Lie elements, and its rows are read off the brackets' integer
+coefficients word by word.  The space is a list of linear conditions
+on that basis, built from shared pieces: alternality, push-invariance,
 circ-neutrality, the swap and the Delta-quotient (Schneps, "ARI, GARI,
 Zig and Zag", arXiv:1507.01534).  `lkv` is solved on the alternal
 moulds, onto which `ma` maps the depth-r Lie elements, and its basis
@@ -296,8 +297,8 @@ def lie_basis(n, r):
     Bracketing keeps the number of letters y, so only the Lyndon words
     with r letters y are bracketed.  No solver uses it: it is the basis
     of the Lyndon-word route to `lkv`, kept as an independent check."""
-    return [words_mod._standard_bracketing(w)
-            for w in words_mod.lyndon_words(n) if w.count("y") == r]
+    return words_mod._lyndon_brackets(
+        [w for w in words_mod.lyndon_words(n) if w.count("y") == r])
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +354,38 @@ def solve_ls(n, r):
 # ---------------------------------------------------------------------------
 
 def vkrv_system(n):
+    """Rows on the integer numerators of the Lyndon brackets g, one pass
+    over the words w of each g: push(g) - g by a block rotation of w,
+    and the coefficient of w in y(g^y - g^x) at its push class
+    (`push_classes`, with repetition)."""
     gens = sorted(words_mod.lyndon_lie_basis(n), key=NCPoly.depths)
     m = n - 1
-    orbits = [o for r in range(1, m) for o in words_mod.push_classes(m, r)]
+    # word -> (its class key, how often the class lists it)
+    classes_of = {}
+    for r in range(1, m):
+        for o in words_mod.push_classes(m, r):
+            key = min(o)
+            classes_of.update((v, (key, o.count(v))) for v in o)
+    keys = {key for key, _ in classes_of.values()}
     push, ym, classes = [], [], []
     for g in gens:
-        _, _, _, gux, guy = words_mod.decompose(g)
-        diff = guy - gux
-        c_lin = g.coeff("x" * m + "y")
-        push.append(words_mod.push_word(g) - g)
-        # the y^{n-1} coefficient must vanish outright
-        ym.append({"": diff.coeff("y" * m)})
+        row_push = {}
         # push-class sums (with repetition) all equal (g | x^{n-1}y)
-        classes.append({min(o): sum(diff.coeff(v) for v in o) - c_lin
-                        for o in orbits})
+        row_class = dict.fromkeys(keys, -g.coeff("x" * m + "y").numerator)
+        for w, c in g.terms.items():
+            c = c.numerator
+            p = words_mod.push_word_single(w)
+            row_push[p] = row_push.get(p, 0) + c
+            row_push[w] = row_push.get(w, 0) - c
+            if w[0] == "x":
+                c = -c
+            if w[1:] in classes_of:
+                key, k = classes_of[w[1:]]
+                row_class[key] += k * c
+        push.append(row_push)
+        # the y^{n-1} coefficient must vanish outright
+        ym.append({"": g.coeff("y" * n) - g.coeff("x" + "y" * m)})
+        classes.append(row_class)
     return _assemble(gens, [("push", push, 0), ("ym", ym, 0),
                             ("class", classes, 0)])
 

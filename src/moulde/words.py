@@ -9,8 +9,14 @@ used to parameterize linear solvers.
 
 The push predicates and `spaces.vkrv_system` walk one enumeration,
 `push_classes(m, r)`: the push orbits of the weight-m, depth-r words,
-with repetition, one per class.  Both directions of the C-basis build
-the C-monomials on integers by one helper, `_c_monomial_ints`.
+with repetition, one per class.
+
+The word kernels compute on {word: int} dicts over one integer
+denominator and make one Fraction per output term: the Lyndon brackets
+(each sub-word bracketed once per call through the standard
+factorisation), the Dynkin right-normed brackets of `is_lie_element`
+(each suffix once), and the prefix products that `substitute_letters`
+and both directions of the C-basis share (`_prefix_product`).
 """
 
 from __future__ import annotations
@@ -174,7 +180,11 @@ def lie_bracket(f, g):
 
 
 def is_lie_element(f):
-    """Dynkin criterion: right-normed bracketing returns n*f for Lie f."""
+    """Dynkin criterion: right-normed bracketing returns n*f for Lie f.
+
+    Runs on the integer numerators of f over the lcm of its
+    denominators; the right-normed bracket of each suffix of the words
+    of f is built once."""
     if f.is_zero():
         return True
     if not f.is_weight_homogeneous():
@@ -182,13 +192,48 @@ def is_lie_element(f):
     n = f.weight()
     if n == 0:
         return False
-    out = NCPoly.zero()
-    for w, c in f.terms.items():
-        bracketed = NCPoly.word(w[-1])
-        for ch in reversed(w[:-1]):
-            bracketed = lie_bracket(NCPoly.word(ch), bracketed)
-        out = out + bracketed.scale(c)
-    return out == f.scale(n)
+    terms, _ = _ints(f)
+    suffixes, out = {}, {}
+    for w, c in terms.items():
+        for u, d in _right_normed_ints(w, suffixes).items():
+            out[u] = out.get(u, 0) + c * d
+    out = {u: c for u, c in out.items() if c}
+    return out == {w: n * c for w, c in terms.items()}
+
+
+def _ints(f):
+    """(terms, den) with f = terms / den: the integer numerators of f
+    over the lcm of its denominators."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return {w: c.numerator * (den // c.denominator)
+            for w, c in f.terms.items()}, den
+
+
+def _from_ints(terms, den=1):
+    """The NCPoly terms / den, one Fraction per nonzero term."""
+    out = NCPoly.__new__(NCPoly)
+    out.terms = {w: Fraction(c, den) for w, c in terms.items() if c}
+    return out
+
+
+def _bracket_ints(p, q):
+    """[p, q] = pq - qp on {word: int} dicts, without zero terms."""
+    out = {}
+    for u, c in p.items():
+        for v, d in q.items():
+            out[u + v] = out.get(u + v, 0) + c * d
+            out[v + u] = out.get(v + u, 0) - c * d
+    return {w: c for w, c in out.items() if c}
+
+
+def _right_normed_ints(w, memo):
+    """[w1, [w2, [..., wn]]] as {word: int}, memoising every suffix of
+    the nonempty word w in `memo`."""
+    p = memo.get(w)
+    if p is None:
+        p = memo[w] = ({w: 1} if len(w) == 1 else _bracket_ints(
+            {w[0]: 1}, _right_normed_ints(w[1:], memo)))
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +328,11 @@ def _word_blocks(w):
     return blocks
 
 
-def _blocks_word(blocks):
-    return "y".join("x" * a for a in blocks)
-
-
 def push_word_single(w):
-    if "y" not in w:
-        return w
-    blocks = _word_blocks(w)
-    return _blocks_word(blocks[-1:] + blocks[:-1])
+    """Move the last x-block to the front: x^{a0} y ... y x^{ar} ->
+    x^{ar} y x^{a0} y ... y x^{a(r-1)}."""
+    k = w.rfind("y")
+    return w if k < 0 else w[k + 1:] + "y" + w[:k]
 
 
 def push_word(f):
@@ -559,14 +600,49 @@ def angle_bracket(b, b2):
 
 def substitute_letters(f, images):
     """The algebra endomorphism sending each letter ch to images[ch],
-    applied to f."""
-    out = NCPoly.zero()
-    for w, c in f.terms.items():
-        term = NCPoly.one(c)
-        for ch in w:
-            term = term * images[ch]
-        out = out + term
-    return out
+    applied to f.  Each image is cleared to integers once, and each
+    distinct prefix image is built once (`_combination`)."""
+    return _combination(f.terms.items(),
+                        {ch: _ints(g) for ch, g in images.items()}.__getitem__)
+
+
+def _combination(pairs, factor):
+    """sum k_a factor(a_1) factor(a_2) ... over the pairs (a, k_a), each
+    factor a pair ({word: int}, den) and each k_a a Fraction.  The
+    products come from `_prefix_product` and are summed on integers over
+    one common denominator, with one Fraction per word of the result."""
+    memo, scaled = {}, []
+    for a, k in pairs:
+        p, d = _prefix_product(a, memo, factor)
+        scaled.append((p, k / d))
+    den = math.lcm(*(k.denominator for _, k in scaled))
+    out = {}
+    for p, k in scaled:
+        k = k.numerator * (den // k.denominator)
+        for u, c in p.items():
+            out[u] = out.get(u, 0) + k * c
+    return _from_ints(out, den)
+
+
+def _prefix_product(a, memo, factor):
+    """factor(a_1) factor(a_2) ... as ({word: int}, den), extending the
+    longest nonempty prefix of a in `memo` and memoising every longer
+    prefix there."""
+    j = len(a)
+    while j and a[:j] not in memo:
+        j -= 1
+    p, d = memo[a[:j]] if j else ({"": 1}, 1)
+    for j in range(j, len(a)):
+        q, e = factor(a[j])
+        acc = {u + v: c * b for u, c in p.items() for v, b in q.items()}
+        if len(acc) < len(p) * len(q):
+            # two products share a word (factors of mixed word lengths)
+            acc = {}
+            for u, c in p.items():
+                for v, b in q.items():
+                    acc[u + v] = acc.get(u + v, 0) + c * b
+        p, d = memo[a[:j + 1]] = acc, d * e
+    return p, d
 
 
 def nu_twist(f):
@@ -599,22 +675,14 @@ def c_monomial(a):
 
 
 def from_c_basis(coeffs):
-    """sum k_a C_{a1}...C_{ar} over the pairs (a, k_a) of coeffs.
+    """sum k_a C_{a1}...C_{ar} over the pairs (a, k_a) of coeffs, with
+    the integer C-monomials of `_combination`."""
+    return _combination([(tuple(a), _frac(k)) for a, k in coeffs], _c_ints)
 
-    The integer C-monomials of `_c_monomial_ints` are accumulated over
-    the lcm of the coefficient denominators, with one Fraction per
-    word of the result."""
-    coeffs = [(tuple(a), _frac(k)) for a, k in coeffs]
-    den = math.lcm(*(k.denominator for _, k in coeffs))
-    monomials = {(): {"": 1}}
-    acc = {}
-    for a, k in coeffs:
-        scale = k.numerator * (den // k.denominator)
-        for u, c in _c_monomial_ints(a, monomials).items():
-            acc[u] = acc.get(u, 0) + scale * c
-    out = NCPoly.__new__(NCPoly)
-    out.terms = {u: Fraction(c, den) for u, c in acc.items() if c}
-    return out
+
+def _c_ints(i):
+    """C_i on integers, as the pair ({word: int}, 1)."""
+    return _ints(c_poly(i))
 
 
 def to_c_basis(f):
@@ -626,11 +694,9 @@ def to_c_basis(f):
     coefficient 1 on their least word, so the elimination runs on the
     integer numerators of f over the lcm of its denominators and makes
     one Fraction per returned coefficient."""
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    rem = {w: c.numerator * (den // c.denominator)
-           for w, c in f.terms.items()}
+    rem, den = _ints(f)
     # integer C-monomials of this call, each from its longest prefix
-    monomials = {(): {"": 1}}
+    monomials = {}
     coeffs = []
     while rem:
         w = min(rem)
@@ -639,7 +705,7 @@ def to_c_basis(f):
             raise NotInCSpan("leading word %r not of C-monomial form" % w)
         a = tuple(e + 1 for e in _word_blocks(w)[:-1])
         coeffs.append((a, Fraction(k, den)))
-        for u, c in _c_monomial_ints(a, monomials).items():
+        for u, c in _prefix_product(a, monomials, _c_ints)[0].items():
             left = rem.get(u, 0) - k * c
             if left:
                 rem[u] = left
@@ -647,23 +713,6 @@ def to_c_basis(f):
                 del rem[u]
     coeffs.sort(key=lambda t: (len(t[0]), t[0]))
     return coeffs
-
-
-def _c_monomial_ints(a, monomials):
-    """C_{a1}...C_{ar} as {word: int}, extending the longest prefix of a
-    in `monomials` (which holds ()) and memoising every longer prefix
-    there.  All words of a C-monomial have the same length, so
-    concatenation never merges two terms."""
-    j = len(a)
-    while a[:j] not in monomials:
-        j -= 1
-    mono = monomials[a[:j]]
-    for j in range(j, len(a)):
-        c_i = c_poly(a[j]).terms
-        mono = monomials[a[:j + 1]] = {
-            u + v: c * d.numerator for u, c in mono.items()
-            for v, d in c_i.items()}
-    return mono
 
 
 # ---------------------------------------------------------------------------
@@ -686,25 +735,38 @@ def lyndon_words(n):
     return sorted(w for w in out if len(w) == n)
 
 
-def _standard_bracketing(w):
-    if len(w) == 1:
-        return NCPoly.word(w)
-    # standard factorization: v = longest proper Lyndon suffix
-    for i in range(1, len(w)):
-        v = w[i:]
-        if _is_lyndon(v):
-            return lie_bracket(_standard_bracketing(w[:i]),
-                               _standard_bracketing(v))
-    raise AssertionError("not a Lyndon word: %r" % w)
-
-
 def _is_lyndon(w):
     return all(w < w[i:] + w[:i] for i in range(1, len(w)))
 
 
+def _standard_split(w):
+    """len(u) for the standard factorisation w = uv of a Lyndon word of
+    length >= 2: v is its longest proper Lyndon suffix."""
+    return next(i for i in range(1, len(w)) if _is_lyndon(w[i:]))
+
+
+def _bracketed_ints(w, memo):
+    """The standard bracketing P(w) of the Lyndon word w as {word: int}:
+    P(w) = [P(u), P(v)] for w = uv standard, each bracket of a sub-word
+    memoised in `memo` (which holds the letters)."""
+    p = memo.get(w)
+    if p is None:
+        i = _standard_split(w)
+        p = memo[w] = _bracket_ints(_bracketed_ints(w[:i], memo),
+                                    _bracketed_ints(w[i:], memo))
+    return p
+
+
+def _lyndon_brackets(ws):
+    """The standard bracketings of the Lyndon words ws, each sub-word
+    bracketed once on integers and each result wrapped once."""
+    memo = {"x": {"x": 1}, "y": {"y": 1}}
+    return [_from_ints(_bracketed_ints(w, memo)) for w in ws]
+
+
 def lyndon_lie_basis(n):
     """Basis of the weight-n part of the free Lie algebra on x, y."""
-    return [_standard_bracketing(w) for w in lyndon_words(n)]
+    return _lyndon_brackets(lyndon_words(n))
 
 
 # ---------------------------------------------------------------------------

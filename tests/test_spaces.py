@@ -198,6 +198,30 @@ def test_vkrv_weight5_is_nu_of_psi_minus(v5):
     assert _proportional(cell.basis[0], v5)
 
 
+def _odd_generator_lie_dims(N):
+    """d_n for n <= N: the dimensions of the free graded Lie algebra with
+    one generator in each odd weight >= 3.  By PBW, log 1/(1 - g) with
+    g = t^3 + t^5 + ... equals sum_n d_n log 1/(1 - t^n), so
+    n [t^n] log 1/(1 - g) = sum over e | n of e d_e."""
+    g = [int(n >= 3 and n % 2 == 1) for n in range(N + 1)]
+    log, power = [F(0)] * (N + 1), [1] + [0] * N
+    for k in range(1, N + 1):
+        power = [sum(power[i] * g[n - i] for i in range(n + 1))
+                 for n in range(N + 1)]
+        log = [a + F(b, k) for a, b in zip(log, power)]
+    d = {}
+    for n in range(1, N + 1):
+        d[n] = (n * log[n] - sum(e * d[e] for e in d if n % e == 0)) / n
+    return d
+
+
+def test_vkrv_reach_matches_the_odd_generator_lie_dims():
+    dims = _odd_generator_lie_dims(11)
+    assert [dims[n] for n in range(3, 12)] == [1, 0, 1, 0, 1, 1, 1, 1, 2]
+    for n in range(3, 12):
+        assert solve_vkrv(n).dim == dims[n], n
+
+
 # -- gr_krv ------------------------------------------------------------------
 
 def test_gr_krv_dims():

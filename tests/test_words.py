@@ -268,6 +268,144 @@ def test_lyndon_lie_basis_independent():
     assert rank(matrix) == len(basis)
 
 
+# -- integer word kernels against the NCPoly routes they replaced -------------
+
+def _bracketing_by_recursion(w):
+    """The standard bracketing of a Lyndon word through NCPoly products,
+    every sub-word bracketed afresh."""
+    if len(w) == 1:
+        return NCPoly.word(w)
+    for i in range(1, len(w)):
+        v = w[i:]
+        if all(v < v[k:] + v[:k] for k in range(1, len(v))):
+            return lie_bracket(_bracketing_by_recursion(w[:i]),
+                               _bracketing_by_recursion(v))
+    raise ValueError("not a Lyndon word: %r" % w)
+
+
+def _is_lie_by_dynkin_loop(f):
+    """The Dynkin criterion word by word on NCPoly brackets."""
+    if f.is_zero():
+        return True
+    if not f.is_weight_homogeneous():
+        raise ValueError("input must be weight-homogeneous")
+    n = f.weight()
+    if n == 0:
+        return False
+    out = NCPoly.zero()
+    for w, c in f.terms.items():
+        bracketed = NCPoly.word(w[-1])
+        for ch in reversed(w[:-1]):
+            bracketed = lie_bracket(NCPoly.word(ch), bracketed)
+        out = out + bracketed.scale(c)
+    return out == f.scale(n)
+
+
+def _substitute_by_products(f, images):
+    """The letter substitution word by word on NCPoly products."""
+    out = NCPoly.zero()
+    for w, c in f.terms.items():
+        term = NCPoly.one(c)
+        for ch in w:
+            term = term * images[ch]
+        out = out + term
+    return out
+
+
+def _push_by_blocks(w):
+    if "y" not in w:
+        return w
+    blocks = [len(b) for b in w.split("y")]
+    return "y".join("x" * a for a in blocks[-1:] + blocks[:-1])
+
+
+def test_lyndon_lie_basis_matches_the_recursion():
+    for n in range(1, 11):
+        assert lyndon_lie_basis(n) == [_bracketing_by_recursion(w)
+                                       for w in lyndon_words(n)], n
+
+
+def test_one_call_brackets_each_lyndon_subword_once(monkeypatch):
+    split, seen = words._standard_split, []
+    monkeypatch.setattr(words, "_standard_split",
+                        lambda w: seen.append(w) or split(w))
+    basis = lyndon_lie_basis(9)
+    first = list(seen)
+    assert len(first) == len(set(first))
+    assert all(words._is_lyndon(w) for w in first)
+    assert set(lyndon_words(9)) <= set(first)
+    # the memo is local to the call: a second call brackets afresh
+    seen.clear()
+    assert lyndon_lie_basis(9) == basis and seen == first
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def lie_combinations(draw, max_n=6):
+    """A rational combination of the weight-n Lyndon brackets, with or
+    without one stray weight-n word added."""
+    n = draw(st.integers(1, max_n))
+    basis = lyndon_lie_basis(n)
+    f = NCPoly.zero()
+    for e, c in zip(basis, draw(st.lists(rationals, min_size=len(basis),
+                                         max_size=len(basis)))):
+        f = f + e.scale(c)
+    if draw(st.booleans()):
+        f = f + NCPoly.word(draw(st.text("xy", min_size=n, max_size=n)),
+                            draw(rationals))
+    return f
+
+
+def rational_word_polys(max_len=3, max_terms=3):
+    ws = st.text(alphabet="xy", min_size=0, max_size=max_len)
+    return st.dictionaries(ws, rationals, max_size=max_terms).map(NCPoly)
+
+
+@given(lie_combinations())
+@settings(max_examples=150, deadline=None)
+def test_is_lie_element_matches_the_dynkin_loop(f):
+    assert is_lie_element(f) == _is_lie_by_dynkin_loop(f)
+
+
+def test_is_lie_element_edge_inputs():
+    for f, verdict in [(NCPoly.zero(), True), (NCPoly.one(3), False),
+                       (NCPoly.one(F(-1, 2)), False), (X.scale(F(2, 3)), True),
+                       (NCPoly.word("xx"), False)]:
+        assert is_lie_element(f) is _is_lie_by_dynkin_loop(f) is verdict
+    for f in [X + NCPoly.word("xy"), NCPoly.one() + lie_bracket(X, Y)]:
+        for check in (is_lie_element, _is_lie_by_dynkin_loop):
+            with pytest.raises(ValueError, match="weight-homogeneous"):
+                check(f)
+
+
+@given(st.one_of(lie_combinations(max_n=5), rational_word_polys()),
+       rational_word_polys(), rational_word_polys())
+@settings(max_examples=150, deadline=None)
+def test_substitute_letters_matches_the_products(f, gx, gy):
+    images = {"x": gx, "y": gy}
+    assert words.substitute_letters(f, images) \
+        == _substitute_by_products(f, images)
+
+
+def test_substitute_letters_edge_inputs():
+    xy = lie_bracket(X, Y)
+    images = {"x": X.scale(F(1, 2)) - NCPoly.one(3), "y": xy}
+    for f in [NCPoly.zero(), NCPoly.one(F(5, 7)),
+              NCPoly({"": 2, "x": F(1, 3), "yxy": -1}), lie_bracket(X, xy)]:
+        assert words.substitute_letters(f, images) \
+            == _substitute_by_products(f, images)
+    assert words.substitute_letters(xy, {"x": NCPoly.zero(), "y": Y}) \
+        == NCPoly.zero()
+
+
+@given(st.text(alphabet="xy", max_size=9))
+@settings(max_examples=100, deadline=None)
+def test_push_word_is_the_block_rotation(w):
+    assert words.push_word_single(w) == _push_by_blocks(w)
+
+
 # -- text form ---------------------------------------------------------------
 
 def test_text_roundtrip():
