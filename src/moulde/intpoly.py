@@ -1,12 +1,34 @@
 """The integer kernels under `moulde.poly`: {exponent tuple: int}
 polynomials with no zero coefficient, and linear-form keys (see the
-`moulde.poly` docstring)."""
+`moulde.poly` docstring).
+
+`_ints` and `_from_ints` are the one passage between a {key: Fraction}
+dict (the terms of a `MultiPoly`, `NCPoly` or `TraceVector`, a row of
+a matrix, a null vector) and its integer numerators over the lcm of
+its denominators; every integer kernel of the package enters and
+leaves through them."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 import math
 from operator import add, itemgetter, sub
+
+
+def _ints(terms):
+    """(ints, den) with the {key: rational} dict `terms` equal to
+    ints / den: its integer numerators over the lcm of its
+    denominators, zeros dropped."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items() if c}, den
+
+
+def _from_ints(ints, den=1):
+    """The {key: Fraction} dict ints / den, one Fraction per nonzero
+    integer of `ints`."""
+    return {k: Fraction(v, den) for k, v in ints.items() if v}
 
 
 def _int_mul(a, b):

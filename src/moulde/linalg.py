@@ -4,8 +4,8 @@ Matrices are plain lists of rows of `fractions.Fraction` (or `int`),
 or for `nullspace` sparse `{column: int}` rows.  `nullspace`, `rank`
 and `solve` share one sparse engine:
 
-1. each row is scaled to integers, as a `{column: int}` dict, and zero
-   rows are dropped;
+1. each row is scaled to integers, as a `{column: int}` dict
+   (`intpoly._ints`), and zero rows are dropped;
 2. the rows are brought to reduced row echelon form modulo the prime
    P = 2^61 - 1;
 3. for each free column f, the null vector v_f with v_f[f] = 1 is
@@ -24,7 +24,9 @@ trusted alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
+
+from .intpoly import _ints
 
 P = (1 << 61) - 1
 # Wang's bound: a fraction with |numerator|, denominator <= _BOUND is the
@@ -77,18 +79,6 @@ def _width(matrix, cols=None):
     return width
 
 
-def _integer_rows(matrix):
-    """Each nonzero row as {column: int}, its denominators cleared."""
-    out = []
-    for row in matrix:
-        entries = {c: x for c, x in enumerate(row) if x}
-        if entries:
-            scale = lcm(*(x.denominator for x in entries.values()))
-            out.append({c: x.numerator * (scale // x.denominator)
-                        for c, x in entries.items()})
-    return out
-
-
 def _subtract(row, f, prow):
     """row -= f * prow, mod P, in place."""
     for c, x in prow.items():
@@ -134,10 +124,8 @@ def _certified(v, f, pivots, columns):
     """Is v supported on {f} and the pivots before f, with M v = 0?"""
     if any(c != f and (c > f or c not in pivots) for c in v):
         return False
-    scale = lcm(*(q.denominator for q in v.values()))
     acc = {}
-    for c, q in v.items():
-        a = q.numerator * (scale // q.denominator)
+    for c, a in _ints(v)[0].items():
         for i, x in columns[c].items():
             acc[i] = acc.get(i, 0) + a * x
     return not any(acc.values())
@@ -187,10 +175,11 @@ def nullspace(matrix, cols=None):
     if not matrix or isinstance(matrix[0], dict):
         if cols is None:
             raise ValueError("cols required for an empty or sparse matrix")
-        rows = [row for row in matrix if any(row.values())]
     else:
         cols = _width(matrix, cols)
-        rows = _integer_rows(matrix)
+        # each row as {column: int}, its denominators cleared
+        matrix = [_ints(dict(enumerate(row)))[0] for row in matrix]
+    rows = [row for row in matrix if any(row.values())]
     vectors = _modular_nullspace(rows, cols)
     if vectors is None:
         vectors = _rational_nullspace(rows, cols)

@@ -33,7 +33,7 @@ import json
 import math
 from operator import mul
 
-from .poly import (MultiPoly, RatFrac, _divided, _linear_factor_split, _poly,
+from .poly import (MultiPoly, RatFrac, _divided, _linear_factor_split,
                    _unit, monomial_sum, renaming_sums, substitute)
 from . import words as W
 
@@ -166,7 +166,7 @@ def _min_cap(a, b):
 
 def _vars(r):
     """The variables x1..xr, built without `MultiPoly`'s validation."""
-    return [_poly(r, {_unit(i, r): Fraction(1)}) for i in range(r)]
+    return [MultiPoly._wrap({_unit(i, r): Fraction(1)}, r) for i in range(r)]
 
 
 # ---------------------------------------------------------------------------

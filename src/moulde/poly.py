@@ -1,9 +1,14 @@
 """Exact sparse multivariate polynomials and rational fractions.
 
 Every coefficient a caller sees is a `fractions.Fraction`; there is no
-floating point anywhere in this package.  Polynomials are stored as a
-dict mapping exponent tuples (one entry per variable) to nonzero
-Fraction coefficients.
+floating point anywhere in this package.  A `MultiPoly` is a
+`Combination`: a dict from keys, here exponent tuples (one entry per
+variable), to nonzero Fraction coefficients.  `Combination` owns that
+format for `MultiPoly`, `words.NCPoly` and `words.TraceVector` alike:
+the constructor's clean-up, `+`, `-`, `scale`, `==`, the hash and the
+signed text; each class adds its key rule and its own product.  Such
+a dict goes to integers over the lcm of its denominators, and back,
+only through `intpoly._ints` and `intpoly._from_ints`.
 
 A `RatFrac` stores what its kernels compute: integer terms, one
 positive integer `denom` coprime to them, and the factor keys below.
@@ -77,18 +82,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
-from operator import sub
+from operator import add, sub
 
-from .intpoly import (_cancelled, _independent_rows, _int_divide, _int_mul,
-                      _lifted, _normalize_linear, _product, _renamed_keys,
-                      _shuffler, _times_key, _unit)
+from .intpoly import (_cancelled, _from_ints, _independent_rows, _int_divide,
+                      _int_mul, _ints, _lifted, _normalize_linear, _product,
+                      _renamed_keys, _shuffler, _times_key, _unit)
 
 
-def _frac(c):
-    """Coerce ints / strings / Fractions to Fraction."""
-    if isinstance(c, Fraction):
-        return c
-    return Fraction(c)
+_ZERO = Fraction(0)
 
 
 def grlex_key(expv):
@@ -96,26 +97,145 @@ def grlex_key(expv):
     return (sum(expv), tuple(-e for e in expv))
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial over Q in variables x1..x{arity}."""
+def _add_into(acc, pairs):
+    """Add the (key, nonzero Fraction) pairs into the dict `acc`,
+    dropping each sum that vanishes; return `acc`."""
+    for k, c in pairs:
+        s = acc.get(k)
+        if s is None:
+            acc[k] = c
+        else:
+            s += c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc
 
-    __slots__ = ("arity", "terms", "_hash")
+
+class Combination:
+    """A finitely supported rational combination of keys: the dict
+    `terms` from keys to nonzero `Fraction`s, the format `MultiPoly`,
+    `words.NCPoly` and `words.TraceVector` share.
+
+    The base owns the constructor's clean-up, `+`, `-`, `scale`, `==`,
+    the hash and the signed text of the terms.  A subclass gives its
+    key rule `_key` (check one key and bring it to its stored form,
+    `ValueError` on a bad one; `coeff` reads through it too), the order
+    `_order` of its keys, and its own product.  Two elements share a
+    space when their `arity` agrees (None for words and traces);
+    `_coerce` admits the operands of `+`, `-` and `==`, and any other
+    operand gets `NotImplemented`, so Python raises `TypeError`."""
+
+    __slots__ = ("terms", "_hash")
+    arity = None
+
+    def __init__(self, terms=None):
+        pairs = ((k, c if type(c) is Fraction else Fraction(c))
+                 for k, c in (terms or {}).items())
+        self.terms = _add_into({}, ((self._key(k), c) for k, c in pairs
+                                    if c))
+        self._hash = None
+
+    @classmethod
+    def _wrap(cls, terms, arity=None):
+        """The element over a clean {key: nonzero Fraction} dict, with
+        no check."""
+        out = cls.__new__(cls)
+        out.terms, out._hash = terms, None
+        if arity is not None:
+            out.arity = arity
+        return out
+
+    def _coerce(self, other):
+        """`other` as an element of this class, or None."""
+        return other if isinstance(other, type(self)) else None
+
+    def is_zero(self):
+        return not self.terms
+
+    def coeff(self, key):
+        return self.terms.get(self._key(key), _ZERO)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.arity != other.arity:
+            raise ValueError("arity mismatch")
+        return self._wrap(_add_into(dict(self.terms), other.terms.items()),
+                          self.arity)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self.terms.items()}, self.arity)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        c = Fraction(c)
+        if c == 1:
+            return self
+        return self._wrap({k: v * c for k, v in self.terms.items()} if c
+                          else {}, self.arity)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.arity == other.arity and self.terms == other.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.arity, frozenset(self.terms.items())))
+        return self._hash
+
+    def sorted_terms(self):
+        """Terms in the order of the keys (deterministic iteration)."""
+        order = self._order
+        return sorted(self.terms.items(), key=lambda t: order(t[0]))
+
+    def _signed_text(self, term):
+        """The sorted terms as "a - b + c", where term(key, |coefficient|)
+        is the text of one term; "0" for zero."""
+        parts = []
+        for k, c in self.sorted_terms():
+            sign = "-" if c < 0 else "+" if parts else ""
+            parts.append(sign + (" " if parts else "") + term(k, abs(c)))
+        return " ".join(parts) or "0"
+
+
+class MultiPoly(Combination):
+    """Sparse multivariate polynomial over Q in variables x1..x{arity}:
+    its keys are exponent tuples of length arity, in graded-lex order,
+    and scalars coerce to constants."""
+
+    __slots__ = ("arity",)
 
     def __init__(self, arity, terms=None):
         self.arity = arity
-        clean = {}
-        if terms:
-            for expv, c in terms.items():
-                c = _frac(c)
-                if c != 0:
-                    t = tuple(expv)
-                    if len(t) != arity:
-                        raise ValueError("exponent vector length != arity")
-                    clean[t] = clean.get(t, Fraction(0)) + c
-                    if clean[t] == 0:
-                        del clean[t]
-        self.terms = clean
-        self._hash = None
+        super().__init__(terms)
+
+    def _key(self, expv):
+        t = tuple(expv)
+        if len(t) != self.arity:
+            raise ValueError("exponent vector length != arity")
+        return t
+
+    _order = staticmethod(grlex_key)
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return MultiPoly.const(self.arity, other)
+        return super()._coerce(other)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -124,9 +244,6 @@ class MultiPoly:
 
     @classmethod
     def const(cls, arity, c):
-        c = _frac(c)
-        if c == 0:
-            return cls.zero(arity)
         return cls(arity, {(0,) * arity: c})
 
     @classmethod
@@ -134,22 +251,18 @@ class MultiPoly:
         """The variable x_i (1-based index)."""
         if not (1 <= i <= arity):
             raise ValueError("variable index out of range")
-        expv = tuple(1 if j == i - 1 else 0 for j in range(arity))
-        return cls(arity, {expv: Fraction(1)})
+        return cls(arity, {_unit(i - 1, arity): 1})
 
     @classmethod
     def monomial(cls, expv, c=1):
-        return cls(len(expv), {tuple(expv): _frac(c)})
+        return cls(len(expv), {tuple(expv): c})
 
     # -- predicates ---------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self):
-        return self.terms.get((0,) * self.arity, Fraction(0))
+        return self.terms.get((0,) * self.arity, _ZERO)
 
     def total_degree(self):
         """Max total degree; -1 for the zero polynomial."""
@@ -161,80 +274,22 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coeff(self, expv):
-        return self.terms.get(tuple(expv), Fraction(0))
-
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.arity, other)
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return _poly(self.arity, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _poly(self.arity, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.arity, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return _poly(self.arity, terms)
+        return MultiPoly._wrap(_add_into({}, (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items())), self.arity)
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        c = _frac(c)
-        if c == 0:
-            return MultiPoly.zero(self.arity)
-        if c == 1:
-            return self
-        return _poly(self.arity, {e: cc * c for e, cc in self.terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.arity, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.arity, frozenset(self.terms.items())))
-        return self._hash
-
     # -- structural helpers -------------------------------------------
-    def sorted_terms(self):
-        """Terms in graded-lex order (deterministic iteration)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-
     def substitute_linear(self, images):
         """Replace variable i by images[i] (polynomials of a common
         arity): the one-element call of `substitute`."""
@@ -247,35 +302,13 @@ class MultiPoly:
         exponent tuples are shuffled."""
         arity = self.arity if arity is None else arity
         get = _shuffler(perm, self.arity, arity)
-        return _poly(arity, {get(e): c for e, c in self.terms.items()})
+        return MultiPoly._wrap({get(e): c for e, c in self.terms.items()},
+                               arity)
 
     def __str__(self):
         return poly_to_text(self)
 
     __repr__ = __str__
-
-
-def _poly(arity, terms):
-    """MultiPoly over a clean {exponent tuple: nonzero Fraction} dict."""
-    out = MultiPoly.__new__(MultiPoly)
-    out.arity = arity
-    out.terms = terms
-    out._hash = None
-    return out
-
-
-def _ints(p):
-    """(terms, den): p = terms / den, with integer terms over the lcm of
-    p's coefficient denominators."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (den // c.denominator)
-            for e, c in p.terms.items()}, den
-
-
-def _from_ints(arity, terms, den):
-    """The MultiPoly terms / den, one Fraction per term, for integer
-    terms that hold no zero and an integer den."""
-    return _poly(arity, {e: Fraction(v, den) for e, v in terms.items()})
 
 
 def exact_poly_divide(num, den):
@@ -293,28 +326,28 @@ def exact_poly_divide(num, den):
     if not num.terms:
         return num
     g, key = _normalize_linear(row)
-    terms, n = _ints(num)
+    terms, n = _ints(num.terms)
     q = _int_divide(terms, key)
     if q is None:
         return None
     # num = q * key / n and den = g * key / d
-    return _poly(num.arity, {e: Fraction(c * d, n * g) for e, c in q.items()})
+    return MultiPoly._wrap({e: Fraction(c * d, n * g) for e, c in q.items()},
+                           num.arity)
 
 
 def _linear_rows(polys):
     """(rows, d): polys[i] = sum rows[i][j] x_{j+1} / d, with integer rows
     over one common denominator d; rows[i] is None when polys[i] is
     neither zero nor a homogeneous linear form."""
-    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    rows = []
-    for p in polys:
-        row = [0] * p.arity
-        for e, c in p.terms.items():
-            if sum(e) != 1:
-                row = None
-                break
-            row[e.index(1)] = c.numerator * (d // c.denominator)
-        rows.append(row)
+    ints, d = _ints({(i, e): c for i, p in enumerate(polys)
+                     for e, c in p.terms.items()})
+    rows = [[0] * p.arity for p in polys]
+    for (i, e), c in ints.items():
+        if rows[i] is not None:
+            if sum(e) == 1:
+                rows[i][e.index(1)] = c
+            else:
+                rows[i] = None
     return rows, d
 
 
@@ -385,13 +418,11 @@ class RatFrac:
     # -- constructors -------------------------------------------------
     @classmethod
     def from_poly(cls, p):
-        return cls._make(p.arity, *_ints(p), ())
+        return cls._make(p.arity, *_ints(p.terms), ())
 
     @classmethod
     def const(cls, arity, c):
-        c = _frac(c)
-        return cls._make(arity, {(0,) * arity: c.numerator} if c else {},
-                         c.denominator, ())
+        return cls._make(arity, *_ints({(0,) * arity: Fraction(c)}), ())
 
     @classmethod
     def zero(cls, arity):
@@ -408,14 +439,15 @@ class RatFrac:
     # -- views --------------------------------------------------------
     @property
     def num(self):
-        return _from_ints(self.arity, self.terms, self.denom)
+        return MultiPoly._wrap(_from_ints(self.terms, self.denom),
+                               self.arity)
 
     @property
     def den(self):
         terms = {(0,) * self.arity: 1}
         for k in self.den_keys:
             terms = _times_key(terms, k)
-        return _from_ints(self.arity, terms, 1)
+        return MultiPoly._wrap(_from_ints(terms), self.arity)
 
     def is_zero(self):
         return not self.terms
@@ -463,7 +495,7 @@ class RatFrac:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _frac(c)
+        c = Fraction(c)
         if not c:
             return RatFrac.zero(self.arity)
         return RatFrac._make(
@@ -529,7 +561,7 @@ def _factor_keys(factors):
 def _divided(num, scale, keys):
     """The `RatFrac._make` parts of num / (scale times the factors of the
     sorted keys), reduced."""
-    terms, den = _ints(num)
+    terms, den = _ints(num.terms)
     # num / scale = terms * scale.denominator / (den * scale.numerator)
     return _reduced(
         num.arity, {e: v * scale.denominator for e, v in terms.items()},
@@ -620,7 +652,8 @@ def _substituted_terms(fracs, images, tgt):
     j the last variable of e, is built once; the walk takes the words of
     the monomials (x1 e_1 times, x2 e_2 times, ...) in order, so it keeps
     only the images of the current word's prefixes."""
-    forms, dens = zip(*map(_ints, images)) if images else ((), ())
+    forms, dens = (zip(*(_ints(x.terms) for x in images)) if images
+                   else ((), ()))
     at, left, commons = {}, [], []
     for i, f in enumerate(fracs):
         # c x^e adds c / (denom prod dens[j]^e_j) times the image of x^e
@@ -718,7 +751,7 @@ def _linear_factor_split(p):
     or one more homogeneous linear form (`ValueError` naming it
     otherwise)."""
     arity = p.arity
-    terms, den = _ints(p)
+    terms, den = _ints(p.terms)
     found = []
     while any(map(any, terms)):  # not constant
         for cand in _linear_candidates(terms, arity):
@@ -729,7 +762,8 @@ def _linear_factor_split(p):
                 break
         else:
             break
-    scale, keys = _factor_keys((_from_ints(arity, terms, den),))
+    scale, keys = _factor_keys((MultiPoly._wrap(_from_ints(terms, den),
+                                                arity),))
     for cand in found:
         g, key = _normalize_linear(cand)
         scale *= g
@@ -760,22 +794,10 @@ def _linear_candidates(terms, arity):
 
 def poly_to_text(p):
     """Render as e.g. "1 * x1^2 x2 - 1/3 * x2^3"; "0" for zero."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for expv, c in p.sorted_terms():
-        factors = []
-        for i, e in enumerate(expv, 1):
-            if e == 1:
-                factors.append("x%d" % i)
-            elif e > 1:
-                factors.append("x%d^%d" % (i, e))
-        body = " ".join(factors)
-        mag = abs(c)
-        cs = str(mag)
-        term = cs + (" * " + body if body else "")
-        if not parts:
-            parts.append(("-" if c < 0 else "") + term)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(parts)
+    return p._signed_text(_monomial_text)
+
+
+def _monomial_text(expv, c):
+    body = " ".join("x%d" % i if e == 1 else "x%d^%d" % (i, e)
+                    for i, e in enumerate(expv, 1) if e)
+    return str(c) + (" * " + body if body else "")

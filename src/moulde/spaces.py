@@ -41,7 +41,7 @@ from . import mould as mould_mod
 from . import words as words_mod
 from .linalg import nullspace, rank
 from .mould import Mould
-from .intpoly import _lifted
+from .intpoly import _ints, _lifted
 from .poly import MultiPoly, RatFrac, compositions, grlex_key
 from .words import NCPoly
 
@@ -115,31 +115,17 @@ class BigradedBasis:
 # The constraint engine
 # ---------------------------------------------------------------------------
 
-def _cleared(images):
-    """(nonzero integer terms, den) of each image, over one common
-    denominator of the images: each RatFrac numerator lifted over the
-    lcm of their keys (`intpoly._lifted`), and a word polynomial or
-    {key: coefficient} dict over the lcm of its coefficients'
-    denominators."""
-    if isinstance(images[0], RatFrac):
-        _, nums = _lifted((f.den_keys, f.terms) for f in images)
-        yield from zip(nums, (f.denom for f in images))
-        return
-    for image in images:
-        terms = getattr(image, "terms", image)
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        yield {k: c.numerator * (den // c.denominator)
-               for k, c in terms.items() if c}, den
-
-
 def _assemble(parameters, conditions, constant=False):
     """Constraint system of `conditions` on `parameters`.
 
     A condition (tag, images, weight) says that sum_j v_j images[j]
-    equals weight * c, where images[j] is the image of parameter j and
-    c is a constant adjoined as a last parameter "c" when `constant`.
-    The constant enters as one more image, -weight, so the images of a
-    condition, the constant's included, go over one common denominator.
+    equals weight * c, where images[j], the image of parameter j, is a
+    RatFrac or a {key: rational} dict, and c is a constant adjoined as
+    a last parameter "c" when `constant`.  The constant enters as one
+    more image, -weight.  Each image is cleared to integer terms over a
+    den: the RatFrac numerators of a condition, the constant's
+    included, are lifted over the lcm of their keys (`intpoly._lifted`),
+    and a dict is cleared by `intpoly._ints`.
     There is one row per key (tag, monomial or word) in the union of
     all numerators, kept sparse and scaled to integers by the lcm of the
     dens of its columns.  Without parameters the system is empty, the
@@ -152,8 +138,13 @@ def _assemble(parameters, conditions, constant=False):
     for tag, images, weight in conditions:
         if constant:
             images = list(images) + [RatFrac.const(images[0].arity, -weight)]
+        if isinstance(images[0], RatFrac):
+            _, nums = _lifted((f.den_keys, f.terms) for f in images)
+            cleared = zip(nums, (f.denom for f in images))
+        else:
+            cleared = map(_ints, images)
         cols = dens[tag] = {}
-        for j, (terms, den) in enumerate(_cleared(images)):
+        for j, (terms, den) in enumerate(cleared):
             cols[j] = den
             for k, c in terms.items():
                 entries.setdefault((tag, k), {})[j] = c
@@ -187,14 +178,6 @@ def _solve(space, n, r, system, combine, constant=None):
         constants.append(v[-1] if adjoined else _ZERO)
     extras = {constant: constants} if constant is not None else None
     return BigradedBasis(space, n, r, basis, extras)
-
-
-def _combine_ncpoly(gens, vec):
-    out = NCPoly.zero()
-    for g, c in zip(gens, vec):
-        if c:
-            out = out + g.scale(c)
-    return out
 
 
 def _combine_mould(gens, vec):
@@ -395,7 +378,8 @@ def solve_vkrv(n):
     b^y - b^x is push-constant for the value (b | x^{n-1} y)."""
     if n < 3:
         return BigradedBasis("vkrv", n, None, [])
-    return _solve("vkrv", n, None, vkrv_system(n), _combine_ncpoly)
+    return _solve("vkrv", n, None, vkrv_system(n),
+                  words_mod.linear_combination)
 
 
 @lru_cache(maxsize=1)

@@ -1,7 +1,11 @@
 """Noncommutative polynomials in x, y and the word-level apparatus.
 
 Words are strings over the alphabet {x, y}; an NCPoly is a finitely
-supported rational combination of words.  Weight = total degree (word
+supported rational combination of words, and a TraceVector one of
+words up to rotation.  Both are `poly.Combination`s, which own their
+clean-up, linear structure, equality and text; NCPoly adds only its
+key rule and the concatenation product, and TraceVector only its key
+rule (the least rotation).  Weight = total degree (word
 length), depth = y-degree.  The module provides the Lie structure,
 derivations, the push / trace / divergence machinery, the C-basis of
 Lazard elimination (C_i = ad(x)^{i-1}(y)) and a Lyndon-word Lie basis
@@ -12,22 +16,26 @@ The push predicates and `spaces.vkrv_system` walk one enumeration,
 with repetition, one per class.
 
 The word kernels compute on {word: int} dicts over one integer
-denominator and make one Fraction per output term: the Lyndon brackets
-(each sub-word bracketed once per call through the standard
-factorisation), the Dynkin right-normed brackets of `is_lie_element`
-(each suffix once), and the prefix products that `substitute_letters`
-and both directions of the C-basis share (`_prefix_product`).
+denominator (`intpoly._ints` in, `intpoly._from_ints` out) and make
+one Fraction per output term: the Lyndon brackets (each sub-word
+bracketed once per call through the standard factorisation), the
+Dynkin right-normed brackets of `is_lie_element` (each suffix once),
+and the prefix products that both directions of the C-basis share
+(`_prefix_product`).  Every sum of scaled word products is one
+`_combination` on integers, with no partial sum built: the letter
+substitutions, `from_c_basis`, `apply_derivation`, and the linear
+combinations of `partner` and the vkrv solver (`linear_combination`).
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from itertools import combinations
 
+from .intpoly import _from_ints, _ints
 from .linalg import solve
-from .poly import compositions
+from .poly import Combination, _add_into, compositions
 
 
 class PartnerNotFound(Exception):
@@ -38,28 +46,23 @@ class NotInCSpan(ValueError):
     pass
 
 
-def _frac(c):
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _word_order(w):
+    return (len(w), w)
 
 
-class NCPoly:
-    """Rational combination of words over {x, y}."""
+class NCPoly(Combination):
+    """Rational combination of words over {x, y}, in (length, word)
+    order; scalars enter only its product."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                c = _frac(c)
-                if c == 0:
-                    continue
-                if any(ch not in "xy" for ch in w):
-                    raise ValueError("bad letter in word %r" % w)
-                clean[w] = clean.get(w, Fraction(0)) + c
-                if clean[w] == 0:
-                    del clean[w]
-        self.terms = clean
+    @staticmethod
+    def _key(w):
+        if not isinstance(w, str) or w.strip("xy"):
+            raise ValueError("bad letter in word %r" % (w,))
+        return w
+
+    _order = staticmethod(_word_order)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -68,19 +71,13 @@ class NCPoly:
 
     @classmethod
     def word(cls, w, c=1):
-        return cls({w: _frac(c)})
+        return cls({w: c})
 
     @classmethod
     def one(cls, c=1):
-        return cls({"": _frac(c)})
+        return cls({"": c})
 
     # -- basics -------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, w):
-        return self.terms.get(w, Fraction(0))
-
     def weights(self):
         return sorted({len(w) for w in self.terms})
 
@@ -105,65 +102,16 @@ class NCPoly:
         return NCPoly({w: c for w, c in self.terms.items()
                        if w.count("y") == r})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, Fraction(0)) + c
-            if s == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        out = NCPoly.__new__(NCPoly)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = NCPoly.__new__(NCPoly)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = terms.get(w, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
-        out = NCPoly.__new__(NCPoly)
-        out.terms = terms
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        c = _frac(c)
-        if c == 0:
-            return NCPoly.zero()
-        out = NCPoly.__new__(NCPoly)
-        out.terms = {w: cc * c for w, cc in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return NCPoly._wrap(_add_into({}, (
+            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items())))
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+    __rmul__ = __mul__
 
     def __str__(self):
         return ncpoly_to_text(self)
@@ -192,28 +140,13 @@ def is_lie_element(f):
     n = f.weight()
     if n == 0:
         return False
-    terms, _ = _ints(f)
+    terms, _ = _ints(f.terms)
     suffixes, out = {}, {}
     for w, c in terms.items():
         for u, d in _right_normed_ints(w, suffixes).items():
             out[u] = out.get(u, 0) + c * d
     out = {u: c for u, c in out.items() if c}
     return out == {w: n * c for w, c in terms.items()}
-
-
-def _ints(f):
-    """(terms, den) with f = terms / den: the integer numerators of f
-    over the lcm of its denominators."""
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    return {w: c.numerator * (den // c.denominator)
-            for w, c in f.terms.items()}, den
-
-
-def _from_ints(terms, den=1):
-    """The NCPoly terms / den, one Fraction per nonzero term."""
-    out = NCPoly.__new__(NCPoly)
-    out.terms = {w: Fraction(c, den) for w, c in terms.items() if c}
-    return out
 
 
 def _bracket_ints(p, q):
@@ -262,15 +195,15 @@ class DerivationPair:
 
 
 def apply_derivation(D, f):
-    """Extend the generator images of D as a derivation of the word algebra."""
-    gx, gy = D.images()
-    images = {"x": gx, "y": gy}
-    out = NCPoly.zero()
-    for w, c in f.terms.items():
-        for i, ch in enumerate(w):
-            term = NCPoly.word(w[:i]) * images[ch] * NCPoly.word(w[i + 1:])
-            out = out + term.scale(c)
-    return out
+    """Extend the generator images of D as a derivation of the word
+    algebra: the sum over the words w of f and each letter w_i of
+    (f | w) w_1...w_{i-1} D(w_i) w_{i+1}..., on integers
+    (`_combination`; the factor "X" or "Y" is the image of x or y)."""
+    images = dict(zip("XY", (_ints(g.terms) for g in D.images())))
+    return _combination(
+        (((w[:i], ch.upper(), w[i + 1:]), c)
+         for w, c in f.terms.items() for i, ch in enumerate(w)),
+        lambda a: images.get(a) or ({a: 1}, 1))
 
 
 def ihara_derivation(b):
@@ -392,7 +325,7 @@ def is_push_constant(f, c=None):
     sums = {sum(f.coeff(v) for v in orbit) for r in f.depths() if 0 < r < m
             for orbit in push_classes(m, r)}
     if c is not None:
-        sums.add(_frac(c))
+        sums.add(Fraction(c))
     if len(sums) > 1:
         return False, None
     return True, (sums.pop() if sums else Fraction(0))
@@ -488,56 +421,28 @@ def is_circ_constant_poly(f):
 # Trace space and divergence
 # ---------------------------------------------------------------------------
 
-class TraceVector:
-    """Words modulo cyclic rotation; keys are the lexicographically
-    least rotation of their class."""
+class TraceVector(Combination):
+    """Words modulo cyclic rotation: each key is stored as the
+    lexicographically least rotation of its class, so rotations of one
+    word merge."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {w: _frac(c) for w, c in (terms or {}).items() if c != 0}
+    __slots__ = ()
 
     @staticmethod
-    def canonical(w):
-        if not w:
-            return w
-        return min(w[k:] + w[:k] for k in range(len(w)))
+    def _key(w):
+        w = NCPoly._key(w)
+        return min((w[k:] + w[:k] for k in range(len(w))), default=w)
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, Fraction(0)) + c
-            if s == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return TraceVector(terms)
-
-    def __sub__(self, other):
-        return self + TraceVector({w: -c for w, c in other.terms.items()})
-
-    def scale(self, c):
-        return TraceVector({w: cc * _frac(c) for w, cc in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, TraceVector) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
+    _order = staticmethod(_word_order)
 
     def __repr__(self):
         if not self.terms:
             return "tr(0)"
-        items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-        return " + ".join("%s*[%s]" % (c, w) for w, c in items)
+        return " + ".join("%s*[%s]" % (c, w) for w, c in self.sorted_terms())
 
 
 def trace_project(f):
-    terms = {}
-    for w, c in f.terms.items():
-        k = TraceVector.canonical(w)
-        terms[k] = terms.get(k, Fraction(0)) + c
-    return TraceVector(terms)
+    return TraceVector(f.terms)
 
 
 def divergence(E):
@@ -571,10 +476,7 @@ def partner(b):
     sol = solve(matrix, rhs)
     if sol is None:
         raise PartnerNotFound("no partner: input is not push-invariant")
-    out = NCPoly.zero()
-    for c, e in zip(sol, basis):
-        out = out + e.scale(c)
-    return out
+    return linear_combination(basis, sol)
 
 
 def oder_pair(b):
@@ -603,7 +505,8 @@ def substitute_letters(f, images):
     applied to f.  Each image is cleared to integers once, and each
     distinct prefix image is built once (`_combination`)."""
     return _combination(f.terms.items(),
-                        {ch: _ints(g) for ch, g in images.items()}.__getitem__)
+                        {ch: _ints(g.terms)
+                         for ch, g in images.items()}.__getitem__)
 
 
 def _combination(pairs, factor):
@@ -611,17 +514,25 @@ def _combination(pairs, factor):
     factor a pair ({word: int}, den) and each k_a a Fraction.  The
     products come from `_prefix_product` and are summed on integers over
     one common denominator, with one Fraction per word of the result."""
-    memo, scaled = {}, []
-    for a, k in pairs:
+    memo, products, scales = {}, [], {}
+    for i, (a, k) in enumerate(pairs):
         p, d = _prefix_product(a, memo, factor)
-        scaled.append((p, k / d))
-    den = math.lcm(*(k.denominator for _, k in scaled))
+        products.append(p)
+        scales[i] = k / d
+    scales, den = _ints(scales)
     out = {}
-    for p, k in scaled:
-        k = k.numerator * (den // k.denominator)
-        for u, c in p.items():
+    for i, k in scales.items():
+        for u, c in products[i].items():
             out[u] = out.get(u, 0) + k * c
-    return _from_ints(out, den)
+    return NCPoly._wrap(_from_ints(out, den))
+
+
+def linear_combination(polys, coeffs):
+    """sum c_i polys[i] for word polynomials and rational coefficients,
+    on integers (`_combination`): no partial sum is built."""
+    return _combination(
+        (((i,), Fraction(c)) for i, c in enumerate(coeffs) if c),
+        lambda i: _ints(polys[i].terms))
 
 
 def _prefix_product(a, memo, factor):
@@ -677,12 +588,13 @@ def c_monomial(a):
 def from_c_basis(coeffs):
     """sum k_a C_{a1}...C_{ar} over the pairs (a, k_a) of coeffs, with
     the integer C-monomials of `_combination`."""
-    return _combination([(tuple(a), _frac(k)) for a, k in coeffs], _c_ints)
+    return _combination([(tuple(a), Fraction(k)) for a, k in coeffs],
+                        _c_ints)
 
 
 def _c_ints(i):
     """C_i on integers, as the pair ({word: int}, 1)."""
-    return _ints(c_poly(i))
+    return _ints(c_poly(i).terms)
 
 
 def to_c_basis(f):
@@ -694,7 +606,7 @@ def to_c_basis(f):
     coefficient 1 on their least word, so the elimination runs on the
     integer numerators of f over the lcm of its denominators and makes
     one Fraction per returned coefficient."""
-    rem, den = _ints(f)
+    rem, den = _ints(f.terms)
     # integer C-monomials of this call, each from its longest prefix
     monomials = {}
     coeffs = []
@@ -761,7 +673,7 @@ def _lyndon_brackets(ws):
     """The standard bracketings of the Lyndon words ws, each sub-word
     bracketed once on integers and each result wrapped once."""
     memo = {"x": {"x": 1}, "y": {"y": 1}}
-    return [_from_ints(_bracketed_ints(w, memo)) for w in ws]
+    return [NCPoly._wrap(_from_ints(_bracketed_ints(w, memo))) for w in ws]
 
 
 def lyndon_lie_basis(n):
@@ -775,17 +687,7 @@ def lyndon_lie_basis(n):
 
 def ncpoly_to_text(f):
     """Render as e.g. "1*xxy - 2*xyx + 1*yxx"."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for w, c in f.sorted_terms():
-        body = w if w else "1"
-        term = "%s*%s" % (abs(c), body)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + term)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(parts)
+    return f._signed_text(lambda w, c: "%s*%s" % (c, w or "1"))
 
 
 _COEF, _WORD = r"(\d+(?:/\d+)?)", r"([xy]+|1)"

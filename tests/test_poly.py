@@ -48,6 +48,25 @@ def test_basic_arithmetic():
     assert p == x * x - y * y
 
 
+def test_scalars_coerce_and_foreign_operands_raise_type_error():
+    x = MultiPoly.variable(1, 2)
+    assert MultiPoly.const(2, 3) == 3 and 3 == MultiPoly.const(2, 3)
+    assert x + 1 == 1 + x == x + MultiPoly.const(2, 1)
+    assert 1 - x == -(x - 1) and x * F(1, 2) == x.scale(F(1, 2))
+    for other in ["x", 1.5j, object()]:
+        for op in (lambda: x + other, lambda: other + x, lambda: x - other,
+                   lambda: other - x, lambda: x * other):
+            with pytest.raises(TypeError):
+                op()
+        assert x != other
+    with pytest.raises(ValueError, match="arity mismatch"):
+        x + MultiPoly.variable(1, 3)
+    assert x != MultiPoly.variable(1, 3)
+    # a RatFrac operand is left to the RatFrac product
+    f = RatFrac(x, (x + MultiPoly.variable(2, 2),))
+    assert x * f == f * x == RatFrac(x * x, (x + MultiPoly.variable(2, 2),))
+
+
 def test_substitute_linear_swap_of_variables():
     x = MultiPoly.variable(1, 2)
     y = MultiPoly.variable(2, 2)

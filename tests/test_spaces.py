@@ -151,7 +151,7 @@ def test_lkv_spans_equal_the_lyndon_oracle():
     for n in range(3, 13):
         for r in range(1, min(4, n - 1) + 1):
             system = _lyndon_lkv_system(n, r)
-            oracle = [spaces._combine_ncpoly(system.parameters, v)
+            oracle = [words.linear_combination(system.parameters, v)
                       for v in system.null_vectors()]
             basis = solve_lkv(n, r).basis
             assert len(basis) == len(oracle), (n, r)

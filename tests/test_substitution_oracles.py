@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moulde import mould
-from moulde.poly import (MultiPoly, RatFrac, _divided, _from_ints,
-                         _independent_rows, _int_mul, _ints, _linear_rows,
-                         _normalize_linear, _poly, _renaming, renaming_sums,
-                         substitute)
+from moulde.intpoly import _from_ints, _ints
+from moulde.poly import (MultiPoly, RatFrac, _divided, _independent_rows,
+                         _int_mul, _linear_rows, _normalize_linear,
+                         _renaming, renaming_sums, substitute)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -43,7 +43,8 @@ def oracle_permute(p, perm, arity):
         src[q - 1] = i
     get = (itemgetter(*src) if arity > 1
            else lambda e: tuple(e[j] for j in src))
-    return _poly(arity, {get(e + (0,)): c for e, c in p.terms.items()})
+    return MultiPoly._wrap({get(e + (0,)): c for e, c in p.terms.items()},
+                           arity)
 
 
 def oracle_poly_substitute(p, images):
@@ -53,7 +54,7 @@ def oracle_poly_substitute(p, images):
     perm = _renaming(images)
     if perm is not None:
         return oracle_permute(p, perm, tgt)
-    forms, dens = zip(*map(_ints, images))
+    forms, dens = zip(*(_ints(x.terms) for x in images))
     weights = []
     for expv, c in p.terms.items():
         den = c.denominator
@@ -74,13 +75,13 @@ def oracle_poly_substitute(p, images):
         k = num * (common // den)
         for te, tc in (one if mono is None else mono).items():
             acc[te] = acc.get(te, 0) + k * tc
-    return _from_ints(tgt, {e: v for e, v in acc.items() if v}, common)
+    return MultiPoly._wrap(_from_ints(acc, common), tgt)
 
 
 def _wrapped(num, keys):
     """The fraction of the MultiPoly num over the factors of the sorted
     keys, as they are: nothing is cancelled."""
-    return RatFrac._make(num.arity, *_ints(num), keys)
+    return RatFrac._make(num.arity, *_ints(num.terms), keys)
 
 
 def oracle_ratfrac_substitute(f, images):

@@ -16,7 +16,8 @@ from moulde.words import (NCPoly, X, Y, angle_bracket, apply_derivation, beta,
                           lie_bracket, lyndon_lie_basis, lyndon_words,
                           ncpoly_from_text, ncpoly_to_text, nu_twist,
                           oder_pair, partner, poisson_bracket, push_orbit,
-                          push_word, to_c_basis, trace_project)
+                          push_word, to_c_basis, trace_project,
+                          TraceVector)
 
 
 def word_polys(max_len=4, max_terms=4):
@@ -158,6 +159,46 @@ def test_divergence_of_zero_pair():
 
 def test_trace_project_cyclic():
     assert trace_project(NCPoly.word("xy") - NCPoly.word("yx")).is_zero()
+
+
+def test_trace_vector_keys_are_least_rotations():
+    assert TraceVector({"yx": 1}) == trace_project(NCPoly.word("xy"))
+    assert TraceVector({"xy": 1, "yx": -1}).is_zero()
+    t = TraceVector({"yxx": 1, "xyx": F(1, 2), "": 3})
+    assert t.terms == {"xxy": F(3, 2), "": F(3)}
+    assert t.coeff("yxx") == t.coeff("xxy") == F(3, 2)
+    assert t - TraceVector({"xxy": F(3, 2)}) == TraceVector({"": 3})
+    assert hash(t) == hash(TraceVector({"xxy": F(3, 2), "": 3}))
+    with pytest.raises(ValueError, match="bad letter"):
+        TraceVector({"xz": 1})
+    # the text form is unchanged by the clean-up
+    assert repr(TraceVector({"yxx": 2, "xy": -1})) == "-1*[xy] + 2*[xxy]"
+    assert repr(TraceVector()) == "tr(0)"
+
+
+@given(word_polys(), word_polys(), st.lists(st.integers(0, 4), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_trace_is_cyclic(f, g, shifts):
+    assert trace_project(f * g) == trace_project(g * f)
+    rotated = NCPoly({w[k % len(w):] + w[:k % len(w)] if w else w: c
+                      for (w, c), k in zip(f.terms.items(), shifts + [0] * 4)})
+    assume(len(rotated.terms) == len(f.terms))  # no two words collide
+    assert TraceVector(rotated.terms) == trace_project(f)
+
+
+def test_foreign_operands_raise_type_error():
+    t = TraceVector({"xy": 1})
+    for a, b in [(X, 1), (X, F(1, 2)), (X, "x"), (X, t), (t, X), (t, 1)]:
+        for op in (lambda: a + b, lambda: b + a, lambda: a - b,
+                   lambda: b - a):
+            with pytest.raises(TypeError):
+                op()
+        assert a != b and not (a == b)
+    with pytest.raises(TypeError):
+        X * "x"
+    # scalars enter only the product of NCPoly
+    assert X * 2 == 2 * X == X + X
+    assert NCPoly.one(3) != 3
 
 
 # -- nu twist ----------------------------------------------------------------
