@@ -20,15 +20,20 @@ substitution (`substitute`), the renaming sums (`renaming_sums`) and
 the `RatFrac` sum, product and cancellation run on Python ints:
 
 * `substitute` takes a list of values and builds each monomial's
-  image once for all of them; `substitute_linear` is its one-element
-  call, and a MultiPoly goes through as a fraction without keys;
+  image once for all of them, on a trie over variable blocks: the
+  image of x1^e_1 ... xj^e_j is that of the first j - 1 blocks times
+  the power e_j of the j-th image, from one power table per image;
+  `substitute_linear` is its one-element call, and a MultiPoly goes
+  through as a fraction without keys;
 * a renaming shuffles the numerator's exponents and the keys'
   coordinates (`permute_variables`); `renaming_sums` adds the
   renamings of a value in one pass;
 * a sum brings each integer numerator over the lcm of the
   denominators by multiplying it by the factors its own denominator
   lacks (`intpoly._lifted`), and adds the results in one
-  {exponent: int} dict;
+  {exponent: int} dict; parts that share their keys (every renaming
+  sum of a polynomial, most depth sums of the flexion engine) are
+  one group, cancelled with no lift and no copy (`_group_sum`);
 * the product (`RatFrac.__mul__`) first divides each integer
   numerator by the keys that only the other denominator has, then
   multiplies the two (`_int_mul`); it never cancels over the product;
@@ -594,14 +599,19 @@ def _signed_sum(arity, parts):
 
 def _group_sum(arity, groups, den):
     """The RatFrac sum of {den_keys: integer numerator} groups over den,
-    cancelled once."""
-    keys, nums = _lifted(
-        (k, {e: v for e, v in terms.items() if v})
-        for k, terms in groups.items())
-    total = {}
-    for terms in nums:
-        for e, v in terms.items():
-            total[e] = total.get(e, 0) + v
+    cancelled once.  Several groups are lifted over the lcm of their
+    keys (`_lifted`) and added; a single group is already over its
+    keys, and is cancelled as it is."""
+    if len(groups) == 1:
+        (keys, total), = groups.items()
+    else:
+        keys, nums = _lifted(
+            (k, {e: v for e, v in terms.items() if v})
+            for k, terms in groups.items())
+        total = {}
+        for terms in nums:
+            for e, v in terms.items():
+                total[e] = total.get(e, 0) + v
     return RatFrac._make(*_reduced(
         arity, {e: v for e, v in total.items() if v}, den, keys))
 
@@ -611,8 +621,9 @@ def _group_sum(arity, groups, den):
 def substitute(values, images):
     """Each MultiPoly or RatFrac value with variable i replaced by the
     polynomial images[i]; the images are read, and each key mapped,
-    once per call.  A MultiPoly goes through as a fraction without keys
-    and comes back as its numerator."""
+    once per call, and the numerators go through one block walk
+    (`_substituted_terms`).  A MultiPoly goes through as a fraction
+    without keys and comes back as its numerator."""
     if any(v.arity != len(images) for v in values):
         raise ValueError("need one image per variable")
     tgt = images[0].arity if images else 0
@@ -648,12 +659,19 @@ def substitute(values, images):
 
 def _substituted_terms(fracs, images, tgt):
     """Yield (i, integer terms, den) once the image of the numerator of
-    fracs[i] is complete.  image(x^e) = image(x^(e - unit_j)) * images[j],
-    j the last variable of e, is built once; the walk takes the words of
-    the monomials (x1 e_1 times, x2 e_2 times, ...) in order, so it keeps
-    only the images of the current word's prefixes."""
+    fracs[i] is complete.
+
+    The walk runs over the distinct exponent tuples in lexicographic
+    order, a trie over variable blocks: the image of x1^e_1 ... xj^e_j
+    is the image of the first j - 1 blocks times images[j]^e_j, built
+    once, and the walk keeps only the images of the current tuple's
+    prefixes.  A zero block reuses the previous image, and the first
+    nonzero block is its power as it is.  The powers of each image come
+    from one table per call, filled on demand, whose first entry is
+    the image itself."""
     forms, dens = (zip(*(_ints(x.terms) for x in images)) if images
                    else ((), ()))
+    powers = [[None, g] for g in forms]
     at, left, commons = {}, [], []
     for i, f in enumerate(fracs):
         # c x^e adds c / (denom prod dens[j]^e_j) times the image of x^e
@@ -665,20 +683,27 @@ def _substituted_terms(fracs, images, tgt):
             yield i, {}, 1
         for e, w in weights.items():
             at.setdefault(e, []).append((i, f.terms[e] * (common // w)))
-    # path[n]: the image of the first n letters of the last word
-    word, path, accs = (), [{(0,) * tgt: 1}], {}
-    for w, e in sorted((sum(((j,) * x for j, x in enumerate(e)), ()), e)
-                       for e in at):
+    # path[j]: the image of the first j blocks of the last tuple, None
+    # while they are all zero
+    last, path, accs, one = None, [None], {}, {(0,) * tgt: 1}
+    for e in sorted(at):
         n = 0
-        for a, b in zip(word, w):
-            if a != b:
-                break
-            n += 1
+        if last is not None:
+            while e[n] == last[n]:
+                n += 1
         del path[n + 1:]
-        for j in w[n:]:
-            path.append(_int_mul(path[-1], forms[j]) if len(path) > 1
-                        else forms[j])
-        word, image = w, path[-1]
+        for j in range(n, len(e)):
+            image, x = path[-1], e[j]
+            if x:
+                table = powers[j]
+                while len(table) <= x:
+                    table.append(_int_mul(table[-1], forms[j]))
+                power = table[x]
+                image = power if image is None else _int_mul(image, power)
+            path.append(image)
+        last, image = e, path[-1]
+        if image is None:
+            image = one
         for i, k in at[e]:
             acc = accs.setdefault(i, {})
             for te, tc in image.items():

@@ -378,8 +378,12 @@ def solve_vkrv(n):
     b^y - b^x is push-constant for the value (b | x^{n-1} y)."""
     if n < 3:
         return BigradedBasis("vkrv", n, None, [])
-    return _solve("vkrv", n, None, vkrv_system(n),
-                  words_mod.linear_combination)
+    system = vkrv_system(n)
+    # `words.linear_combination`, with each bracket cleared once
+    cleared = [_ints(g.terms) for g in system.parameters]
+    return _solve("vkrv", n, None, system, lambda _, v: words_mod._combination(
+        (((i,), Fraction(c)) for i, c in enumerate(v) if c),
+        cleared.__getitem__))
 
 
 @lru_cache(maxsize=1)

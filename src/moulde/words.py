@@ -24,7 +24,8 @@ and the prefix products that both directions of the C-basis share
 (`_prefix_product`).  Every sum of scaled word products is one
 `_combination` on integers, with no partial sum built: the letter
 substitutions, `from_c_basis`, `apply_derivation`, and the linear
-combinations of `partner` and the vkrv solver (`linear_combination`).
+combinations of `partner` (`linear_combination`) and of the vkrv
+solver, which clears each bracket once per solve.
 """
 
 from __future__ import annotations
@@ -538,11 +539,12 @@ def linear_combination(polys, coeffs):
 def _prefix_product(a, memo, factor):
     """factor(a_1) factor(a_2) ... as ({word: int}, den), extending the
     longest nonempty prefix of a in `memo` and memoising every longer
-    prefix there."""
+    prefix there; a first factor is its own product, as it is."""
     j = len(a)
-    while j and a[:j] not in memo:
+    while j > 1 and a[:j] not in memo:
         j -= 1
-    p, d = memo[a[:j]] if j else ({"": 1}, 1)
+    p, d = memo.get(a[:j]) or memo.setdefault(
+        a[:j], factor(a[0]) if a else ({"": 1}, 1))
     for j in range(j, len(a)):
         q, e = factor(a[j])
         acc = {u + v: c * b for u, c in p.items() for v, b in q.items()}

@@ -135,6 +135,12 @@ def test_dims_match_broadhurst_kreimer(solve):
         assert solve(n, r).dim == BROADHURST_KREIMER.get((n, r), 0), (n, r)
 
 
+def test_ls_reach_cells_match_broadhurst_kreimer():
+    # ls only: lkv(15,5) waits for the block kernel of the alternal rows
+    for n, r in [(15, 5), (18, 4)]:
+        assert solve_ls(n, r).dim == BROADHURST_KREIMER[n, r] > 0, (n, r)
+
+
 # The Lyndon-word route to lkv, kept as the independent oracle: the
 # parameters are the bracketed Lyndon words of depth r, pushed through
 # `ma` before the push and circ rows are written.
@@ -220,6 +226,29 @@ def test_vkrv_reach_matches_the_odd_generator_lie_dims():
     assert [dims[n] for n in range(3, 12)] == [1, 0, 1, 0, 1, 1, 1, 1, 2]
     for n in range(3, 12):
         assert solve_vkrv(n).dim == dims[n], n
+
+
+def test_vkrv_solver_clears_each_bracket_once(monkeypatch):
+    # vkrv(11) has two null vectors over the same Lyndon brackets
+    built, cleared = [], []
+    vkrv_system, ints = spaces.vkrv_system, spaces._ints
+
+    def kept_system(n):
+        built.append(vkrv_system(n))
+        return built[-1]
+
+    def counted(terms):
+        cleared.append(id(terms))
+        return ints(terms)
+
+    monkeypatch.setattr(spaces, "vkrv_system", kept_system)
+    monkeypatch.setattr(spaces, "_ints", counted)
+    monkeypatch.setattr(words, "_ints", counted)
+    basis = solve_vkrv(11).basis
+    assert len(basis) == 2
+    ids = {id(g.terms) for g in built[0].parameters}
+    used = [i for i in cleared if i in ids]
+    assert len(used) == len(set(used)) == len(ids)
 
 
 # -- gr_krv ------------------------------------------------------------------
@@ -308,6 +337,52 @@ def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
         (1, 2, 4))}))
     mould.circ(swap(quotient))
     assert calls == [("substitute", 1), ("substitute", 1)]
+
+
+def _block_walk_bound(exps):
+    """Products of the block walk over the exponent tuples `exps`: one
+    per distinct prefix ending in a nonzero block after a nonzero one,
+    and one per power above the first in each image's table."""
+    prefixes = {e[:j + 1] for e in exps for j in range(1, len(e))
+                if e[j] and any(e[:j])}
+    tops = [max(e[j] for e in exps) for j in range(len(exps[0]))]
+    return len(prefixes) + sum(top - 1 for top in tops if top)
+
+
+@pytest.mark.parametrize("cell", [(15, 3), (16, 4)])
+def test_swap_and_push_multiply_once_per_block_prefix(monkeypatch, cell):
+    calls = []
+    int_mul = poly._int_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return int_mul(a, b)
+
+    monkeypatch.setattr(poly, "_int_mul", counted)
+    gens, B = spaces._monomials(*cell)
+    bound = _block_walk_bound(gens)
+    for operator in (mould._swap, mould._push):
+        calls.clear()
+        operator(B)
+        assert len(calls) <= bound, (operator.__name__, len(calls), bound)
+    # the walk letter by letter made 451 and 1815 products
+    assert bound == {(15, 3): 176, (16, 4): 825}[cell]
+
+
+def test_one_group_sum_equals_the_lift_path():
+    # a second, empty group sends _group_sum through `_lifted` without
+    # changing the sum; a group whose terms cancel drops its keys
+    x, xy = (1, 0, 0), (1, 1, 0)
+    cases = [((), {(2, 0, 0): 3, (0, 1, 1): 0, (0, 0, 2): -6}, 4),
+             ((x, xy), {(1, 1, 0): 2, (2, 0, 0): 2, (0, 1, 1): 0}, 1),
+             ((x,), {(0, 1, 0): 5, (0, 0, 1): 1}, 3),
+             ((x, x), {(0, 1, 0): 0, (0, 0, 1): 0}, 7)]
+    for keys, terms, den in cases:
+        one = poly._group_sum(3, {keys: dict(terms)}, den)
+        lifted = poly._group_sum(3, {keys: dict(terms), (0, 0, 1): {}}, den)
+        assert (one.terms, one.denom, one.den_keys) == (
+            lifted.terms, lifted.denom, lifted.den_keys)
+    assert (one.terms, one.denom, one.den_keys) == ({}, 1, ())
 
 
 # -- krv_ell / ds_ell --------------------------------------------------------

@@ -21,7 +21,7 @@ from moulde import mould
 from moulde.intpoly import _from_ints, _ints
 from moulde.poly import (MultiPoly, RatFrac, _divided, _independent_rows,
                          _int_mul, _linear_rows, _normalize_linear,
-                         _renaming, renaming_sums, substitute)
+                         _renaming, compositions, renaming_sums, substitute)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -315,3 +315,81 @@ def test_renaming_sums_need_one_arity():
     except ValueError:
         return
     raise AssertionError("values of two arities were summed")
+
+
+# -- the block walk at the hard cells' sizes ---------------------------------
+
+def _images(name, r, tgt=None):
+    """The images of x1..xr under swap (u to v, and v to u), push, the
+    flexion arguments (consecutive sums of x1..x{tgt} in r blocks), or a
+    list holding a zero form."""
+    xs = _variables(tgt or r)
+    if name == "swap_u":
+        return xs[-1:] + [a - b for a, b in zip(xs[-2::-1], xs[::-1])]
+    if name == "swap_v":
+        return [sum(xs[:k], MultiPoly.zero(r)) for k in range(r, 0, -1)]
+    if name == "push":
+        return [-sum(xs, MultiPoly.zero(r))] + xs[:-1]
+    if name == "flexion":
+        # blocks of sizes 1, 2, 1, 2, ... over tgt variables
+        cuts = [0]
+        for k in range(r):
+            cuts.append(cuts[-1] + 1 + k % 2)
+        return [sum(xs[a:b], MultiPoly.zero(tgt)) for a, b in
+                zip(cuts, cuts[1:])]
+    return xs[:1] + [MultiPoly.zero(r)] + [xs[k] + xs[k - 1]
+                                           for k in range(2, r)]
+
+
+_CELLS = [(12, 3), (6, 4)]  # 91 and 84 monomials
+_IMAGES = ["swap_u", "swap_v", "push", "flexion", "zero"]
+
+
+def _cell_images(name, r):
+    return _images(name, r, r + r // 2 if name == "flexion" else None)
+
+
+def test_block_walk_matches_the_oracle_on_each_monomial():
+    for d, r in _CELLS:
+        monomials = [MultiPoly.monomial(e) for e in compositions(d, r)]
+        assert len(monomials) == math.comb(d + r - 1, r - 1)
+        # zero leading and middle blocks are among the tuples
+        assert (0,) * (r - 1) + (d,) in [next(iter(m.terms))
+                                         for m in monomials]
+        assert (1,) + (0,) * (r - 2) + (d - 1,) in [next(iter(m.terms))
+                                                    for m in monomials]
+        for name in _IMAGES:
+            images = _cell_images(name, r)
+            want = _outcome(lambda: [oracle_poly_substitute(m, images)
+                                     for m in monomials])
+            assert _outcome(lambda: substitute(monomials, images)) == want
+            for m in monomials[::9]:
+                assert _outcome(lambda: [m.substitute_linear(images)]) \
+                    == _outcome(lambda: [oracle_poly_substitute(m, images)])
+
+
+def test_block_walk_matches_the_oracle_on_a_dense_sum():
+    for d, r in _CELLS:
+        dense = MultiPoly(r, {e: F(k % 7 - 3, 1 + k % 4) for k, e in
+                              enumerate(compositions(d, r))})
+        assert len(dense.terms) > 70
+        for name in _IMAGES:
+            images = _cell_images(name, r)
+            want = _outcome(lambda: [oracle_poly_substitute(dense, images)])
+            assert _outcome(lambda: substitute([dense], images)) == want
+            # and as the numerator of a fraction whose keys stay linear
+            frac = RatFrac(dense, [MultiPoly.variable(r, r)])
+            assert _outcome(lambda: substitute([frac], images)) == \
+                _outcome(lambda: [oracle_ratfrac_substitute(frac, images)])
+
+
+@given(st.dictionaries(st.sampled_from([e for d in range(7)
+                                        for e in compositions(d, 4)]),
+                      rationals, max_size=10).map(
+           lambda d: MultiPoly(4, d)),
+       st.one_of(renamings(4), linear_images(4),
+                 linear_images(4, independent=False)))
+@settings(max_examples=150, deadline=None)
+def test_block_walk_matches_the_oracle_in_four_variables(p, images):
+    want = _outcome(lambda: [oracle_poly_substitute(p, images)])
+    assert _outcome(lambda: substitute([p], images)) == want
