@@ -2,8 +2,8 @@
 
 Submodules:
   poly    exact sparse polynomials / rational fractions
-  linalg  exact nullspace, rank and solve: elimination mod 2^61 - 1,
-          certified over Q, with Fraction elimination as fallback
+  linalg  exact nullspace, rank and solve: elimination mod a Mersenne
+          prime, certified over Q, with the next prime on a failure
   words   noncommutative polynomials in x, y; push / trace / divergence
   mould   the Mould type, ma, swap and the unary operator zoo
   ari     flexion binary operations, special moulds, ganit

@@ -15,7 +15,9 @@ mould, a mould on the wrong alphabet for its operator
 (`mould.AlphabetMismatch`) or a word polynomial outside the C-span
 (`words.NotInCSpan`)), 3 internal error (any other exception, such as
 a solved basis element or a map's image failing its own check:
-`spaces.VerificationError`, `maps.MapVerificationError`).
+`spaces.VerificationError`, `maps.MapVerificationError`; or an
+`ArithmeticError` from a nullspace that no prime of `linalg.PRIMES`
+certifies).
 
 `--depth` runs from 1 to MAX_DEPTH (6).  At depth 6 the named moulds
 take about 6 s to build, and `verify_xi_image` of the weight-5 W_krv

@@ -2,23 +2,30 @@
 
 Matrices are plain lists of rows of `fractions.Fraction` (or `int`),
 or for `nullspace` sparse `{column: int}` rows.  `nullspace`, `rank`
-and `solve` share one sparse engine:
+and `solve` share one sparse engine.  Each row is scaled to integers,
+as a `{column: int}` dict (`intpoly._ints`), and zero rows are dropped.
+Then, for each prime p of PRIMES in turn, until one is certified:
 
-1. each row is scaled to integers, as a `{column: int}` dict
-   (`intpoly._ints`), and zero rows are dropped;
-2. the rows are brought to reduced row echelon form modulo the prime
-   P = 2^61 - 1;
-3. for each free column f, the null vector v_f with v_f[f] = 1 is
-   lifted to Q by Wang's rational reconstruction of its pivot entries;
-4. the lift is certified exactly: M v_f = 0 over Z, and v_f is
+1. the rows are brought to reduced row echelon form modulo p;
+2. for each free column f, the null vector v_f with v_f[f] = 1 is
+   lifted to Q by Wang's rational reconstruction of its pivot entries,
+   with |numerator|, denominator <= isqrt(p // 2);
+3. the lift is certified exactly: M v_f = 0 over Z, and v_f is
    supported on {f} and the pivot columns before f.
 
-Rank mod P is at most the rank over Q, and the certified vectors are
+Rank mod p is at most the rank over Q, and the certified vectors are
 independent, so together they prove that the modular pivots are the
 lex-first pivots over Q, and that the basis is the one exact `rref`
-gives.  When a reconstruction or a check fails, the engine falls back
-to the dense `Fraction` elimination `rref`, so the prime is never
-trusted alone.
+gives, whatever p is; the prime is never trusted alone.  A failed
+reconstruction or check only moves on to the next, wider prime.
+
+Every entry of the rref over Q is a ratio of two minors of the integer
+matrix, each at most its Hadamard bound H.  When H <= isqrt(p // 2),
+no nonzero minor vanishes mod p (so p is lucky) and every entry fits
+Wang's bound, so p is certified.  Hence the `ArithmeticError` raised
+when every prime fails can only come from a matrix with
+H > isqrt(PRIMES[-1] // 2), about 2^2211.  `rref`, the dense `Fraction`
+elimination, is kept as the reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -28,10 +35,8 @@ from math import gcd, isqrt
 
 from .intpoly import _ints
 
-P = (1 << 61) - 1
-# Wang's bound: a fraction with |numerator|, denominator <= _BOUND is the
-# only one of that size with its residue, since 2 * _BOUND**2 < P.
-_BOUND = isqrt(P // 2)
+# the Mersenne primes 2^k - 1 tried in turn; most matrices need only the first
+PRIMES = tuple((1 << k) - 1 for k in (61, 127, 521, 1279, 4423))
 
 
 def _clone(matrix):
@@ -79,43 +84,44 @@ def _width(matrix, cols=None):
     return width
 
 
-def _subtract(row, f, prow):
-    """row -= f * prow, mod P, in place."""
+def _subtract(row, f, prow, p):
+    """row -= f * prow, mod p, in place."""
     for c, x in prow.items():
-        y = (row.get(c, 0) - f * x) % P
+        y = (row.get(c, 0) - f * x) % p
         if y:
             row[c] = y
         else:
             del row[c]
 
 
-def _echelon_mod_p(rows):
-    """Reduced row echelon form mod P as {pivot column: row}: each row
+def _echelon_mod_p(rows, p):
+    """Reduced row echelon form mod p as {pivot column: row}: each row
     is 1 at its pivot and 0 at every other pivot column."""
     pivots = {}
     for row in rows:
-        row = {c: x % P for c, x in row.items() if x % P}
+        row = {c: x % p for c, x in row.items() if x % p}
         for pc in row.keys() & pivots.keys():
-            _subtract(row, row[pc], pivots[pc])
+            _subtract(row, row[pc], pivots[pc], p)
         if not row:
             continue
         c = min(row)
-        inv = pow(row[c], -1, P)
-        row = {j: x * inv % P for j, x in row.items()}
+        inv = pow(row[c], -1, p)
+        row = {j: x * inv % p for j, x in row.items()}
         for prow in pivots.values():
             if c in prow:
-                _subtract(prow, prow[c], row)
+                _subtract(prow, prow[c], row, p)
         pivots[c] = row
     return pivots
 
 
-def _reconstruct(u):
-    """The fraction a/b = u mod P with |a|, b <= _BOUND, or None (Wang)."""
-    r0, r1, s0, s1 = P, u, 0, 1
-    while r1 > _BOUND:
+def _reconstruct(u, p, bound):
+    """The fraction a/b = u mod p with |a|, b <= bound, or None (Wang;
+    unique when 2 * bound**2 < p)."""
+    r0, r1, s0, s1 = p, u, 0, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if abs(s1) > _BOUND or gcd(r1, s1) != 1:
+    if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
     return Fraction(r1, s1)
 
@@ -131,19 +137,18 @@ def _certified(v, f, pivots, columns):
     return not any(acc.values())
 
 
-def _modular_nullspace(rows, cols):
-    """Certified null vectors as {column: Fraction}, or None when the
-    prime cannot be shown to give the answer over Q."""
-    columns = [{} for _ in range(cols)]
-    for i, row in enumerate(rows):
-        for c, x in row.items():
-            columns[c][i] = x
-    pivots = _echelon_mod_p(rows)
-    vectors = {f: {f: Fraction(1)} for f in range(cols) if f not in pivots}
+def _modular_nullspace(rows, columns, p):
+    """Null vectors as {column: Fraction} from the rows mod p, or None
+    when p cannot be shown to give the answer over Q.  `columns` holds
+    the matrix by column, {row: int}, for the certificate."""
+    bound = isqrt(p // 2)
+    pivots = _echelon_mod_p(rows, p)
+    vectors = {f: {f: Fraction(1)} for f in range(len(columns))
+               if f not in pivots}
     for pc, prow in pivots.items():
         for f, x in prow.items():
             if f != pc:
-                q = _reconstruct(x)
+                q = _reconstruct(x, p, bound)
                 if q is None:
                     return None
                 vectors[f][pc] = -q
@@ -152,25 +157,14 @@ def _modular_nullspace(rows, cols):
     return [vectors[f] for f in sorted(vectors)]
 
 
-def _rational_nullspace(rows, cols):
-    """Null vectors from the dense `Fraction` elimination."""
-    red, pivots = rref([[row.get(c, 0) for c in range(cols)]
-                        for row in rows])
-    vectors = []
-    for fc in range(cols):
-        if fc not in pivots:
-            v = {pc: -red[r][fc] for r, pc in enumerate(pivots)}
-            v[fc] = Fraction(1)
-            vectors.append(v)
-    return vectors
-
-
 def nullspace(matrix, cols=None):
     """Exact basis of the right nullspace of the matrix.
 
     `cols` must be given for sparse rows and when the matrix has no
     rows.  Basis vectors are normalized with leading free-variable entry
-    1, ordered by free column index (deterministic).
+    1, ordered by free column index (deterministic).  Raises
+    `ArithmeticError` when no prime of PRIMES is certified (see the
+    module docstring for the size of matrix that takes).
     """
     if not matrix or isinstance(matrix[0], dict):
         if cols is None:
@@ -180,11 +174,18 @@ def nullspace(matrix, cols=None):
         # each row as {column: int}, its denominators cleared
         matrix = [_ints(dict(enumerate(row)))[0] for row in matrix]
     rows = [row for row in matrix if any(row.values())]
-    vectors = _modular_nullspace(rows, cols)
-    if vectors is None:
-        vectors = _rational_nullspace(rows, cols)
-    zero = Fraction(0)
-    return [[v.get(c, zero) for c in range(cols)] for v in vectors]
+    columns = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            columns[c][i] = x
+    for p in PRIMES:
+        vectors = _modular_nullspace(rows, columns, p)
+        if vectors is not None:
+            zero = Fraction(0)
+            return [[v.get(c, zero) for c in range(cols)] for v in vectors]
+    raise ArithmeticError("no prime of linalg.PRIMES certifies the "
+                          "nullspace of this %d x %d matrix"
+                          % (len(rows), cols))
 
 
 def rank(matrix):

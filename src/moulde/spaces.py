@@ -45,8 +45,6 @@ from .intpoly import _ints, _lifted
 from .poly import MultiPoly, RatFrac, compositions, grlex_key
 from .words import NCPoly
 
-_ZERO = Fraction(0)
-
 
 class VerificationError(Exception):
     """A solved basis element fails a defining predicate of its space.
@@ -91,14 +89,13 @@ class ConstraintSystem:
 class BigradedBasis:
     """Solved (weight, depth) piece of a space."""
 
-    __slots__ = ("space", "n", "r", "basis", "extras")
+    __slots__ = ("space", "n", "r", "basis")
 
-    def __init__(self, space, n, r, basis, extras=None):
+    def __init__(self, space, n, r, basis):
         self.space = space
         self.n = n
         self.r = r
         self.basis = basis
-        self.extras = extras or {}
 
     @property
     def dim(self):
@@ -158,26 +155,22 @@ def _assemble(parameters, conditions, constant=False):
     return ConstraintSystem(parameters, tags, rows, scales)
 
 
-def _solve(space, n, r, system, combine, constant=None):
+def _solve(space, n, r, system, combine):
     """Basis of `space` from the nullspace of `system`.
 
     Each null vector is combined into an element, which must pass every
-    check of `checks(space)`.  With `constant`, extras[constant] lists
-    each element's adjoined constant (0 without a "c" column)."""
+    check of `checks(space)`; an adjoined constant "c" is dropped."""
     params = system.parameters
-    adjoined = constant is not None and params[-1:] == ["c"]
-    if adjoined:
+    if params[-1:] == ["c"]:
         params = params[:-1]
-    basis, constants = [], []
+    basis = []
     for v in system.null_vectors():
         element = combine(params, v)
         failed = failed_check(space, element)
         if failed is not None:
             raise VerificationError(space, n, r, failed)
         basis.append(element)
-        constants.append(v[-1] if adjoined else _ZERO)
-    extras = {constant: constants} if constant is not None else None
-    return BigradedBasis(space, n, r, basis, extras)
+    return BigradedBasis(space, n, r, basis)
 
 
 def _combine_mould(gens, vec):
@@ -208,15 +201,6 @@ def _circ(moulds, r, weight=0):
     """The cyclic sum of the depth-r value vanishes, or equals c."""
     return ("circ", mould_mod._cycle_sum([M.get(r) for M in moulds], r),
             weight)
-
-
-def _swap(moulds):
-    return mould_mod._swap(moulds)
-
-
-def _quotient(moulds):
-    """The Delta-quotients P/(u1..ur(u1+..+ur))."""
-    return mould_mod._delta_inv(moulds)
 
 
 def _even_in_depth1(M):
@@ -294,7 +278,7 @@ def lkv_system(n, r):
     gens, B = _monomials(n, r)
     conditions = _alternal(B, r, "al") + [_push(B, r)]
     if r > 1:
-        conditions.append(_circ(_swap(B), r))
+        conditions.append(_circ(mould_mod._swap(B), r))
     return _assemble(gens, conditions)
 
 
@@ -317,7 +301,8 @@ def solve_lkv(n, r):
 
 def ls_system(n, r):
     gens, B = _monomials(n, r)
-    conditions = _alternal(B, r, "al") + _alternal(_swap(B), r, "sal")
+    conditions = (_alternal(B, r, "al")
+                  + _alternal(mould_mod._swap(B), r, "sal"))
     if r == 1:
         conditions.append(_push(B, r))
     return _assemble(gens, conditions)
@@ -415,7 +400,8 @@ def krv_ell_system(n, r):
     gens, B = _monomials(n, r)
     conditions = _alternal(B, r, "al") + [_push(B, r)]
     if r > 1:
-        conditions.append(_circ(_swap(_quotient(B)), r, weight=1))
+        conditions.append(_circ(mould_mod._swap(mould_mod._delta_inv(B)), r,
+                                weight=1))
     return _assemble(gens, conditions, constant=r > 1)
 
 
@@ -425,8 +411,7 @@ def solve_krv_ell(n, r):
     u1...ur(u1+...+ur)."""
     if not 1 <= r <= n:
         return BigradedBasis("krv_ell", n, r, [])
-    return _solve("krv_ell", n, r, krv_ell_system(n, r), _combine_mould,
-                  constant="circ_constants")
+    return _solve("krv_ell", n, r, krv_ell_system(n, r), _combine_mould)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +426,8 @@ def ds_ell_system(n, r):
         # krv_ell inclusion needs
         conditions.append(_push(B, r))
     else:
-        conditions += _alternal(_swap(_quotient(B)), r, "sal", constant=True)
+        conditions += _alternal(
+            mould_mod._swap(mould_mod._delta_inv(B)), r, "sal", constant=True)
     return _assemble(gens, conditions, constant=r > 1)
 
 
@@ -450,8 +436,7 @@ def solve_ds_ell(n, r):
     and swap alternal up to a constant mould."""
     if not 1 <= r <= n:
         return BigradedBasis("ds_ell", n, r, [])
-    return _solve("ds_ell", n, r, ds_ell_system(n, r), _combine_mould,
-                  constant="alternal_constants")
+    return _solve("ds_ell", n, r, ds_ell_system(n, r), _combine_mould)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,15 @@ def test_internal_error_exit_code(monkeypatch):
     assert err == "internal error: RuntimeError: predicate exploded\n"
 
 
+def test_uncertified_nullspace_is_an_internal_error(monkeypatch):
+    # ls(21,3) has rref entries past the reconstruction bound of 2^61 - 1
+    from moulde import linalg
+    monkeypatch.setattr(linalg, "PRIMES", linalg.PRIMES[:1])
+    code, out, err = _run(["basis", "--space", "ls", "--n", "21", "--r", "3"])
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ArithmeticError: ")
+
+
 def test_verification_error_exit_code(monkeypatch):
     from moulde import mould
     monkeypatch.setattr(mould, "is_alternal", lambda M: False)

@@ -1,5 +1,6 @@
 """Exact linear algebra over the rationals."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moulde import linalg
-from moulde.linalg import P, nullspace, rank, rref, solve
+from moulde.linalg import PRIMES, nullspace, rank, rref, solve
+
+P = PRIMES[0]
 
 
 def _m(rows):
@@ -174,24 +177,37 @@ def rref_calls(monkeypatch):
 
 def test_unlucky_prime_falls_back_to_q(rref_calls):
     # P vanishes mod P: the modular rank is too small, and the lifted
-    # vectors fail M v = 0 over Z
+    # vectors fail M v = 0 over Z, so the answer over Q comes from the
+    # next prime
     assert nullspace([[P]]) == []
     assert rank([[P]]) == 1
     assert nullspace(_m([[1, 1], [1, 1 + P]])) == []
     assert rank(_m([[1, 1], [1, 1 + P]])) == 2
     # mod P the pivot of [P, 1] moves to column 1; over Q it is column 0
     assert solve([[P, 1]], [1]) == [F(1, P), F(0)]
-    assert len(rref_calls) == 5
+    assert rref_calls == []
 
 
 def test_reconstruction_failure_falls_back_to_q(rref_calls):
     # the null vector's entry -b/a has numerator and denominator near
-    # 2^40, beyond the reconstruction bound isqrt(P // 2) < 2^30
+    # 2^40, beyond the reconstruction bound isqrt(P // 2) < 2^30 but
+    # within that of the next prime
     a, b = 2 ** 40 + 15, 2 ** 40 + 3
-    assert linalg._reconstruct((-b * pow(a, -1, P)) % P) != F(-b, a)
+    first, second = (
+        linalg._reconstruct((-b * pow(a, -1, p)) % p, p, math.isqrt(p // 2))
+        for p in PRIMES[:2])
+    assert first != F(-b, a) and second == F(-b, a)
     assert nullspace([[a, b]]) == [[F(-b, a), F(1)]]
     assert solve([[a, b]], [1]) == [F(1, a), F(0)]
-    assert len(rref_calls) == 2
+    assert rref_calls == []
+
+
+def test_matrix_unlucky_at_every_prime_is_an_arithmetic_error(rref_calls):
+    # the determinant N vanishes mod every prime, so no lift is certified
+    N = math.prod(PRIMES)
+    with pytest.raises(ArithmeticError):
+        nullspace(_m([[1, 1], [1, 1 + N]]))
+    assert rref_calls == []
 
 
 def test_exact_inputs_take_the_modular_path(rref_calls):
@@ -215,7 +231,7 @@ def test_sparse_integer_rows_give_the_dense_basis(case):
 def test_sparse_rows_fall_back_and_need_cols(rref_calls):
     assert nullspace([{0: P}], 1) == []
     assert nullspace([{}, {1: 2}], 2) == [[F(1), F(0)]]
-    assert len(rref_calls) == 1
+    assert rref_calls == []
     with pytest.raises(ValueError):
         nullspace([{0: 1}])
 

@@ -149,7 +149,7 @@ def _lyndon_lkv_system(n, r):
     B = [ma(g) for g in gens]
     conditions = [spaces._push(B, r)]
     if r > 1:
-        conditions.append(spaces._circ(spaces._swap(B), r))
+        conditions.append(spaces._circ(mould._swap(B), r))
     return spaces._assemble(gens, conditions)
 
 
@@ -274,6 +274,11 @@ def test_solver_path_never_falls_back_to_fraction_elimination(monkeypatch):
                  spaces.vkrv_system(8): 1}
     for system, nullity in nullities.items():
         assert len(system.null_vectors()) == nullity
+    # past the reconstruction bound of 2^61 - 1: the next prime answers
+    bk = _broadhurst_kreimer(25, 3)
+    for solve, n in [(solve_ls, 21), (solve_ls, 23), (solve_ls, 25),
+                     (solve_lkv, 21)]:
+        assert solve(n, 3).dim == bk[n, 3] > 0, (solve.__name__, n)
     spaces._vkrv_basis.cache_clear()
     try:
         for n in range(3, 8):
