@@ -2,7 +2,10 @@
 
 A mould with a cap is a truncated series: results inherit the smallest
 cap of the operands, and the exponential / logarithm routines require
-an explicit cap.
+an explicit cap.  The series `exp_ari`, `log_ari` and `adjoint_exp`
+take `preari`/`ari` for a U-mould and `preari_bar`/`ari_bar` for a
+V-mould, read from the module on each call; `exp_ari` and
+`adjoint_exp` share one loop, `_exp_series`.
 
 Every flexion product (mu, amit/anit and their v-side twins, arit, ari,
 preari, ganit) is a signed sum of splittings of the variable sequence,
@@ -33,7 +36,7 @@ import math
 from .intpoly import _product
 from .poly import MultiPoly, RatFrac, _signed_sum, monomial_sum, substitute
 from .mould import (Mould, AlphabetMismatch, _min_cap, _vars,
-                    swap, pari, dar, dar_inv, delta_op, delta_inv)
+                    swap, dar, dar_inv, delta_op, delta_inv)
 
 
 def _operands(A, B, alphabet=None):
@@ -237,35 +240,33 @@ def dari(A, B):
 # Exponential / logarithm
 # ---------------------------------------------------------------------------
 
-def _one(alphabet, cap):
-    return Mould(alphabet, {0: RatFrac.const(0, 1)}, cap)
+def _exp_series(out, term, k, step, cap):
+    """out + sum_{j >= k} term_j / j!, with term_{j+1} = step(term_j) at
+    the cap, until a term vanishes or j passes the cap."""
+    while term.values and k <= cap:
+        out = out + term.scale(Fraction(1, math.factorial(k)))
+        term = step(term).with_cap(cap)
+        k += 1
+    return out
 
 
-def exp_ari(A, cap=None, pre=preari):
-    """Group-like exponential: 1 + sum_k B_k / k!, B_{k+1} = pre(B_k, A).
-
-    A must vanish in depth 0; the series terminates at the cap."""
+def exp_ari(A, cap=None):
+    """Group-like exponential: 1 + sum_k B_k / k!, B_1 = A and
+    B_{k+1} = preari(B_k, A) (preari_bar for a V-mould).  A must vanish
+    in depth 0, so B_k vanishes below depth k and the series ends at
+    the cap."""
     cap = _min_cap(A.cap, cap)
     if cap is None:
         raise ValueError("exp requires a cap")
     if not A.get(0).is_zero():
         raise ValueError("exponent must vanish in depth 0")
     A = A.with_cap(cap)
-    out = _one(A.alphabet, cap)
-    term = A
-    k = 1
-    while term.values and k <= cap:
-        out = out + term.scale(Fraction(1, math.factorial(k)))
-        term = pre(term, A).with_cap(cap)
-        k += 1
-    return out
+    pre = preari_bar if A.alphabet == "V" else preari
+    one = Mould(A.alphabet, {0: RatFrac.const(0, 1)}, cap)
+    return _exp_series(one, A, 1, lambda B: pre(B, A), cap)
 
 
-def exp_ari_bar(A, cap=None):
-    return exp_ari(A, cap, pre=preari_bar)
-
-
-def log_ari(M, cap=None, pre=preari):
+def log_ari(M, cap=None):
     """Inverse of exp_ari, solved depth by depth: depth r of exp(L) reads
     only the depths up to r of L, so each step runs exp_ari at cap r."""
     cap = _min_cap(M.cap, cap)
@@ -276,41 +277,22 @@ def log_ari(M, cap=None, pre=preari):
     M = M.with_cap(cap)
     L = Mould(M.alphabet, {}, cap)
     for r in range(1, cap + 1):
-        E = exp_ari(L.with_cap(r), r, pre=pre)
-        diff = M.get(r) - E.get(r)
+        diff = M.get(r) - exp_ari(L.with_cap(r), r).get(r)
         if not diff.is_zero():
             L = L + Mould(M.alphabet, {r: diff}, cap)
     return L
 
 
-def log_ari_bar(M, cap=None):
-    return log_ari(M, cap, pre=preari_bar)
-
-
-def adjoint_exp(L, M, cap=None, bracket=ari):
-    """exp(ad_L) M = sum_k ad_L^k(M) / k! for the given Lie bracket."""
+def adjoint_exp(L, M, cap=None):
+    """exp(ad_L) M = sum_k ad_L^k(M) / k!, with ad_L = ari(L, .) (ari_bar
+    for V-moulds).  A bracket with L raises the lowest depth, so the
+    terms past the cap vanish."""
     cap = _min_cap(_min_cap(L.cap, M.cap), cap)
     if cap is None:
         raise ValueError("adjoint exponential requires a cap")
-    L = L.with_cap(cap)
-    out = Mould(M.alphabet, {}, cap)
-    term = M.with_cap(cap)
-    k = 0
-    while term.values:
-        out = out + term.scale(Fraction(1, math.factorial(k)))
-        term = bracket(L, term).with_cap(cap)
-        k += 1
-        if k > cap + 1:
-            break
-    return out
-
-
-def ad_ari_exp(L, M, cap=None):
-    return adjoint_exp(L, M, cap, bracket=ari)
-
-
-def ad_ari_bar_exp(L, M, cap=None):
-    return adjoint_exp(L, M, cap, bracket=ari_bar)
+    bracket = ari_bar if M.alphabet == "V" else ari
+    return _exp_series(Mould(M.alphabet, {}, cap), M.with_cap(cap), 0,
+                       lambda T: bracket(L, T), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +356,7 @@ def named_mould(name, cap):
 
     pic, poc     elementary v-side moulds with poles along the axes /
                  the difference chain
-    lopil        the infinitesimal dilator; pil = exp_ari_bar(lopil)
+    lopil        the infinitesimal dilator; pil = exp_ari(lopil)
     pal          swap(pil); lopal = log_ari(pal); invpal_log = -lopal
     """
     if name == "pic":
@@ -397,7 +379,7 @@ def named_mould(name, cap):
                               den)
         return Mould("V", vals, cap)
     if name == "pil":
-        return exp_ari_bar(named_mould("lopil", cap), cap)
+        return exp_ari(named_mould("lopil", cap), cap)
     if name == "pal":
         return swap(named_mould("pil", cap))
     if name == "lopal":
@@ -476,8 +458,8 @@ def fundamental_identity_check(M, cap):
     lopal = named_mould("lopal", cap)
     lopil = named_mould("lopil", cap)
     pic = named_mould("pic", cap)
-    lhs = swap(ad_ari_exp(lopal, M.with_cap(cap), cap))
-    rhs = ganit_bar(pic, ad_ari_bar_exp(lopil, swap(M).with_cap(cap), cap))
+    lhs = swap(adjoint_exp(lopal, M.with_cap(cap), cap))
+    rhs = ganit_bar(pic, adjoint_exp(lopil, swap(M).with_cap(cap), cap))
     return lhs.eq(rhs)
 
 
@@ -487,7 +469,7 @@ def goodfund_check(N, cap):
 
     ganit_bar(-poc) is the operator inverse of ganit_bar(pic); the sign
     is forced by the depth-2 composition."""
-    image = ad_ari_exp(named_mould("invpal_log", cap), N.with_cap(cap), cap)
+    image = adjoint_exp(named_mould("invpal_log", cap), N.with_cap(cap), cap)
     return _goodfund(N, image, cap)
 
 
@@ -496,6 +478,5 @@ def _goodfund(N, image, cap):
     `image`, which must be Ad_ari(invpal) N to the cap."""
     inv_lopil = named_mould("invpil_log", cap)
     poc = named_mould("poc", cap)
-    lhs = ad_ari_bar_exp(inv_lopil, ganit_bar(-poc, swap(N).with_cap(cap)),
-                         cap)
+    lhs = adjoint_exp(inv_lopil, ganit_bar(-poc, swap(N).with_cap(cap)), cap)
     return lhs.eq(swap(image))

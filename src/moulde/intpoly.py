@@ -249,3 +249,32 @@ def _renamed_keys(keys, get):
             sign = -sign
         out.append(k)
     return tuple(sorted(out)), sign
+
+
+def _integer_roots(h):
+    """The integer roots, largest first and with multiplicity, of the
+    monic integer polynomial h (a list of coefficients from degree 0 up,
+    consumed); all of them when h is real-rooted.  From above every root, a Newton step
+    rounded down stays at or above the largest integer root of a
+    real-rooted h, and h(x) < 0 or h'(x) <= 0 shows that none is left."""
+    roots, x = [], 1 + max(map(abs, h[:-1]), default=0)
+    while len(h) > 1:
+        v = dv = 0
+        for c in reversed(h):
+            v, dv = v * x + c, dv * x + v
+        if not v:
+            roots.append(x)
+            for i in range(len(h) - 2, -1, -1):  # h / (u - x)
+                h[i] += x * h[i + 1]
+            h = h[1:]
+        elif v < 0 or dv <= 0:
+            break
+        else:
+            x += -v // dv
+    return roots
+
+
+def _dx(terms, j):
+    """The x_j-derivative of an {exponent tuple: int} polynomial."""
+    return {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+            for e, c in terms.items() if e[j]}

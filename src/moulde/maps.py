@@ -174,8 +174,8 @@ def _xi_gate(B, stage="xi"):
 
 def _adjoint_image(B, D):
     """Ad_ari(invpal) . B to depth D, ungated."""
-    return ari_mod.ad_ari_exp(ari_mod.named_mould("invpal_log", D),
-                              B.with_cap(D), D)
+    return ari_mod.adjoint_exp(ari_mod.named_mould("invpal_log", D),
+                               B.with_cap(D), D)
 
 
 def xi(B, D=4):

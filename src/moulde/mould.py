@@ -520,8 +520,10 @@ class ConstantMould:
 def star_correction(M, prop):
     """Per-depth constants kappa_r with M + kappa satisfying the property,
     or None when constants cannot repair it: each sum s of the property
-    (k copies of kappa_r each) must be a constant, and all sums of depth
-    r must pin the same kappa_r = -s/k."""
+    (k copies of kappa_r each) must be a constant, and kappa_r = -s/k.
+    The sums of one depth agree: a constant shuffle sum Sh_i(f) = c_i,
+    summed over the r! permutations of the variables, gives
+    r! c_i = C(r, i) Sym(f), so kappa_r = -Sym(f)/r! for every i."""
     sums = {"circ_neutral": _cycle_sums, "alternal": _shuffle_sums}.get(prop)
     if sums is None:
         raise ValueError("unknown property %r" % prop)
@@ -529,9 +531,7 @@ def star_correction(M, prop):
     for r, k, s in sums(M):
         if not (s.is_polynomial() and s.num.is_constant()):
             return None
-        value = -s.num.constant_value() / k
-        if kappa.setdefault(r, value) != value:
-            return None
+        kappa[r] = -s.num.constant_value() / k
     return ConstantMould(kappa)
 
 

@@ -87,11 +87,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
-from operator import add, sub
+from operator import add
 
-from .intpoly import (_cancelled, _from_ints, _independent_rows, _int_divide,
-                      _int_mul, _ints, _lifted, _normalize_linear, _product,
-                      _renamed_keys, _shuffler, _times_key, _unit)
+from .intpoly import (_cancelled, _dx, _from_ints, _independent_rows,
+                      _int_divide, _int_mul, _integer_roots, _ints, _lifted,
+                      _normalize_linear, _product, _renamed_keys, _shuffler,
+                      _times_key, _unit)
 
 
 _ZERO = Fraction(0)
@@ -268,16 +269,6 @@ class MultiPoly(Combination):
 
     def constant_value(self):
         return self.terms.get((0,) * self.arity, _ZERO)
-
-    def total_degree(self):
-        """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     # -- arithmetic ---------------------------------------------------
     def __mul__(self, other):
@@ -771,46 +762,48 @@ def _renaming(images):
 
 def _linear_factor_split(p):
     """(c, keys) with the nonzero polynomial p equal to c times the
-    factors of the sorted keys.  Linear factors are split off by trial
-    division over `_linear_candidates`; what is left must be a constant
-    or one more homogeneous linear form (`ValueError` naming it
-    otherwise)."""
+    factors of the sorted keys; what is left after the split must be a
+    constant (`ValueError` naming it otherwise).
+
+    A homogeneous p of degree d is split exactly.  On the line x_i = k^i
+    (i != j), x_j = t, for a variable x_j of p, each factor in x_j has
+    a rational root t.  Unless another factor vanishes there too, the
+    gradient there of the (m-1)-th x_j-derivative of p, m the root's
+    multiplicity, is that factor's normal, which `_int_divide` checks.
+    Such coincidences leave arity * d^2 lines enough for a product; a
+    line with fewer rational roots than its degree shows p is none."""
     arity = p.arity
     terms, den = _ints(p.terms)
-    found = []
-    while any(map(any, terms)):  # not constant
-        for cand in _linear_candidates(terms, arity):
-            q = _int_divide(terms, cand)
-            if q is not None:
-                found.append(cand)
-                terms = q
-                break
-        else:
+    d = sum(next(iter(terms))) if len({sum(e) for e in terms}) == 1 else 0
+    found, k, tries = [], 1, arity * d * d
+    while d and k <= tries:
+        j = next(i for i in range(arity) if any(e[i] for e in terms))
+        s = [1 if i == j else k ** i for i in range(arity)]
+        f = [0] * (d + 1)  # p on the line, by powers of t
+        for e, c in terms.items():
+            f[e[j]] += c * math.prod(map(pow, s, e))
+        n = max((i for i, c in enumerate(f) if c), default=0)
+        a = f[n] or 1  # the roots u = a t of the monic a^(n-1) f(u / a)
+        roots = _integer_roots([c * a ** (n - 1 - i)
+                                for i, c in enumerate(f[:n])] + [1])
+        if len(roots) < n:
             break
+        base = terms
+        for u in set(roots):
+            z = [u if i == j else a * x for i, x in enumerate(s)]
+            g = base
+            for _ in range(roots.count(u) - 1):
+                g = _dx(g, j)
+            normal = [sum(c * math.prod(map(pow, z, e))
+                          for e, c in _dx(g, i).items()) for i in range(arity)]
+            key = _normalize_linear(normal)[1] if any(normal) else None
+            while key and (q := _int_divide(terms, key)) is not None:
+                found.append(key)
+                terms, d = q, d - 1
+        k += 1
     scale, keys = _factor_keys((MultiPoly._wrap(_from_ints(terms, den),
                                                 arity),))
-    for cand in found:
-        g, key = _normalize_linear(cand)
-        scale *= g
-        keys += (key,)
-    return scale, tuple(sorted(keys))
-
-
-def _linear_candidates(terms, arity):
-    """Candidate linear divisors of the {exponent tuple: int} polynomial
-    `terms`, as coefficient tuples over the variables present in it: each
-    x_i, each x_i - x_j with i < j, and the contiguous sums (covering
-    u_i + ... + u_j)."""
-    used = [i for i in range(arity) if any(e[i] for e in terms)]
-    for i in used:
-        yield _unit(i, arity)
-    for i in used:
-        for j in used:
-            if i < j:
-                yield tuple(map(sub, _unit(i, arity), _unit(j, arity)))
-    for a in range(len(used)):
-        for b in range(a + 1, len(used)):
-            yield tuple(int(i in used[a:b + 1]) for i in range(arity))
+    return scale, tuple(sorted(keys + tuple(found)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ and the prefix products that both directions of the C-basis share
 (`_prefix_product`).  Every sum of scaled word products is one
 `_combination` on integers, with no partial sum built: the letter
 substitutions, `from_c_basis`, `apply_derivation`, and the linear
-combinations of `partner` (`linear_combination`) and of the vkrv
-solver, which clears each bracket once per solve.
+combination of the vkrv solver (`linear_combination`), which clears
+each bracket once per solve.  `partner` inverts ad x word by word.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .intpoly import _from_ints, _ints
-from .linalg import solve
 from .poly import Combination, _add_into, compositions
 
 
@@ -461,23 +460,20 @@ def divergence(E):
 # ---------------------------------------------------------------------------
 
 def partner(b):
-    """The unique a with [x, a] + [y, b] = 0 (exists iff b push-invariant)."""
-    if b.is_zero():
-        return NCPoly.zero()
+    """The unique Lie a with [x, a] + [y, b] = 0 (exists iff b is
+    push-invariant).  Each word x^i u of c = -[y, b], u not starting
+    with x, adds c(x^i u) to a at x^(i-j-1) u x^j for j < i: the one
+    solution with no x^n term, which a Lie element of weight n >= 2
+    lacks.  No linear system is solved; [x, a] = c and a Lie are checked."""
     if not b.is_weight_homogeneous():
         raise ValueError("input must be weight-homogeneous")
-    n = b.weight()
-    rhs_poly = -lie_bracket(Y, b)
-    basis = lyndon_lie_basis(n)
-    columns = [lie_bracket(X, e) for e in basis]
-    words = sorted({w for col in columns for w in col.terms}
-                   | set(rhs_poly.terms))
-    matrix = [[col.coeff(w) for col in columns] for w in words]
-    rhs = [rhs_poly.coeff(w) for w in words]
-    sol = solve(matrix, rhs)
-    if sol is None:
+    c = -lie_bracket(Y, b)
+    a = NCPoly._wrap(_add_into({}, (
+        (v[j + 1:] + "x" * j, k) for v, k in c.terms.items()
+        for j in range(len(v) - len(v.lstrip("x"))))))
+    if lie_bracket(X, a) != c or not is_lie_element(a):
         raise PartnerNotFound("no partner: input is not push-invariant")
-    return linear_combination(basis, sol)
+    return a
 
 
 def oder_pair(b):

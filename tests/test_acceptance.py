@@ -12,9 +12,8 @@ import random
 from fractions import Fraction as F
 
 from moulde import ari, linalg, maps, mould, spaces, words
-from moulde.ari import (ad_ari_exp, ari as ari_bracket, ari_bar, dari,
-                        darit, exp_ari_bar, ganit_bar, goodfund_check,
-                        infinitesimal_generator, log_ari, named_mould,
+from moulde.ari import (ari as ari_bracket, ari_bar, dari, darit, ganit_bar,
+                        goodfund_check, infinitesimal_generator, named_mould,
                         tnc_mould)
 from moulde.cli import run as cli_run
 from moulde.maps import (krv_section, lkv_to_krv_ell, verify_xi_image,

@@ -156,6 +156,41 @@ def test_apply_swap_roundtrip(tmp_path, b3):
     assert M.eq(ma(b3))
 
 
+# 1/((u1 - u2)(u2 - u3)) in depth 3, whose swap has the denominator
+# -x1x2 + 2x1x3 + 2x2^2 - 5x2x3 + 2x3^2, and a polynomial depth 1
+ROUND_TRIP_U = ('{"alphabet":"U","depths":{'
+                '"1":{"num":[["2",[1]]]},'
+                '"3":{"num":[["1",[0,0,0]]],"den":[["1",[1,1,0]],'
+                '["-1",[1,0,1]],["-1",[0,2,0]],["1",[0,1,1]]]}}}')
+
+
+@pytest.mark.parametrize("op", sorted(cli.UNARY_OPS))
+def test_apply_reads_back_what_it_writes(tmp_path, op):
+    src = _write(tmp_path, "u.json", ROUND_TRIP_U)
+    code, v_text, _ = _run(["apply", "--op", "swap", "--input", src,
+                            "--format", "json"])
+    assert code == 0 and '"-5"' in v_text
+    inputs = [src, _write(tmp_path, "v.json", v_text)]
+    written = 0
+    for path in inputs:
+        code, text, err = _run(["apply", "--op", op, "--input", path,
+                                "--format", "json"])
+        if code == 2 and "acts on" in err:  # the other alphabet
+            continue
+        assert code == 0, err
+        written += 1
+        # read back; neg is an involution on either alphabet
+        mid = _write(tmp_path, "out.json", text)
+        code, neg_text, err = _run(["apply", "--op", "neg", "--input", mid,
+                                    "--format", "json"])
+        assert code == 0, err
+        code, back, err = _run(["apply", "--op", "neg", "--input",
+                                _write(tmp_path, "neg.json", neg_text),
+                                "--format", "json"])
+        assert (code, back) == (0, text), err
+    assert written
+
+
 def test_apply_unknown_op(tmp_path, b3):
     src = _write(tmp_path, "m.json", mould_to_json_text(ma(b3)))
     code, _, err = _run(["apply", "--op", "zap", "--input", src])

@@ -1,9 +1,11 @@
 """Sums of scaled word polynomials against the growing sums they replace.
 
-`words.linear_combination` (the vkrv solver's and `partner`'s sum) and
+`words.linear_combination` (the vkrv solver's sum) and
 `words.apply_derivation` add their scaled word products on integers,
 in one `words._combination`.  The oracles below are the earlier
-routes, which add one scaled `NCPoly` at a time to a growing sum."""
+routes, which add one scaled `NCPoly` at a time to a growing sum; the
+partner oracle is the earlier linear solve over the Lyndon brackets,
+against the inverse of ad x in `words.partner`."""
 
 from fractions import Fraction as F
 
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 from moulde import linalg
 from moulde.spaces import solve_vkrv
-from moulde.words import (DerivationPair, NCPoly, X, Y, apply_derivation,
-                          lie_bracket, linear_combination, lyndon_lie_basis,
-                          partner)
+from moulde.words import (DerivationPair, NCPoly, PartnerNotFound, X, Y,
+                          apply_derivation, lie_bracket, linear_combination,
+                          lyndon_lie_basis, partner)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -47,7 +49,7 @@ def partner_by_growing_sum(b):
                    | set(rhs_poly.terms))
     sol = linalg.solve([[col.coeff(w) for col in columns] for w in words],
                        [rhs_poly.coeff(w) for w in words])
-    return growing_sum(basis, sol)
+    return None if sol is None else growing_sum(basis, sol)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -100,8 +102,23 @@ def test_partner_matches_the_growing_sum_on_vkrv():
     seen = 0
     for n in range(3, 11):
         for b in solve_vkrv(n).basis:
-            a = partner(b)
-            assert a == partner_by_growing_sum(b), n
-            assert (lie_bracket(X, a) + lie_bracket(Y, b)).is_zero(), n
-            seen += 1
-    assert seen == 6  # vkrv dims 1, 0, 1, 0, 1, 1, 1, 1 for n = 3..10
+            # push keeps the depth, so each depth part is push-invariant
+            for part in [b] + [b.depth_component(r) for r in b.depths()]:
+                a = partner(part)
+                assert a == partner_by_growing_sum(part), n
+                assert (lie_bracket(X, a) + lie_bracket(Y, part)).is_zero()
+                seen += 1
+    assert seen == 32  # vkrv dims 1, 0, 1, 0, 1, 1, 1, 1 for n = 3..10
+
+
+@given(lyndon_coefficients(max_n=6))
+@settings(max_examples=100, deadline=None)
+def test_partner_exists_where_the_growing_sum_has_one(case):
+    basis, coeffs = case
+    b = linear_combination(basis, coeffs)
+    want = partner_by_growing_sum(b) if not b.is_zero() else NCPoly.zero()
+    try:
+        got = partner(b)
+    except PartnerNotFound:
+        got = None
+    assert got == want

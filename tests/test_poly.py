@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moulde.mould import Mould, mould_from_json, mould_to_json
+from moulde.mould import Mould, mould_from_json, mould_to_json, swap
 from moulde.poly import (MultiPoly, RatFrac, _int_mul,
                          _linear_factor_split, _reduced, _renaming,
                          exact_poly_divide, grlex_key, monomial_sum,
@@ -198,7 +198,7 @@ def test_ratfrac_rejects_nonlinear_factors():
         RatFrac(x, (x * x + y * y,))
     with pytest.raises(ValueError):
         RatFrac(x, (x + 1,))
-    # a JSON denominator is split into the linear forms it tries
+    # a JSON denominator is split exactly into its linear factors
     with pytest.raises(ValueError, match=r"linear form: 1 \* x1\^2 \+ 1"):
         _linear_factor_split(x * x + y * y)
     c, keys = _linear_factor_split((x * x - y * y).scale(F(2, 3)))
@@ -206,6 +206,43 @@ def test_ratfrac_rejects_nonlinear_factors():
 
 
 # -- linear factors ------------------------------------------------------------
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    linear_forms(n), min_size=1, max_size=6)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_product_of_linear_forms_splits_and_round_trips(forms, c):
+    """Any product of linear forms is split into its factors, and a
+    fraction over it reads back from its JSON form unchanged."""
+    arity = forms[0][1].arity
+    den = MultiPoly.const(arity, c)
+    for _, L in forms:
+        den = den * L
+    scale, keys = _linear_factor_split(den)
+    assert len(keys) == len(forms)
+    back = MultiPoly.const(arity, scale)
+    for key in keys:
+        back = back * MultiPoly(arity, {
+            tuple(int(i == j) for j in range(arity)): F(k)
+            for i, k in enumerate(key)})
+    assert back == den
+    f = RatFrac(MultiPoly.const(arity, 1), tuple(L for _, L in forms))
+    assert mould_from_json(mould_to_json(Mould("U", {arity: f}))).get(
+        arity) == f
+
+
+def test_json_reads_the_denominator_that_swap_writes():
+    # swap of 1/((u1 - u2)(u2 - u3)) has den -x1x2 + 2x1x3 + 2x2^2
+    # - 5x2x3 + 2x3^2, a product of two linear forms outside the shapes
+    # u_i, u_i - u_j and u_i + ... + u_j
+    x1, x2, x3 = (MultiPoly.variable(i, 3) for i in (1, 2, 3))
+    M = swap(Mould("U", {3: RatFrac(MultiPoly.const(3, 1),
+                                    (x1 - x2, x2 - x3))}))
+    doc = mould_to_json(M)
+    assert doc["depths"]["3"]["den"] == [
+        ["-1", [1, 1, 0]], ["2", [1, 0, 1]], ["2", [0, 2, 0]],
+        ["-5", [0, 1, 1]], ["2", [0, 0, 2]]]
+    assert mould_from_json(doc).eq(M)
 
 def _long_divide(num, den):
     """Grlex long division: q with num = q*den, or None.  The oracle for

@@ -389,7 +389,6 @@ def test_circ_neutral_and_its_star_agree_with_oracles(M):
 
 @pytest.mark.parametrize("pinned, expected", [
     (math.comb, {4: F(-1)}),     # every sum of depth 4 pins kappa_4 = -1
-    (lambda r, i: i, None),      # i = 1 pins -1/4, i = 2 pins -1/3
 ])
 def test_star_alternal_wants_one_constant_per_depth(monkeypatch, pinned,
                                                     expected):

@@ -286,10 +286,6 @@ def test_solver_path_never_falls_back_to_fraction_elimination(monkeypatch):
                 assert solve_gr_krv(n, r) == int(n % 2 == 1 and r == 1)
     finally:
         spaces._vkrv_basis.cache_clear()
-    b = words.lie_bracket(words.X, words.lie_bracket(words.X, words.Y))
-    a = words.partner(b)
-    assert (words.lie_bracket(words.X, a)
-            + words.lie_bracket(words.Y, b)).is_zero()
 
 
 def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):

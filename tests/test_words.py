@@ -140,6 +140,13 @@ def test_partner_of_b3():
     assert (lie_bracket(X, a3) + lie_bracket(Y, b3)).is_zero()
 
 
+def test_partner_refuses_a_solution_that_is_not_lie():
+    # [x, a] = -[y, b] has the word solution xy + yx for b = xx, which
+    # is not a Lie element, so b has no partner
+    with pytest.raises(words.PartnerNotFound):
+        partner(NCPoly.word("xx"))
+
+
 def test_oder_pair_kills_xy_commutator():
     b3 = lie_bracket(X, lie_bracket(X, Y))
     D = oder_pair(b3)
