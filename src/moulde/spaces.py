@@ -1,16 +1,19 @@
 """Linear-constraint solvers for the bigraded spaces.
 
 Every space runs through one constraint engine.  The bigraded spaces
-`lkv`, `ls`, `krv_ell` and `ds_ell` share one parameter basis, the
-degree-(n-r) monomial moulds in depth r; only `vkrv` is solved on
-Lyndon Lie elements, and its rows are read off the brackets' integer
-coefficients word by word.  The space is a list of linear conditions
-on that basis, built from shared pieces: alternality, push-invariance,
-circ-neutrality, the swap and the Delta-quotient (Schneps, "ARI, GARI,
-Zig and Zag", arXiv:1507.01534).  `lkv` is solved on the alternal
-moulds, onto which `ma` maps the depth-r Lie elements, and its basis
-returns to Lie elements through `ma_inverse`.  Each operator acts once
-on the whole parameter list.  `_assemble` keeps the rows sparse and on
+`lkv`, `ls`, `krv_ell` and `ds_ell` are all alternal, and share one
+parameter basis: the alternal polynomial moulds of degree n-r in depth
+r, onto which `ma` maps the depth-r Lie elements, so there are as many
+as the Witt number (1/n) sum_{d | (n,r)} mu(d) C(n/d, r/d) (Schneps,
+"ARI, GARI, Zig and Zag", arXiv:1507.01534).  `_kernel` solves the
+alternality rows on the monomials block by block, one block per
+multiset of exponents.  Only `vkrv` is solved on Lyndon Lie elements,
+and its rows are read off the brackets' integer coefficients word by
+word.  The space is a list of linear conditions on that basis, built
+from shared pieces: push-invariance, circ-neutrality, alternality of
+the swap and the Delta-quotient.  The `lkv` basis returns to Lie
+elements through `ma_inverse`.  Each operator acts once on the whole
+parameter list.  `_assemble` keeps the rows sparse and on
 integers, as `linalg.nullspace` takes them, and `_solve` re-verifies
 every basis element against the defining predicates of the space,
 raising `VerificationError` on a failure.
@@ -42,7 +45,7 @@ from . import words as words_mod
 from .linalg import nullspace, rank
 from .mould import Mould
 from .intpoly import _ints, _lifted
-from .poly import MultiPoly, RatFrac, compositions, grlex_key
+from .poly import MultiPoly, RatFrac, _add_into, compositions, grlex_key
 from .words import NCPoly
 
 
@@ -66,7 +69,9 @@ class ConstraintSystem:
     """Parameter basis plus one row per instantiated linear identity:
     row i, tagged tags[i], is {column: entry * scales[i]} in
     `integer_rows`, which may carry a common factor; `rows` builds the
-    dense rational rows on demand, reduced."""
+    dense rational rows on demand, reduced.  The parameters are the
+    alternal polynomials of `_kernel` (with a constant "c" adjoined for
+    `krv_ell` and `ds_ell`), or the Lyndon brackets for `vkrv`."""
 
     __slots__ = ("parameters", "tags", "integer_rows", "scales")
 
@@ -173,9 +178,14 @@ def _solve(space, n, r, system, combine):
     return BigradedBasis(space, n, r, basis)
 
 
-def _combine_mould(gens, vec):
-    r = len(gens[0])
-    return Mould("U", {r: MultiPoly(r, dict(zip(gens, vec)))})
+def _combine_mould(polys, vec):
+    """The sum of the parameter polynomials weighted by `vec`."""
+    terms = {}
+    for p, c in zip(polys, vec):
+        if c:
+            _add_into(terms, ((e, c * x) for e, x in p.terms.items()))
+    r = polys[0].arity
+    return Mould("U", {r: MultiPoly._wrap(terms, r)})
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +262,35 @@ def _exp_tuples(d, r):
     return sorted(compositions(d, r), key=grlex_key)
 
 
-def _monomials(n, r):
-    """Exponents of the degree n-r monomials in depth r, and their moulds."""
+def _kernel(n, r):
+    """The alternal polynomials of degree n-r in depth r, sorted by free
+    column, and their moulds: the kernel of the `al` rows on the
+    monomials.
+
+    A shuffle keeps the multiset of exponents, so the rows split into
+    blocks keyed by the sorted exponent tuple, each solved on its own
+    columns.  A kernel vector is 1 at its free column, 0 at the other
+    free columns and supported on the columns before it, so the reduced
+    basis of a system on these polynomials is, in monomial coordinates,
+    the one of the system on the monomials.  In depth 1 there are no
+    rows, and the kernel is the monomials."""
     gens = _exp_tuples(n - r, r)
-    return gens, [Mould("U", {r: MultiPoly.monomial(e, 1)}) for e in gens]
+    blocks = {}
+    for j, e in enumerate(gens):
+        blocks.setdefault(tuple(sorted(e)), ([], []))[0].append(j)
+    monomials = [Mould("U", {r: MultiPoly.monomial(e, 1)}) for e in gens]
+    for row in _assemble(gens, _alternal(monomials, r, "al")).integer_rows:
+        blocks[tuple(sorted(gens[min(row)]))][1].append(row)
+    kernel = {}  # free column -> kernel polynomial
+    for cols, rows in blocks.values():
+        local = {j: i for i, j in enumerate(cols)}
+        for v in nullspace([{local[j]: c for j, c in row.items()}
+                            for row in rows], len(cols)):
+            support = [(cols[i], x) for i, x in enumerate(v) if x]
+            kernel[support[-1][0]] = MultiPoly._wrap(
+                {gens[j]: x for j, x in support}, r)
+    polys = [kernel[f] for f in sorted(kernel)]
+    return polys, [Mould("U", {r: p}) for p in polys]
 
 
 def lie_basis(n, r):
@@ -275,21 +310,21 @@ def lie_basis(n, r):
 def lkv_system(n, r):
     """The alternal moulds, images under `ma` of the depth-r Lie
     elements, that are push-invariant with circ-neutral swap."""
-    gens, B = _monomials(n, r)
-    conditions = _alternal(B, r, "al") + [_push(B, r)]
+    K, B = _kernel(n, r)
+    conditions = [_push(B, r)]
     if r > 1:
         conditions.append(_circ(mould_mod._swap(B), r))
-    return _assemble(gens, conditions)
+    return _assemble(K, conditions)
 
 
-def _combine_lie(gens, vec):
-    return mould_mod.ma_inverse(_combine_mould(gens, vec))
+def _combine_lie(polys, vec):
+    return mould_mod.ma_inverse(_combine_mould(polys, vec))
 
 
 def solve_lkv(n, r):
     """Lie elements of weight n, depth r that are push-invariant with
-    circ-neutral swap mould.  The system is solved on monomial moulds,
-    and each basis element is the `ma_inverse` of an alternal one."""
+    circ-neutral swap mould.  The system is solved on the alternal
+    moulds, and each basis element is the `ma_inverse` of one."""
     if not (n >= 3 and 1 <= r <= n - 1):
         return BigradedBasis("lkv", n, r, [])
     return _solve("lkv", n, r, lkv_system(n, r), _combine_lie)
@@ -300,12 +335,11 @@ def solve_lkv(n, r):
 # ---------------------------------------------------------------------------
 
 def ls_system(n, r):
-    gens, B = _monomials(n, r)
-    conditions = (_alternal(B, r, "al")
-                  + _alternal(mould_mod._swap(B), r, "sal"))
+    K, B = _kernel(n, r)
+    conditions = _alternal(mould_mod._swap(B), r, "sal")
     if r == 1:
         conditions.append(_push(B, r))
-    return _assemble(gens, conditions)
+    return _assemble(K, conditions)
 
 
 def solve_ls(n, r):
@@ -397,12 +431,12 @@ def solve_gr_krv(n, r):
 # ---------------------------------------------------------------------------
 
 def krv_ell_system(n, r):
-    gens, B = _monomials(n, r)
-    conditions = _alternal(B, r, "al") + [_push(B, r)]
+    K, B = _kernel(n, r)
+    conditions = [_push(B, r)]
     if r > 1:
         conditions.append(_circ(mould_mod._swap(mould_mod._delta_inv(B)), r,
                                 weight=1))
-    return _assemble(gens, conditions, constant=r > 1)
+    return _assemble(K, conditions, constant=r > 1)
 
 
 def solve_krv_ell(n, r):
@@ -419,16 +453,15 @@ def solve_krv_ell(n, r):
 # ---------------------------------------------------------------------------
 
 def ds_ell_system(n, r):
-    gens, B = _monomials(n, r)
-    conditions = _alternal(B, r, "al")
+    K, B = _kernel(n, r)
     if r == 1:
         # evenness: push-invariance of the Delta-quotient, which the
         # krv_ell inclusion needs
-        conditions.append(_push(B, r))
+        conditions = [_push(B, r)]
     else:
-        conditions += _alternal(
+        conditions = _alternal(
             mould_mod._swap(mould_mod._delta_inv(B)), r, "sal", constant=True)
-    return _assemble(gens, conditions, constant=r > 1)
+    return _assemble(K, conditions, constant=r > 1)
 
 
 def solve_ds_ell(n, r):

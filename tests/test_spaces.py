@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -136,9 +137,51 @@ def test_dims_match_broadhurst_kreimer(solve):
 
 
 def test_ls_reach_cells_match_broadhurst_kreimer():
-    # ls only: lkv(15,5) waits for the block kernel of the alternal rows
-    for n, r in [(15, 5), (18, 4)]:
-        assert solve_ls(n, r).dim == BROADHURST_KREIMER[n, r] > 0, (n, r)
+    for solve, n, r in [(solve_ls, 15, 5), (solve_ls, 18, 4),
+                        (solve_lkv, 15, 5)]:
+        assert solve(n, r).dim == BROADHURST_KREIMER[n, r] > 0, (
+            solve.__name__, n, r)
+
+
+def _witt(n, r):
+    """The number of Lyndon words of length n with r letters y, the
+    dimension of the depth-r part of the weight-n free Lie algebra:
+    (1/n) sum over d | (n, r) of mu(d) C(n/d, r/d)."""
+    return sum(_mobius(d) * math.comb(n // d, r // d)
+               for d in range(1, math.gcd(n, r) + 1)
+               if n % d == r % d == 0) // n
+
+
+def test_kernel_size_is_the_witt_number():
+    grid = [(n, r) for n in range(1, 15) for r in range(1, 6)]
+    for n, r in grid + [(16, 4), (15, 5), (17, 5)]:
+        assert len(spaces._kernel(n, r)[0]) == _witt(n, r), (n, r)
+    assert [_witt(16, 4), _witt(15, 5), _witt(17, 5)] == [112, 200, 364]
+    # no alternal moulds, as at (3,3): the empty system in every space
+    empty = [(n, r) for n, r in grid if not _witt(n, r)]
+    assert (3, 3) in empty
+    for n, r in empty:
+        for system in (spaces.lkv_system, spaces.ls_system,
+                       spaces.krv_ell_system, spaces.ds_ell_system):
+            s = system(n, r)
+            assert (s.parameters, s.rows, s.tags) == ([], [], []), (n, r)
+            assert s.null_vectors() == []
+
+
+def test_nullspace_sees_a_block_or_the_kernel_columns(monkeypatch):
+    # at the monomials it saw all C(11, 3) = 165 columns
+    seen = []
+
+    def spied(matrix, cols=None):
+        seen.append(cols)
+        return linalg.nullspace(matrix, cols)
+
+    monkeypatch.setattr(spaces, "nullspace", spied)
+    assert solve_ls(12, 4).dim == solve_lkv(12, 4).dim == 1
+    blocks = Counter(tuple(sorted(e)) for e in spaces._exp_tuples(8, 4))
+    bound = max(max(blocks.values()), _witt(12, 4) + 1)
+    assert bound == 41
+    assert seen and max(seen) <= bound
 
 
 # The Lyndon-word route to lkv, kept as the independent oracle: the
@@ -319,18 +362,19 @@ def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
     monkeypatch.setattr(mould, "substitute", counted_substitute)
     monkeypatch.setattr(mould, "renaming_sums", counted_sums)
     monkeypatch.setattr(poly, "_linear_rows", watched_rows)
-    # 36 monomials of degree 7 in 3 variables; krv_ell has the al:1 sum,
-    # push, the swap of the Delta-quotients and their cyclic sum
+    # the al:1 sum of the 36 monomials of degree 7 in 3 variables leaves
+    # 12 alternal polynomials; krv_ell has push, the swap of their
+    # Delta-quotients and its cyclic sum on those, and c
     built = spaces.krv_ell_system(10, 3)
-    assert len(built.parameters) == 37
-    assert sorted(calls) == [("renaming_sums", 36)] * 2 + [("substitute",
-                                                             36)] * 2
-    # ls has the al:1 sum, the swap and the sal:1 sum of the swaps
+    assert len(built.parameters) == 13
+    assert sorted(calls) == [("renaming_sums", 12), ("renaming_sums", 36),
+                             ("substitute", 12), ("substitute", 12)]
+    # ls has the swap of the 12 and its sal:1 sum
     calls.clear()
     built = spaces.ls_system(10, 3)
-    assert len(built.parameters) == 36
-    assert sorted(calls) == [("renaming_sums", 36)] * 2 + [("substitute",
-                                                             36)]
+    assert len(built.parameters) == 12
+    assert sorted(calls) == [("renaming_sums", 12), ("renaming_sums", 36),
+                             ("substitute", 12)]
     # the one-element operators still run through the same kernels, and
     # a renaming of fractions (circ of a Delta-quotient) is a shuffle
     calls.clear()
@@ -360,7 +404,7 @@ def test_swap_and_push_multiply_once_per_block_prefix(monkeypatch, cell):
         return int_mul(a, b)
 
     monkeypatch.setattr(poly, "_int_mul", counted)
-    gens, B = spaces._monomials(*cell)
+    gens, B = _monomials(*cell)
     bound = _block_walk_bound(gens)
     for operator in (mould._swap, mould._push):
         calls.clear()
@@ -468,10 +512,15 @@ def test_rows_clear_rational_coefficients_and_keys():
                                     spaces.ds_ell_system])
 def test_adjoined_constant_is_never_alone(system):
     # the constant column has rows for the keys of the cleared
-    # denominator too, so c cannot move on its own
+    # denominator too, so c cannot move on its own; a cell without
+    # alternal moulds, (3,3), is the empty system, with no c
     for n in range(3, 9):
         for r in (2, 3):
             s = system(n, r)
+            if not _witt(n, r):
+                assert (s.parameters, s.rows, s.tags) == ([], [], [])
+                assert s.null_vectors() == []
+                continue
             assert s.parameters[-1] == "c"
             for v in s.null_vectors():
                 assert any(v[:-1]), (n, r, v)
@@ -479,14 +528,66 @@ def test_adjoined_constant_is_never_alone(system):
 
 # -- pinned constraint systems ------------------------------------------------
 
+# The systems on the degree-(n-r) monomials in depth r, with the `al`
+# rows written out beside the others: the oracles of the systems on the
+# alternal kernel, whose basis they must give.
+def _monomials(n, r):
+    gens = spaces._exp_tuples(n - r, r)
+    return gens, [mould.Mould("U", {r: poly.MultiPoly.monomial(e, 1)})
+                  for e in gens]
+
+
+def _monomial_lkv_system(n, r):
+    gens, B = _monomials(n, r)
+    conditions = spaces._alternal(B, r, "al") + [spaces._push(B, r)]
+    if r > 1:
+        conditions.append(spaces._circ(mould._swap(B), r))
+    return spaces._assemble(gens, conditions)
+
+
+def _monomial_ls_system(n, r):
+    gens, B = _monomials(n, r)
+    conditions = (spaces._alternal(B, r, "al")
+                  + spaces._alternal(mould._swap(B), r, "sal"))
+    if r == 1:
+        conditions.append(spaces._push(B, r))
+    return spaces._assemble(gens, conditions)
+
+
+def _monomial_krv_ell_system(n, r):
+    gens, B = _monomials(n, r)
+    conditions = spaces._alternal(B, r, "al") + [spaces._push(B, r)]
+    if r > 1:
+        conditions.append(spaces._circ(mould._swap(mould._delta_inv(B)), r,
+                                       weight=1))
+    return spaces._assemble(gens, conditions, constant=r > 1)
+
+
+def _monomial_ds_ell_system(n, r):
+    gens, B = _monomials(n, r)
+    conditions = spaces._alternal(B, r, "al")
+    if r == 1:
+        conditions.append(spaces._push(B, r))
+    else:
+        conditions += spaces._alternal(
+            mould._swap(mould._delta_inv(B)), r, "sal", constant=True)
+    return spaces._assemble(gens, conditions, constant=r > 1)
+
+
+MONOMIAL_ORACLES = {"lkv": _monomial_lkv_system, "ls": _monomial_ls_system,
+                    "krv_ell": _monomial_krv_ell_system,
+                    "ds_ell": _monomial_ds_ell_system}
+
+
 # One digest per system with n <= 10, r <= 4: the parameters, the tags
 # and str(Fraction(x)) of every row entry, so a kernel that changes how
 # rows are computed must leave them equal as values.  A change that
 # alters rows on purpose re-captures these with `_system_digest` and
 # says so.  The krv_ell/ds_ell cells with r > n are the empty system,
-# checked below.  "lkv" pins the Lyndon oracle `_lyndon_lkv_system`,
-# and "lkv_monomials" pins `spaces.lkv_system`, captured when lkv moved
-# to monomial parameters.
+# checked below.  "lkv" pins the Lyndon oracle `_lyndon_lkv_system`;
+# "lkv_monomials", "ls", "krv_ell" and "ds_ell" pin the monomial
+# oracles above, captured when they were the solvers' systems; the
+# "_kernel" keys pin `spaces.*_system` on the alternal kernel.
 PINNED_SYSTEMS = {
     "lkv": {
         (1, 1): "4523b3db5f3cf5ee", (1, 2): "620a09ff7eec8d4a",
@@ -592,6 +693,88 @@ PINNED_SYSTEMS = {
         (10, 1): "966b9835609b617f", (10, 2): "6fcd14ff67939d65",
         (10, 3): "357605ca83d61da8", (10, 4): "93ba22415b59ec33",
     },
+    "lkv_kernel": {
+        (1, 1): "9504675517f5ed02", (1, 2): "620a09ff7eec8d4a",
+        (1, 3): "620a09ff7eec8d4a", (1, 4): "620a09ff7eec8d4a",
+        (2, 1): "93a2e27e0c2e86ab", (2, 2): "620a09ff7eec8d4a",
+        (2, 3): "620a09ff7eec8d4a", (2, 4): "620a09ff7eec8d4a",
+        (3, 1): "a61f27da206bffd0", (3, 2): "6fdaa5eff09e0c7f",
+        (3, 3): "620a09ff7eec8d4a", (3, 4): "620a09ff7eec8d4a",
+        (4, 1): "057803ad4211e457", (4, 2): "f9a23153535d0a2d",
+        (4, 3): "a8dbcafc3e11f101", (4, 4): "620a09ff7eec8d4a",
+        (5, 1): "56d3d5822ccae1e0", (5, 2): "49fac6532e3a8d90",
+        (5, 3): "424beb72713c7bf6", (5, 4): "409b268bf16bd672",
+        (6, 1): "9e9eb0807a7121c0", (6, 2): "75dfb3ebeb2b0693",
+        (6, 3): "9cf90aba6cdb206e", (6, 4): "81d1b7f80a2a17a9",
+        (7, 1): "90d1283ca64007b7", (7, 2): "981e69247af3d647",
+        (7, 3): "acfe219f65d6552a", (7, 4): "c324e621da2fe428",
+        (8, 1): "1bbf156f11233b55", (8, 2): "c8303b88a9c7290d",
+        (8, 3): "d84ce6895192d89a", (8, 4): "845263aed2628065",
+        (9, 1): "958816e4fc549af5", (9, 2): "8ece3682791bfee4",
+        (9, 3): "901fb08aabad9786", (9, 4): "97478692b14c0be8",
+        (10, 1): "7fefb5f398a2b434", (10, 2): "e698bc412646df6c",
+        (10, 3): "0ef20a5ca972f084", (10, 4): "94b37f687265a3d4",
+    },
+    "ls_kernel": {
+        (1, 1): "9504675517f5ed02", (1, 2): "620a09ff7eec8d4a",
+        (1, 3): "620a09ff7eec8d4a", (1, 4): "620a09ff7eec8d4a",
+        (2, 1): "93a2e27e0c2e86ab", (2, 2): "620a09ff7eec8d4a",
+        (2, 3): "620a09ff7eec8d4a", (2, 4): "620a09ff7eec8d4a",
+        (3, 1): "a61f27da206bffd0", (3, 2): "3d55a2e132ab7321",
+        (3, 3): "620a09ff7eec8d4a", (3, 4): "620a09ff7eec8d4a",
+        (4, 1): "057803ad4211e457", (4, 2): "112e67b4004fae39",
+        (4, 3): "503008b08654cf36", (4, 4): "620a09ff7eec8d4a",
+        (5, 1): "56d3d5822ccae1e0", (5, 2): "fe9b672a24222d31",
+        (5, 3): "110ede7f72d9452a", (5, 4): "d176187f1ba071a8",
+        (6, 1): "9e9eb0807a7121c0", (6, 2): "6e087f9a3629129f",
+        (6, 3): "8f7be81249170595", (6, 4): "aad88f408ac6494f",
+        (7, 1): "90d1283ca64007b7", (7, 2): "78be17041b8a24b9",
+        (7, 3): "0e15bb5e83878b57", (7, 4): "8deef6fd0cd151a2",
+        (8, 1): "1bbf156f11233b55", (8, 2): "e01d24bdc2db6ef0",
+        (8, 3): "057e4c8e1523d814", (8, 4): "ad6214575446fa19",
+        (9, 1): "958816e4fc549af5", (9, 2): "0ca133ef20bfbd14",
+        (9, 3): "5ef12ac3eee99499", (9, 4): "ad602902bc3dc026",
+        (10, 1): "7fefb5f398a2b434", (10, 2): "be24bbb47da9c155",
+        (10, 3): "aa4491d823d2f228", (10, 4): "817e03bf8ded3694",
+    },
+    "krv_ell_kernel": {
+        (1, 1): "9504675517f5ed02", (2, 1): "93a2e27e0c2e86ab",
+        (2, 2): "620a09ff7eec8d4a", (3, 1): "a61f27da206bffd0",
+        (3, 2): "a7a5a7f48a4abd1b", (3, 3): "620a09ff7eec8d4a",
+        (4, 1): "057803ad4211e457", (4, 2): "63b6e26420c8d474",
+        (4, 3): "9e3203a37e353da4", (4, 4): "620a09ff7eec8d4a",
+        (5, 1): "56d3d5822ccae1e0", (5, 2): "5cb1dea9fb4c0616",
+        (5, 3): "e11ab6cc557db082", (5, 4): "9a4a30c001bddac5",
+        (6, 1): "9e9eb0807a7121c0", (6, 2): "13cd288bf7944a5e",
+        (6, 3): "94f4457b7fc98cae", (6, 4): "84a13210f816eedb",
+        (7, 1): "90d1283ca64007b7", (7, 2): "939cb3de5d9a930f",
+        (7, 3): "cae2c5c6e8528b17", (7, 4): "44f44fcec9972904",
+        (8, 1): "1bbf156f11233b55", (8, 2): "530cf096c47043a5",
+        (8, 3): "a63a350f4a93c007", (8, 4): "709b6d946139b2ef",
+        (9, 1): "958816e4fc549af5", (9, 2): "7fe295e8870512b1",
+        (9, 3): "1ea359684c86f876", (9, 4): "b911a75362ec42da",
+        (10, 1): "7fefb5f398a2b434", (10, 2): "40db2993d01e9810",
+        (10, 3): "4ee833a3eff9bd60", (10, 4): "b2846938a2bc06ed",
+    },
+    "ds_ell_kernel": {
+        (1, 1): "9504675517f5ed02", (2, 1): "93a2e27e0c2e86ab",
+        (2, 2): "620a09ff7eec8d4a", (3, 1): "a61f27da206bffd0",
+        (3, 2): "9ed5fd275697dd9e", (3, 3): "620a09ff7eec8d4a",
+        (4, 1): "057803ad4211e457", (4, 2): "5e6b96bca19ef6ab",
+        (4, 3): "c1e821e8a5ccda78", (4, 4): "620a09ff7eec8d4a",
+        (5, 1): "56d3d5822ccae1e0", (5, 2): "a285276c26438f3c",
+        (5, 3): "aa6563394aa14ad3", (5, 4): "0b076bcccafda438",
+        (6, 1): "9e9eb0807a7121c0", (6, 2): "afdd20d30dfa30da",
+        (6, 3): "397bb2bfc157f621", (6, 4): "227fb5e354e5f9ee",
+        (7, 1): "90d1283ca64007b7", (7, 2): "55134fc9af4afe3e",
+        (7, 3): "4c994c319acec1fd", (7, 4): "721da118c5fd04fb",
+        (8, 1): "1bbf156f11233b55", (8, 2): "673ff71d85a9a6a7",
+        (8, 3): "231c52c1a83db8e2", (8, 4): "00e7aac9a3f0305e",
+        (9, 1): "958816e4fc549af5", (9, 2): "2809d6348a382019",
+        (9, 3): "78f3b71c4e1bfda1", (9, 4): "72405d43d567cc1c",
+        (10, 1): "7fefb5f398a2b434", (10, 2): "a9001c0fba69dce7",
+        (10, 3): "13c3e1e2efffa7ba", (10, 4): "51dcec464319d251",
+    },
     "vkrv": {
         1: "e66c3ae41cd0dcfc", 2: "6b4cd3ccd1ee522f", 3: "4ad350bf49f671a5",
         4: "74bb543417c5c630", 5: "67374738820d7c53", 6: "61df3a93af486db4",
@@ -609,16 +792,47 @@ def _system_digest(system):
 
 
 PINNED_BUILDERS = {"lkv": _lyndon_lkv_system,
-                   "lkv_monomials": spaces.lkv_system}
+                   "lkv_monomials": _monomial_lkv_system,
+                   "ls": _monomial_ls_system,
+                   "krv_ell": _monomial_krv_ell_system,
+                   "ds_ell": _monomial_ds_ell_system,
+                   "lkv_kernel": spaces.lkv_system,
+                   "ls_kernel": spaces.ls_system,
+                   "krv_ell_kernel": spaces.krv_ell_system,
+                   "ds_ell_kernel": spaces.ds_ell_system}
 
 
-@pytest.mark.parametrize("space", ["lkv", "lkv_monomials", "ls", "krv_ell",
-                                   "ds_ell"])
+@pytest.mark.parametrize("space", sorted(PINNED_BUILDERS))
 def test_constraint_systems_are_pinned(space):
-    build = PINNED_BUILDERS.get(space) or getattr(spaces, space + "_system")
+    build = PINNED_BUILDERS[space]
     pinned = PINNED_SYSTEMS[space]
     got = {cell: _system_digest(build(*cell)) for cell in pinned}
     assert got == pinned
+
+
+def _basis_texts(basis):
+    return [words.ncpoly_to_text(b) if isinstance(b, words.NCPoly)
+            else mould.mould_to_json_text(b) for b in basis]
+
+
+@pytest.mark.parametrize("space", sorted(MONOMIAL_ORACLES))
+def test_kernel_bases_equal_the_monomial_oracle(space):
+    # the null vectors of the oracle, on the monomials, combined as the
+    # solvers combined them then, against the solver's own path
+    combine = spaces._combine_lie if space == "lkv" else spaces._combine_mould
+    cells = sorted(PINNED_SYSTEMS[space + "_kernel"])
+    if space in ("ls", "lkv"):
+        cells += [(12, 4), (15, 5)]
+    for n, r in cells:
+        oracle = MONOMIAL_ORACLES[space](n, r)
+        gens = [g for g in oracle.parameters if g != "c"]
+        want = [mould.Mould("U", {r: poly.MultiPoly(r, dict(zip(gens, v)))})
+                for v in oracle.null_vectors()]
+        if space == "lkv":
+            want = [mould.ma_inverse(M) for M in want]
+        got = spaces._solve(space, n, r, getattr(spaces, space + "_system")(
+            n, r), combine).basis
+        assert _basis_texts(got) == _basis_texts(want), (n, r)
 
 
 def test_vkrv_systems_are_pinned():
