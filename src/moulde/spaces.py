@@ -6,10 +6,11 @@ parameter basis: the alternal polynomial moulds of degree n-r in depth
 r, onto which `ma` maps the depth-r Lie elements, so there are as many
 as the Witt number (1/n) sum_{d | (n,r)} mu(d) C(n/d, r/d) (Schneps,
 "ARI, GARI, Zig and Zag", arXiv:1507.01534).  `_kernel` solves the
-alternality rows on the monomials block by block, one block per
-multiset of exponents.  Only `vkrv` is solved on Lyndon Lie elements,
-and its rows are read off the brackets' integer coefficients word by
-word.  The space is a list of linear conditions on that basis, built
+alternality rows on the monomials once per rank word, the pattern of
+equal exponents of a block: equal exponents decide the shuffles'
+collisions and the grlex order.  Only `vkrv` is solved on Lyndon Lie
+elements, and its rows are read off the brackets' integer coefficients
+word by word.  The space is a list of linear conditions on that basis, built
 from shared pieces: push-invariance, circ-neutrality, alternality of
 the swap and the Delta-quotient.  The `lkv` basis returns to Lie
 elements through `ma_inverse`.  Each operator acts once on the whole
@@ -262,33 +263,45 @@ def _exp_tuples(d, r):
     return sorted(compositions(d, r), key=grlex_key)
 
 
+@lru_cache(maxsize=None)
+def _pattern_kernel(perms):
+    """Null vectors of the `al` rows on the monomials `perms`, the
+    permutations of one rank word in grlex order, each as (position,
+    Fraction) pairs.  The rank word is a sorted exponent tuple with
+    every value replaced by its rank among the distinct values, so
+    there are at most 2^(r-1) keys per depth."""
+    r = len(perms[0])
+    monomials = [Mould("U", {r: MultiPoly.monomial(p, 1)}) for p in perms]
+    rows = _assemble(perms, _alternal(monomials, r, "al")).integer_rows
+    return tuple(tuple((i, x) for i, x in enumerate(v) if x)
+                 for v in nullspace(rows, len(perms)))
+
+
 def _kernel(n, r):
     """The alternal polynomials of degree n-r in depth r, sorted by free
     column, and their moulds: the kernel of the `al` rows on the
     monomials.
 
     A shuffle keeps the multiset of exponents, so the rows split into
-    blocks keyed by the sorted exponent tuple, each solved on its own
-    columns.  A kernel vector is 1 at its free column, 0 at the other
-    free columns and supported on the columns before it, so the reduced
-    basis of a system on these polynomials is, in monomial coordinates,
-    the one of the system on the monomials.  In depth 1 there are no
-    rows, and the kernel is the monomials."""
+    blocks keyed by the sorted exponent tuple, solved once per rank word
+    (`_pattern_kernel`): equal exponents decide the shuffles' collisions
+    and the grlex order of a block.  A kernel vector is 1 at its free
+    column, 0 at the other free columns and supported on the columns
+    before it, so the reduced basis of a system on these polynomials
+    is, in monomial coordinates, the one of the system on the
+    monomials.  In depth 1 there are no rows, and the kernel is the
+    monomials."""
     gens = _exp_tuples(n - r, r)
     blocks = {}
     for j, e in enumerate(gens):
-        blocks.setdefault(tuple(sorted(e)), ([], []))[0].append(j)
-    monomials = [Mould("U", {r: MultiPoly.monomial(e, 1)}) for e in gens]
-    for row in _assemble(gens, _alternal(monomials, r, "al")).integer_rows:
-        blocks[tuple(sorted(gens[min(row)]))][1].append(row)
+        blocks.setdefault(tuple(sorted(e)), []).append(j)
     kernel = {}  # free column -> kernel polynomial
-    for cols, rows in blocks.values():
-        local = {j: i for i, j in enumerate(cols)}
-        for v in nullspace([{local[j]: c for j, c in row.items()}
-                            for row in rows], len(cols)):
-            support = [(cols[i], x) for i, x in enumerate(v) if x]
-            kernel[support[-1][0]] = MultiPoly._wrap(
-                {gens[j]: x for j, x in support}, r)
+    for vals, cols in blocks.items():
+        rank = {v: i for i, v in enumerate(sorted(set(vals)))}
+        perms = tuple(tuple(rank[v] for v in gens[j]) for j in cols)
+        for vec in _pattern_kernel(perms):
+            kernel[cols[vec[-1][0]]] = MultiPoly._wrap(
+                {gens[cols[i]]: x for i, x in vec}, r)
     polys = [kernel[f] for f in sorted(kernel)]
     return polys, [Mould("U", {r: p}) for p in polys]
 

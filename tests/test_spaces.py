@@ -168,6 +168,81 @@ def test_kernel_size_is_the_witt_number():
             assert s.null_vectors() == []
 
 
+# The alternal kernel solved block by block, one `nullspace` per sorted
+# exponent tuple on the `al` rows of all the monomials: the oracle of
+# the solve once per rank word.
+def _block_kernel(n, r):
+    gens = spaces._exp_tuples(n - r, r)
+    blocks = {}
+    for j, e in enumerate(gens):
+        blocks.setdefault(tuple(sorted(e)), ([], []))[0].append(j)
+    monomials = [mould.Mould("U", {r: poly.MultiPoly.monomial(e, 1)})
+                 for e in gens]
+    for row in spaces._assemble(
+            gens, spaces._alternal(monomials, r, "al")).integer_rows:
+        blocks[tuple(sorted(gens[min(row)]))][1].append(row)
+    kernel = {}  # free column -> kernel polynomial
+    for cols, rows in blocks.values():
+        local = {j: i for i, j in enumerate(cols)}
+        for v in linalg.nullspace([{local[j]: c for j, c in row.items()}
+                                   for row in rows], len(cols)):
+            support = [(cols[i], x) for i, x in enumerate(v) if x]
+            kernel[support[-1][0]] = poly.MultiPoly._wrap(
+                {gens[j]: x for j, x in support}, r)
+    return [kernel[f] for f in sorted(kernel)]
+
+
+KERNEL_CELLS = [(n, r) for n in range(1, 15) for r in range(1, 6)] + [
+    (16, 4), (15, 5), (17, 5)]
+
+
+def _assert_kernel_is_the_block_oracle(n, r):
+    polys, moulds = spaces._kernel(n, r)
+    want = _block_kernel(n, r)
+    assert [p.terms for p in polys] == [p.terms for p in want], (n, r)
+    assert [list(p.terms) for p in polys] == [list(p.terms) for p in want]
+    assert [M.get(r) for M in moulds] == polys, (n, r)
+
+
+def test_kernel_per_rank_word_equals_the_block_oracle():
+    spaces._pattern_kernel.cache_clear()
+    for cell in KERNEL_CELLS:
+        _assert_kernel_is_the_block_oracle(*cell)
+    # a warm cache, filled in the reverse order, gives the same answer
+    spaces._pattern_kernel.cache_clear()
+    for cell in reversed(KERNEL_CELLS):
+        spaces._kernel(*cell)
+    for cell in KERNEL_CELLS:
+        _assert_kernel_is_the_block_oracle(*cell)
+
+
+def _rank_word(e):
+    ranks = {v: i for i, v in enumerate(sorted(set(e)))}
+    return tuple(sorted(ranks[v] for v in e))
+
+
+def test_kernel_calls_nullspace_once_per_rank_word(monkeypatch):
+    calls = []
+
+    def spied(matrix, cols=None):
+        calls.append(cols)
+        return linalg.nullspace(matrix, cols)
+
+    monkeypatch.setattr(spaces, "nullspace", spied)
+    spaces._pattern_kernel.cache_clear()
+    gens = spaces._exp_tuples(10, 5)
+    words_seen = {_rank_word(e) for e in gens}
+    assert len({tuple(sorted(e)) for e in gens}) == 30
+    assert len(words_seen) == 13
+    first = spaces._kernel(15, 5)
+    assert len(calls) == len(words_seen)
+    calls.clear()
+    again = spaces._kernel(15, 5)
+    assert calls == []
+    assert [p.terms for p in again[0]] == [p.terms for p in first[0]]
+    assert spaces._pattern_kernel.cache_info().currsize <= 2 ** (5 - 1)
+
+
 def test_nullspace_sees_a_block_or_the_kernel_columns(monkeypatch):
     # at the monomials it saw all C(11, 3) = 165 columns
     seen = []
@@ -177,6 +252,7 @@ def test_nullspace_sees_a_block_or_the_kernel_columns(monkeypatch):
         return linalg.nullspace(matrix, cols)
 
     monkeypatch.setattr(spaces, "nullspace", spied)
+    spaces._pattern_kernel.cache_clear()
     assert solve_ls(12, 4).dim == solve_lkv(12, 4).dim == 1
     blocks = Counter(tuple(sorted(e)) for e in spaces._exp_tuples(8, 4))
     bound = max(max(blocks.values()), _witt(12, 4) + 1)
@@ -362,19 +438,24 @@ def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
     monkeypatch.setattr(mould, "substitute", counted_substitute)
     monkeypatch.setattr(mould, "renaming_sums", counted_sums)
     monkeypatch.setattr(poly, "_linear_rows", watched_rows)
-    # the al:1 sum of the 36 monomials of degree 7 in 3 variables leaves
-    # 12 alternal polynomials; krv_ell has push, the swap of their
-    # Delta-quotients and its cyclic sum on those, and c
+    # the al:1 sums of the monomials of the rank words (0,0,1), (0,1,1)
+    # and (0,1,2), whose blocks cover the 36 monomials of degree 7 in 3
+    # variables, leave 12 alternal polynomials; krv_ell has push, the
+    # swap of their Delta-quotients and its cyclic sum on those, and c
+    al_sums = [("renaming_sums", 3), ("renaming_sums", 3),
+               ("renaming_sums", 6)]
+    spaces._pattern_kernel.cache_clear()
     built = spaces.krv_ell_system(10, 3)
     assert len(built.parameters) == 13
-    assert sorted(calls) == [("renaming_sums", 12), ("renaming_sums", 36),
-                             ("substitute", 12), ("substitute", 12)]
+    assert sorted(calls) == sorted(al_sums + [
+        ("renaming_sums", 12), ("substitute", 12), ("substitute", 12)])
     # ls has the swap of the 12 and its sal:1 sum
     calls.clear()
+    spaces._pattern_kernel.cache_clear()
     built = spaces.ls_system(10, 3)
     assert len(built.parameters) == 12
-    assert sorted(calls) == [("renaming_sums", 12), ("renaming_sums", 36),
-                             ("substitute", 12)]
+    assert sorted(calls) == sorted(al_sums + [("renaming_sums", 12),
+                                              ("substitute", 12)])
     # the one-element operators still run through the same kernels, and
     # a renaming of fractions (circ of a Delta-quotient) is a shuffle
     calls.clear()
