@@ -1,15 +1,15 @@
 """Flexion binary operations, mould exponentials and the special moulds.
 
-A mould with a cap is a truncated series: results inherit the smallest
-cap of the operands, and the exponential / logarithm routines require
-an explicit cap.  The series `exp_ari`, `log_ari` and `adjoint_exp`
-take `preari`/`ari` for a U-mould and `preari_bar`/`ari_bar` for a
-V-mould, read from the module on each call; `exp_ari` and
-`adjoint_exp` share one loop, `_exp_series`.
+The operands decide: `amit`, `anit`, `arit`, `ari` and `preari` take
+the units of their operands' alphabet (`_amit`/`_anit` on U, the `_bar`
+ones on V; the `_bar` products are aliases), and the series and identity
+checks truncate at the smallest cap of their operands, which they need.
+Mixed alphabets raise `AlphabetMismatch`; `darit`/`dari` are U-only and
+`ganit_bar` V-only.  `exp_ari` and `adjoint_exp` share `_exp_series`.
 
-Every flexion product (mu, amit/anit and their v-side twins, arit, ari,
-preari, ganit) is a signed sum of splittings of the variable sequence,
-and one engine, `_flexion`, evaluates them all.  A splitting is a
+Every flexion product (mu, amit, anit, arit, ari, preari, ganit) is a
+signed sum of splittings of the variable sequence, and one engine,
+`_flexion`, evaluates them all.  A splitting is a
 function `split(r, xs, live)` of the depth r and the variables
 xs = x1..xr that yields factor lists [(M, args), ...]: each term is the
 product of the values M(args), where M.get(len(args)) is evaluated on
@@ -30,7 +30,7 @@ denominator and cancelled once (`poly._signed_sum`).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 import math
 
 from .intpoly import _product
@@ -141,6 +141,18 @@ def _anit_bar(B, A):
                                 if live(A, r - e + s) and live(B, e - s))
 
 
+# the (amit, anit) splittings of each alphabet: the u-side units add
+# the letters of b to a neighbour, the v-side ones lower b by a neighbour
+_UNITS = {"U": (_amit, _anit), "V": (_amit_bar, _anit_bar)}
+
+
+def _units(A, B):
+    """(alphabet, cap, top) of a product of A and B, and the (amit, anit)
+    splittings of their alphabet."""
+    operands = _operands(A, B)
+    return operands, _UNITS[operands[0]]
+
+
 # ---------------------------------------------------------------------------
 # mu, lu and the flexion derivations
 # ---------------------------------------------------------------------------
@@ -157,65 +169,44 @@ def lu(A, B):
 
 def amit(B, A):
     """amit(B).A, with the sum over splittings a b c, c nonempty:
-    A(a, |b| + first(c), rest(c)) B(b)."""
-    return _flexion(*_operands(A, B, "U"), [(1, _amit(B, A))])
+    A(a, |b| + first(c), rest(c)) B(b) for U-moulds and
+    A(a, c) B(b - first(c)) for V-moulds."""
+    operands, (am, _) = _units(A, B)
+    return _flexion(*operands, [(1, am(B, A))])
 
 
 def anit(B, A):
     """anit(B).A, with the sum over splittings a b c, a nonempty:
-    A(front(a), last(a) + |b|, c) B(b)."""
-    return _flexion(*_operands(A, B, "U"), [(1, _anit(B, A))])
-
-
-def amit_bar(B, A):
-    """v-side amit: A(a, c) B(b - last-of-c-anchor), c nonempty."""
-    return _flexion(*_operands(A, B, "V"), [(1, _amit_bar(B, A))])
-
-
-def anit_bar(B, A):
-    """v-side anit: A(a, c) B(b - last-of-a-anchor), a nonempty."""
-    return _flexion(*_operands(A, B, "V"), [(1, _anit_bar(B, A))])
+    A(front(a), last(a) + |b|, c) B(b) for U-moulds and
+    A(a, c) B(b - last(a)) for V-moulds."""
+    operands, (_, an) = _units(A, B)
+    return _flexion(*operands, [(1, an(B, A))])
 
 
 def arit(B, A):
     """arit(B).A = amit(B).A - anit(B).A (a derivation of mu)."""
-    return _flexion(*_operands(A, B, "U"),
-                    [(1, _amit(B, A)), (-1, _anit(B, A))])
+    operands, (am, an) = _units(A, B)
+    return _flexion(*operands, [(1, am(B, A)), (-1, an(B, A))])
 
-
-def arit_bar(B, A):
-    return _flexion(*_operands(A, B, "V"),
-                    [(1, _amit_bar(B, A)), (-1, _anit_bar(B, A))])
-
-
-# ---------------------------------------------------------------------------
-# ari, preari and their v-side twins
-# ---------------------------------------------------------------------------
 
 def ari(A, B):
     """arit(B).A - arit(A).B + lu(A, B)."""
-    return _flexion(*_operands(A, B, "U"), [
-        (1, _amit(B, A)), (-1, _anit(B, A)), (-1, _amit(A, B)),
-        (1, _anit(A, B)), (1, _mu(A, B)), (-1, _mu(B, A))])
-
-
-def ari_bar(A, B):
-    """arit_bar(B).A - arit_bar(A).B + lu(A, B)."""
-    return _flexion(*_operands(A, B, "V"), [
-        (1, _amit_bar(B, A)), (-1, _anit_bar(B, A)), (-1, _amit_bar(A, B)),
-        (1, _anit_bar(A, B)), (1, _mu(A, B)), (-1, _mu(B, A))])
+    operands, (am, an) = _units(A, B)
+    return _flexion(*operands, [
+        (1, am(B, A)), (-1, an(B, A)), (-1, am(A, B)), (1, an(A, B)),
+        (1, _mu(A, B)), (-1, _mu(B, A))])
 
 
 def preari(A, B):
     """arit(B).A + mu(A, B)."""
-    return _flexion(*_operands(A, B, "U"),
-                    [(1, _amit(B, A)), (-1, _anit(B, A)), (1, _mu(A, B))])
+    operands, (am, an) = _units(A, B)
+    return _flexion(*operands,
+                    [(1, am(B, A)), (-1, an(B, A)), (1, _mu(A, B))])
 
 
-def preari_bar(A, B):
-    """arit_bar(B).A + mu(A, B)."""
-    return _flexion(*_operands(A, B, "V"), [
-        (1, _amit_bar(B, A)), (-1, _anit_bar(B, A)), (1, _mu(A, B))])
+# the v-side names of the products above, still listed by the tracer
+amit_bar, anit_bar, arit_bar, ari_bar, preari_bar = \
+    amit, anit, arit, ari, preari
 
 
 # ---------------------------------------------------------------------------
@@ -240,59 +231,59 @@ def dari(A, B):
 # Exponential / logarithm
 # ---------------------------------------------------------------------------
 
-def _exp_series(out, term, k, step, cap):
+def _cap(what, *moulds):
+    """The smallest cap of the operands of a series, which needs one."""
+    cap = reduce(_min_cap, [M.cap for M in moulds])
+    if cap is None:
+        raise ValueError("%s requires a capped operand" % what)
+    return cap
+
+
+def _exp_series(out, term, k, step):
     """out + sum_{j >= k} term_j / j!, with term_{j+1} = step(term_j) at
-    the cap, until a term vanishes or j passes the cap."""
-    while term.values and k <= cap:
+    the cap of out, until a term vanishes or j passes that cap."""
+    while term.values and k <= out.cap:
         out = out + term.scale(Fraction(1, math.factorial(k)))
-        term = step(term).with_cap(cap)
+        term = step(term).with_cap(out.cap)
         k += 1
     return out
 
 
-def exp_ari(A, cap=None):
+def exp_ari(A):
     """Group-like exponential: 1 + sum_k B_k / k!, B_1 = A and
-    B_{k+1} = preari(B_k, A) (preari_bar for a V-mould).  A must vanish
-    in depth 0, so B_k vanishes below depth k and the series ends at
-    the cap."""
-    cap = _min_cap(A.cap, cap)
-    if cap is None:
-        raise ValueError("exp requires a cap")
+    B_{k+1} = preari(B_k, A), to the cap of A.  A must vanish in depth
+    0, so B_k vanishes below depth k and the series ends at the cap."""
+    cap = _cap("exp", A)
     if not A.get(0).is_zero():
         raise ValueError("exponent must vanish in depth 0")
     A = A.with_cap(cap)
-    pre = preari_bar if A.alphabet == "V" else preari
     one = Mould(A.alphabet, {0: RatFrac.const(0, 1)}, cap)
-    return _exp_series(one, A, 1, lambda B: pre(B, A), cap)
+    return _exp_series(one, A, 1, lambda B: preari(B, A))
 
 
-def log_ari(M, cap=None):
-    """Inverse of exp_ari, solved depth by depth: depth r of exp(L) reads
-    only the depths up to r of L, so each step runs exp_ari at cap r."""
-    cap = _min_cap(M.cap, cap)
-    if cap is None:
-        raise ValueError("log requires a cap")
+def log_ari(M):
+    """Inverse of exp_ari, to the cap of M, solved depth by depth: depth
+    r of exp(L) reads only the depths up to r of L, so each step runs
+    exp_ari at cap r."""
+    cap = _cap("log", M)
     if not (M.get(0) == RatFrac.const(0, 1)):
         raise ValueError("logarithm requires depth-0 value 1")
     M = M.with_cap(cap)
     L = Mould(M.alphabet, {}, cap)
     for r in range(1, cap + 1):
-        diff = M.get(r) - exp_ari(L.with_cap(r), r).get(r)
+        diff = M.get(r) - exp_ari(L.with_cap(r)).get(r)
         if not diff.is_zero():
             L = L + Mould(M.alphabet, {r: diff}, cap)
     return L
 
 
-def adjoint_exp(L, M, cap=None):
-    """exp(ad_L) M = sum_k ad_L^k(M) / k!, with ad_L = ari(L, .) (ari_bar
-    for V-moulds).  A bracket with L raises the lowest depth, so the
-    terms past the cap vanish."""
-    cap = _min_cap(_min_cap(L.cap, M.cap), cap)
-    if cap is None:
-        raise ValueError("adjoint exponential requires a cap")
-    bracket = ari_bar if M.alphabet == "V" else ari
+def adjoint_exp(L, M):
+    """exp(ad_L) M = sum_k ad_L^k(M) / k!, with ad_L = ari(L, .), to the
+    smaller cap of L and M.  A bracket with L raises the lowest depth,
+    so the terms past the cap vanish."""
+    cap = _cap("adjoint exponential", L, M)
     return _exp_series(Mould(M.alphabet, {}, cap), M.with_cap(cap), 0,
-                       lambda T: bracket(L, T), cap)
+                       lambda T: ari(L, T))
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +370,11 @@ def named_mould(name, cap):
                               den)
         return Mould("V", vals, cap)
     if name == "pil":
-        return exp_ari(named_mould("lopil", cap), cap)
+        return exp_ari(named_mould("lopil", cap))
     if name == "pal":
         return swap(named_mould("pil", cap))
     if name == "lopal":
-        return log_ari(named_mould("pal", cap), cap)
+        return log_ari(named_mould("pal", cap))
     if name == "invpal_log":
         return -named_mould("lopal", cap)
     if name == "invpil_log":
@@ -452,31 +443,32 @@ def ganit_bar(Q, T):
 # Structural identity checks
 # ---------------------------------------------------------------------------
 
-def fundamental_identity_check(M, cap):
+def fundamental_identity_check(M):
     """swap(Ad_ari(pal) M) = ganit(pic) Ad_ari_bar(pil) swap(M), for
-    push-invariant M, compared up to the cap."""
-    lopal = named_mould("lopal", cap)
-    lopil = named_mould("lopil", cap)
-    pic = named_mould("pic", cap)
-    lhs = swap(adjoint_exp(lopal, M.with_cap(cap), cap))
-    rhs = ganit_bar(pic, adjoint_exp(lopil, swap(M).with_cap(cap), cap))
+    push-invariant M, compared up to the cap of M."""
+    cap = _cap("the fundamental identity", M)
+    lhs = swap(adjoint_exp(named_mould("lopal", cap), M))
+    rhs = ganit_bar(named_mould("pic", cap),
+                    adjoint_exp(named_mould("lopil", cap), swap(M)))
     return lhs.eq(rhs)
 
 
-def goodfund_check(N, cap):
+def goodfund_check(N):
     """Ad_ari_bar(invpil) ganit(-poc) swap(N) = swap(Ad_ari(invpal) N),
-    valid when Ad_ari(invpal) N is push-invariant.
+    valid when Ad_ari(invpal) N is push-invariant, compared up to the
+    cap of N.
 
     ganit_bar(-poc) is the operator inverse of ganit_bar(pic); the sign
     is forced by the depth-2 composition."""
-    image = adjoint_exp(named_mould("invpal_log", cap), N.with_cap(cap), cap)
-    return _goodfund(N, image, cap)
+    cap = _cap("goodfund", N)
+    return _goodfund(N, adjoint_exp(named_mould("invpal_log", cap), N))
 
 
-def _goodfund(N, image, cap):
-    """goodfund_check(N, cap) with its right-hand side read from
-    `image`, which must be Ad_ari(invpal) N to the cap."""
-    inv_lopil = named_mould("invpil_log", cap)
-    poc = named_mould("poc", cap)
-    lhs = adjoint_exp(inv_lopil, ganit_bar(-poc, swap(N).with_cap(cap)), cap)
-    return lhs.eq(swap(image))
+def _goodfund(N, image):
+    """goodfund_check(N) with its right-hand side read from `image`,
+    which must be Ad_ari(invpal) N, compared up to the smaller cap of
+    N and image."""
+    cap = _cap("goodfund", N, image)
+    lowered = ganit_bar(-named_mould("poc", cap), swap(N).with_cap(cap))
+    return adjoint_exp(named_mould("invpil_log", cap), lowered).eq(
+        swap(image))

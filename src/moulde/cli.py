@@ -177,9 +177,9 @@ def cmd_basis(args, out):
 def _run_identity(name, obj, depth, out):
     M = _as_mould(obj, cap=depth)
     if name == "fundamental":
-        ok = ari_mod.fundamental_identity_check(M, depth)
+        ok = ari_mod.fundamental_identity_check(M)
     elif name == "goodfund":
-        ok = ari_mod.goodfund_check(M, depth)
+        ok = ari_mod.goodfund_check(M)
     elif name == "senary":
         ok = mould_mod.is_senary(M)
     elif name == "ganit_inverse":

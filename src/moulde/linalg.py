@@ -161,14 +161,21 @@ def nullspace(matrix, cols=None):
     """Exact basis of the right nullspace of the matrix.
 
     `cols` must be given for sparse rows and when the matrix has no
-    rows.  Basis vectors are normalized with leading free-variable entry
-    1, ordered by free column index (deterministic).  Raises
-    `ArithmeticError` when no prime of PRIMES is certified (see the
-    module docstring for the size of matrix that takes).
+    rows; a sparse column outside range(cols) is a `ValueError`.  Basis
+    vectors are normalized with leading free-variable entry 1, ordered
+    by free column index (deterministic).  Raises `ArithmeticError`
+    when no prime of PRIMES is certified (see the module docstring for
+    the size of matrix that takes).
     """
     if not matrix or isinstance(matrix[0], dict):
         if cols is None:
             raise ValueError("cols required for an empty or sparse matrix")
+        outside = set().union(*matrix).difference(range(cols))
+        if outside:
+            i, c = next((i, c) for i, row in enumerate(matrix)
+                        for c in row if c in outside)
+            raise ValueError("row %d has column %r outside range(%d)"
+                             % (i, c, cols))
     else:
         cols = _width(matrix, cols)
         # each row as {column: int}, its denominators cleared

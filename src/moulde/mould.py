@@ -600,9 +600,10 @@ def mould_from_json(doc):
     vals = {}
     for rs, entry in doc.get("depths", {}).items():
         where = "depths[%r]" % rs
-        if not (rs.isdecimal() and isinstance(entry, dict) and "num" in entry):
-            raise ValueError("%s: expected a depth >= 0 with a 'num' field"
-                             % where)
+        if not (rs.isdecimal() and str(int(rs)) == rs
+                and isinstance(entry, dict) and "num" in entry):
+            raise ValueError("%s: expected a depth 0, 1, 2, ... with a "
+                             "'num' field" % where)
         r = int(rs)
         num = _poly_from_json(entry["num"], r, where + ".num")
         if "den" in entry:

@@ -528,7 +528,7 @@ class DimensionTable:
 
 def dimension_table(space, n_range, r_range):
     """Exact dimension grid over n_range x r_range of gr_krv or of a
-    space of `CELL_SOLVERS`."""
+    space of `CELL_SOLVERS`; both ranges must be nonempty."""
     if space == "gr_krv":
         dim = solve_gr_krv
     elif space in CELL_SOLVERS:
@@ -537,4 +537,6 @@ def dimension_table(space, n_range, r_range):
     else:
         raise ValueError("unknown space %r" % space)
     cells = sorted((n, r) for n in n_range for r in r_range)
+    if not cells:
+        raise ValueError("empty n_range or r_range")
     return DimensionTable(space, [(n, r, dim(n, r)) for n, r in cells])

@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .intpoly import _from_ints, _ints
 from .poly import Combination, _add_into, compositions
@@ -563,19 +564,9 @@ def nu_twist(f):
 # C-basis (Lazard elimination)
 # ---------------------------------------------------------------------------
 
-_c_cache = {}
-
-
 def c_poly(i):
     """C_i = ad(x)^{i-1}(y)."""
-    if i < 1:
-        raise ValueError("C_i requires i >= 1")
-    if i not in _c_cache:
-        p = Y
-        for _ in range(i - 1):
-            p = lie_bracket(X, p)
-        _c_cache[i] = p
-    return _c_cache[i]
+    return NCPoly._wrap(_from_ints(*_c_ints(i)))
 
 
 def c_monomial(a):
@@ -591,8 +582,13 @@ def from_c_basis(coeffs):
 
 
 def _c_ints(i):
-    """C_i on integers, as the pair ({word: int}, 1)."""
-    return _ints(c_poly(i).terms)
+    """C_i = sum_k (-1)^k C(i-1, k) x^(i-1-k) y x^k on integers, as the
+    pair ({word: int}, 1)."""
+    if i < 1:
+        raise ValueError("C_i requires i >= 1")
+    n = i - 1
+    return {"x" * (n - k) + "y" + "x" * k: (-1) ** k * comb(n, k)
+            for k in range(n + 1)}, 1
 
 
 def to_c_basis(f):

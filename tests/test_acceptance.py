@@ -227,8 +227,8 @@ def test_criterion_09_dilator_generator_and_named_moulds():
 
 
 def test_criterion_10_goodfund_identity(w3, psi_minus):
-    assert goodfund_check(ma(w3), 4)
-    assert goodfund_check(ma(psi_minus), 4)
+    assert goodfund_check(ma(w3).with_cap(4))
+    assert goodfund_check(ma(psi_minus).with_cap(4))
 
 
 def test_criterion_11_xi_image_verdicts(w3, psi_minus):

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moulde import ari, mould, poly, words
-from moulde.ari import (adjoint_exp, amit, amit_bar, anit, anit_bar,
-                        ari as ari_bracket, ari_bar, arit, arit_bar, dari,
-                        darit, exp_ari, fundamental_identity_check, ganit_bar,
-                        goodfund_check, infinitesimal_generator, log_ari, lu,
-                        mu, named_mould, preari, preari_bar, tnc_mould)
+from moulde.ari import (adjoint_exp, amit, anit, ari as ari_bracket, ari_bar,
+                        dari, darit, exp_ari, fundamental_identity_check,
+                        ganit_bar, goodfund_check, infinitesimal_generator,
+                        log_ari, lu, mu, named_mould, preari, preari_bar,
+                        tnc_mould)
 from moulde.mould import (Mould, _vars, dar_inv, delta_op, is_alternal,
                           is_circ_constant, is_circ_neutral, ma, swap)
 from moulde.poly import MultiPoly, RatFrac, monomial_sum, substitute
@@ -116,29 +116,27 @@ def test_darit_antisymmetrization_is_dari():
 # Each compound product against the chain of `+`/`-` of its elementary
 # parts, every part cancelled on its own.
 COMPOUNDS = [
-    ("U", ari_bracket, lambda A, B: amit(B, A) - anit(B, A) - amit(A, B)
+    ("U", "ari", lambda A, B: amit(B, A) - anit(B, A) - amit(A, B)
      + anit(A, B) + mu(A, B) - mu(B, A)),
-    ("V", ari_bar, lambda A, B: amit_bar(B, A) - anit_bar(B, A)
-     - amit_bar(A, B) + anit_bar(A, B) + mu(A, B) - mu(B, A)),
-    ("U", preari, lambda A, B: amit(B, A) - anit(B, A) + mu(A, B)),
-    ("V", preari_bar, lambda A, B: amit_bar(B, A) - anit_bar(B, A)
-     + mu(A, B)),
-    ("U", arit, lambda B, A: amit(B, A) - anit(B, A)),
-    ("V", arit_bar, lambda B, A: amit_bar(B, A) - anit_bar(B, A)),
-    ("U", lu, lambda A, B: mu(A, B) - mu(B, A)),
-    ("V", lu, lambda A, B: mu(A, B) - mu(B, A)),
+    ("V", "ari_bar", lambda A, B: amit(B, A) - anit(B, A)
+     - amit(A, B) + anit(A, B) + mu(A, B) - mu(B, A)),
+    ("U", "preari", lambda A, B: amit(B, A) - anit(B, A) + mu(A, B)),
+    ("V", "preari_bar", lambda A, B: amit(B, A) - anit(B, A) + mu(A, B)),
+    ("U", "arit", lambda B, A: amit(B, A) - anit(B, A)),
+    ("V", "arit_bar", lambda B, A: amit(B, A) - anit(B, A)),
+    ("U", "lu", lambda A, B: mu(A, B) - mu(B, A)),
+    ("V", "lu", lambda A, B: mu(A, B) - mu(B, A)),
 ]
 
 
-@pytest.mark.parametrize("alphabet, product, parts", COMPOUNDS,
-                         ids=["%s-%s" % (p.__name__, a)
-                              for a, p, _ in COMPOUNDS])
+@pytest.mark.parametrize("alphabet, name, parts", COMPOUNDS,
+                         ids=["%s-%s" % (n, a) for a, n, _ in COMPOUNDS])
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
-def test_compound_product_is_the_sum_of_its_parts(alphabet, product, parts,
+def test_compound_product_is_the_sum_of_its_parts(alphabet, name, parts,
                                                   data):
     A, B = data.draw(operands(alphabet)), data.draw(operands(alphabet))
-    got, want = product(A, B), parts(A, B)
+    got, want = getattr(ari, name)(A, B), parts(A, B)
     assert got.cap == want.cap
     assert got.eq(want)
 
@@ -211,20 +209,20 @@ def engine_operands(alphabet):
 
 
 FLEXION_PRODUCTS = [
-    ("U", mu), ("V", mu), ("U", lu), ("V", lu), ("U", amit), ("U", anit),
-    ("V", amit_bar), ("V", anit_bar), ("U", arit), ("V", arit_bar),
-    ("U", ari_bracket), ("V", ari_bar), ("U", preari), ("V", preari_bar),
-    ("U", darit), ("V", ganit_bar)]
+    ("U", "mu"), ("V", "mu"), ("U", "lu"), ("V", "lu"), ("U", "amit"),
+    ("U", "anit"), ("V", "amit_bar"), ("V", "anit_bar"), ("U", "arit"),
+    ("V", "arit_bar"), ("U", "ari"), ("V", "ari_bar"), ("U", "preari"),
+    ("V", "preari_bar"), ("U", "darit"), ("V", "ganit_bar")]
 
 
-@pytest.mark.parametrize("alphabet, product", FLEXION_PRODUCTS,
-                         ids=["%s-%s" % (p.__name__, a)
-                              for a, p in FLEXION_PRODUCTS])
+@pytest.mark.parametrize("alphabet, name", FLEXION_PRODUCTS,
+                         ids=["%s-%s" % (n, a) for a, n in FLEXION_PRODUCTS])
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_flexion_engine_matches_the_per_term_route(alphabet, product, data):
+def test_flexion_engine_matches_the_per_term_route(alphabet, name, data):
     A = data.draw(engine_operands(alphabet))
     B = data.draw(engine_operands(alphabet))
+    product = getattr(ari, name)
     got = product(A, B)
     engine, ari._flexion = ari._flexion, per_term_flexion
     try:
@@ -233,6 +231,31 @@ def test_flexion_engine_matches_the_per_term_route(alphabet, product, data):
         ari._flexion = engine
     assert got.cap == want.cap
     assert _mould_json(got) == _mould_json(want)
+
+
+@pytest.mark.parametrize("name", ["amit", "anit", "arit", "ari", "preari"])
+def test_each_v_side_name_is_its_product(name):
+    assert getattr(ari, name + "_bar") is getattr(ari, name)
+
+
+@pytest.mark.parametrize("name", sorted({n for _, n in FLEXION_PRODUCTS}))
+def test_every_product_refuses_mixed_alphabets(name):
+    A = _u({1: {(1,): 1}, 2: {(1, 0): 2}})
+    B = swap(_u({1: {(0,): 3}, 2: {(0, 1): 1}}))
+    for left, right in [(A, B), (B, A)]:
+        with pytest.raises(mould.AlphabetMismatch):
+            getattr(ari, name)(left, right)
+
+
+def test_v_moulds_take_the_v_side_units():
+    """On V-moulds amit and anit lower b by a neighbour, A(a, c)
+    B(b - first(c)) and A(a, c) B(b - last(a)); in depth 2 with A and
+    B of depth 1, b is one letter and a or c the other."""
+    v1, v2 = MultiPoly.variable(1, 2), MultiPoly.variable(2, 2)
+    x = MultiPoly.variable(1, 1)
+    A, B = Mould("V", {1: x}), Mould("V", {1: x * x})
+    assert amit(B, A).get(2) == RatFrac.from_poly(v2 * (v1 - v2) * (v1 - v2))
+    assert anit(B, A).get(2) == RatFrac.from_poly(v1 * (v2 - v1) * (v2 - v1))
 
 
 def test_each_factor_is_substituted_once_per_depth(monkeypatch):
@@ -293,11 +316,12 @@ def _in_alphabet(M, alphabet):
 def test_exp_log_roundtrip(alphabet):
     A = _in_alphabet(_u({1: {(1,): 1}, 2: {(1, 1): F(1, 2)}}).with_cap(3),
                      alphabet)
-    assert log_ari(exp_ari(A, 3), 3).eq(A)
+    assert log_ari(exp_ari(A)).eq(A)
 
 
 @pytest.mark.parametrize("alphabet, pre, bracket", [
-    ("U", preari, ari_bracket), ("V", preari_bar, ari_bar)])
+    ("U", preari, ari_bracket), ("V", preari_bar, ari_bar)],
+    ids=["U-preari-ari", "V-preari_bar-ari_bar"])
 def test_series_take_the_product_of_the_alphabet(alphabet, pre, bracket):
     A = _in_alphabet(_u({1: {(1,): 1}, 2: {(2, 0): 3, (0, 1): -1}}),
                      alphabet).with_cap(3)
@@ -305,11 +329,11 @@ def test_series_take_the_product_of_the_alphabet(alphabet, pre, bracket):
     one = Mould(alphabet, {0: RatFrac.const(0, 1)}, 3)
     B2 = pre(A, A)
     E = one + A + B2.scale(F(1, 2)) + pre(B2, A).scale(F(1, 6))
-    assert exp_ari(A, 3).eq(E)
-    assert log_ari(E, 3).eq(A)
+    assert exp_ari(A).eq(E)
+    assert log_ari(E).eq(A)
     ad1 = bracket(A, M).with_cap(3)
     ad2 = bracket(A, ad1)
-    assert adjoint_exp(A, M, 3).eq(
+    assert adjoint_exp(A, M).eq(
         M.with_cap(3) + ad1 + ad2.scale(F(1, 2))
         + bracket(A, ad2).scale(F(1, 6)))
 
@@ -319,7 +343,7 @@ def oracle_log_ari(M, cap):
     M = M.with_cap(cap)
     L = Mould(M.alphabet, {}, cap)
     for r in range(1, cap + 1):
-        diff = M.get(r) - exp_ari(L, cap).get(r)
+        diff = M.get(r) - exp_ari(L).get(r)
         if not diff.is_zero():
             L = L + Mould(M.alphabet, {r: diff}, cap)
     return L
@@ -344,9 +368,9 @@ def _mould_json(M):
 @settings(max_examples=20, deadline=None)
 def test_log_ari_agrees_with_full_cap_oracle(alphabet, data):
     M = data.draw(group_likes(alphabet))
-    L = log_ari(M, M.cap)
+    L = log_ari(M)
     assert _mould_json(L) == _mould_json(oracle_log_ari(M, M.cap))
-    assert exp_ari(L, M.cap).eq(M)
+    assert exp_ari(L).eq(M)
 
 
 @pytest.mark.parametrize("cap", [2, 3, 4, 5])
@@ -358,7 +382,18 @@ def test_lopal_json_agrees_with_full_cap_oracle(cap):
 def test_adjoint_exp_of_zero_is_identity():
     M = _u({2: {(1, 1): 1}}).with_cap(3)
     Z = Mould("U", {}, 3)
-    assert adjoint_exp(Z, M, 3).eq(M)
+    assert adjoint_exp(Z, M).eq(M)
+
+
+def test_series_and_checks_refuse_uncapped_operands():
+    A = _u({1: {(1,): 1}, 2: {(1, 1): F(1, 2)}})
+    one = Mould("U", {0: RatFrac.const(0, 1)})
+    calls = [lambda: exp_ari(A), lambda: log_ari(one + A),
+             lambda: adjoint_exp(A, A), lambda: fundamental_identity_check(A),
+             lambda: goodfund_check(A)]
+    for call in calls:
+        with pytest.raises(ValueError, match="capped"):
+            call()
 
 
 # -- the infinitesimal generator and named moulds ----------------------------
@@ -472,8 +507,8 @@ def test_uncapped_ganit_bar_carries_its_truncation_depth():
 
 def test_fundamental_identity_on_push_invariant_input():
     b3 = lie_bracket(X, lie_bracket(X, Y))
-    assert fundamental_identity_check(ma(b3), 4)
+    assert fundamental_identity_check(ma(b3).with_cap(4))
 
 
 def test_goodfund_on_w_krv_element(w3):
-    assert goodfund_check(ma(w3), 4)
+    assert goodfund_check(ma(w3).with_cap(4))

@@ -339,6 +339,13 @@ MALFORMED = {
         "teru",
         '{"alphabet":"U","cap":"x","depths":{"1":{"num":[["1",[1]]]}}}',
         "'cap'"),
+    "depth-leading-zero": (
+        "swap", '{"alphabet":"U","depths":{"1":{"num":[["1",[1]]]},'
+        '"01":{"num":[["2",[1]]]}}}', "depths['01']"),
+    "depth-non-ascii-digit": (
+        "swap",
+        '{"alphabet":"U","depths":{"\\u0663":{"num":[["1",[0,0,1]]]}}}',
+        "depths['\u0663']"),
 }
 
 

@@ -246,3 +246,6 @@ def test_bad_shapes_are_typed_errors():
                  lambda: solve([], [F(1)])):
         with pytest.raises(ValueError):
             call()
+    for c in (-1, 5):
+        with pytest.raises(ValueError, match="row 1 has column %d" % c):
+            nullspace([{0: 1}, {c: 1}], 2)

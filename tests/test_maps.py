@@ -131,7 +131,7 @@ def test_verify_xi_image_shares_the_goodfund_verdict(xi_inputs, name, D):
     B = xi_inputs[name]
     report = verify_xi_image(B, D)
     assert report.stages["image"].eq(xi(B, D))
-    verdict = ari.goodfund_check(B.with_cap(D), D)
+    verdict = ari.goodfund_check(B.with_cap(D))
     assert verdict is True
     assert report.verdicts["fundamental_identity"] is verdict
 
@@ -141,11 +141,11 @@ def test_goodfund_refuses_a_perturbed_image(xi_inputs, name):
     D = 4
     N = xi_inputs[name].with_cap(D)
     image = maps._adjoint_image(N, D)
-    assert ari._goodfund(N, image, D)
+    assert ari._goodfund(N, image)
     assert image.depths()
     for r in image.depths():
         bumped = Mould("U", {**image.values, r: image.get(r).scale(2)}, D)
-        assert not ari._goodfund(N, bumped, D), r
+        assert not ari._goodfund(N, bumped), r
 
 
 @pytest.mark.parametrize("name", ["w3", "w5"])

@@ -1,8 +1,8 @@
 """No function of the package takes a function as a default argument.
 
-A default such as `exp_ari(A, cap, pre=preari)` is an option with one
-legal value per input: the product follows from the operands' alphabet,
-so the code reads it from them.  A default is flagged when it is a
+A default such as `pre=preari` on the series `exp_ari(A)` would be an
+option with one legal value per input: the product follows from the
+operand's alphabet, so the code reads it from there.  A default is flagged when it is a
 lambda, or a name or dotted name that the module resolves to a
 function; names local to an enclosing function are not resolved."""
 

@@ -1004,6 +1004,13 @@ def test_dimension_table_unknown_space():
         dimension_table("nope", range(3, 4), range(1, 2))
 
 
+@pytest.mark.parametrize("n_range, r_range", [
+    ([], range(1, 3)), (range(3, 5), []), (range(5, 3), range(1, 2))])
+def test_dimension_table_refuses_an_empty_range(n_range, r_range):
+    with pytest.raises(ValueError, match="empty n_range or r_range"):
+        dimension_table("lkv", n_range, r_range)
+
+
 def test_gr_krv_table_solves_each_weight_once(monkeypatch):
     solved = []
     solve = spaces.solve_vkrv

@@ -228,6 +228,16 @@ def test_c_poly():
     assert c_poly(3) == lie_bracket(X, lie_bracket(X, Y))
 
 
+def test_c_poly_closed_form_is_the_ad_x_recursion():
+    ad = Y
+    for i in range(1, 13):
+        assert c_poly(i) == ad, i
+        assert words._c_ints(i) == (words._ints(ad.terms)[0], 1), i
+        ad = lie_bracket(X, ad)
+    with pytest.raises(ValueError):
+        c_poly(0)
+
+
 def test_c_basis_roundtrip():
     coeffs = [((2, 1), F(3)), ((1, 1, 1), F(-1, 2)), ((3,), F(1))]
     f = from_c_basis(coeffs)
