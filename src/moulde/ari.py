@@ -4,6 +4,8 @@ The operands decide: `amit`, `anit`, `arit`, `ari` and `preari` take
 the units of their operands' alphabet (`_amit`/`_anit` on U, the `_bar`
 ones on V; the `_bar` products are aliases), and the series and identity
 checks truncate at the smallest cap of their operands, which they need.
+A mould holds no value above its cap and every product takes the
+smaller cap of its operands, so no operand is trimmed before a product.
 Mixed alphabets raise `AlphabetMismatch`; `darit`/`dari` are U-only and
 `ganit_bar` V-only.  `exp_ari` and `adjoint_exp` share `_exp_series`.
 
@@ -240,11 +242,11 @@ def _cap(what, *moulds):
 
 
 def _exp_series(out, term, k, step):
-    """out + sum_{j >= k} term_j / j!, with term_{j+1} = step(term_j) at
-    the cap of out, until a term vanishes or j passes that cap."""
+    """out + sum_{j >= k} term_j / j!, with term_{j+1} = step(term_j),
+    until a term vanishes or j passes the cap of out."""
     while term.values and k <= out.cap:
         out = out + term.scale(Fraction(1, math.factorial(k)))
-        term = step(term).with_cap(out.cap)
+        term = step(term)
         k += 1
     return out
 
@@ -256,7 +258,6 @@ def exp_ari(A):
     cap = _cap("exp", A)
     if not A.get(0).is_zero():
         raise ValueError("exponent must vanish in depth 0")
-    A = A.with_cap(cap)
     one = Mould(A.alphabet, {0: RatFrac.const(0, 1)}, cap)
     return _exp_series(one, A, 1, lambda B: preari(B, A))
 
@@ -268,7 +269,6 @@ def log_ari(M):
     cap = _cap("log", M)
     if not (M.get(0) == RatFrac.const(0, 1)):
         raise ValueError("logarithm requires depth-0 value 1")
-    M = M.with_cap(cap)
     L = Mould(M.alphabet, {}, cap)
     for r in range(1, cap + 1):
         diff = M.get(r) - exp_ari(L.with_cap(r)).get(r)
@@ -282,8 +282,7 @@ def adjoint_exp(L, M):
     smaller cap of L and M.  A bracket with L raises the lowest depth,
     so the terms past the cap vanish."""
     cap = _cap("adjoint exponential", L, M)
-    return _exp_series(Mould(M.alphabet, {}, cap), M.with_cap(cap), 0,
-                       lambda T: ari(L, T))
+    return _exp_series(Mould(M.alphabet, {}, cap), M, 0, lambda T: ari(L, T))
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +468,6 @@ def _goodfund(N, image):
     which must be Ad_ari(invpal) N, compared up to the smaller cap of
     N and image."""
     cap = _cap("goodfund", N, image)
-    lowered = ganit_bar(-named_mould("poc", cap), swap(N).with_cap(cap))
+    lowered = ganit_bar(-named_mould("poc", cap), swap(N))
     return adjoint_exp(named_mould("invpil_log", cap), lowered).eq(
         swap(image))

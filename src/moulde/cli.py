@@ -101,11 +101,14 @@ def _read_input(path):
     return words_mod.ncpoly_from_text(text.strip())
 
 
-def _as_mould(obj, cap=None):
-    if isinstance(obj, mould_mod.Mould):
-        return obj if cap is None else obj.with_cap(cap)
-    M = mould_mod.ma(obj)
-    return M if cap is None else M.with_cap(cap)
+def _as_mould(obj, depth=None):
+    """The mould of an input, truncated at `depth`.  A JSON mould capped
+    below `depth` is refused: its values above the cap are unknown."""
+    M = obj if isinstance(obj, mould_mod.Mould) else mould_mod.ma(obj)
+    if None not in (M.cap, depth) and M.cap < depth:
+        raise ValueError("the input mould has cap %d, below --depth %d"
+                         % (M.cap, depth))
+    return M.with_cap(depth)
 
 
 def _mould_text(M):
@@ -175,7 +178,7 @@ def cmd_basis(args, out):
 
 
 def _run_identity(name, obj, depth, out):
-    M = _as_mould(obj, cap=depth)
+    M = _as_mould(obj, depth)
     if name == "fundamental":
         ok = ari_mod.fundamental_identity_check(M)
     elif name == "goodfund":
@@ -185,7 +188,7 @@ def _run_identity(name, obj, depth, out):
     elif name == "ganit_inverse":
         pic = ari_mod.named_mould("pic", depth)
         poc = ari_mod.named_mould("poc", depth)
-        T = mould_mod.swap(M).with_cap(depth)
+        T = mould_mod.swap(M)
         ok = ari_mod.ganit_bar(pic, ari_mod.ganit_bar(-poc, T)).eq(T) \
             and ari_mod.ganit_bar(-poc, ari_mod.ganit_bar(pic, T)).eq(T)
     else:
@@ -212,7 +215,7 @@ def cmd_check(args, out):
             return 0 if ok else 1
         raise UsageError("unknown membership check %r" % args.space)
     # bare predicate battery
-    M = _as_mould(obj, cap=args.depth)
+    M = _as_mould(obj, args.depth)
     report = mould_mod.predicates(M)
     ok = True
     for k, v in report.items():

@@ -173,9 +173,8 @@ def _xi_gate(B, stage="xi"):
 
 
 def _adjoint_image(B, D):
-    """Ad_ari(invpal) . B to depth D, ungated."""
-    return ari_mod.adjoint_exp(ari_mod.named_mould("invpal_log", D),
-                               B.with_cap(D))
+    """Ad_ari(invpal) . B to depth D (B's cap if lower), ungated."""
+    return ari_mod.adjoint_exp(ari_mod.named_mould("invpal_log", D), B)
 
 
 def xi(B, D=4):
@@ -200,7 +199,7 @@ def verify_xi_image(B, D=4):
     A = mould_mod.pari(image)
     # the fundamental identity reads the adjoint image xi has computed,
     # which is dropped before the image verdicts run
-    fundamental = ari_mod._goodfund(B.with_cap(D), image)
+    fundamental = ari_mod._goodfund(B, image)
     del image
     report.snapshot("input", B)
     report.snapshot("image", A)

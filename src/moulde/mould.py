@@ -4,7 +4,9 @@ A mould is a depth-indexed family r -> rational function in r variables
 (depth 0 -> scalar), tagged with its alphabet: U-side (variables
 u1..ur) or V-side (v1..vr, the swap coordinates).  An optional cap
 records the truncation depth of series computations: values above the
-cap are unknown and are never compared.
+cap are unknown, so a mould never stores one and never compares one; a
+cap never rises (`with_cap` keeps the smaller cap), and every sum and
+product takes the smallest cap of its operands.
 
 Each of the unary operators `swap`, `push`, `circ`, `neg_op` and
 `mantar` is a per-depth change of variables: it evaluates the depth-r
@@ -55,6 +57,8 @@ class Mould:
         self.alphabet = alphabet
         vals = {}
         for r, v in (values or {}).items():
+            if cap is not None and r > cap:
+                continue
             if isinstance(v, MultiPoly):
                 v = RatFrac.from_poly(v)
             if isinstance(v, (int, Fraction)):
@@ -85,9 +89,7 @@ class Mould:
         return max(self.values, default=0)
 
     def with_cap(self, cap):
-        vals = {r: v for r, v in self.values.items()
-                if cap is None or r <= cap}
-        return Mould(self.alphabet, vals, cap)
+        return Mould(self.alphabet, self.values, _min_cap(self.cap, cap))
 
     def weight(self):
         """Homogeneous weight n (degree of depth-r part is n - r), or None."""
@@ -113,8 +115,6 @@ class Mould:
             cap = _min_cap(cap, M.cap)
         vals = {}
         for r in set().union(*(M.values for M in moulds)):
-            if cap is not None and r > cap:
-                continue
             v = RatFrac.sum([M.values[r] for M in moulds if r in M.values],
                             r)
             if not v.is_zero():
@@ -588,7 +588,7 @@ def mould_to_json_text(M):
 
 def mould_from_json(doc):
     """The mould of a `mould_to_json` document; `ValueError` naming the
-    field of a malformed one."""
+    field of a malformed one, such as a depth above the cap."""
     if not (isinstance(doc, dict) and "alphabet" in doc
             and isinstance(doc.get("depths", {}), dict)):
         raise ValueError("a JSON mould is an object with an 'alphabet' "
@@ -605,6 +605,8 @@ def mould_from_json(doc):
             raise ValueError("%s: expected a depth 0, 1, 2, ... with a "
                              "'num' field" % where)
         r = int(rs)
+        if cap is not None and r > cap:
+            raise ValueError("%s: depth above the cap %d" % (where, cap))
         num = _poly_from_json(entry["num"], r, where + ".num")
         if "den" in entry:
             den = _poly_from_json(entry["den"], r, where + ".den")

@@ -23,9 +23,9 @@ Dynkin right-normed brackets of `is_lie_element` (each suffix once),
 and the prefix products that both directions of the C-basis share
 (`_prefix_product`).  Every sum of scaled word products is one
 `_combination` on integers, with no partial sum built: the letter
-substitutions, `from_c_basis`, `apply_derivation`, and the linear
-combination of the vkrv solver (`linear_combination`), which clears
-each bracket once per solve.  `partner` inverts ad x word by word.
+substitutions, `from_c_basis`, `apply_derivation`, `linear_combination`
+and the vkrv solver (`spaces.solve_vkrv` calls `_combination` on its
+brackets, cleared once per solve).  `partner` inverts ad x word by word.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moulde import ari, mould, poly, words
+from moulde import ari, cli, mould, poly, words
 from moulde.ari import (adjoint_exp, amit, anit, ari as ari_bracket, ari_bar,
                         dari, darit, exp_ari, fundamental_identity_check,
                         ganit_bar, goodfund_check, infinitesimal_generator,
@@ -42,12 +42,17 @@ def moulds(max_depth=3, alphabet="U"):
         lambda d: Mould(alphabet, d))
 
 
+def uncapped_operands(alphabet):
+    """Polynomial moulds and moulds with poles (dar_inv)."""
+    return st.builds(lambda M, poles: dar_inv(M) if poles else M,
+                     moulds(2, alphabet), st.booleans())
+
+
 def operands(alphabet):
-    """Polynomial moulds and moulds with poles (dar_inv), capped or not."""
-    return st.builds(
-        lambda M, poles, cap: (dar_inv(M) if poles else M).with_cap(cap),
-        moulds(2, alphabet), st.booleans(),
-        st.one_of(st.none(), st.integers(1, 4)))
+    """`uncapped_operands`, capped or not."""
+    return st.builds(lambda M, cap: M.with_cap(cap),
+                     uncapped_operands(alphabet),
+                     st.one_of(st.none(), st.integers(1, 4)))
 
 
 # -- products and brackets ---------------------------------------------------
@@ -231,6 +236,45 @@ def test_flexion_engine_matches_the_per_term_route(alphabet, name, data):
         ari._flexion = engine
     assert got.cap == want.cap
     assert _mould_json(got) == _mould_json(want)
+
+
+def capped_operands(alphabet):
+    """`engine_operands` capped at 1..3: values above the cap are dropped
+    as the mould is built."""
+    return st.builds(lambda M, cap: Mould(alphabet, M.values, cap),
+                     engine_operands(alphabet), st.integers(1, 3))
+
+
+def _within_cap(M):
+    return M.cap is not None and all(r <= M.cap for r in M.values)
+
+
+@pytest.mark.parametrize("alphabet, name", FLEXION_PRODUCTS,
+                         ids=["%s-%s" % (n, a) for a, n in FLEXION_PRODUCTS])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_products_of_capped_operands_stay_within_the_cap(alphabet, name,
+                                                         data):
+    A = data.draw(capped_operands(alphabet))
+    B = data.draw(capped_operands(alphabet))
+    got = getattr(ari, name)(A, B)
+    assert _within_cap(got) and got.cap == min(A.cap, B.cap)
+
+
+@pytest.mark.parametrize("name", sorted(cli.UNARY_OPS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_operators_on_capped_operands_stay_within_the_cap(name, data):
+    applied = 0
+    for alphabet in "UV":
+        M = data.draw(capped_operands(alphabet))
+        try:
+            got = cli.UNARY_OPS[name](M)
+        except mould.AlphabetMismatch:  # the other alphabet
+            continue
+        assert _within_cap(got) and got.cap == M.cap
+        applied += 1
+    assert applied
 
 
 @pytest.mark.parametrize("name", ["amit", "anit", "arit", "ari", "preari"])
@@ -483,10 +527,10 @@ def _ganit_by_compositions(Q, T):
 
 
 @pytest.mark.parametrize("cap", [None, 2, 4])
-@given(operands("V"), operands("V"))
+@given(uncapped_operands("V"), uncapped_operands("V"))
 @settings(max_examples=15, deadline=None)
 def test_ganit_bar_matches_its_definition(cap, Q, T):
-    Q, T = Q.with_cap(None), T.with_cap(cap)
+    T = T.with_cap(cap)
     got, want = ganit_bar(Q, T), _ganit_by_compositions(Q, T)
     assert got.cap == want.cap
     assert got.eq(want)

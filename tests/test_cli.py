@@ -98,6 +98,26 @@ def test_basis_rejects_bad_bound(space, n, r, flag):
     assert err.startswith("usage error: argument %s:" % flag)
 
 
+VKRV5 = ("-1*xxxxy + 4*xxxyx + 1*xxxyy - 6*xxyxx - 3/2*xxyxy - 3/2*xxyyx "
+         "- 1*xxyyy + 4*xyxxx - 3/2*xyxxy + 6*xyxyx + 4*xyxyy - 3/2*xyyxx "
+         "- 6*xyyxy + 4*xyyyx - 1*yxxxx + 1*yxxxy - 3/2*yxxyx - 1*yxxyy "
+         "- 3/2*yxyxx + 4*yxyxy - 6*yxyyx + 1*yyxxx - 1*yyxxy + 4*yyxyx "
+         "- 1*yyyxx")
+
+
+def test_basis_vkrv_text():
+    assert _run(["basis", "--space", "vkrv", "--n", "5"]) == (
+        0, "vkrv n=5 r=None dim=1\n" + VKRV5 + "\n", "")
+
+
+def test_basis_vkrv_json():
+    code, out, err = _run(["basis", "--space", "vkrv", "--n", "5",
+                           "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"basis": [VKRV5], "dim": 1, "n": 5, "r": None,
+                              "space": "vkrv"}, indent=2) + "\n"
+
+
 def test_basis_requires_r():
     code, _, err = _run(["basis", "--space", "lkv", "--n", "3"])
     assert code == 2 and "usage error" in err
@@ -137,6 +157,56 @@ def test_identity_ganit_inverse(tmp_path, b3):
     code, out, _ = _run(["identity", "--name", "ganit_inverse",
                          "--input", path, "--depth", "3"])
     assert code == 0 and "OK" in out
+
+
+def test_identity_fundamental_ok(tmp_path, b3):
+    path = _write(tmp_path, "b3.txt", ncpoly_to_text(b3))
+    assert _run(["identity", "--name", "fundamental", "--input", path]) == (
+        0, "OK\n", "")
+
+
+def test_check_predicates_of_a_u_mould(tmp_path, b3):
+    path = _write(tmp_path, "b3.txt", ncpoly_to_text(b3))
+    assert _run(["check", "--input", path]) == (
+        1, "alternal: True\npush_invariant: True\nmantar_invariant: True\n"
+        "in_ARI_delta: True\nsenary: False\n", "")
+
+
+def test_check_predicates_of_a_v_mould(tmp_path, Bpsi):
+    path = _write(tmp_path, "bpsi.json", mould_to_json_text(Bpsi))
+    assert _run(["check", "--input", path]) == (
+        1, "alternal: False\ncirc_neutral: False\ncirc_constant: True\n"
+        "circ_constant_value: 1\nmantar_invariant: False\n", "")
+
+
+def test_check_wkrv_json(tmp_path, w3):
+    path = _write(tmp_path, "w3.txt", ncpoly_to_text(w3))
+    code, out, err = _run(["check", "--input", path, "--space", "wkrv",
+                           "--format", "json"])
+    report = {
+        "description": "W_krv gate", "stages": {},
+        "verdicts": {"anti_palindromic": True, "circ_constant_mould": True,
+                     "circ_constant_word": True, "in_w_krv": True,
+                     "lie": True, "senary": True,
+                     "word_mould_agreement": True},
+        "witnesses": {"circ_constant_mould": "1", "circ_constant_word": "1"}}
+    assert (code, err) == (0, "")
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["check"],
+                                  ["identity", "--name", "fundamental"]])
+def test_depth_above_the_cap_of_a_json_mould_exits_2(tmp_path, argv):
+    _, lopil, _ = _run(["dump", "--mould", "lopil", "--depth", "3",
+                        "--format", "json"])
+    path = _write(tmp_path, "lopil.json", lopil)
+    assert _run(argv + ["--input", path, "--depth", "4"]) == (
+        2, "", "error: the input mould has cap 3, below --depth 4\n")
+    # at or below the cap the battery runs as before
+    battery = (1, "alternal: True\ncirc_neutral: True\ncirc_constant: False\n"
+               "circ_constant_value: None\nmantar_invariant: True\n", "")
+    for depth in ("3", "2"):
+        assert _run(["check", "--input", path, "--depth", depth]) == battery
 
 
 # -- apply -------------------------------------------------------------------
@@ -342,6 +412,9 @@ MALFORMED = {
     "depth-leading-zero": (
         "swap", '{"alphabet":"U","depths":{"1":{"num":[["1",[1]]]},'
         '"01":{"num":[["2",[1]]]}}}', "depths['01']"),
+    "depth-above-cap": (
+        "swap", '{"alphabet":"U","cap":1,"depths":{"1":{"num":[["1",[1]]]},'
+        '"3":{"num":[["1",[0,0,1]]]}}}', "depths['3']: depth above the cap 1"),
     "depth-non-ascii-digit": (
         "swap",
         '{"alphabet":"U","depths":{"\\u0663":{"num":[["1",[0,0,1]]]}}}',

@@ -232,3 +232,21 @@ def test_json_den_splits_into_linear_factors():
     # a loaded mould reduces like the computed one: depth 2 of dar(poc)
     # is v2/(v1-v2) up to sign, not v1v2/(v1^2-v1v2)
     assert mould_to_json_text(dar(L)) == mould_to_json_text(dar(P))
+
+
+# -- the cap -----------------------------------------------------------------
+
+def test_values_above_the_cap_are_dropped():
+    M = Mould("U", {1: MultiPoly(1, {(1,): F(1)}),
+                    3: MultiPoly(3, {(0, 0, 1): F(2)})}, cap=1)
+    assert M.depths() == [1] and M.cap == 1
+
+
+def test_a_cap_never_rises():
+    from moulde.ari import named_mould
+    lopil = named_mould("lopil", 3)
+    raised = lopil.with_cap(5)
+    assert (raised.cap, raised.depths()) == (3, [1, 2, 3])
+    assert lopil.with_cap(None).cap == 3 and lopil.with_cap(None).eq(lopil)
+    lowered = lopil.with_cap(2)
+    assert (lowered.cap, lowered.depths()) == (2, [1, 2])

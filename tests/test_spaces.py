@@ -999,6 +999,15 @@ def test_dimension_table_json():
     assert cells[(4, 1)] == 0
 
 
+def test_dimension_table_dim_reads_one_cell():
+    t = dimension_table("ls", range(3, 6), range(1, 3))
+    assert t.cells == [(3, 1, 1), (3, 2, 0), (4, 1, 0), (4, 2, 0),
+                       (5, 1, 1), (5, 2, 0)]
+    assert [t.dim(n, r) for n, r, _ in t.cells] == [1, 0, 0, 0, 1, 0]
+    with pytest.raises(KeyError, match=r"\(6, 1\)"):
+        t.dim(6, 1)
+
+
 def test_dimension_table_unknown_space():
     with pytest.raises(ValueError):
         dimension_table("nope", range(3, 4), range(1, 2))
