@@ -3,21 +3,30 @@
 Matrices are plain lists of rows of `fractions.Fraction` (or `int`),
 or for `nullspace` sparse `{column: int}` rows.  `nullspace`, `rank`
 and `solve` share one sparse engine.  Each row is scaled to integers,
-as a `{column: int}` dict (`intpoly._ints`), and zero rows are dropped.
-Then, for each prime p of PRIMES in turn, until one is certified:
+as a `{column: int}` dict (`intpoly._ints`), zero rows are dropped,
+and the rest are sorted once, stably, sparsest first.  Then, for each
+prime p of PRIMES in turn, until one is certified:
 
-1. the rows are brought to reduced row echelon form modulo p;
+1. a prefix of the sorted rows is brought to reduced row echelon
+   form modulo p, one row at a time; when every column is a pivot the
+   nullspace is empty, and the rest of the rows are never read;
 2. for each free column f, the null vector v_f with v_f[f] = 1 is
    lifted to Q by Wang's rational reconstruction of its pivot entries,
    with |numerator|, denominator <= isqrt(p // 2);
-3. the lift is certified exactly: M v_f = 0 over Z, and v_f is
-   supported on {f} and the pivot columns before f.
+3. the lift is certified exactly against every row: M v_f = 0 over Z,
+   and v_f is supported on {f} and the pivot columns before f.
 
-Rank mod p is at most the rank over Q, and the certified vectors are
-independent, so together they prove that the modular pivots are the
-lex-first pivots over Q, and that the basis is the one exact `rref`
-gives, whatever p is; the prime is never trusted alone.  A failed
-reconstruction or check only moves on to the next, wider prime.
+Steps 2 and 3 run after each _STALL rows in a row that reduce to zero,
+while rows remain, and once after the last row; a failed lift after
+the last row moves on to the next, wider prime.  Let S be the rows
+eliminated so far.  Rank mod p is at most the rank over Q, so
+dim ker_p(S) >= dim ker_Q(S) >= dim ker_Q(M).  The certified vectors
+lie in ker_Q(M), are independent, and there are dim ker_p(S) of them,
+so they span it, and their free columns are those of M.  Each is 1 at
+its free column and 0 at the others, which fixes it: the basis is the
+one exact `rref` of M gives, whatever p and S are; the prime is never
+trusted alone.  Full column rank mod p is full rank over Q, so the
+early `[]` is exact too.
 
 Every entry of the rref over Q is a ratio of two minors of the integer
 matrix, each at most its Hadamard bound H.  When H <= isqrt(p // 2),
@@ -37,6 +46,9 @@ from .intpoly import _ints
 
 # the Mersenne primes 2^k - 1 tried in turn; most matrices need only the first
 PRIMES = tuple((1 << k) - 1 for k in (61, 127, 521, 1279, 4423))
+
+# rows in a row that reduce to zero before the pivots are lifted early
+_STALL = 32
 
 
 def _clone(matrix):
@@ -94,26 +106,6 @@ def _subtract(row, f, prow, p):
             del row[c]
 
 
-def _echelon_mod_p(rows, p):
-    """Reduced row echelon form mod p as {pivot column: row}: each row
-    is 1 at its pivot and 0 at every other pivot column."""
-    pivots = {}
-    for row in rows:
-        row = {c: x % p for c, x in row.items() if x % p}
-        for pc in row.keys() & pivots.keys():
-            _subtract(row, row[pc], pivots[pc], p)
-        if not row:
-            continue
-        c = min(row)
-        inv = pow(row[c], -1, p)
-        row = {j: x * inv % p for j, x in row.items()}
-        for prow in pivots.values():
-            if c in prow:
-                _subtract(prow, prow[c], row, p)
-        pivots[c] = row
-    return pivots
-
-
 def _reconstruct(u, p, bound):
     """The fraction a/b = u mod p with |a|, b <= bound, or None (Wang;
     unique when 2 * bound**2 < p)."""
@@ -137,12 +129,11 @@ def _certified(v, f, pivots, columns):
     return not any(acc.values())
 
 
-def _modular_nullspace(rows, columns, p):
-    """Null vectors as {column: Fraction} from the rows mod p, or None
-    when p cannot be shown to give the answer over Q.  `columns` holds
-    the matrix by column, {row: int}, for the certificate."""
+def _lift(pivots, columns, p):
+    """Null vectors as {column: Fraction} lifted from the Gauss-Jordan
+    `pivots` mod p, or None unless every one is certified against all
+    of `columns`, the matrix by column, {row: int}."""
     bound = isqrt(p // 2)
-    pivots = _echelon_mod_p(rows, p)
     vectors = {f: {f: Fraction(1)} for f in range(len(columns))
                if f not in pivots}
     for pc, prow in pivots.items():
@@ -155,6 +146,42 @@ def _modular_nullspace(rows, columns, p):
     if not all(_certified(v, f, pivots, columns) for f, v in vectors.items()):
         return None
     return [vectors[f] for f in sorted(vectors)]
+
+
+def _modular_nullspace(rows, columns, p):
+    """Null vectors from the rows reduced mod p, in order, into
+    Gauss-Jordan pivots {pivot column: row}, each row 1 at its pivot and
+    0 at every other pivot column; None when p cannot be shown to give
+    the answer over Q.  Steps 1 to 3 of the module docstring."""
+    pivots = {}
+    zeros = 0
+    for i, row in enumerate(rows, 1):
+        # pivot rows are 0 at each other's pivots, so row[pc] is still the
+        # input entry when pivot pc is subtracted; reduce mod p once, after
+        row = dict(row)
+        for pc in row.keys() & pivots.keys():
+            f = row[pc] % p
+            for c, x in pivots[pc].items():
+                row[c] = row.get(c, 0) - f * x
+        row = {c: x % p for c, x in row.items() if x % p}
+        if not row:
+            zeros += 1
+            if zeros % _STALL == 0 and i < len(rows):
+                vectors = _lift(pivots, columns, p)
+                if vectors is not None:
+                    return vectors
+            continue
+        zeros = 0
+        c = min(row)
+        inv = pow(row[c], -1, p)
+        row = {j: x * inv % p for j, x in row.items()}
+        for prow in pivots.values():
+            if c in prow:
+                _subtract(prow, prow[c], row, p)
+        pivots[c] = row
+        if len(pivots) == len(columns):
+            return []
+    return _lift(pivots, columns, p)
 
 
 def nullspace(matrix, cols=None):
@@ -180,7 +207,7 @@ def nullspace(matrix, cols=None):
         cols = _width(matrix, cols)
         # each row as {column: int}, its denominators cleared
         matrix = [_ints(dict(enumerate(row)))[0] for row in matrix]
-    rows = [row for row in matrix if any(row.values())]
+    rows = sorted((row for row in matrix if any(row.values())), key=len)
     columns = [{} for _ in range(cols)]
     for i, row in enumerate(rows):
         for c, x in row.items():

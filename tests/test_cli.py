@@ -450,6 +450,13 @@ BAD_INPUT = {
                   "circ acts on V-moulds"),
     "senary-on-V": (["check", "--identity", "senary"], "in.json", V_MOULD,
                     "senary is a U-side predicate"),
+    "fundamental-on-V": (["identity", "--name", "fundamental"], "in.json",
+                         V_MOULD, "identity fundamental acts on U-moulds"),
+    "goodfund-on-V": (["identity", "--name", "goodfund"], "in.json",
+                      V_MOULD, "identity goodfund acts on U-moulds"),
+    "ganit_inverse-on-V": (["identity", "--name", "ganit_inverse"],
+                           "in.json", V_MOULD,
+                           "identity ganit_inverse acts on U-moulds"),
     "word-outside-C-span": (["check"], "in.txt", "1*yx",
                             "leading word 'yx' not of C-monomial form"),
     "malformed-word-polynomial": (["check"], "in.txt", "2x",

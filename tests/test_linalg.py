@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moulde import linalg
+from moulde import linalg, spaces
 from moulde.linalg import PRIMES, nullspace, rank, rref, solve
 
 P = PRIMES[0]
@@ -249,3 +249,102 @@ def test_bad_shapes_are_typed_errors():
     for c in (-1, 5):
         with pytest.raises(ValueError, match="row 1 has column %d" % c):
             nullspace([{0: 1}, {c: 1}], 2)
+
+
+# -- the incremental elimination: sparsest rows first, stop when certified ---
+
+@st.composite
+def tall_sparse_matrices(draw):
+    """(cols, rows): 40 to 120 sparse integer rows, each a combination
+    of one or two of at most cols // 2 sparse generators."""
+    cols = draw(st.integers(4, 12))
+    gens = draw(st.lists(
+        st.dictionaries(st.integers(0, cols - 1),
+                        st.integers(-5, 5).filter(bool),
+                        min_size=1, max_size=3),
+        min_size=1, max_size=cols // 2))
+    combos = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(gens), st.integers(-3, 3)),
+                 min_size=1, max_size=2),
+        min_size=40, max_size=120))
+    rows = []
+    for combo in combos:
+        row = {}
+        for gen, k in combo:
+            for c, x in gen.items():
+                row[c] = row.get(c, 0) + k * x
+        rows.append({c: x for c, x in row.items() if x})
+    return cols, rows
+
+
+@given(tall_sparse_matrices())
+@settings(max_examples=40, deadline=None)
+def test_tall_sparse_matrices_give_the_rref_basis(case):
+    cols, rows = case
+    dense = [[F(row.get(j, 0)) for j in range(cols)] for row in rows]
+    basis = _rref_nullspace(dense)
+    assert nullspace(rows, cols) == basis
+    assert nullspace(dense) == basis
+
+
+@pytest.fixture
+def lifts(monkeypatch):
+    results = []
+    inner = linalg._lift
+
+    def counted(pivots, columns, p):
+        results.append(inner(pivots, columns, p))
+        return results[-1]
+
+    monkeypatch.setattr(linalg, "_lift", counted)
+    return results
+
+
+def test_a_failed_early_lift_goes_on_eliminating(lifts):
+    # the 40 sparse rows stall after the first: the lift of their one
+    # pivot misses the dense row, which is sorted last
+    rows = [{0: k, 1: -k} for k in range(1, 41)] + [{0: 1, 1: 1, 2: 1}]
+    dense = [[F(row.get(j, 0)) for j in range(3)] for row in rows]
+    assert nullspace(rows, 3) == _rref_nullspace(dense) == [
+        [F(-1, 2), F(-1, 2), F(1)]]
+    assert len(lifts) >= 2 and lifts[0] is None
+
+
+@pytest.fixture
+def read(monkeypatch):
+    """For each prime tried, [rows given, rows read] of the elimination."""
+    counts = []
+    inner = linalg._modular_nullspace
+
+    class Counted(list):
+        def __iter__(self):
+            for row in super().__iter__():
+                counts[-1][1] += 1
+                yield row
+
+    def spy(rows, columns, p):
+        counts.append([len(rows), 0])
+        return inner(Counted(rows), columns, p)
+
+    monkeypatch.setattr(linalg, "_modular_nullspace", spy)
+    return counts
+
+
+def test_full_column_rank_stops_at_the_last_pivot(lifts, read):
+    # the dense rows, sorted after the square ones, are never read
+    square = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+    tall = [{0: k, 1: k + 1, 2: k + 2} for k in range(40)] + square
+    assert nullspace(tall, 3) == []
+    assert read == [[43, 3]] and lifts == []
+
+
+def test_ls_16_4_is_certified_from_a_strict_prefix(read, monkeypatch):
+    system = spaces.ls_system(16, 4)
+    read.clear()  # the alternal kernel's own eliminations
+    vectors = system.null_vectors()
+    assert len(vectors) == 3
+    [[given, used]] = read
+    assert given == 910 and 0 < used < given
+    # the same basis as from every row: no early lift
+    monkeypatch.setattr(linalg, "_STALL", given + 1)
+    assert system.null_vectors() == vectors and read[-1] == [910, 910]

@@ -138,7 +138,8 @@ def test_dims_match_broadhurst_kreimer(solve):
 
 def test_ls_reach_cells_match_broadhurst_kreimer():
     for solve, n, r in [(solve_ls, 15, 5), (solve_ls, 18, 4),
-                        (solve_lkv, 15, 5)]:
+                        (solve_lkv, 15, 5), (solve_ls, 17, 5),
+                        (solve_ls, 20, 4)]:
         assert solve(n, r).dim == BROADHURST_KREIMER[n, r] > 0, (
             solve.__name__, n, r)
 
