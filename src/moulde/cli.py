@@ -177,7 +177,7 @@ def cmd_basis(args, out):
     return 0
 
 
-def _run_identity(name, obj, depth, out):
+def _run_identity(name, obj, depth, fmt, out):
     M = _as_mould(obj, depth)
     if name in ("fundamental", "goodfund", "ganit_inverse"):
         mould_mod._require([M], "U", "identity " + name)
@@ -195,14 +195,19 @@ def _run_identity(name, obj, depth, out):
             and ari_mod.ganit_bar(-poc, ari_mod.ganit_bar(pic, T)).eq(T)
     else:
         raise UsageError("unknown identity %r" % name)
-    out.write("OK\n" if ok else "FAIL\n")
+    if fmt == "json":
+        out.write(json.dumps({"identity": name, "holds": bool(ok)},
+                             indent=2, sort_keys=True) + "\n")
+    else:
+        out.write("OK\n" if ok else "FAIL\n")
     return 0 if ok else 1
 
 
 def cmd_check(args, out):
     obj = _read_input(args.input)
     if args.identity:
-        return _run_identity(args.identity, obj, args.depth, out)
+        return _run_identity(args.identity, obj, args.depth, args.format,
+                             out)
     if args.space:
         if args.space == "wkrv":
             if isinstance(obj, mould_mod.Mould):
@@ -219,17 +224,19 @@ def cmd_check(args, out):
     # bare predicate battery
     M = _as_mould(obj, args.depth)
     report = mould_mod.predicates(M)
-    ok = True
-    for k, v in report.items():
-        if isinstance(v, bool):
-            ok = ok and v
-        out.write("%s: %s\n" % (k, v))
+    ok = all(v for v in report.values() if isinstance(v, bool))
+    if args.format == "json":
+        # circ_constant_value, a Fraction, is written as its string
+        out.write(json.dumps(report, indent=2, sort_keys=True, default=str)
+                  + "\n")
+    else:
+        out.writelines("%s: %s\n" % item for item in report.items())
     return 0 if ok else 1
 
 
 def cmd_identity(args, out):
     obj = _read_input(args.input)
-    return _run_identity(args.name, obj, args.depth, out)
+    return _run_identity(args.name, obj, args.depth, args.format, out)
 
 
 def cmd_apply(args, out):

@@ -16,9 +16,12 @@ prime p of PRIMES in turn, until one is certified:
 3. the lift is certified exactly against every row: M v_f = 0 over Z,
    and v_f is supported on {f} and the pivot columns before f.
 
-Steps 2 and 3 run after each _STALL rows in a row that reduce to zero,
-while rows remain, and once after the last row; a failed lift after
-the last row moves on to the next, wider prime.  Let S be the rows
+Steps 2 and 3 run at most once per pivot set: when _STALL rows in a
+row have reduced to zero, and after the last row unless the final
+pivot set was lifted that way already.  A lift reads only the pivots and the columns, and the
+pivots change only when a row adds one, so a pivot set whose lift
+failed would fail again, identically.  A failed lift after the last
+row moves on to the next, wider prime.  Let S be the rows
 eliminated so far.  Rank mod p is at most the rank over Q, so
 dim ker_p(S) >= dim ker_Q(S) >= dim ker_Q(M).  The certified vectors
 lie in ker_Q(M), are independent, and there are dim ker_p(S) of them,
@@ -155,7 +158,7 @@ def _modular_nullspace(rows, columns, p):
     the answer over Q.  Steps 1 to 3 of the module docstring."""
     pivots = {}
     zeros = 0
-    for i, row in enumerate(rows, 1):
+    for row in rows:
         # pivot rows are 0 at each other's pivots, so row[pc] is still the
         # input entry when pivot pc is subtracted; reduce mod p once, after
         row = dict(row)
@@ -166,7 +169,7 @@ def _modular_nullspace(rows, columns, p):
         row = {c: x % p for c, x in row.items() if x % p}
         if not row:
             zeros += 1
-            if zeros % _STALL == 0 and i < len(rows):
+            if zeros == _STALL:
                 vectors = _lift(pivots, columns, p)
                 if vectors is not None:
                     return vectors
@@ -181,7 +184,7 @@ def _modular_nullspace(rows, columns, p):
         pivots[c] = row
         if len(pivots) == len(columns):
             return []
-    return _lift(pivots, columns, p)
+    return _lift(pivots, columns, p) if zeros < _STALL else None
 
 
 def nullspace(matrix, cols=None):

@@ -70,13 +70,6 @@ class Mould:
         self.values = vals
         self.cap = cap
 
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def constant(cls, alphabet, assignment, cap=None):
-        """Constant-valued mould from {depth: scalar}."""
-        vals = {r: RatFrac.const(r, c) for r, c in assignment.items() if c != 0}
-        return cls(alphabet, vals, cap)
-
     # -- access -------------------------------------------------------
     def get(self, r):
         v = self.values.get(r)
@@ -498,29 +491,11 @@ def predicates(M):
 # Constant corrections ("*" properties)
 # ---------------------------------------------------------------------------
 
-class ConstantMould:
-    """A per-depth scalar assignment."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values=None):
-        self.values = {r: Fraction(v) for r, v in (values or {}).items()
-                       if v != 0}
-
-    def get(self, r):
-        return self.values.get(r, Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, ConstantMould) and self.values == other.values
-
-    def __repr__(self):
-        return "ConstantMould(%r)" % (self.values,)
-
-
 def star_correction(M, prop):
-    """Per-depth constants kappa_r with M + kappa satisfying the property,
-    or None when constants cannot repair it: each sum s of the property
-    (k copies of kappa_r each) must be a constant, and kappa_r = -s/k.
+    """Per-depth constants {r: kappa_r}, zeros dropped, with M + kappa
+    satisfying the property, or None when constants cannot repair it:
+    each sum s of the property (k copies of kappa_r each) must be a
+    constant, and kappa_r = -s/k.
     The sums of one depth agree: a constant shuffle sum Sh_i(f) = c_i,
     summed over the r! permutations of the variables, gives
     r! c_i = C(r, i) Sym(f), so kappa_r = -Sym(f)/r! for every i."""
@@ -531,8 +506,9 @@ def star_correction(M, prop):
     for r, k, s in sums(M):
         if not (s.is_polynomial() and s.num.is_constant()):
             return None
-        kappa[r] = -s.num.constant_value() / k
-    return ConstantMould(kappa)
+        if s.num.constant_value():
+            kappa[r] = -s.num.constant_value() / k
+    return kappa
 
 
 # ---------------------------------------------------------------------------

@@ -118,23 +118,24 @@ class BigradedBasis:
 # The constraint engine
 # ---------------------------------------------------------------------------
 
-def _assemble(parameters, conditions, constant=False):
+def _assemble(parameters, conditions):
     """Constraint system of `conditions` on `parameters`.
 
     A condition (tag, images, weight) says that sum_j v_j images[j]
     equals weight * c, where images[j], the image of parameter j, is a
     RatFrac or a {key: rational} dict, and c is a constant adjoined as
-    a last parameter "c" when `constant`.  The constant enters as one
-    more image, -weight.  Each image is cleared to integer terms over a
-    den: the RatFrac numerators of a condition, the constant's
-    included, are lifted over the lcm of their keys (`intpoly._lifted`),
-    and a dict is cleared by `intpoly._ints`.
+    a last parameter "c" when some condition has a nonzero weight.  The
+    constant enters as one more image, -weight.  Each image is cleared
+    to integer terms over a den: the RatFrac numerators of a condition,
+    the constant's included, are lifted over the lcm of their keys
+    (`intpoly._lifted`), and a dict is cleared by `intpoly._ints`.
     There is one row per key (tag, monomial or word) in the union of
     all numerators, kept sparse and scaled to integers by the lcm of the
     dens of its columns.  Without parameters the system is empty, the
     constant's column included."""
     if not parameters:
         return ConstraintSystem([], [], [], [])
+    constant = any(weight for _, _, weight in conditions)
     if constant:
         parameters = list(parameters) + ["c"]
     entries, dens = {}, {}
@@ -449,7 +450,7 @@ def krv_ell_system(n, r):
     if r > 1:
         conditions.append(_circ(mould_mod._swap(mould_mod._delta_inv(B)), r,
                                 weight=1))
-    return _assemble(K, conditions, constant=r > 1)
+    return _assemble(K, conditions)
 
 
 def solve_krv_ell(n, r):
@@ -474,7 +475,7 @@ def ds_ell_system(n, r):
     else:
         conditions = _alternal(
             mould_mod._swap(mould_mod._delta_inv(B)), r, "sal", constant=True)
-    return _assemble(K, conditions, constant=r > 1)
+    return _assemble(K, conditions)
 
 
 def solve_ds_ell(n, r):

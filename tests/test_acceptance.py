@@ -18,8 +18,8 @@ from moulde.ari import (ari as ari_bracket, ari_bar, dari, darit, ganit_bar,
 from moulde.cli import run as cli_run
 from moulde.maps import (krv_section, lkv_to_krv_ell, verify_xi_image,
                          w_krv_gate)
-from moulde.mould import (ConstantMould, Mould, delta_inv, delta_op,
-                          is_alternal, is_circ_constant, is_circ_neutral,
+from moulde.mould import (Mould, delta_inv, delta_op, is_alternal,
+                          is_circ_constant, is_circ_neutral,
                           is_push_invariant, ma, mantar, neg_op, pari, push,
                           star_correction, swap)
 from moulde.poly import MultiPoly, RatFrac
@@ -90,7 +90,7 @@ def test_criterion_04_a3_quotient_alternality(A3):
     Q = delta_inv(A3)
     assert is_alternal(Q)
     corr = star_correction(swap(Q), "alternal")
-    assert corr == ConstantMould({3: F(1, 3)})
+    assert corr == {3: F(1, 3)}
 
 
 def test_criterion_05_operator_identities_on_random_moulds():
@@ -156,8 +156,8 @@ def test_criterion_07_bracket_structure_preservation():
     # ari with a constant mould vanishes
     for i in range(10):
         M = _random_mould(rng, 4, rational=False)
-        K = Mould.constant("U", {1: F(rng.randint(1, 3)),
-                                 2: F(rng.randint(-3, -1))})
+        K = Mould("U", {1: F(rng.randint(1, 3)),
+                        2: F(rng.randint(-3, -1))})
         assert ari_bracket(K, M).eq(Mould("U", {}))
 
 

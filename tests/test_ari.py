@@ -344,7 +344,7 @@ def test_ari_bar_preserves_circ_neutrality():
 
 
 def test_ari_with_constant_vanishes():
-    C = Mould.constant("U", {1: F(2), 2: F(-1)})
+    C = Mould("U", {1: F(2), 2: F(-1)})
     M = _u({1: {(2,): 1}, 2: {(1, 1): 3}})
     assert ari_bracket(C, M).eq(Mould("U", {}))
 

@@ -194,6 +194,23 @@ def test_check_wkrv_json(tmp_path, w3):
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def test_identity_json(tmp_path, b3):
+    path = _write(tmp_path, "b3.txt", ncpoly_to_text(b3))
+    assert _run(["identity", "--name", "senary", "--input", path,
+                 "--format", "json"]) == (
+        1, json.dumps({"holds": False, "identity": "senary"}, indent=2,
+                      sort_keys=True) + "\n", "")
+
+
+def test_check_predicates_json(tmp_path, Bpsi):
+    path = _write(tmp_path, "bpsi.json", mould_to_json_text(Bpsi))
+    report = {"alternal": False, "circ_neutral": False,
+              "circ_constant": True, "circ_constant_value": "1",
+              "mantar_invariant": False}
+    assert _run(["check", "--input", path, "--format", "json"]) == (
+        1, json.dumps(report, indent=2, sort_keys=True) + "\n", "")
+
+
 @pytest.mark.parametrize("argv", [["check"],
                                   ["identity", "--name", "fundamental"]])
 def test_depth_above_the_cap_of_a_json_mould_exits_2(tmp_path, argv):

@@ -310,6 +310,22 @@ def test_a_failed_early_lift_goes_on_eliminating(lifts):
     assert len(lifts) >= 2 and lifts[0] is None
 
 
+def test_each_pivot_set_is_lifted_at_most_once(monkeypatch):
+    # a lift reads only the pivots, which change only with their number,
+    # so a second lift of one pivot count under one prime would repeat
+    # a failed one
+    system = spaces.vkrv_system(10)
+    seen, inner = [], linalg._lift
+
+    def spy(pivots, columns, p):
+        seen.append((p, len(pivots)))
+        return inner(pivots, columns, p)
+
+    monkeypatch.setattr(linalg, "_lift", spy)
+    assert len(system.null_vectors()) == 1
+    assert len(set(seen)) == len(seen) <= 4
+
+
 @pytest.fixture
 def read(monkeypatch):
     """For each prime tried, [rows given, rows read] of the elimination."""

@@ -249,21 +249,39 @@ def test_w_krv_gate_rejects_nu_b5():
 
 # -- the square --------------------------------------------------------------
 
-def test_square_check_n3():
-    report = square_check(3, D=4)
+def test_square_check_n3(w3):
+    report = square_check(3, D=4, w_krv_elements=[w3])
+    assert sorted(report.verdicts) == [
+        "adjoint_ds_ell_w0", "adjoint_in_ari_delta_w0", "adjoint_krv_ell_w0",
+        "krv_ell_r1_0", "vacuous"]
     assert report.all_true([k for k in report.verdicts if k != "vacuous"])
     assert not report.verdicts["vacuous"]
 
 
 def test_square_check_n4():
-    report = square_check(4, D=4)
-    assert report.all_true([k for k in report.verdicts if k != "vacuous"])
+    # ds_ell(4, r) = 0 for every r, so nothing is checked
+    assert square_check(4, D=4).verdicts == {"vacuous": True}
 
 
 def test_square_check_n5(psi_minus):
     report = square_check(5, D=4, w_krv_elements=[psi_minus])
     assert report.all_true([k for k in report.verdicts if k != "vacuous"])
     assert not report.verdicts["vacuous"]
+
+
+def test_square_check_names_the_failed_check_of_the_adjoint_image():
+    # nu(ad_x^4 y) is not in W_krv: its adjoint image lies in ARI^Delta
+    # and is alternal and push-invariant, but its swap is neither
+    # *alternal nor *circ-neutral
+    w = words.nu_twist(words.c_poly(5))
+    report = square_check(5, D=4, w_krv_elements=[w])
+    assert report.verdicts["adjoint_in_ari_delta_w0"]
+    assert {k: report.witnesses.get(k) for k in report.verdicts
+            if not report.verdicts[k]} == {
+        "adjoint_ds_ell_w0": "*alternal",
+        "adjoint_krv_ell_w0": "*circ-neutral", "vacuous": None}
+    assert "*alternal" in _check_names("ds_ell")
+    assert "*circ-neutral" in _check_names("krv_ell")
 
 
 def _fail_star(prop):

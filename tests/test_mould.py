@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moulde import mould, words
-from moulde.mould import (ConstantMould, Mould, circ, dar, dar_inv, delta_inv,
+from moulde.mould import (Mould, circ, dar, dar_inv, delta_inv,
                           delta_op, in_ari_delta, is_alternal,
                           is_circ_constant, is_circ_neutral, is_push_invariant,
                           is_senary, ma, ma_inverse, mantar,
@@ -197,7 +197,7 @@ def test_star_correction_alternal_a3(A3):
     Q = delta_inv(A3)
     assert is_alternal(Q)
     corr = star_correction(swap(Q), "alternal")
-    assert corr == ConstantMould({3: F(1, 3)})
+    assert corr == {3: F(1, 3)}
 
 
 def test_star_correction_none_when_not_constant():

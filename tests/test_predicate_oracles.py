@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moulde import mould
-from moulde.mould import AlphabetMismatch, ConstantMould, Mould, \
+from moulde.mould import AlphabetMismatch, Mould, \
     circ_cycle_sum, circ_defects, is_alternal, is_circ_constant, \
     is_circ_neutral, star_correction
 from moulde.poly import MultiPoly, RatFrac, compositions, monomial_sum
@@ -168,7 +168,7 @@ def oracle_star_correction(M, prop):
                     return None
             if kappa:
                 out[r] = kappa
-    return ConstantMould(out)
+    return out
 
 
 # -- strategies --------------------------------------------------------------
@@ -273,7 +273,7 @@ def sum_moulds(draw):
         g = draw(values_in(r, draw(st.integers(0, 2))))
         xs = mould._vars(r)
         parts.append(Mould("U", {r: g - g.substitute_linear(xs[1:] + xs[:1])}))
-    parts.append(Mould.constant("U", draw(st.dictionaries(
+    parts.append(Mould("U", draw(st.dictionaries(
         st.integers(1, 4), values, max_size=4))))
     if draw(st.integers(0, 3)) == 0:
         r = draw(st.integers(1, 4))
@@ -400,7 +400,7 @@ def test_star_alternal_wants_one_constant_per_depth(monkeypatch, pinned,
     M = Mould("U", {4: MultiPoly(4, {(1, 0, 0, 0): F(1)})})
     got = star_correction(M, "alternal")
     assert got == oracle_star_correction(M, "alternal")
-    assert (None if got is None else got.values) == expected
+    assert got == expected
 
 
 def test_star_correction_refuses_an_unknown_property():

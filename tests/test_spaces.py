@@ -642,7 +642,7 @@ def _monomial_krv_ell_system(n, r):
     if r > 1:
         conditions.append(spaces._circ(mould._swap(mould._delta_inv(B)), r,
                                        weight=1))
-    return spaces._assemble(gens, conditions, constant=r > 1)
+    return spaces._assemble(gens, conditions)
 
 
 def _monomial_ds_ell_system(n, r):
@@ -653,7 +653,7 @@ def _monomial_ds_ell_system(n, r):
     else:
         conditions += spaces._alternal(
             mould._swap(mould._delta_inv(B)), r, "sal", constant=True)
-    return spaces._assemble(gens, conditions, constant=r > 1)
+    return spaces._assemble(gens, conditions)
 
 
 MONOMIAL_ORACLES = {"lkv": _monomial_lkv_system, "ls": _monomial_ls_system,
