@@ -14,8 +14,9 @@ value at r linear forms in x1..xr (`_substituted`); `dar`, `delta_op`
 and their inverses multiply or divide each depth by a product of linear
 forms (`_times_forms`).  Both act on a list of moulds, one kernel call
 per depth; the public operators are their one-element calls, and
-`spaces` passes its parameter list to `_swap`, `_push` and
-`_delta_inv`.  The shuffle and cyclic sums are `poly.renaming_sums`.
+`spaces` passes its parameter list to `_swap` and `_push`.  The shuffle
+and cyclic sums are `poly.renaming_sums` over `_shuffle_perms` and
+`_cycle_perms`.
 
 `is_alternal`, `is_circ_neutral` and `star_correction` read the shuffle
 and cyclic sums from one walk each, `_shuffle_sums` and `_cycle_sums`.
@@ -252,9 +253,14 @@ def _swap(moulds):
     alphabet = moulds[0].alphabet if moulds else "U"
     _require(moulds, alphabet, "swap of a list")
     if alphabet == "U":
-        return _substituted(moulds, lambda xs: xs[-1:] + [
-            a - b for a, b in zip(xs[-2::-1], xs[::-1])], "V")
+        return _substituted(moulds, _swap_images, "V")
     return _substituted(moulds, lambda xs: list(accumulate(xs))[::-1], "U")
+
+
+def _swap_images(xs):
+    """The images v_r, v_{r-1} - v_r, ..., v_1 - v_2 of u1..ur under
+    swap, in the variables xs = v1..vr."""
+    return xs[-1:] + [a - b for a, b in zip(xs[-2::-1], xs[::-1])]
 
 
 def push(M):
@@ -308,13 +314,9 @@ def delta_op(M):
 
 
 def delta_inv(M):
-    return _delta_inv([M])[0]
-
-
-def _delta_inv(moulds):
-    """delta_inv of each U-mould of a list."""
-    _require(moulds, "U", "delta")
-    return _times_forms(moulds, _delta_forms, divide=True)
+    """Divide the depth-r part by u1...ur (u1+...+ur)."""
+    _require([M], "U", "delta")
+    return _times_forms([M], _delta_forms, divide=True)[0]
 
 
 def teru(M):
@@ -371,8 +373,12 @@ def shuffle_sum(value, r, i):
 
 def _shuffle_sum(values, r, i):
     """`shuffle_sum` of each depth-r value of a list: one renaming sum."""
-    return renaming_sums(
-        values, _shuffles(list(range(1, i + 1)), list(range(i + 1, r + 1))))
+    return renaming_sums(values, _shuffle_perms(r, i))
+
+
+def _shuffle_perms(r, i):
+    """The shuffles Sh((1..i)(i+1..r)), as tuples of 1-based indices."""
+    return _shuffles(list(range(1, i + 1)), list(range(i + 1, r + 1)))
 
 
 def _shuffle_sums(M):
@@ -403,8 +409,13 @@ def circ_cycle_sum(M, r):
 
 def _cycle_sum(values, r):
     """The cyclic sum of each depth-r value of a list: one renaming sum."""
+    return renaming_sums(values, _cycle_perms(r))
+
+
+def _cycle_perms(r):
+    """The r cyclic rotations of 1..r."""
     xs = list(range(1, r + 1))
-    return renaming_sums(values, [xs[k:] + xs[:k] for k in range(r)])
+    return [xs[k:] + xs[:k] for k in range(r)]
 
 
 def _cycle_sums(M):

@@ -19,6 +19,13 @@ integers, as `linalg.nullspace` takes them, and `_solve` re-verifies
 every basis element against the defining predicates of the space,
 raising `VerificationError` on a failure.
 
+The Delta-quotient conditions of `krv_ell` and `ds_ell`, on
+swap(P/Delta) with Delta = u1...ur(u1+...+ur), are built with no
+cancelling (`_quotient_rows`): each condition sum_j v_j f_j = w c is
+multiplied by one common denominator D of its terms.  Multiplying by
+D != 0 is injective on rational functions, so the rows change but
+their kernel, and the reduced basis of `nullspace`, do not.
+
 The defining predicates of each space are written once, in `checks`;
 the solvers and the maps that land in a space read them through
 `failed_check`.  `CELL_SOLVERS` holds the (n, r) cell solvers.
@@ -45,8 +52,9 @@ from . import mould as mould_mod
 from . import words as words_mod
 from .linalg import nullspace, rank
 from .mould import Mould
-from .intpoly import _ints, _lifted
-from .poly import MultiPoly, RatFrac, _add_into, compositions, grlex_key
+from .intpoly import _ints, _lifted, _renamed_keys, _shuffler
+from .poly import (MultiPoly, RatFrac, _add_into, _factor_keys, compositions,
+                   grlex_key)
 from .words import NCPoly
 
 
@@ -129,10 +137,13 @@ def _assemble(parameters, conditions):
     to integer terms over a den: the RatFrac numerators of a condition,
     the constant's included, are lifted over the lcm of their keys
     (`intpoly._lifted`), and a dict is cleared by `intpoly._ints`.
-    There is one row per key (tag, monomial or word) in the union of
-    all numerators, kept sparse and scaled to integers by the lcm of the
-    dens of its columns.  Without parameters the system is empty, the
-    constant's column included."""
+    Images may come cleared, as a pair (D, numerators): the condition
+    times the integer polynomial D, each image an (integer terms, den)
+    pair (`_quotient_rows`); then the constant alone is lifted, to
+    -weight * D.  There is one row per key (tag, monomial or word) in
+    the union of all numerators, kept sparse and scaled to integers by
+    the lcm of the dens of its columns.  Without parameters the system
+    is empty, the constant's column included."""
     if not parameters:
         return ConstraintSystem([], [], [], [])
     constant = any(weight for _, _, weight in conditions)
@@ -140,13 +151,20 @@ def _assemble(parameters, conditions):
         parameters = list(parameters) + ["c"]
     entries, dens = {}, {}
     for tag, images, weight in conditions:
-        if constant:
-            images = list(images) + [RatFrac.const(images[0].arity, -weight)]
-        if isinstance(images[0], RatFrac):
-            _, nums = _lifted((f.den_keys, f.terms) for f in images)
-            cleared = zip(nums, (f.denom for f in images))
+        if isinstance(images, tuple):
+            den, cleared = images
+            if constant:
+                cleared = cleared + [(
+                    {e: -weight * x for e, x in den.items()}, 1)]
         else:
-            cleared = map(_ints, images)
+            if constant:
+                images = list(images) + [
+                    RatFrac.const(images[0].arity, -weight)]
+            if isinstance(images[0], RatFrac):
+                _, nums = _lifted((f.den_keys, f.terms) for f in images)
+                cleared = zip(nums, (f.denom for f in images))
+            else:
+                cleared = map(_ints, images)
         cols = dens[tag] = {}
         for j, (terms, den) in enumerate(cleared):
             cols[j] = den
@@ -213,6 +231,53 @@ def _circ(moulds, r, weight=0):
     """The cyclic sum of the depth-r value vanishes, or equals c."""
     return ("circ", mould_mod._cycle_sum([M.get(r) for M in moulds], r),
             weight)
+
+
+def _quotient_rows(moulds, r, sums):
+    """The conditions (tag, images, weight), for each (tag, perms,
+    weight) of `sums`, that the renamings by perms of swap(P/Delta),
+    Delta = u1...ur(u1+...+ur), sum to weight * c, for each polynomial
+    mould P of `moulds`.
+
+    swap(Delta) is s times the factors of the same r + 1 keys for every
+    P, so a renaming moves only those keys and the exponents of
+    swap(P) / s: the renamed numerators gather by renamed keys, and
+    `intpoly._lifted` brings each parameter over the product D of the
+    lcm of the renamed keys, with no cancelling.  The images are the
+    pair (D, numerators) of `_assemble`."""
+    values = [M.get(r) for M in mould_mod._swap(moulds)]
+    s, keys = _factor_keys(mould_mod._delta_forms(
+        mould_mod._swap_images(mould_mod._vars(r))))
+    # 1 / s = t / d with d > 0: the signs take t, each den d
+    t, d = s.denominator * (1 if s > 0 else -1), abs(s.numerator)
+    one, out = {(0,) * r: 1}, []
+    for tag, perms, weight in sums:
+        groups = {}  # renamed keys -> [(exponent map, sign)]
+        for p in perms:
+            get = _shuffler(p, r, r)
+            renamed, sign = _renamed_keys(keys, get)
+            groups.setdefault(renamed, []).append((get, sign * t))
+        # the lcm of the renamed keys and D, the product of its factors;
+        # the lcm anchors the lift of every parameter at D, its factors
+        # in one variable, which add no term, first
+        lcm, (den, *_) = _lifted([((), one)] + [(k, one) for k in groups])
+        anchor = (sorted(lcm, key=lambda k: r - k.count(0)), one)
+        cleared = []
+        for v in values:
+            parts = [anchor]
+            for renamed, gets in groups.items():
+                acc = {}
+                for get, sign in gets:
+                    for e, c in v.terms.items():
+                        e = get(e)
+                        acc[e] = acc.get(e, 0) + sign * c
+                parts.append((renamed, {e: c for e, c in acc.items() if c}))
+            total = {}
+            for terms in _lifted(parts)[1][1:]:
+                _add_into(total, terms.items())
+            cleared.append((total, v.denom * d))
+        out.append((tag, (den, cleared), weight))
+    return out
 
 
 def _even_in_depth1(M):
@@ -448,8 +513,8 @@ def krv_ell_system(n, r):
     K, B = _kernel(n, r)
     conditions = [_push(B, r)]
     if r > 1:
-        conditions.append(_circ(mould_mod._swap(mould_mod._delta_inv(B)), r,
-                                weight=1))
+        conditions += _quotient_rows(
+            B, r, [("circ", mould_mod._cycle_perms(r), 1)])
     return _assemble(K, conditions)
 
 
@@ -473,8 +538,9 @@ def ds_ell_system(n, r):
         # krv_ell inclusion needs
         conditions = [_push(B, r)]
     else:
-        conditions = _alternal(
-            mould_mod._swap(mould_mod._delta_inv(B)), r, "sal", constant=True)
+        conditions = _quotient_rows(B, r, [
+            ("sal:%d" % i, mould_mod._shuffle_perms(r, i), math.comb(r, i))
+            for i in range(1, r // 2 + 1)])
     return _assemble(K, conditions)
 
 

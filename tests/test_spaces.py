@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 import moulde
-from moulde import linalg, mould, poly, spaces, words
+from moulde import intpoly, linalg, mould, poly, spaces, words
 from moulde.mould import (delta_inv, is_alternal, is_push_invariant, ma, swap)
 from moulde.spaces import (VerificationError, dimension_table, solve_ds_ell,
                            solve_gr_krv, solve_krv_ell, solve_lkv, solve_ls,
@@ -410,13 +410,17 @@ def test_solver_path_never_falls_back_to_fraction_elimination(monkeypatch):
 
 def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
     # each operator reaches the kernels once per depth with the whole
-    # parameter list, and a renaming never reaches the linear-map setup
-    calls, renaming = [], []
+    # parameter list, a renaming never reaches the linear-map setup, and
+    # the Delta-quotient rows swap the kernel polynomials themselves:
+    # no value with keys is substituted, nothing is divided by Delta and
+    # no renaming sum runs on a Delta-quotient
+    calls, renaming, keyed, divided = [], [], [], []
     substitute, renaming_sums = poly.substitute, poly.renaming_sums
-    linear_rows = poly._linear_rows
+    linear_rows, times_forms = poly._linear_rows, mould._times_forms
 
     def counted_substitute(values, images):
         calls.append(("substitute", len(values)))
+        keyed.extend(v for v in values if getattr(v, "den_keys", ()))
         renaming.append(poly._renaming(images) is not None)
         try:
             return substitute(values, images)
@@ -436,20 +440,32 @@ def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
             raise AssertionError("a renaming reached _linear_rows")
         return linear_rows(polys)
 
+    def counted_forms(moulds, forms, divide=False):
+        divided.append(len(moulds))
+        return times_forms(moulds, forms, divide)
+
     monkeypatch.setattr(mould, "substitute", counted_substitute)
     monkeypatch.setattr(mould, "renaming_sums", counted_sums)
     monkeypatch.setattr(poly, "_linear_rows", watched_rows)
+    monkeypatch.setattr(mould, "_times_forms", counted_forms)
     # the al:1 sums of the monomials of the rank words (0,0,1), (0,1,1)
     # and (0,1,2), whose blocks cover the 36 monomials of degree 7 in 3
-    # variables, leave 12 alternal polynomials; krv_ell has push, the
-    # swap of their Delta-quotients and its cyclic sum on those, and c
+    # variables, leave 12 alternal polynomials; krv_ell has push and the
+    # swap of the 12 on those, and c
     al_sums = [("renaming_sums", 3), ("renaming_sums", 3),
                ("renaming_sums", 6)]
     spaces._pattern_kernel.cache_clear()
     built = spaces.krv_ell_system(10, 3)
     assert len(built.parameters) == 13
-    assert sorted(calls) == sorted(al_sums + [
-        ("renaming_sums", 12), ("substitute", 12), ("substitute", 12)])
+    assert sorted(calls) == sorted(al_sums + [("substitute", 12),
+                                              ("substitute", 12)])
+    # ds_ell has the swap of the 12 alone, and c
+    calls.clear()
+    spaces._pattern_kernel.cache_clear()
+    built = spaces.ds_ell_system(10, 3)
+    assert len(built.parameters) == 13
+    assert sorted(calls) == sorted(al_sums + [("substitute", 12)])
+    assert keyed == divided == []
     # ls has the swap of the 12 and its sal:1 sum
     calls.clear()
     spaces._pattern_kernel.cache_clear()
@@ -464,6 +480,72 @@ def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
         (1, 2, 4))}))
     mould.circ(swap(quotient))
     assert calls == [("substitute", 1), ("substitute", 1)]
+
+
+@pytest.mark.parametrize("system, cell", [(spaces.krv_ell_system, (10, 3)),
+                                          (spaces.ds_ell_system, (10, 4))])
+def test_delta_quotient_rows_never_cancel(monkeypatch, system, cell):
+    # no cancelling at all once the kernel is cached: the Delta-quotient
+    # rows are numerators over one lifted denominator
+    want = system(*cell)
+    calls = []
+
+    def counted(divide):
+        def spy(terms, key):
+            calls.append(key)
+            return divide(terms, key)
+        return spy
+
+    for module in (intpoly, poly):
+        monkeypatch.setattr(module, "_int_divide",
+                            counted(module._int_divide))
+    got = system(*cell)
+    assert calls == []
+    assert (got.tags, got.integer_rows) == (want.tags, want.integer_rows)
+
+
+def _product_of_keys(keys, r):
+    terms = {(0,) * r: 1}
+    for k in keys:
+        terms = intpoly._times_key(terms, k)
+    return terms
+
+
+@pytest.mark.parametrize("n, r", [(9, 2), (10, 3), (10, 4), (8, 5)])
+def test_delta_quotient_rows_are_the_images_over_one_denominator(
+        monkeypatch, n, r):
+    # each condition takes the lcm of its renamed keys once and lifts
+    # every parameter over that one key tuple, whose product D is the
+    # condition's denominator: numerator_j / den_j is the cancelled
+    # image of parameter j times D
+    lifts, lifted = [], spaces._lifted
+
+    def watched(parts):
+        keys, nums = lifted(parts)
+        lifts.append(keys)
+        return keys, nums
+
+    monkeypatch.setattr(spaces, "_lifted", watched)
+    _, B = spaces._kernel(n, r)
+    quotients = [M.get(r) for M in mould._swap([delta_inv(M) for M in B])]
+    sums = [("circ", mould._cycle_perms(r), 1)] + [
+        ("sal:%d" % i, list(mould._shuffle_perms(r, i)), math.comb(r, i))
+        for i in range(1, r // 2 + 1)]
+    lifts.clear()
+    conditions = spaces._quotient_rows(B, r, sums)
+    assert B and len(conditions) == len(sums)
+    assert len(lifts) == len(sums) * (1 + len(B))
+    calls = iter(lifts)
+    for (_, perms, _), (_, (den, cleared), _) in zip(sums, conditions):
+        keys = next(calls)
+        assert [next(calls) for _ in B] == [keys] * len(B)
+        assert len(keys) > r and den == _product_of_keys(keys, r)
+        D = poly.RatFrac.from_poly(poly.MultiPoly(r, den))
+        images = poly.renaming_sums(quotients, perms)
+        assert len(cleared) == len(images) == len(B)
+        for image, (terms, d) in zip(images, cleared):
+            assert image * D == poly.RatFrac.from_poly(poly.MultiPoly(
+                r, {e: F(c, d) for e, c in terms.items()}))
 
 
 def _block_walk_bound(exps):
@@ -640,8 +722,8 @@ def _monomial_krv_ell_system(n, r):
     gens, B = _monomials(n, r)
     conditions = spaces._alternal(B, r, "al") + [spaces._push(B, r)]
     if r > 1:
-        conditions.append(spaces._circ(mould._swap(mould._delta_inv(B)), r,
-                                       weight=1))
+        conditions.append(spaces._circ(
+            mould._swap([delta_inv(M) for M in B]), r, weight=1))
     return spaces._assemble(gens, conditions)
 
 
@@ -652,7 +734,7 @@ def _monomial_ds_ell_system(n, r):
         conditions.append(spaces._push(B, r))
     else:
         conditions += spaces._alternal(
-            mould._swap(mould._delta_inv(B)), r, "sal", constant=True)
+            mould._swap([delta_inv(M) for M in B]), r, "sal", constant=True)
     return spaces._assemble(gens, conditions)
 
 
@@ -669,7 +751,10 @@ MONOMIAL_ORACLES = {"lkv": _monomial_lkv_system, "ls": _monomial_ls_system,
 # checked below.  "lkv" pins the Lyndon oracle `_lyndon_lkv_system`;
 # "lkv_monomials", "ls", "krv_ell" and "ds_ell" pin the monomial
 # oracles above, captured when they were the solvers' systems; the
-# "_kernel" keys pin `spaces.*_system` on the alternal kernel.
+# "_kernel" keys pin `spaces.*_system` on the alternal kernel.  Its
+# Delta-quotient rows are the conditions times one common denominator,
+# uncancelled; that changed the krv_ell cells at r = 2 and the ds_ell
+# cells at r >= 2, which were re-captured.
 PINNED_SYSTEMS = {
     "lkv": {
         (1, 1): "4523b3db5f3cf5ee", (1, 2): "620a09ff7eec8d4a",
@@ -822,40 +907,40 @@ PINNED_SYSTEMS = {
     "krv_ell_kernel": {
         (1, 1): "9504675517f5ed02", (2, 1): "93a2e27e0c2e86ab",
         (2, 2): "620a09ff7eec8d4a", (3, 1): "a61f27da206bffd0",
-        (3, 2): "a7a5a7f48a4abd1b", (3, 3): "620a09ff7eec8d4a",
-        (4, 1): "057803ad4211e457", (4, 2): "63b6e26420c8d474",
+        (3, 2): "798cdba172124d8f", (3, 3): "620a09ff7eec8d4a",
+        (4, 1): "057803ad4211e457", (4, 2): "095ae86f3a7031c7",
         (4, 3): "9e3203a37e353da4", (4, 4): "620a09ff7eec8d4a",
-        (5, 1): "56d3d5822ccae1e0", (5, 2): "5cb1dea9fb4c0616",
+        (5, 1): "56d3d5822ccae1e0", (5, 2): "a090fea967219aa2",
         (5, 3): "e11ab6cc557db082", (5, 4): "9a4a30c001bddac5",
-        (6, 1): "9e9eb0807a7121c0", (6, 2): "13cd288bf7944a5e",
+        (6, 1): "9e9eb0807a7121c0", (6, 2): "dceeaf221b2aabd9",
         (6, 3): "94f4457b7fc98cae", (6, 4): "84a13210f816eedb",
-        (7, 1): "90d1283ca64007b7", (7, 2): "939cb3de5d9a930f",
+        (7, 1): "90d1283ca64007b7", (7, 2): "44a7c0545340d2ee",
         (7, 3): "cae2c5c6e8528b17", (7, 4): "44f44fcec9972904",
-        (8, 1): "1bbf156f11233b55", (8, 2): "530cf096c47043a5",
+        (8, 1): "1bbf156f11233b55", (8, 2): "bfa67150d46e4fcd",
         (8, 3): "a63a350f4a93c007", (8, 4): "709b6d946139b2ef",
-        (9, 1): "958816e4fc549af5", (9, 2): "7fe295e8870512b1",
+        (9, 1): "958816e4fc549af5", (9, 2): "cfec75e7db182626",
         (9, 3): "1ea359684c86f876", (9, 4): "b911a75362ec42da",
-        (10, 1): "7fefb5f398a2b434", (10, 2): "40db2993d01e9810",
+        (10, 1): "7fefb5f398a2b434", (10, 2): "92e76ab3c6d71cf4",
         (10, 3): "4ee833a3eff9bd60", (10, 4): "b2846938a2bc06ed",
     },
     "ds_ell_kernel": {
         (1, 1): "9504675517f5ed02", (2, 1): "93a2e27e0c2e86ab",
         (2, 2): "620a09ff7eec8d4a", (3, 1): "a61f27da206bffd0",
-        (3, 2): "9ed5fd275697dd9e", (3, 3): "620a09ff7eec8d4a",
-        (4, 1): "057803ad4211e457", (4, 2): "5e6b96bca19ef6ab",
-        (4, 3): "c1e821e8a5ccda78", (4, 4): "620a09ff7eec8d4a",
-        (5, 1): "56d3d5822ccae1e0", (5, 2): "a285276c26438f3c",
-        (5, 3): "aa6563394aa14ad3", (5, 4): "0b076bcccafda438",
-        (6, 1): "9e9eb0807a7121c0", (6, 2): "afdd20d30dfa30da",
-        (6, 3): "397bb2bfc157f621", (6, 4): "227fb5e354e5f9ee",
-        (7, 1): "90d1283ca64007b7", (7, 2): "55134fc9af4afe3e",
-        (7, 3): "4c994c319acec1fd", (7, 4): "721da118c5fd04fb",
-        (8, 1): "1bbf156f11233b55", (8, 2): "673ff71d85a9a6a7",
-        (8, 3): "231c52c1a83db8e2", (8, 4): "00e7aac9a3f0305e",
-        (9, 1): "958816e4fc549af5", (9, 2): "2809d6348a382019",
-        (9, 3): "78f3b71c4e1bfda1", (9, 4): "72405d43d567cc1c",
-        (10, 1): "7fefb5f398a2b434", (10, 2): "a9001c0fba69dce7",
-        (10, 3): "13c3e1e2efffa7ba", (10, 4): "51dcec464319d251",
+        (3, 2): "a59372cb52a48d8f", (3, 3): "620a09ff7eec8d4a",
+        (4, 1): "057803ad4211e457", (4, 2): "aefbf8c6d2c8e37a",
+        (4, 3): "d6b94117fca7e827", (4, 4): "620a09ff7eec8d4a",
+        (5, 1): "56d3d5822ccae1e0", (5, 2): "6e081f008b12b9ea",
+        (5, 3): "4a82b6b8286b01ec", (5, 4): "3da86448c59c52b6",
+        (6, 1): "9e9eb0807a7121c0", (6, 2): "00198b4cbe0e0e9e",
+        (6, 3): "53fc50b54e332129", (6, 4): "fb732e15ce94ede8",
+        (7, 1): "90d1283ca64007b7", (7, 2): "908cf95751d3e758",
+        (7, 3): "71b7b78c0348f61a", (7, 4): "684af94195b3fdfb",
+        (8, 1): "1bbf156f11233b55", (8, 2): "a866d4e6f67e1621",
+        (8, 3): "8b90c8ef88254225", (8, 4): "e0350b05d4098c57",
+        (9, 1): "958816e4fc549af5", (9, 2): "304256fc847095a8",
+        (9, 3): "9f4a7b39651ad151", (9, 4): "f1b11d373f45433d",
+        (10, 1): "7fefb5f398a2b434", (10, 2): "9af497ba17d33a94",
+        (10, 3): "8f1fe7d2d1e26488", (10, 4): "185f8a4114b5171a",
     },
     "vkrv": {
         1: "e66c3ae41cd0dcfc", 2: "6b4cd3ccd1ee522f", 3: "4ad350bf49f671a5",
@@ -905,6 +990,9 @@ def test_kernel_bases_equal_the_monomial_oracle(space):
     cells = sorted(PINNED_SYSTEMS[space + "_kernel"])
     if space in ("ls", "lkv"):
         cells += [(12, 4), (15, 5)]
+    else:
+        # dims 4, 4 and 5, past the pinned cells
+        cells += [(13, 3), (11, 4), (11, 5)]
     for n, r in cells:
         oracle = MONOMIAL_ORACLES[space](n, r)
         gens = [g for g in oracle.parameters if g != "c"]
