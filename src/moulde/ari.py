@@ -291,44 +291,28 @@ def adjoint_exp(L, M):
 
 def infinitesimal_generator(rmax):
     """Coefficients c_1..c_rmax of the generator g(x) = sum c_r x^{r+1}
-    whose flow exp(g d/dx) maps x to 1 - exp(-x)."""
-    top = rmax + 2  # work with series truncated at degree rmax+1
-    # target series f = 1 - e^{-x} as coefficients of x^1..x^{rmax+1}
-    f = [Fraction(0)] * top
-    for d in range(1, top):
-        f[d] = Fraction((-1) ** (d + 1), math.factorial(d))
+    whose flow exp(g d/dx) maps x to f(x) = 1 - exp(-x).
 
-    def d_g(h, g):
-        """g * h' truncated."""
-        out = [Fraction(0)] * top
-        for d in range(1, top):
-            if h[d] == 0:
-                continue
-            for e in range(2, top):
-                if g[e] == 0:
-                    continue
-                if d - 1 + e < top:
-                    out[d - 1 + e] += d * h[d] * g[e]
-        return out
-
-    g = [Fraction(0)] * top
-    cs = []
-    for r in range(1, rmax + 1):
-        # with c_1..c_{r-1} fixed, the x^{r+1} coefficient of exp(D_g) x
-        # is (known) + c_r; solve for c_r
-        flow = [Fraction(0)] * top
-        flow[1] = Fraction(1)
-        term = flow[:]
-        k = 1
-        while any(term) and k < top:
-            term = d_g(term, g)
-            for d in range(top):
-                flow[d] += term[d] / math.factorial(k)
-            k += 1
-        c = f[r + 1] - flow[r + 1]
-        g[r + 1] = c
-        cs.append(c)
-    return cs
+    g solves Julia's equation g(f(x)) = f'(x) g(x), and the flow's first
+    order gives c_1 = f_2 = -1/2.  For k >= 2, c_k enters the x^{k+2}
+    coefficient of g(f) - f' g as (k - 1) f_2 c_k, beside c_1..c_{k-1}
+    alone, so one division finds it from the powers of f cut at degree
+    rmax + 2."""
+    top = rmax + 3
+    f = [Fraction(0)] + [Fraction((-1) ** (d + 1), math.factorial(d))
+                         for d in range(1, top)]
+    powers = [[Fraction(1)] + [Fraction(0)] * (top - 1)]  # f^0, f^1, ...
+    for _ in range(rmax):
+        p = powers[-1]
+        powers.append([sum(p[i] * f[d - i] for i in range(d + 1))
+                       for d in range(top)])
+    cs = [f[2]]
+    for k in range(2, rmax + 1):
+        # c_{j+1} x^{j+2} adds f^{j+2} to g(f) and x^{j+2} f' to f' g
+        known = sum(c * (powers[j + 2][k + 2] - (k - j + 1) * f[k - j + 1])
+                    for j, c in enumerate(cs))
+        cs.append(-known / ((k - 1) * f[2]))
+    return cs[:rmax]
 
 
 def _chain_den(r):

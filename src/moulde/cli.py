@@ -20,12 +20,11 @@ a solved basis element or a map's image failing its own check:
 certifies).
 
 `--depth` runs from 1 to MAX_DEPTH (6).  At depth 6 the named moulds
-take 8 to 9 s to build, and `verify_xi_image` of the weight-5 W_krv
-generator about 47 s with them (46.6 to 55.4 s in three single runs of
-the xi path of commit 5a9058a on a shared 2-CPU machine, Python
-3.11.7); depth 7 takes far longer.  The `--n`/`--r` ranges of `dims`
-must be nonempty and positive, and `basis --n`/`--r` must be positive
-integers.
+take about 2.2 s to build, and `verify_xi_image` of the weight-5 W_krv
+generator about 11 s more with them (best of three fresh processes on
+a shared 2-CPU machine, Python 3.11.7); depth 7 takes far longer.
+The `--n`/`--r` ranges of `dims` must be nonempty and positive, and
+`basis --n`/`--r` must be positive integers.
 """
 
 from __future__ import annotations

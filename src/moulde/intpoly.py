@@ -6,7 +6,10 @@ polynomials with no zero coefficient, and linear-form keys (see the
 dict (the terms of a `MultiPoly`, `NCPoly` or `TraceVector`, a row of
 a matrix, a null vector) and its integer numerators over the lcm of
 its denominators; every integer kernel of the package enters and
-leaves through them."""
+leaves through them.  `_lifted` alone multiplies numerators by the
+factors their denominators lack, and `_renamings`, `_renamed_groups`
+and `_summed` are the one renaming pipeline of `poly.renaming_sums`
+and `spaces._quotient_rows`."""
 
 from __future__ import annotations
 
@@ -166,13 +169,16 @@ def _product(factors):
     return terms, den, keys
 
 
-def _lifted(parts):
-    """(keys, numerators) for (den_keys, integer terms) pairs: the lcm of
-    the denominators of the nonzero numerators, as sorted factor keys,
-    and each numerator multiplied on integers by the factors its own
-    denominator lacks."""
+def _lifted(parts, keys=()):
+    """(keys', numerators) for (den_keys, integer terms) pairs: the lcm
+    of `keys` and the denominators of the nonzero numerators, as sorted
+    factor keys, and each numerator multiplied on integers by the
+    factors its own denominator lacks.  The factors in fewest variables
+    go first: one in a single variable shifts the terms and adds none."""
     parts = list(parts)
     need, counts = {}, []
+    for k in keys:
+        need[k] = need.get(k, 0) + 1
     for den_keys, terms in parts:
         own = {}
         for k in (den_keys if terms else ()):
@@ -181,15 +187,33 @@ def _lifted(parts):
         for k, m in own.items():
             if m > need.get(k, 0):
                 need[k] = m
-    keys = tuple(sorted(k for k, m in need.items() for _ in range(m)))
+    order = sorted(need.items(), key=lambda km: -km[0].count(0))
     nums = []
     for (_, terms), own in zip(parts, counts):
         if terms:
-            for k, m in need.items():
+            for k, m in order:
                 for _ in range(m - own.get(k, 0)):
                     terms = _times_key(terms, k)
         nums.append(terms)
-    return keys, nums
+    return tuple(sorted(k for k, m in need.items() for _ in range(m))), nums
+
+
+def _summed(groups, keys=()):
+    """(keys', total): the {den_keys: integer terms} groups lifted over
+    the lcm of `keys` and their denominators (`_lifted`) and added,
+    zeros dropped.  A single group with no `keys` is already over its
+    denominator, and is added with no lift."""
+    if len(groups) == 1 and not keys:
+        (keys, total), = groups.items()
+        return keys, {e: v for e, v in total.items() if v}
+    keys, nums = _lifted(
+        ((k, {e: v for e, v in terms.items() if v})
+         for k, terms in groups.items()), keys)
+    total = {}
+    for terms in nums:
+        for e, v in terms.items():
+            total[e] = total.get(e, 0) + v
+    return keys, {e: v for e, v in total.items() if v}
 
 
 def _normalize_linear(form):
@@ -249,6 +273,30 @@ def _renamed_keys(keys, get):
             sign = -sign
         out.append(k)
     return tuple(sorted(out)), sign
+
+
+def _renamings(keys, gets):
+    """{renamed keys: [(exponent map, sign)]}: the exponent maps `gets`
+    gathered by the keys they rename `keys` to (`_renamed_keys`)."""
+    out = {}
+    for get in gets:
+        renamed, sign = _renamed_keys(keys, get)
+        out.setdefault(renamed, []).append((get, sign))
+    return out
+
+
+def _renamed_groups(terms, renamings):
+    """{renamed keys: integer terms}: for each group of `renamings`, the
+    sum of its signs times the {exponent tuple: int} polynomial `terms`
+    renamed by its exponent maps; `_summed` lifts and adds them."""
+    groups = {}
+    for renamed, maps in renamings.items():
+        acc = groups[renamed] = {}
+        for get, sign in maps:
+            for e, c in terms.items():
+                e = get(e)
+                acc[e] = acc.get(e, 0) + sign * c
+    return groups
 
 
 def _integer_roots(h):

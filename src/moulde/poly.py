@@ -91,8 +91,8 @@ from operator import add
 
 from .intpoly import (_cancelled, _dx, _from_ints, _independent_rows,
                       _int_divide, _int_mul, _integer_roots, _ints, _lifted,
-                      _normalize_linear, _product, _renamed_keys, _shuffler,
-                      _times_key, _unit)
+                      _normalize_linear, _product, _renamed_groups,
+                      _renamed_keys, _renamings, _shuffler, _summed, _unit)
 
 
 _ZERO = Fraction(0)
@@ -440,9 +440,7 @@ class RatFrac:
 
     @property
     def den(self):
-        terms = {(0,) * self.arity: 1}
-        for k in self.den_keys:
-            terms = _times_key(terms, k)
+        _, (terms,) = _lifted([((), {(0,) * self.arity: 1})], self.den_keys)
         return MultiPoly._wrap(_from_ints(terms), self.arity)
 
     def is_zero(self):
@@ -590,21 +588,9 @@ def _signed_sum(arity, parts):
 
 def _group_sum(arity, groups, den):
     """The RatFrac sum of {den_keys: integer numerator} groups over den,
-    cancelled once.  Several groups are lifted over the lcm of their
-    keys (`_lifted`) and added; a single group is already over its
-    keys, and is cancelled as it is."""
-    if len(groups) == 1:
-        (keys, total), = groups.items()
-    else:
-        keys, nums = _lifted(
-            (k, {e: v for e, v in terms.items() if v})
-            for k, terms in groups.items())
-        total = {}
-        for terms in nums:
-            for e, v in terms.items():
-                total[e] = total.get(e, 0) + v
-    return RatFrac._make(*_reduced(
-        arity, {e: v for e, v in total.items() if v}, den, keys))
+    lifted and added (`intpoly._summed`) and cancelled once."""
+    keys, total = _summed(groups)
+    return RatFrac._make(*_reduced(arity, total, den, keys))
 
 
 # -- linear substitution ----------------------------------------------------
@@ -626,18 +612,20 @@ def substitute(values, images):
     else:
         out = list(fracs)
         # injective images keep coprime parts coprime: no cancelling
-        rows, d, injective, seen = None, 1, True, {}
+        rows, d, injective = None, 1, True
         if any(f.den_keys for f in fracs):
             rows, d = _linear_rows(images)
             injective = _independent_rows(rows)
+        # each key mapped once, in value order: a bad key raises what the
+        # values substituted one by one would raise first
+        seen = {k: _key_image(k, rows, tgt) for k in dict.fromkeys(
+            k for f in fracs for k in f.den_keys)}
         for i, terms, den in _substituted_terms(fracs, images, tgt):
             scale, keys = 1, []
             for k in fracs[i].den_keys:
-                hit = seen.get(k)
-                if hit is None:
-                    hit = seen[k] = _key_image(k, rows, tgt)
-                scale *= hit[0]
-                keys.append(hit[1])
+                g, key = seen[k]
+                scale *= g
+                keys.append(key)
             lift = d ** len(keys)  # the image of each key is g * key' / d
             if lift != 1:
                 terms = {e: c * lift for e, c in terms.items()}
@@ -726,24 +714,16 @@ def _key_image(key, rows, tgt):
 def renaming_sums(values, perms):
     """[RatFrac.sum([v.permute_variables(p) for p in perms], r) for v in
     values], permutations of the values' r variables, on integers: the
-    terms gather by renamed keys and each sum is cancelled once."""
+    terms gather by renamed keys (`intpoly._renamed_groups`) and each
+    sum is cancelled once."""
     if not values:
         return []
     r = values[0].arity
     if any(v.arity != r for v in values):
         raise ValueError("arity mismatch")
     gets = [_shuffler(p, r, r) for p in perms]
-    out = []
-    for v in values:
-        groups = {}
-        for get in gets:
-            keys, sign = _renamed_keys(v.den_keys, get)
-            acc = groups.setdefault(keys, {})
-            for e, c in v.terms.items():
-                e = get(e)
-                acc[e] = acc.get(e, 0) + sign * c
-        out.append(_group_sum(r, groups, v.denom))
-    return out
+    return [_group_sum(r, _renamed_groups(
+        v.terms, _renamings(v.den_keys, gets)), v.denom) for v in values]
 
 
 def _renaming(images):

@@ -19,12 +19,14 @@ integers, as `linalg.nullspace` takes them, and `_solve` re-verifies
 every basis element against the defining predicates of the space,
 raising `VerificationError` on a failure.
 
-The Delta-quotient conditions of `krv_ell` and `ds_ell`, on
-swap(P/Delta) with Delta = u1...ur(u1+...+ur), are built with no
-cancelling (`_quotient_rows`): each condition sum_j v_j f_j = w c is
-multiplied by one common denominator D of its terms.  Multiplying by
-D != 0 is injective on rational functions, so the rows change but
-their kernel, and the reduced basis of `nullspace`, do not.
+Every condition sum_j v_j f_j = w c reaches `_assemble` in one format:
+times D, the integer product of its denominator factors, each f_j * D
+as integer terms over an integer den (see `_assemble`).  D != 0, so
+the kernel, and the reduced basis of `nullspace`, do not change.  The
+Delta-quotient conditions of `krv_ell` and `ds_ell`, on swap(P/Delta)
+with Delta = u1...ur(u1+...+ur), are built with no cancelling
+(`_quotient_rows`), through the `intpoly` renaming pipeline that
+`poly.renaming_sums` also runs.
 
 The defining predicates of each space are written once, in `checks`;
 the solvers and the maps that land in a space read them through
@@ -52,9 +54,9 @@ from . import mould as mould_mod
 from . import words as words_mod
 from .linalg import nullspace, rank
 from .mould import Mould
-from .intpoly import _ints, _lifted, _renamed_keys, _shuffler
-from .poly import (MultiPoly, RatFrac, _add_into, _factor_keys, compositions,
-                   grlex_key)
+from .intpoly import (_ints, _lifted, _renamed_groups, _renamings,
+                      _shuffler, _summed)
+from .poly import MultiPoly, _add_into, _factor_keys, compositions, grlex_key
 from .words import NCPoly
 
 
@@ -129,44 +131,27 @@ class BigradedBasis:
 def _assemble(parameters, conditions):
     """Constraint system of `conditions` on `parameters`.
 
-    A condition (tag, images, weight) says that sum_j v_j images[j]
-    equals weight * c, where images[j], the image of parameter j, is a
-    RatFrac or a {key: rational} dict, and c is a constant adjoined as
-    a last parameter "c" when some condition has a nonzero weight.  The
-    constant enters as one more image, -weight.  Each image is cleared
-    to integer terms over a den: the RatFrac numerators of a condition,
-    the constant's included, are lifted over the lcm of their keys
-    (`intpoly._lifted`), and a dict is cleared by `intpoly._ints`.
-    Images may come cleared, as a pair (D, numerators): the condition
-    times the integer polynomial D, each image an (integer terms, den)
-    pair (`_quotient_rows`); then the constant alone is lifted, to
-    -weight * D.  There is one row per key (tag, monomial or word) in
-    the union of all numerators, kept sparse and scaled to integers by
-    the lcm of the dens of its columns.  Without parameters the system
-    is empty, the constant's column included."""
+    A condition (tag, (D, images), weight) says that sum_j v_j f_j
+    equals weight * c, multiplied by D: D is an integer polynomial, the
+    product of the condition's denominator factors ({(0,)*r: 1} for a
+    polynomial condition), images[j] is the pair (integer terms, den)
+    with f_j * D = terms / den, and c is a constant adjoined as a last
+    parameter "c" when some condition has a nonzero weight; a nonzero
+    weight enters as one more image, -weight * D.  There is one row per
+    key (tag, monomial or word) in the union of all terms, kept sparse
+    and scaled to integers by the lcm of the dens of its columns.
+    Without parameters the system is empty, the constant's column
+    included."""
     if not parameters:
         return ConstraintSystem([], [], [], [])
-    constant = any(weight for _, _, weight in conditions)
-    if constant:
+    if any(weight for _, _, weight in conditions):
         parameters = list(parameters) + ["c"]
     entries, dens = {}, {}
-    for tag, images, weight in conditions:
-        if isinstance(images, tuple):
-            den, cleared = images
-            if constant:
-                cleared = cleared + [(
-                    {e: -weight * x for e, x in den.items()}, 1)]
-        else:
-            if constant:
-                images = list(images) + [
-                    RatFrac.const(images[0].arity, -weight)]
-            if isinstance(images[0], RatFrac):
-                _, nums = _lifted((f.den_keys, f.terms) for f in images)
-                cleared = zip(nums, (f.denom for f in images))
-            else:
-                cleared = map(_ints, images)
+    for tag, (D, images), weight in conditions:
+        if weight:
+            images = images + [({e: -weight * x for e, x in D.items()}, 1)]
         cols = dens[tag] = {}
-        for j, (terms, den) in enumerate(cleared):
+        for j, (terms, den) in enumerate(images):
             cols[j] = den
             for k, c in terms.items():
                 entries.setdefault((tag, k), {})[j] = c
@@ -212,39 +197,51 @@ def _combine_mould(polys, vec):
 # Conditions on a list of moulds, one per parameter
 # ---------------------------------------------------------------------------
 
+def _cleared(values, r):
+    """(D, images) of `_assemble` for the depth-r RatFracs `values`: D
+    is the product of the factors of the lcm of their denominators, and
+    each value is lifted over it (`intpoly._lifted`)."""
+    one = {(0,) * r: 1}
+    _, (D, *nums) = _lifted([((), one)]
+                            + [(f.den_keys, f.terms) for f in values])
+    return D, [(terms, f.denom) for terms, f in zip(nums, values)]
+
+
 def _alternal(moulds, r, tag, constant=False):
     """Shuffle sums Sh((1..i)(i+1..r)) for i <= r/2 vanish, or equal
     C(r, i) c: the shuffle sums of the constant mould c."""
     values = [M.get(r) for M in moulds]
-    return [("%s:%d" % (tag, i), mould_mod._shuffle_sum(values, r, i),
+    return [("%s:%d" % (tag, i),
+             _cleared(mould_mod._shuffle_sum(values, r, i), r),
              math.comb(r, i) if constant else 0)
             for i in range(1, r // 2 + 1)]
 
 
 def _push(moulds, r):
     """push(B) = B in depth r; in depth 1 this is evenness."""
-    return ("push", [P.get(r) - B.get(r) for P, B
-                     in zip(mould_mod._push(moulds), moulds)], 0)
+    return ("push", _cleared([P.get(r) - B.get(r) for P, B
+                              in zip(mould_mod._push(moulds), moulds)], r), 0)
 
 
 def _circ(moulds, r, weight=0):
     """The cyclic sum of the depth-r value vanishes, or equals c."""
-    return ("circ", mould_mod._cycle_sum([M.get(r) for M in moulds], r),
-            weight)
+    return ("circ", _cleared(mould_mod._cycle_sum(
+        [M.get(r) for M in moulds], r), r), weight)
 
 
 def _quotient_rows(moulds, r, sums):
-    """The conditions (tag, images, weight), for each (tag, perms,
-    weight) of `sums`, that the renamings by perms of swap(P/Delta),
-    Delta = u1...ur(u1+...+ur), sum to weight * c, for each polynomial
-    mould P of `moulds`.
+    """The conditions of `_assemble`, for each (tag, perms, weight) of
+    `sums`, that the renamings by perms of swap(P/Delta), Delta =
+    u1...ur(u1+...+ur), sum to weight * c, for each polynomial mould P
+    of `moulds`.
 
     swap(Delta) is s times the factors of the same r + 1 keys for every
     P, so a renaming moves only those keys and the exponents of
-    swap(P) / s: the renamed numerators gather by renamed keys, and
-    `intpoly._lifted` brings each parameter over the product D of the
-    lcm of the renamed keys, with no cancelling.  The images are the
-    pair (D, numerators) of `_assemble`."""
+    swap(P) / s.  The renamed keys are read once per condition
+    (`intpoly._renamings`), and D is the product of the factors of
+    their lcm; each parameter's renamed numerators gather by renamed
+    keys and are lifted over that lcm and added (`intpoly._summed`),
+    with no cancelling."""
     values = [M.get(r) for M in mould_mod._swap(moulds)]
     s, keys = _factor_keys(mould_mod._delta_forms(
         mould_mod._swap_images(mould_mod._vars(r))))
@@ -252,31 +249,13 @@ def _quotient_rows(moulds, r, sums):
     t, d = s.denominator * (1 if s > 0 else -1), abs(s.numerator)
     one, out = {(0,) * r: 1}, []
     for tag, perms, weight in sums:
-        groups = {}  # renamed keys -> [(exponent map, sign)]
-        for p in perms:
-            get = _shuffler(p, r, r)
-            renamed, sign = _renamed_keys(keys, get)
-            groups.setdefault(renamed, []).append((get, sign * t))
-        # the lcm of the renamed keys and D, the product of its factors;
-        # the lcm anchors the lift of every parameter at D, its factors
-        # in one variable, which add no term, first
-        lcm, (den, *_) = _lifted([((), one)] + [(k, one) for k in groups])
-        anchor = (sorted(lcm, key=lambda k: r - k.count(0)), one)
-        cleared = []
-        for v in values:
-            parts = [anchor]
-            for renamed, gets in groups.items():
-                acc = {}
-                for get, sign in gets:
-                    for e, c in v.terms.items():
-                        e = get(e)
-                        acc[e] = acc.get(e, 0) + sign * c
-                parts.append((renamed, {e: c for e, c in acc.items() if c}))
-            total = {}
-            for terms in _lifted(parts)[1][1:]:
-                _add_into(total, terms.items())
-            cleared.append((total, v.denom * d))
-        out.append((tag, (den, cleared), weight))
+        renamings = {k: [(get, sign * t) for get, sign in maps]
+                     for k, maps in _renamings(
+                         keys, [_shuffler(p, r, r) for p in perms]).items()}
+        lcm, (D, *_) = _lifted([((), one)] + [(k, one) for k in renamings])
+        out.append((tag, (D, [
+            (_summed(_renamed_groups(v.terms, renamings), lcm)[1],
+             v.denom * d) for v in values]), weight))
     return out
 
 
@@ -465,10 +444,14 @@ def vkrv_system(n):
                 row_class[key] += k * c
         push.append(row_push)
         # the y^{n-1} coefficient must vanish outright
-        ym.append({"": g.coeff("y" * n) - g.coeff("x" + "y" * m)})
+        ym.append({"": (g.coeff("y" * n) - g.coeff("x" + "y" * m)).numerator})
         classes.append(row_class)
-    return _assemble(gens, [("push", push, 0), ("ym", ym, 0),
-                            ("class", classes, 0)])
+    # integer rows over den 1 and D = 1, the empty word; a word that push
+    # fixes, and a class or ym sum that cancels, leave zeros to drop
+    return _assemble(gens, [
+        (tag, ({"": 1}, [({w: c for w, c in row.items() if c}, 1)
+                         for row in rows]), 0)
+        for tag, rows in (("push", push), ("ym", ym), ("class", classes))])
 
 
 def solve_vkrv(n):

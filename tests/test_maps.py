@@ -253,20 +253,21 @@ def test_square_check_n3(w3):
     report = square_check(3, D=4, w_krv_elements=[w3])
     assert sorted(report.verdicts) == [
         "adjoint_ds_ell_w0", "adjoint_in_ari_delta_w0", "adjoint_krv_ell_w0",
-        "krv_ell_r1_0", "vacuous"]
-    assert report.all_true([k for k in report.verdicts if k != "vacuous"])
-    assert not report.verdicts["vacuous"]
+        "checked", "krv_ell_r1_0"]
+    assert report.all_true()
 
 
 def test_square_check_n4():
     # ds_ell(4, r) = 0 for every r, so nothing is checked
-    assert square_check(4, D=4).verdicts == {"vacuous": True}
+    report = square_check(4, D=4)
+    assert report.verdicts == {"checked": False}
+    assert not report.all_true()
 
 
 def test_square_check_n5(psi_minus):
     report = square_check(5, D=4, w_krv_elements=[psi_minus])
-    assert report.all_true([k for k in report.verdicts if k != "vacuous"])
-    assert not report.verdicts["vacuous"]
+    assert report.verdicts["checked"]
+    assert report.all_true()
 
 
 def test_square_check_names_the_failed_check_of_the_adjoint_image():
@@ -279,7 +280,8 @@ def test_square_check_names_the_failed_check_of_the_adjoint_image():
     assert {k: report.witnesses.get(k) for k in report.verdicts
             if not report.verdicts[k]} == {
         "adjoint_ds_ell_w0": "*alternal",
-        "adjoint_krv_ell_w0": "*circ-neutral", "vacuous": None}
+        "adjoint_krv_ell_w0": "*circ-neutral"}
+    assert report.verdicts["checked"] and not report.all_true()
     assert "*alternal" in _check_names("ds_ell")
     assert "*circ-neutral" in _check_names("krv_ell")
 

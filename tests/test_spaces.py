@@ -505,47 +505,95 @@ def test_delta_quotient_rows_never_cancel(monkeypatch, system, cell):
 
 
 def _product_of_keys(keys, r):
-    terms = {(0,) * r: 1}
+    """The product of the factors of `keys`, as {exponent tuple: int}."""
+    product = poly.MultiPoly.const(r, 1)
     for k in keys:
-        terms = intpoly._times_key(terms, k)
-    return terms
+        product = product * poly.MultiPoly(r, {
+            tuple(int(i == j) for j in range(r)): F(c)
+            for i, c in enumerate(k) if c})
+    return {e: int(c) for e, c in product.terms.items()}
+
+
+def _renamed_lcm(r, perms):
+    """The lcm of the denominators of the renamings by `perms` of
+    swap(1/Delta), as factor keys: one key per factor, taken as often
+    as the most of any renaming."""
+    one = mould.Mould("U", {r: poly.MultiPoly.const(r, 1)})
+    inverse = swap(delta_inv(one)).get(r)
+    need = Counter()
+    for p in perms:
+        need |= Counter(inverse.permute_variables(p).den_keys)
+    return sorted(need.elements())
 
 
 @pytest.mark.parametrize("n, r", [(9, 2), (10, 3), (10, 4), (8, 5)])
-def test_delta_quotient_rows_are_the_images_over_one_denominator(
-        monkeypatch, n, r):
-    # each condition takes the lcm of its renamed keys once and lifts
-    # every parameter over that one key tuple, whose product D is the
-    # condition's denominator: numerator_j / den_j is the cancelled
-    # image of parameter j times D
-    lifts, lifted = [], spaces._lifted
-
-    def watched(parts):
-        keys, nums = lifted(parts)
-        lifts.append(keys)
-        return keys, nums
-
-    monkeypatch.setattr(spaces, "_lifted", watched)
+def test_delta_quotient_rows_are_the_images_over_one_denominator(n, r):
+    # D is the product of the lcm of the renamed denominators, and each
+    # cleared image terms / den is the cancelled renaming sum of the
+    # swapped Delta-quotients times D
     _, B = spaces._kernel(n, r)
     quotients = [M.get(r) for M in mould._swap([delta_inv(M) for M in B])]
     sums = [("circ", mould._cycle_perms(r), 1)] + [
         ("sal:%d" % i, list(mould._shuffle_perms(r, i)), math.comb(r, i))
         for i in range(1, r // 2 + 1)]
-    lifts.clear()
     conditions = spaces._quotient_rows(B, r, sums)
     assert B and len(conditions) == len(sums)
-    assert len(lifts) == len(sums) * (1 + len(B))
-    calls = iter(lifts)
-    for (_, perms, _), (_, (den, cleared), _) in zip(sums, conditions):
-        keys = next(calls)
-        assert [next(calls) for _ in B] == [keys] * len(B)
-        assert len(keys) > r and den == _product_of_keys(keys, r)
-        D = poly.RatFrac.from_poly(poly.MultiPoly(r, den))
+    for (tag, perms, weight), got in zip(sums, conditions):
+        keys = _renamed_lcm(r, perms)
+        assert len(keys) > r
+        assert got[0] == tag and got[2] == weight
+        D, cleared = got[1]
+        assert D == _product_of_keys(keys, r)
+        D = poly.RatFrac.from_poly(poly.MultiPoly(r, D))
         images = poly.renaming_sums(quotients, perms)
         assert len(cleared) == len(images) == len(B)
         for image, (terms, d) in zip(images, cleared):
             assert image * D == poly.RatFrac.from_poly(poly.MultiPoly(
                 r, {e: F(c, d) for e, c in terms.items()}))
+
+
+def test_sal_rows_lift_over_the_lcm_not_the_symmetric_product():
+    # at ds_ell(10,4) the renamed keys of Sh((1)(234)) miss two of the
+    # 10 factors v_i and v_i - v_j, which all of S_4 would rename them
+    # to: 206 sal:1 rows, against 256 over the product of all ten
+    n, r = 10, 4
+    system = spaces.ds_ell_system(n, r)
+    assert len(system.tags) == 510
+    assert Counter(tag for tag, _ in system.tags) == {
+        "sal:1": 206, "sal:2": 304}
+    degrees = {}
+    for tag, (D, _), _ in spaces._quotient_rows(spaces._kernel(n, r)[1], r, [
+            ("sal:%d" % i, list(mould._shuffle_perms(r, i)), 1)
+            for i in (1, 2)]):
+        degrees[tag] = {sum(e) for e in D}
+    assert degrees == {"sal:1": {8}, "sal:2": {r + math.comb(r, 2)}}
+
+
+def test_lifted_multiplies_the_one_variable_factors_first(monkeypatch):
+    # first seen: x+y, x, x+y+z, y; a factor in one variable shifts the
+    # terms and adds none, so x and y go first, in the order seen
+    seen, times_key = [], intpoly._times_key
+
+    def spy(terms, key):
+        seen.append(key)
+        return times_key(terms, key)
+
+    monkeypatch.setattr(intpoly, "_times_key", spy)
+    x, y, xy, xyz = (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)
+    terms = {(1, 2, 0): 3, (0, 1, 1): -1}
+    keys, (lifted, _) = intpoly._lifted(
+        [((), terms), ((xy, x, xyz, y), {(0, 0, 0): 1})])
+    assert seen == [x, y, xy, xyz]
+    assert keys == tuple(sorted((x, y, xy, xyz)))
+    assert lifted == intpoly._int_mul(terms, _product_of_keys(keys, 3))
+    # RatFrac.sum lifts through the same order: 1 / ((x+y) x) by y, then
+    # x+y+z, and 1 / ((x+y+z) y) by x, then x+y
+    seen.clear()
+    X, Y, Z = (poly.MultiPoly.variable(i, 3) for i in (1, 2, 3))
+    one = poly.MultiPoly.const(3, 1)
+    poly.RatFrac.sum([poly.RatFrac(one, (X + Y, X)),
+                      poly.RatFrac(one, (X + Y + Z, Y))], 3)
+    assert seen == [y, xyz, x, xy]
 
 
 def _block_walk_bound(exps):
@@ -663,13 +711,27 @@ def test_rows_clear_rational_coefficients_and_keys():
               poly.RatFrac(x.scale(F(3, 4)), (x + y,)),
               poly.RatFrac.from_poly(x.scale(F(-5, 6)))]
     D = poly.RatFrac.from_poly(x * (x + y))
-    system = spaces._assemble(["a", "b", "c"], [("t", images, 0)])
+    cleared = spaces._cleared(images, 2)
+    assert cleared[0] == {e: int(c) for e, c in D.as_poly().terms.items()}
+    system = spaces._assemble(["a", "b", "c"], [("t", cleared, 0)])
     want = {}
     for j, f in enumerate(images):
         for e, c in (f * D).as_poly().terms.items():
             want.setdefault(("t", e), [F(0)] * 3)[j] = c
     assert system.tags == sorted(want)
     assert system.rows == [want[t] for t in system.tags]
+
+
+def test_a_weight_zero_condition_adds_no_constant_entries():
+    # the constant enters a condition as -weight * D only when its weight
+    # is nonzero: no explicit zeros in the "c" column of a weight-0 one
+    D = {(1, 0): 1, (0, 1): 1}
+    system = spaces._assemble(["a"], [("t", (D, [({(2, 0): 3}, 1)]), 0),
+                                      ("u", (D, [({(1, 1): 1}, 2)]), 2)])
+    assert system.parameters == ["a", "c"]
+    assert list(zip(system.tags, system.integer_rows, system.scales)) == [
+        (("t", (2, 0)), {0: 3}, 1), (("u", (0, 1)), {1: -2}, 1),
+        (("u", (1, 0)), {1: -2}, 1), (("u", (1, 1)), {0: 1}, 2)]
 
 
 @pytest.mark.parametrize("system", [spaces.krv_ell_system,
