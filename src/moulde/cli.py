@@ -24,7 +24,9 @@ take about 2.2 s to build, and `verify_xi_image` of the weight-5 W_krv
 generator about 11 s more with them (best of three fresh processes on
 a shared 2-CPU machine, Python 3.11.7); depth 7 takes far longer.
 The `--n`/`--r` ranges of `dims` must be nonempty and positive, and
-`basis --n`/`--r` must be positive integers.
+`basis --n`/`--r` must be positive integers.  A flag that the verb
+would ignore is refused: `--r` for the weight-graded `vkrv`, and
+`--space` beside `check --identity`.
 """
 
 from __future__ import annotations
@@ -158,6 +160,8 @@ def cmd_basis(args, out):
     if args.space not in SPACES:
         raise UsageError("unknown space %r" % args.space)
     if args.space == "vkrv":
+        if args.r is not None:
+            raise UsageError("vkrv is graded by weight only; drop --r")
         cell = spaces_mod.solve_vkrv(args.n)
     elif args.space == "gr_krv":
         raise UsageError("gr_krv has dimensions only; use dims")
@@ -203,6 +207,8 @@ def _run_identity(name, obj, depth, fmt, out):
 
 
 def cmd_check(args, out):
+    if args.identity and args.space:
+        raise UsageError("--identity and --space exclude each other")
     obj = _read_input(args.input)
     if args.identity:
         return _run_identity(args.identity, obj, args.depth, args.format,

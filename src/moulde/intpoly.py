@@ -7,9 +7,10 @@ dict (the terms of a `MultiPoly`, `NCPoly` or `TraceVector`, a row of
 a matrix, a null vector) and its integer numerators over the lcm of
 its denominators; every integer kernel of the package enters and
 leaves through them.  `_lifted` alone multiplies numerators by the
-factors their denominators lack, and `_renamings`, `_renamed_groups`
+factors their denominators lack (`_times_key`, one factor each), and
+drops the zeros of each product once; `_renamings`, `_renamed_groups`
 and `_summed` are the one renaming pipeline of `poly.renaming_sums`
-and `spaces._quotient_rows`."""
+and of `spaces._sum_rows`, which builds every shuffle and cyclic row."""
 
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ def _int_mul(a, b):
 
 def _times_key(terms, key):
     """The {exponent tuple: int} polynomial `terms` times the factor of
-    `key`: each term shifts up by one in every variable of the key."""
+    `key`: each term shifts up by one in every variable of the key.
+    Terms that cancel are kept as zeros, for `_lifted` to drop once."""
     units = [(i, c) for i, c in enumerate(key) if c]
     out = {}
     for e, v in terms.items():
@@ -55,7 +57,7 @@ def _times_key(terms, key):
             te[i] += 1
             te = tuple(te)
             out[te] = out.get(te, 0) + v * c
-    return {e: v for e, v in out.items() if v}
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +176,8 @@ def _lifted(parts, keys=()):
     of `keys` and the denominators of the nonzero numerators, as sorted
     factor keys, and each numerator multiplied on integers by the
     factors its own denominator lacks.  The factors in fewest variables
-    go first: one in a single variable shifts the terms and adds none."""
+    go first: one in a single variable shifts the terms and adds none.
+    A lifted numerator drops the zeros of its product once, at the end."""
     parts = list(parts)
     need, counts = {}, []
     for k in keys:
@@ -190,10 +193,11 @@ def _lifted(parts, keys=()):
     order = sorted(need.items(), key=lambda km: -km[0].count(0))
     nums = []
     for (_, terms), own in zip(parts, counts):
-        if terms:
-            for k, m in order:
-                for _ in range(m - own.get(k, 0)):
-                    terms = _times_key(terms, k)
+        lift = [k for k, m in order for _ in range(m - own.get(k, 0))]
+        if terms and lift:
+            for k in lift:
+                terms = _times_key(terms, k)
+            terms = {e: v for e, v in terms.items() if v}
         nums.append(terms)
     return tuple(sorted(k for k, m in need.items() for _ in range(m))), nums
 

@@ -15,8 +15,10 @@ and their inverses multiply or divide each depth by a product of linear
 forms (`_times_forms`).  Both act on a list of moulds, one kernel call
 per depth; the public operators are their one-element calls, and
 `spaces` passes its parameter list to `_swap` and `_push`.  The shuffle
-and cyclic sums are `poly.renaming_sums` over `_shuffle_perms` and
-`_cycle_perms`.
+and cyclic sums of one value, `shuffle_sum` and `circ_cycle_sum`, are
+one-value `poly.renaming_sums` calls over `_shuffle_perms` and
+`_cycle_perms`; `spaces` builds its rows from the same permutations,
+with no cancelled sum.
 
 `is_alternal`, `is_circ_neutral` and `star_correction` read the shuffle
 and cyclic sums from one walk each, `_shuffle_sums` and `_cycle_sums`.
@@ -368,12 +370,7 @@ def _shuffles(left, right):
 
 def shuffle_sum(value, r, i):
     """Sum of value(u_{w_1},...,u_{w_r}) over w in Sh((1..i)(i+1..r))."""
-    return _shuffle_sum([value], r, i)[0]
-
-
-def _shuffle_sum(values, r, i):
-    """`shuffle_sum` of each depth-r value of a list: one renaming sum."""
-    return renaming_sums(values, _shuffle_perms(r, i))
+    return renaming_sums([value], _shuffle_perms(r, i))[0]
 
 
 def _shuffle_perms(r, i):
@@ -404,12 +401,7 @@ def is_mantar_invariant(M):
 
 def circ_cycle_sum(M, r):
     """Sum of the r cyclic rotations of the depth-r part."""
-    return _cycle_sum([M.get(r)], r)[0]
-
-
-def _cycle_sum(values, r):
-    """The cyclic sum of each depth-r value of a list: one renaming sum."""
-    return renaming_sums(values, _cycle_perms(r))
+    return renaming_sums([M.get(r)], _cycle_perms(r))[0]
 
 
 def _cycle_perms(r):

@@ -22,11 +22,11 @@ raising `VerificationError` on a failure.
 Every condition sum_j v_j f_j = w c reaches `_assemble` in one format:
 times D, the integer product of its denominator factors, each f_j * D
 as integer terms over an integer den (see `_assemble`).  D != 0, so
-the kernel, and the reduced basis of `nullspace`, do not change.  The
-Delta-quotient conditions of `krv_ell` and `ds_ell`, on swap(P/Delta)
-with Delta = u1...ur(u1+...+ur), are built with no cancelling
-(`_quotient_rows`), through the `intpoly` renaming pipeline that
-`poly.renaming_sums` also runs.
+the kernel, and the reduced basis of `nullspace`, do not change.
+Every shuffle and cyclic condition, a renaming sum on P, swap(P) or
+swap(P/Delta), Delta = u1...ur(u1+...+ur), comes from `_sum_rows`, which
+takes the denominator as data and runs, with no cancelling, the
+`intpoly` renaming pipeline of `poly.renaming_sums`.
 
 The defining predicates of each space are written once, in `checks`;
 the solvers and the maps that land in a space read them through
@@ -197,54 +197,44 @@ def _combine_mould(polys, vec):
 # Conditions on a list of moulds, one per parameter
 # ---------------------------------------------------------------------------
 
-def _cleared(values, r):
-    """(D, images) of `_assemble` for the depth-r RatFracs `values`: D
-    is the product of the factors of the lcm of their denominators, and
-    each value is lifted over it (`intpoly._lifted`)."""
-    one = {(0,) * r: 1}
-    _, (D, *nums) = _lifted([((), one)]
-                            + [(f.den_keys, f.terms) for f in values])
-    return D, [(terms, f.denom) for terms, f in zip(nums, values)]
+def _push(moulds, r):
+    """push(B) = B in depth r, evenness in depth 1; on polynomials, D = 1."""
+    values = [P.get(r) - B.get(r)
+              for P, B in zip(mould_mod._push(moulds), moulds)]
+    return ("push", ({(0,) * r: 1}, [(v.terms, v.denom) for v in values]), 0)
 
 
-def _alternal(moulds, r, tag, constant=False):
-    """Shuffle sums Sh((1..i)(i+1..r)) for i <= r/2 vanish, or equal
-    C(r, i) c: the shuffle sums of the constant mould c."""
-    values = [M.get(r) for M in moulds]
-    return [("%s:%d" % (tag, i),
-             _cleared(mould_mod._shuffle_sum(values, r, i), r),
+def _swapped(moulds, r):
+    """The (integer terms, den) of the depth-r value of each swap(M)."""
+    return [(v.terms, v.denom)
+            for v in (M.get(r) for M in mould_mod._swap(moulds))]
+
+
+def _swapped_delta(r):
+    """(s, keys): swap(Delta) = s times the factors of keys, in depth r."""
+    return _factor_keys(mould_mod._delta_forms(
+        mould_mod._swap_images(mould_mod._vars(r))))
+
+
+def _alternality(tag, r, constant):
+    """The sums (tag:i, Sh((1..i)(i+1..r)), weight), i <= r/2, that vanish
+    or equal C(r, i) c, the shuffle sums of the constant mould c."""
+    return [("%s:%d" % (tag, i), mould_mod._shuffle_perms(r, i),
              math.comb(r, i) if constant else 0)
             for i in range(1, r // 2 + 1)]
 
 
-def _push(moulds, r):
-    """push(B) = B in depth r; in depth 1 this is evenness."""
-    return ("push", _cleared([P.get(r) - B.get(r) for P, B
-                              in zip(mould_mod._push(moulds), moulds)], r), 0)
-
-
-def _circ(moulds, r, weight=0):
-    """The cyclic sum of the depth-r value vanishes, or equals c."""
-    return ("circ", _cleared(mould_mod._cycle_sum(
-        [M.get(r) for M in moulds], r), r), weight)
-
-
-def _quotient_rows(moulds, r, sums):
+def _sum_rows(parts, r, sums, s, keys):
     """The conditions of `_assemble`, for each (tag, perms, weight) of
-    `sums`, that the renamings by perms of swap(P/Delta), Delta =
-    u1...ur(u1+...+ur), sum to weight * c, for each polynomial mould P
-    of `moulds`.
-
-    swap(Delta) is s times the factors of the same r + 1 keys for every
-    P, so a renaming moves only those keys and the exponents of
-    swap(P) / s.  The renamed keys are read once per condition
-    (`intpoly._renamings`), and D is the product of the factors of
-    their lcm; each parameter's renamed numerators gather by renamed
-    keys and are lifted over that lcm and added (`intpoly._summed`),
-    with no cancelling."""
-    values = [M.get(r) for M in mould_mod._swap(moulds)]
-    s, keys = _factor_keys(mould_mod._delta_forms(
-        mould_mod._swap_images(mould_mod._vars(r))))
+    `sums`, that the renamings by perms of the depth-r value terms / den
+    / s over the factors of `keys` sum to weight * c, for each (integer
+    terms, den) of `parts`; s and `keys` are those of swap(Delta) for a
+    Delta-quotient, (1, ()) for a polynomial.  A renaming moves only
+    those keys and the exponents of the terms: the renamed keys are read
+    once per condition (`intpoly._renamings`), D is the product of the
+    factors of their lcm, and each part's renamed numerators gather by
+    renamed keys and are lifted over that lcm and added
+    (`intpoly._summed`), with no cancelling."""
     # 1 / s = t / d with d > 0: the signs take t, each den d
     t, d = s.denominator * (1 if s > 0 else -1), abs(s.numerator)
     one, out = {(0,) * r: 1}, []
@@ -254,8 +244,8 @@ def _quotient_rows(moulds, r, sums):
                          keys, [_shuffler(p, r, r) for p in perms]).items()}
         lcm, (D, *_) = _lifted([((), one)] + [(k, one) for k in renamings])
         out.append((tag, (D, [
-            (_summed(_renamed_groups(v.terms, renamings), lcm)[1],
-             v.denom * d) for v in values]), weight))
+            (_summed(_renamed_groups(terms, renamings), lcm)[1], den * d)
+            for terms, den in parts]), weight))
     return out
 
 
@@ -316,8 +306,9 @@ def _pattern_kernel(perms):
     every value replaced by its rank among the distinct values, so
     there are at most 2^(r-1) keys per depth."""
     r = len(perms[0])
-    monomials = [Mould("U", {r: MultiPoly.monomial(p, 1)}) for p in perms]
-    rows = _assemble(perms, _alternal(monomials, r, "al")).integer_rows
+    al = _sum_rows([({p: 1}, 1) for p in perms], r,
+                   _alternality("al", r, False), 1, ())
+    rows = _assemble(perms, al).integer_rows
     return tuple(tuple((i, x) for i, x in enumerate(v) if x)
                  for v in nullspace(rows, len(perms)))
 
@@ -371,7 +362,8 @@ def lkv_system(n, r):
     K, B = _kernel(n, r)
     conditions = [_push(B, r)]
     if r > 1:
-        conditions.append(_circ(mould_mod._swap(B), r))
+        conditions += _sum_rows(_swapped(B, r), r, [
+            ("circ", mould_mod._cycle_perms(r), 0)], 1, ())
     return _assemble(K, conditions)
 
 
@@ -394,7 +386,8 @@ def solve_lkv(n, r):
 
 def ls_system(n, r):
     K, B = _kernel(n, r)
-    conditions = _alternal(mould_mod._swap(B), r, "sal")
+    conditions = _sum_rows(_swapped(B, r), r, _alternality("sal", r, False),
+                           1, ())
     if r == 1:
         conditions.append(_push(B, r))
     return _assemble(K, conditions)
@@ -496,8 +489,9 @@ def krv_ell_system(n, r):
     K, B = _kernel(n, r)
     conditions = [_push(B, r)]
     if r > 1:
-        conditions += _quotient_rows(
-            B, r, [("circ", mould_mod._cycle_perms(r), 1)])
+        conditions += _sum_rows(_swapped(B, r), r,
+                                [("circ", mould_mod._cycle_perms(r), 1)],
+                                *_swapped_delta(r))
     return _assemble(K, conditions)
 
 
@@ -521,9 +515,8 @@ def ds_ell_system(n, r):
         # krv_ell inclusion needs
         conditions = [_push(B, r)]
     else:
-        conditions = _quotient_rows(B, r, [
-            ("sal:%d" % i, mould_mod._shuffle_perms(r, i), math.comb(r, i))
-            for i in range(1, r // 2 + 1)])
+        conditions = _sum_rows(_swapped(B, r), r, _alternality(
+            "sal", r, True), *_swapped_delta(r))
     return _assemble(K, conditions)
 
 

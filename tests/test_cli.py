@@ -123,6 +123,21 @@ def test_basis_requires_r():
     assert code == 2 and "usage error" in err
 
 
+def test_basis_vkrv_refuses_r():
+    # vkrv is graded by weight only: --r would be dropped, not applied
+    assert _run(["basis", "--space", "vkrv", "--n", "5", "--r", "3"]) == (
+        2, "", "usage error: vkrv is graded by weight only; drop --r\n")
+
+
+def test_check_refuses_space_beside_identity(tmp_path):
+    # --identity runs the identity alone, so a --space would be ignored;
+    # the refusal comes before the input is read
+    argv = ["check", "--input", str(tmp_path / "missing.json"),
+            "--identity", "senary", "--space", "wkrv"]
+    assert _run(argv) == (
+        2, "", "usage error: --identity and --space exclude each other\n")
+
+
 # -- check / identity --------------------------------------------------------
 
 def test_check_wkrv_accepts(tmp_path, w3):

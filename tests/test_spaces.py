@@ -169,6 +169,36 @@ def test_kernel_size_is_the_witt_number():
             assert s.null_vectors() == []
 
 
+# The cancelled route to the conditions of `spaces._sum_rows`: each
+# renaming sum is cancelled (`poly.renaming_sums`), and the cancelled
+# sums are lifted over the lcm of their denominators.  The oracles below
+# and the pinned systems were captured from it.
+def _cleared(values, r):
+    """(D, images) of `spaces._assemble` for the depth-r RatFracs
+    `values`: D is the product of the factors of the lcm of their
+    denominators, and each value is lifted over it."""
+    one = {(0,) * r: 1}
+    _, (D, *nums) = intpoly._lifted(
+        [((), one)] + [(f.den_keys, f.terms) for f in values])
+    return D, [(terms, f.denom) for terms, f in zip(nums, values)]
+
+
+def _cancelled_rows(moulds, r, sums):
+    """The conditions of `spaces._sum_rows` for (tag, perms, weight)
+    `sums` on the depth-r values of `moulds`, by the cancelled route."""
+    values = [M.get(r) for M in moulds]
+    return [(tag, _cleared(poly.renaming_sums(values, list(perms)), r),
+             weight) for tag, perms, weight in sums]
+
+
+def _alternal(moulds, r, tag, constant):
+    return _cancelled_rows(moulds, r, spaces._alternality(tag, r, constant))
+
+
+def _cycle(r, weight):
+    return [("circ", mould._cycle_perms(r), weight)]
+
+
 # The alternal kernel solved block by block, one `nullspace` per sorted
 # exponent tuple on the `al` rows of all the monomials: the oracle of
 # the solve once per rank word.
@@ -180,7 +210,7 @@ def _block_kernel(n, r):
     monomials = [mould.Mould("U", {r: poly.MultiPoly.monomial(e, 1)})
                  for e in gens]
     for row in spaces._assemble(
-            gens, spaces._alternal(monomials, r, "al")).integer_rows:
+            gens, _alternal(monomials, r, "al", False)).integer_rows:
         blocks[tuple(sorted(gens[min(row)]))][1].append(row)
     kernel = {}  # free column -> kernel polynomial
     for cols, rows in blocks.values():
@@ -269,7 +299,7 @@ def _lyndon_lkv_system(n, r):
     B = [ma(g) for g in gens]
     conditions = [spaces._push(B, r)]
     if r > 1:
-        conditions.append(spaces._circ(mould._swap(B), r))
+        conditions += _cancelled_rows(mould._swap(B), r, _cycle(r, 0))
     return spaces._assemble(gens, conditions)
 
 
@@ -411,9 +441,9 @@ def test_solver_path_never_falls_back_to_fraction_elimination(monkeypatch):
 def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
     # each operator reaches the kernels once per depth with the whole
     # parameter list, a renaming never reaches the linear-map setup, and
-    # the Delta-quotient rows swap the kernel polynomials themselves:
+    # every shuffle and cyclic row is built uncancelled (`_sum_rows`):
     # no value with keys is substituted, nothing is divided by Delta and
-    # no renaming sum runs on a Delta-quotient
+    # no renaming sum runs on any solver path, the `al` rows included
     calls, renaming, keyed, divided = [], [], [], []
     substitute, renaming_sums = poly.substitute, poly.renaming_sums
     linear_rows, times_forms = poly._linear_rows, mould._times_forms
@@ -429,11 +459,7 @@ def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
 
     def counted_sums(values, perms):
         calls.append(("renaming_sums", len(values)))
-        renaming.append(True)
-        try:
-            return renaming_sums(values, perms)
-        finally:
-            renaming.pop()
+        return renaming_sums(values, perms)
 
     def watched_rows(polys):
         if renaming and renaming[-1]:
@@ -445,34 +471,24 @@ def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
         return times_forms(moulds, forms, divide)
 
     monkeypatch.setattr(mould, "substitute", counted_substitute)
-    monkeypatch.setattr(mould, "renaming_sums", counted_sums)
+    for module in (mould, poly):
+        monkeypatch.setattr(module, "renaming_sums", counted_sums)
     monkeypatch.setattr(poly, "_linear_rows", watched_rows)
     monkeypatch.setattr(mould, "_times_forms", counted_forms)
-    # the al:1 sums of the monomials of the rank words (0,0,1), (0,1,1)
-    # and (0,1,2), whose blocks cover the 36 monomials of degree 7 in 3
-    # variables, leave 12 alternal polynomials; krv_ell has push and the
-    # swap of the 12 on those, and c
-    al_sums = [("renaming_sums", 3), ("renaming_sums", 3),
-               ("renaming_sums", 6)]
-    spaces._pattern_kernel.cache_clear()
-    built = spaces.krv_ell_system(10, 3)
-    assert len(built.parameters) == 13
-    assert sorted(calls) == sorted(al_sums + [("substitute", 12),
-                                              ("substitute", 12)])
-    # ds_ell has the swap of the 12 alone, and c
-    calls.clear()
-    spaces._pattern_kernel.cache_clear()
-    built = spaces.ds_ell_system(10, 3)
-    assert len(built.parameters) == 13
-    assert sorted(calls) == sorted(al_sums + [("substitute", 12)])
+    # the blocks of the rank words (0,0,1), (0,1,1) and (0,1,2) cover the
+    # 36 monomials of degree 7 in 3 variables and leave 12 alternal
+    # polynomials; krv_ell and lkv have push and the swap of the 12 on
+    # those, ds_ell and ls the swap alone
+    substitutions = {spaces.krv_ell_system: 2, spaces.lkv_system: 2,
+                     spaces.ds_ell_system: 1, spaces.ls_system: 1}
+    for system, count in substitutions.items():
+        calls.clear()
+        spaces._pattern_kernel.cache_clear()
+        built = system(10, 3)
+        assert len(built.parameters) == 12 + (
+            system in (spaces.krv_ell_system, spaces.ds_ell_system))
+        assert calls == [("substitute", 12)] * count, system.__name__
     assert keyed == divided == []
-    # ls has the swap of the 12 and its sal:1 sum
-    calls.clear()
-    spaces._pattern_kernel.cache_clear()
-    built = spaces.ls_system(10, 3)
-    assert len(built.parameters) == 12
-    assert sorted(calls) == sorted(al_sums + [("renaming_sums", 12),
-                                              ("substitute", 12)])
     # the one-element operators still run through the same kernels, and
     # a renaming of fractions (circ of a Delta-quotient) is a shuffle
     calls.clear()
@@ -526,27 +542,59 @@ def _renamed_lcm(r, perms):
     return sorted(need.elements())
 
 
-@pytest.mark.parametrize("n, r", [(9, 2), (10, 3), (10, 4), (8, 5)])
-def test_delta_quotient_rows_are_the_images_over_one_denominator(n, r):
+def _sums(r, weighted):
+    """The cyclic sum and the shuffle sums Sh((1..i)(i+1..r)) of depth
+    r, with the weights of their constant terms or none."""
+    return [("circ", mould._cycle_perms(r), int(weighted))] + [
+        ("sal:%d" % i, list(mould._shuffle_perms(r, i)),
+         math.comb(r, i) if weighted else 0) for i in range(1, r // 2 + 1)]
+
+
+# the Delta-quotient cells keep their ids; the keyless ones are tagged
+SUM_ROW_CASES = [("delta", n, r) for n, r in [(9, 2), (10, 3), (10, 4),
+                                               (8, 5)]] + [
+    (values, n, r) for values in ("al", "swap") for n, r in [(10, 3),
+                                                              (11, 4)]]
+
+
+@pytest.mark.parametrize("values, n, r", SUM_ROW_CASES, ids=[
+    "%d-%d" % (n, r) if values == "delta" else "%s-%d-%d" % (values, n, r)
+    for values, n, r in SUM_ROW_CASES])
+def test_delta_quotient_rows_are_the_images_over_one_denominator(
+        values, n, r):
     # D is the product of the lcm of the renamed denominators, and each
-    # cleared image terms / den is the cancelled renaming sum of the
-    # swapped Delta-quotients times D
-    _, B = spaces._kernel(n, r)
-    quotients = [M.get(r) for M in mould._swap([delta_inv(M) for M in B])]
-    sums = [("circ", mould._cycle_perms(r), 1)] + [
-        ("sal:%d" % i, list(mould._shuffle_perms(r, i)), math.comb(r, i))
-        for i in range(1, r // 2 + 1)]
-    conditions = spaces._quotient_rows(B, r, sums)
-    assert B and len(conditions) == len(sums)
+    # cleared image terms / den is the cancelled renaming sum times D: of
+    # the swapped Delta-quotients, or, with no keys and D = 1, of the
+    # monomials (the `al` rows of `_pattern_kernel`) or of the swapped
+    # kernel polynomials (`sal` and `circ`)
+    gens, B = spaces._kernel(n, r)
+    denominator, sums = (1, ()), _sums(r, False)
+    if values == "delta":
+        moulds = mould._swap([delta_inv(M) for M in B])
+        denominator, sums = spaces._swapped_delta(r), _sums(r, True)
+        parts = spaces._swapped(B, r)
+    elif values == "al":
+        gens, moulds = _monomials(n, r)
+        parts = [({e: 1}, 1) for e in gens]
+        sums = spaces._alternality("al", r, False)
+    else:
+        moulds, parts = mould._swap(B), spaces._swapped(B, r)
+    quotients = [M.get(r) for M in moulds]
+    sums = [(tag, list(perms), weight) for tag, perms, weight in sums]
+    conditions = spaces._sum_rows(parts, r, sums, *denominator)
+    assert gens and len(conditions) == len(sums)
     for (tag, perms, weight), got in zip(sums, conditions):
-        keys = _renamed_lcm(r, perms)
-        assert len(keys) > r
+        keys = []
+        if values == "delta":
+            keys = _renamed_lcm(r, perms)
+            assert len(keys) > r
         assert got[0] == tag and got[2] == weight
         D, cleared = got[1]
         assert D == _product_of_keys(keys, r)
         D = poly.RatFrac.from_poly(poly.MultiPoly(r, D))
         images = poly.renaming_sums(quotients, perms)
-        assert len(cleared) == len(images) == len(B)
+        assert len(cleared) == len(images) == len(gens)
+        assert any(image.terms for image in images)
         for image, (terms, d) in zip(images, cleared):
             assert image * D == poly.RatFrac.from_poly(poly.MultiPoly(
                 r, {e: F(c, d) for e, c in terms.items()}))
@@ -562,9 +610,9 @@ def test_sal_rows_lift_over_the_lcm_not_the_symmetric_product():
     assert Counter(tag for tag, _ in system.tags) == {
         "sal:1": 206, "sal:2": 304}
     degrees = {}
-    for tag, (D, _), _ in spaces._quotient_rows(spaces._kernel(n, r)[1], r, [
-            ("sal:%d" % i, list(mould._shuffle_perms(r, i)), 1)
-            for i in (1, 2)]):
+    for tag, (D, _), _ in spaces._sum_rows(
+            spaces._swapped(spaces._kernel(n, r)[1], r), r,
+            spaces._alternality("sal", r, False), *spaces._swapped_delta(r)):
         degrees[tag] = {sum(e) for e in D}
     assert degrees == {"sal:1": {8}, "sal:2": {r + math.comb(r, 2)}}
 
@@ -594,6 +642,32 @@ def test_lifted_multiplies_the_one_variable_factors_first(monkeypatch):
     poly.RatFrac.sum([poly.RatFrac(one, (X + Y, X)),
                       poly.RatFrac(one, (X + Y + Z, Y))], 3)
     assert seen == [y, xyz, x, xy]
+
+
+def test_lifted_drops_the_zeros_of_a_product_once(monkeypatch):
+    # (x+y)(-x+y) = y^2 - x^2 loses its xy term: `_times_key` keeps the
+    # zero, `_lifted` drops it once after the last factor, and passes a
+    # numerator that needs no factor through as it is
+    outputs, times_key = [], intpoly._times_key
+
+    def spy(terms, key):
+        out = times_key(terms, key)
+        outputs.append(dict(out))
+        return out
+
+    monkeypatch.setattr(intpoly, "_times_key", spy)
+    xy, yx = (1, 1), (-1, 1)
+    whole = {(0, 1): 3}
+    keys, (D, lifted, kept) = intpoly._lifted(
+        [((), {(0, 0): 1}), ((xy,), {(1, 0): 2}), ((xy, yx), whole)])
+    assert keys == (yx, xy)
+    assert outputs[1] == {(2, 0): -1, (1, 1): 0, (0, 2): 1}
+    assert D == {(2, 0): -1, (0, 2): 1}
+    assert lifted == {(2, 0): -2, (1, 1): 2}
+    assert kept is whole
+    x, y = poly.MultiPoly.variable(1, 2), poly.MultiPoly.variable(2, 2)
+    den = poly.RatFrac(poly.MultiPoly.const(2, 1), (x + y, y - x)).den
+    assert den.terms == {(2, 0): F(-1), (0, 2): F(1)}
 
 
 def _block_walk_bound(exps):
@@ -711,7 +785,7 @@ def test_rows_clear_rational_coefficients_and_keys():
               poly.RatFrac(x.scale(F(3, 4)), (x + y,)),
               poly.RatFrac.from_poly(x.scale(F(-5, 6)))]
     D = poly.RatFrac.from_poly(x * (x + y))
-    cleared = spaces._cleared(images, 2)
+    cleared = _cleared(images, 2)
     assert cleared[0] == {e: int(c) for e, c in D.as_poly().terms.items()}
     system = spaces._assemble(["a", "b", "c"], [("t", cleared, 0)])
     want = {}
@@ -765,16 +839,16 @@ def _monomials(n, r):
 
 def _monomial_lkv_system(n, r):
     gens, B = _monomials(n, r)
-    conditions = spaces._alternal(B, r, "al") + [spaces._push(B, r)]
+    conditions = _alternal(B, r, "al", False) + [spaces._push(B, r)]
     if r > 1:
-        conditions.append(spaces._circ(mould._swap(B), r))
+        conditions += _cancelled_rows(mould._swap(B), r, _cycle(r, 0))
     return spaces._assemble(gens, conditions)
 
 
 def _monomial_ls_system(n, r):
     gens, B = _monomials(n, r)
-    conditions = (spaces._alternal(B, r, "al")
-                  + spaces._alternal(mould._swap(B), r, "sal"))
+    conditions = (_alternal(B, r, "al", False)
+                  + _alternal(mould._swap(B), r, "sal", False))
     if r == 1:
         conditions.append(spaces._push(B, r))
     return spaces._assemble(gens, conditions)
@@ -782,21 +856,21 @@ def _monomial_ls_system(n, r):
 
 def _monomial_krv_ell_system(n, r):
     gens, B = _monomials(n, r)
-    conditions = spaces._alternal(B, r, "al") + [spaces._push(B, r)]
+    conditions = _alternal(B, r, "al", False) + [spaces._push(B, r)]
     if r > 1:
-        conditions.append(spaces._circ(
-            mould._swap([delta_inv(M) for M in B]), r, weight=1))
+        conditions += _cancelled_rows(
+            mould._swap([delta_inv(M) for M in B]), r, _cycle(r, 1))
     return spaces._assemble(gens, conditions)
 
 
 def _monomial_ds_ell_system(n, r):
     gens, B = _monomials(n, r)
-    conditions = spaces._alternal(B, r, "al")
+    conditions = _alternal(B, r, "al", False)
     if r == 1:
         conditions.append(spaces._push(B, r))
     else:
-        conditions += spaces._alternal(
-            mould._swap([delta_inv(M) for M in B]), r, "sal", constant=True)
+        conditions += _alternal(
+            mould._swap([delta_inv(M) for M in B]), r, "sal", True)
     return spaces._assemble(gens, conditions)
 
 

@@ -297,11 +297,13 @@ def test_renaming_sums_match_the_per_value_sums(case):
     r, vals = case
     for i in range(1, r // 2 + 1):
         want = _outcome(lambda: [oracle_shuffle_sum(v, r, i) for v in vals])
-        assert _outcome(lambda: mould._shuffle_sum(vals, r, i)) == want
+        assert _outcome(lambda: renaming_sums(
+            vals, list(mould._shuffle_perms(r, i)))) == want
         assert _outcome(lambda: [mould.shuffle_sum(v, r, i)
                                  for v in vals]) == want
     want = _outcome(lambda: [oracle_cycle_sum(v, r) for v in vals])
-    assert _outcome(lambda: mould._cycle_sum(vals, r)) == want
+    assert _outcome(lambda: renaming_sums(vals, mould._cycle_perms(r))) \
+        == want
     assert _outcome(lambda: [mould.circ_cycle_sum(mould.Mould("U", {r: v}),
                                                   r) for v in vals]) == want
 
