@@ -183,7 +183,7 @@ def cmd_basis(args, out):
 def _run_identity(name, obj, depth, fmt, out):
     M = _as_mould(obj, depth)
     if name in ("fundamental", "goodfund", "ganit_inverse"):
-        mould_mod._require([M], "U", "identity " + name)
+        mould_mod._require(M, "U", "identity " + name)
     if name == "fundamental":
         ok = ari_mod.fundamental_identity_check(M)
     elif name == "goodfund":

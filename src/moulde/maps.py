@@ -288,8 +288,9 @@ def w_krv_gate(b):
 def square_check(n, D=4, w_krv_elements=()):
     """Instance checks of the ds_ell / krv_ell square at weight n.
 
-    Bottom row: every solver-produced ds_ell basis mould passes the
-    krv_ell checks, the inclusion ds_ell -> krv_ell.
+    Bottom row: every solver-produced ds_ell basis mould, in each depth
+    1 <= r <= n, passes the krv_ell checks, the inclusion
+    ds_ell -> krv_ell.
 
     Left column: for each given W_krv element w, the adjoint image
     G = Ad_ari(invpal) . ma(w) lies in ARI^Delta, and Delta.G passes the
@@ -307,7 +308,7 @@ def square_check(n, D=4, w_krv_elements=()):
         failed = spaces_mod.failed_check(space, P)
         report.record(name, failed is None, witness=failed)
 
-    for r in range(1, n):
+    for r in range(1, n + 1):
         for idx, P in enumerate(spaces_mod.solve_ds_ell(n, r).basis):
             record("krv_ell_r%d_%d" % (r, idx), "krv_ell", P)
     for idx, w in enumerate(w_krv_elements):

@@ -12,13 +12,13 @@ Each of the unary operators `swap`, `push`, `circ`, `neg_op` and
 `mantar` is a per-depth change of variables: it evaluates the depth-r
 value at r linear forms in x1..xr (`_substituted`); `dar`, `delta_op`
 and their inverses multiply or divide each depth by a product of linear
-forms (`_times_forms`).  Both act on a list of moulds, one kernel call
-per depth; the public operators are their one-element calls, and
-`spaces` passes its parameter list to `_swap` and `_push`.  The shuffle
-and cyclic sums of one value, `shuffle_sum` and `circ_cycle_sum`, are
-one-value `poly.renaming_sums` calls over `_shuffle_perms` and
-`_cycle_perms`; `spaces` builds its rows from the same permutations,
-with no cancelled sum.
+forms (`_times_forms`).  Every operator acts on one mould.  `spaces`
+reads the images of swap and push, `_swap_images` and `_push_images`,
+and substitutes its whole parameter list with them in one
+`poly.substitute` call each.  The shuffle and cyclic sums of one value,
+`shuffle_sum` and `circ_cycle_sum`, are one-value `poly.renaming_sums`
+calls over `_shuffle_perms` and `_cycle_perms`; `spaces` builds its
+rows from the same permutations, with no cancelled sum.
 
 `is_alternal`, `is_circ_neutral` and `star_correction` read the shuffle
 and cyclic sums from one walk each, `_shuffle_sums` and `_cycle_sums`.
@@ -39,7 +39,7 @@ import math
 from operator import mul
 
 from .poly import (MultiPoly, RatFrac, _divided, _linear_factor_split,
-                   _unit, monomial_sum, renaming_sums, substitute)
+                   _unit, monomial_sum, renaming_sums)
 from . import words as W
 
 
@@ -202,35 +202,26 @@ def ma_inverse(M):
 # Unary operators
 # ---------------------------------------------------------------------------
 
-def _substituted(moulds, images, alphabet=None):
-    """The moulds with each depth-r value, r >= 1, evaluated at the
-    linear forms images(x1..xr), on `alphabet` (default: each mould's);
-    depth 0 is kept."""
-    by_depth = {}
-    for M in moulds:
-        for r, v in M.values.items():
-            if r:
-                by_depth.setdefault(r, []).append(v)
-    done = {r: iter(substitute(vs, images(_vars(r))))
-            for r, vs in by_depth.items()}
-    return [Mould(alphabet or M.alphabet,
-                  {r: next(done[r]) if r else v for r, v in M.values.items()},
-                  M.cap) for M in moulds]
+def _substituted(M, images, alphabet=None):
+    """M with each depth-r value, r >= 1, evaluated at the linear forms
+    images(x1..xr), on `alphabet` (default: M's); depth 0 is kept."""
+    return Mould(alphabet or M.alphabet,
+                 {r: v.substitute_linear(images(_vars(r))) if r else v
+                  for r, v in M.values.items()}, M.cap)
 
 
-def _times_forms(moulds, forms, divide=False):
-    """The moulds with each depth-r value multiplied, or divided, by the
-    product of the linear forms forms(x1..xr).  A depth where a form
-    vanishes (u1+...+ur in depth 0) is dropped."""
-    factors = {}
-    for r in {r for M in moulds for r in M.values}:
+def _times_forms(M, forms, divide=False):
+    """M with each depth-r value multiplied, or divided, by the product
+    of the linear forms forms(x1..xr).  A depth where a form vanishes
+    (u1+...+ur in depth 0) is dropped."""
+    out = {}
+    for r, v in M.values.items():
         fs = forms(_vars(r))
         if not any(f.is_zero() for f in fs):
             one = MultiPoly.const(r, 1)
-            factors[r] = (RatFrac(one, fs) if divide
+            out[r] = v * (RatFrac(one, fs) if divide
                           else RatFrac.from_poly(reduce(mul, fs, one)))
-    return [Mould(M.alphabet, {r: v * factors[r] for r, v in M.values.items()
-                               if r in factors}, M.cap) for M in moulds]
+    return Mould(M.alphabet, out, M.cap)
 
 
 def _delta_forms(xs):
@@ -238,8 +229,8 @@ def _delta_forms(xs):
     return xs + [sum(xs, MultiPoly.zero(len(xs)))]
 
 
-def _require(moulds, alphabet, what):
-    if any(M.alphabet != alphabet for M in moulds):
+def _require(M, alphabet, what):
+    if M.alphabet != alphabet:
         raise AlphabetMismatch("%s acts on %s-moulds" % (what, alphabet))
 
 
@@ -247,16 +238,9 @@ def swap(M):
     """Exchange the u and v coordinate systems (an involution):
     swap(A)(v1..vr) = A(v_r, v_{r-1}-v_r, ..., v_1-v_2) and
     swap(B)(u1..ur) = B(u1+...+ur, u1+...+u_{r-1}, ..., u1)."""
-    return _swap([M])[0]
-
-
-def _swap(moulds):
-    """swap of each mould of a list on one alphabet."""
-    alphabet = moulds[0].alphabet if moulds else "U"
-    _require(moulds, alphabet, "swap of a list")
-    if alphabet == "U":
-        return _substituted(moulds, _swap_images, "V")
-    return _substituted(moulds, lambda xs: list(accumulate(xs))[::-1], "U")
+    if M.alphabet == "U":
+        return _substituted(M, _swap_images, "V")
+    return _substituted(M, lambda xs: list(accumulate(xs))[::-1], "U")
 
 
 def _swap_images(xs):
@@ -267,30 +251,30 @@ def _swap_images(xs):
 
 def push(M):
     """(push B)(u1..ur) = B(u0, u1, ..., u_{r-1}), u0 = -u1-...-ur."""
-    return _push([M])[0]
+    _require(M, "U", "push")
+    return _substituted(M, _push_images)
 
 
-def _push(moulds):
-    """push of each U-mould of a list."""
-    _require(moulds, "U", "push")
-    return _substituted(
-        moulds, lambda xs: [-sum(xs, MultiPoly.zero(len(xs)))] + xs[:-1])
+def _push_images(xs):
+    """The images u0 = -u1-...-ur, u1, ..., u_{r-1} of u1..ur under
+    push, in the variables xs = u1..ur."""
+    return [-sum(xs, MultiPoly.zero(len(xs)))] + xs[:-1]
 
 
 def circ(M):
     """circ(B)(v1..vr) = B(v2, ..., vr, v1)."""
-    _require([M], "V", "circ")
-    return _substituted([M], lambda xs: xs[1:] + xs[:1])[0]
+    _require(M, "V", "circ")
+    return _substituted(M, lambda xs: xs[1:] + xs[:1])
 
 
 def neg_op(M):
     """neg(A)(u1..ur) = A(-u1, ..., -ur)."""
-    return _substituted([M], lambda xs: [-x for x in xs])[0]
+    return _substituted(M, lambda xs: [-x for x in xs])
 
 
 def mantar(M):
     """mantar(A)(u1..ur) = (-1)^{r-1} A(ur, ..., u1)."""
-    return -pari(_substituted([M], lambda xs: xs[::-1])[0])
+    return -pari(_substituted(M, lambda xs: xs[::-1]))
 
 
 def pari(M):
@@ -302,29 +286,29 @@ def pari(M):
 
 def dar(M):
     """dar(A)(u1..ur) = u1...ur A(u1..ur)."""
-    return _times_forms([M], list)[0]
+    return _times_forms(M, list)
 
 
 def dar_inv(M):
-    return _times_forms([M], list, divide=True)[0]
+    return _times_forms(M, list, divide=True)
 
 
 def delta_op(M):
     """Multiply the depth-r part by u1...ur (u1+...+ur)."""
-    _require([M], "U", "delta")
-    return _times_forms([M], _delta_forms)[0]
+    _require(M, "U", "delta")
+    return _times_forms(M, _delta_forms)
 
 
 def delta_inv(M):
     """Divide the depth-r part by u1...ur (u1+...+ur)."""
-    _require([M], "U", "delta")
-    return _times_forms([M], _delta_forms, divide=True)[0]
+    _require(M, "U", "delta")
+    return _times_forms(M, _delta_forms, divide=True)
 
 
 def teru(M):
     """teru(B) = B in depths 0, 1; in depth r > 1 adds
     (1/u_r)(B(u1..u_{r-2}, u_{r-1}) - B(u1..u_{r-2}, u_{r-1}+u_r))."""
-    _require([M], "U", "teru")
+    _require(M, "U", "teru")
     out = {}
     depths = set(M.values)
     depths |= {r + 1 for r in M.values}  # corrections feed depth r from r-1

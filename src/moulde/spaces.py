@@ -13,11 +13,13 @@ elements, and its rows are read off the brackets' integer coefficients
 word by word.  The space is a list of linear conditions on that basis, built
 from shared pieces: push-invariance, circ-neutrality, alternality of
 the swap and the Delta-quotient.  The `lkv` basis returns to Lie
-elements through `ma_inverse`.  Each operator acts once on the whole
-parameter list.  `_assemble` keeps the rows sparse and on
-integers, as `linalg.nullspace` takes them, and `_solve` re-verifies
-every basis element against the defining predicates of the space,
-raising `VerificationError` on a failure.
+elements through `ma_inverse`.  The push and swap rows read the
+kernel's depth-r values, and substitute the whole list in one
+`poly.substitute` call per operator (`_push`, `_swapped`), building no
+`Mould`.  `_assemble` keeps the rows sparse and on integers, as
+`linalg.nullspace` takes them, and `_solve` re-verifies every basis
+element against the defining predicates of the space, raising
+`VerificationError` on a failure.
 
 Every condition sum_j v_j f_j = w c reaches `_assemble` in one format:
 times D, the integer product of its denominator factors, each f_j * D
@@ -56,7 +58,8 @@ from .linalg import nullspace, rank
 from .mould import Mould
 from .intpoly import (_ints, _lifted, _renamed_groups, _renamings,
                       _shuffler, _summed)
-from .poly import MultiPoly, _add_into, _factor_keys, compositions, grlex_key
+from .poly import (MultiPoly, RatFrac, _add_into, _factor_keys,
+                   compositions, grlex_key, substitute)
 from .words import NCPoly
 
 
@@ -194,20 +197,28 @@ def _combine_mould(polys, vec):
 
 
 # ---------------------------------------------------------------------------
-# Conditions on a list of moulds, one per parameter
+# Conditions on the depth-r values of the parameters
 # ---------------------------------------------------------------------------
 
-def _push(moulds, r):
-    """push(B) = B in depth r, evenness in depth 1; on polynomials, D = 1."""
-    values = [P.get(r) - B.get(r)
-              for P, B in zip(mould_mod._push(moulds), moulds)]
-    return ("push", ({(0,) * r: 1}, [(v.terms, v.denom) for v in values]), 0)
+def _push(values, r):
+    """push(B) = B in depth r, evenness in depth 1: each push(B) - B of
+    the depth-r values B, on integer terms over the lcm of the two dens;
+    on polynomials, D = 1."""
+    images = []
+    pushed = substitute(values, mould_mod._push_images(mould_mod._vars(r)))
+    for P, B in zip(pushed, values):
+        den = math.lcm(P.denom, B.denom)
+        p, b = den // P.denom, den // B.denom
+        images.append((_add_into({e: c * p for e, c in P.terms.items()},
+                                 ((e, -c * b) for e, c in B.terms.items())),
+                       den))
+    return ("push", ({(0,) * r: 1}, images), 0)
 
 
-def _swapped(moulds, r):
-    """The (integer terms, den) of the depth-r value of each swap(M)."""
-    return [(v.terms, v.denom)
-            for v in (M.get(r) for M in mould_mod._swap(moulds))]
+def _swapped(values, r):
+    """The (integer terms, den) of the swap of each depth-r value."""
+    return [(v.terms, v.denom) for v in substitute(
+        values, mould_mod._swap_images(mould_mod._vars(r)))]
 
 
 def _swapped_delta(r):
@@ -315,8 +326,8 @@ def _pattern_kernel(perms):
 
 def _kernel(n, r):
     """The alternal polynomials of degree n-r in depth r, sorted by free
-    column, and their moulds: the kernel of the `al` rows on the
-    monomials.
+    column, and their values as depth-r `RatFrac`s: the kernel of the
+    `al` rows on the monomials.
 
     A shuffle keeps the multiset of exponents, so the rows split into
     blocks keyed by the sorted exponent tuple, solved once per rank word
@@ -339,7 +350,7 @@ def _kernel(n, r):
             kernel[cols[vec[-1][0]]] = MultiPoly._wrap(
                 {gens[cols[i]]: x for i, x in vec}, r)
     polys = [kernel[f] for f in sorted(kernel)]
-    return polys, [Mould("U", {r: p}) for p in polys]
+    return polys, [RatFrac.from_poly(p) for p in polys]
 
 
 def lie_basis(n, r):
@@ -359,10 +370,10 @@ def lie_basis(n, r):
 def lkv_system(n, r):
     """The alternal moulds, images under `ma` of the depth-r Lie
     elements, that are push-invariant with circ-neutral swap."""
-    K, B = _kernel(n, r)
-    conditions = [_push(B, r)]
+    K, V = _kernel(n, r)
+    conditions = [_push(V, r)]
     if r > 1:
-        conditions += _sum_rows(_swapped(B, r), r, [
+        conditions += _sum_rows(_swapped(V, r), r, [
             ("circ", mould_mod._cycle_perms(r), 0)], 1, ())
     return _assemble(K, conditions)
 
@@ -385,11 +396,11 @@ def solve_lkv(n, r):
 # ---------------------------------------------------------------------------
 
 def ls_system(n, r):
-    K, B = _kernel(n, r)
-    conditions = _sum_rows(_swapped(B, r), r, _alternality("sal", r, False),
+    K, V = _kernel(n, r)
+    conditions = _sum_rows(_swapped(V, r), r, _alternality("sal", r, False),
                            1, ())
     if r == 1:
-        conditions.append(_push(B, r))
+        conditions.append(_push(V, r))
     return _assemble(K, conditions)
 
 
@@ -486,10 +497,10 @@ def solve_gr_krv(n, r):
 # ---------------------------------------------------------------------------
 
 def krv_ell_system(n, r):
-    K, B = _kernel(n, r)
-    conditions = [_push(B, r)]
+    K, V = _kernel(n, r)
+    conditions = [_push(V, r)]
     if r > 1:
-        conditions += _sum_rows(_swapped(B, r), r,
+        conditions += _sum_rows(_swapped(V, r), r,
                                 [("circ", mould_mod._cycle_perms(r), 1)],
                                 *_swapped_delta(r))
     return _assemble(K, conditions)
@@ -509,13 +520,13 @@ def solve_krv_ell(n, r):
 # ---------------------------------------------------------------------------
 
 def ds_ell_system(n, r):
-    K, B = _kernel(n, r)
+    K, V = _kernel(n, r)
     if r == 1:
         # evenness: push-invariance of the Delta-quotient, which the
         # krv_ell inclusion needs
-        conditions = [_push(B, r)]
+        conditions = [_push(V, r)]
     else:
-        conditions = _sum_rows(_swapped(B, r), r, _alternality(
+        conditions = _sum_rows(_swapped(V, r), r, _alternality(
             "sal", r, True), *_swapped_delta(r))
     return _assemble(K, conditions)
 

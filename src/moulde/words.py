@@ -626,7 +626,7 @@ def to_c_basis(f):
 # ---------------------------------------------------------------------------
 
 def lyndon_words(n):
-    """All Lyndon words of length n over x < y (Duval's algorithm)."""
+    """All Lyndon words of length n over x < y, sorted (Duval's order)."""
     out = []
     w = [-1]
     while w:
@@ -638,7 +638,7 @@ def lyndon_words(n):
             w.append(w[len(w) - m])
         while w and w[-1] == 1:
             w.pop()
-    return sorted(w for w in out if len(w) == n)
+    return out
 
 
 def _is_lyndon(w):

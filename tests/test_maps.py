@@ -249,6 +249,13 @@ def test_w_krv_gate_rejects_nu_b5():
 
 # -- the square --------------------------------------------------------------
 
+def test_square_check_n1_checks_the_r_equals_n_cell():
+    # ds_ell(1, 1) holds one element, in the cell r = n
+    report = square_check(1)
+    assert report.verdicts == {"krv_ell_r1_0": True, "checked": True}
+    assert report.all_true()
+
+
 def test_square_check_n3(w3):
     report = square_check(3, D=4, w_krv_elements=[w3])
     assert sorted(report.verdicts) == [

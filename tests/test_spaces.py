@@ -228,11 +228,12 @@ KERNEL_CELLS = [(n, r) for n in range(1, 15) for r in range(1, 6)] + [
 
 
 def _assert_kernel_is_the_block_oracle(n, r):
-    polys, moulds = spaces._kernel(n, r)
+    polys, values = spaces._kernel(n, r)
     want = _block_kernel(n, r)
     assert [p.terms for p in polys] == [p.terms for p in want], (n, r)
     assert [list(p.terms) for p in polys] == [list(p.terms) for p in want]
-    assert [M.get(r) for M in moulds] == polys, (n, r)
+    assert all(isinstance(v, poly.RatFrac) for v in values)
+    assert values == polys, (n, r)
 
 
 def test_kernel_per_rank_word_equals_the_block_oracle():
@@ -297,9 +298,9 @@ def test_nullspace_sees_a_block_or_the_kernel_columns(monkeypatch):
 def _lyndon_lkv_system(n, r):
     gens = spaces.lie_basis(n, r)
     B = [ma(g) for g in gens]
-    conditions = [spaces._push(B, r)]
+    conditions = [_push_row(B, r)]
     if r > 1:
-        conditions += _cancelled_rows(mould._swap(B), r, _cycle(r, 0))
+        conditions += _cancelled_rows([swap(M) for M in B], r, _cycle(r, 0))
     return spaces._assemble(gens, conditions)
 
 
@@ -439,8 +440,8 @@ def test_solver_path_never_falls_back_to_fraction_elimination(monkeypatch):
 
 
 def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
-    # each operator reaches the kernels once per depth with the whole
-    # parameter list, a renaming never reaches the linear-map setup, and
+    # `spaces` substitutes the whole list of depth-r values once per
+    # operator, a renaming never reaches the linear-map setup, and
     # every shuffle and cyclic row is built uncancelled (`_sum_rows`):
     # no value with keys is substituted, nothing is divided by Delta and
     # no renaming sum runs on any solver path, the `al` rows included
@@ -466,11 +467,14 @@ def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
             raise AssertionError("a renaming reached _linear_rows")
         return linear_rows(polys)
 
-    def counted_forms(moulds, forms, divide=False):
-        divided.append(len(moulds))
-        return times_forms(moulds, forms, divide)
+    def counted_forms(M, forms, divide=False):
+        divided.append(M)
+        return times_forms(M, forms, divide)
 
-    monkeypatch.setattr(mould, "substitute", counted_substitute)
+    # `spaces` calls `substitute` itself, the mould operators through
+    # `RatFrac.substitute_linear`
+    for module in (spaces, poly):
+        monkeypatch.setattr(module, "substitute", counted_substitute)
     for module in (mould, poly):
         monkeypatch.setattr(module, "renaming_sums", counted_sums)
     monkeypatch.setattr(poly, "_linear_rows", watched_rows)
@@ -567,18 +571,19 @@ def test_delta_quotient_rows_are_the_images_over_one_denominator(
     # the swapped Delta-quotients, or, with no keys and D = 1, of the
     # monomials (the `al` rows of `_pattern_kernel`) or of the swapped
     # kernel polynomials (`sal` and `circ`)
-    gens, B = spaces._kernel(n, r)
+    gens, V = spaces._kernel(n, r)
+    B = [mould.Mould("U", {r: v}) for v in V]
     denominator, sums = (1, ()), _sums(r, False)
     if values == "delta":
-        moulds = mould._swap([delta_inv(M) for M in B])
+        moulds = [swap(delta_inv(M)) for M in B]
         denominator, sums = spaces._swapped_delta(r), _sums(r, True)
-        parts = spaces._swapped(B, r)
+        parts = spaces._swapped(V, r)
     elif values == "al":
         gens, moulds = _monomials(n, r)
         parts = [({e: 1}, 1) for e in gens]
         sums = spaces._alternality("al", r, False)
     else:
-        moulds, parts = mould._swap(B), spaces._swapped(B, r)
+        moulds, parts = [swap(M) for M in B], spaces._swapped(V, r)
     quotients = [M.get(r) for M in moulds]
     sums = [(tag, list(perms), weight) for tag, perms, weight in sums]
     conditions = spaces._sum_rows(parts, r, sums, *denominator)
@@ -691,13 +696,49 @@ def test_swap_and_push_multiply_once_per_block_prefix(monkeypatch, cell):
 
     monkeypatch.setattr(poly, "_int_mul", counted)
     gens, B = _monomials(*cell)
+    values = [M.get(cell[1]) for M in B]
     bound = _block_walk_bound(gens)
-    for operator in (mould._swap, mould._push):
+    for operator in (spaces._swapped, spaces._push):
         calls.clear()
-        operator(B)
+        operator(values, cell[1])
         assert len(calls) <= bound, (operator.__name__, len(calls), bound)
     # the walk letter by letter made 451 and 1815 products
     assert bound == {(15, 3): 176, (16, 4): 825}[cell]
+
+
+@pytest.mark.parametrize("n, r", [(5, 1), (6, 1), (9, 2), (10, 3), (11, 4),
+                                  (9, 5)])
+def test_push_rows_are_the_cleared_push_differences(n, r):
+    # push(M) - M on the moulds, cancelled and cleared, against the rows
+    # on the depth-r values: the kernel values, and the Lie images under
+    # `ma` scaled to carry denominators; at r = 1 both are monomials
+    lie = [ma(g).get(r) for g in spaces.lie_basis(n, r)]
+    for values in (spaces._kernel(n, r)[1],
+                   [v.scale(F(1, j + 2)) for j, v in enumerate(lie)]):
+        B = [mould.Mould("U", {r: v}) for v in values]
+        tag, (D, images), weight = spaces._push(values, r)
+        one, want = _cleared([mould.push(M).get(r) - M.get(r) for M in B],
+                             r)
+        assert (tag, D, weight) == ("push", one, 0) and D == {(0,) * r: 1}
+        assert len(images) == len(want) == len(B) > 0, (n, r)
+        assert [{e: F(c, d) for e, c in terms.items()}
+                for terms, d in images] == [
+            {e: F(c, d) for e, c in terms.items()} for terms, d in want]
+        assert any(terms for terms, _ in images) or r == 1
+
+
+def test_cell_systems_construct_no_mould(monkeypatch):
+    # the rows read the kernel's depth-r values: with a cold kernel
+    # cache, building each cell system wraps nothing in a `Mould`
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Mould was built")
+
+    spaces._pattern_kernel.cache_clear()
+    monkeypatch.setattr(mould.Mould, "__init__", refuse)
+    for build in (spaces.lkv_system, spaces.ls_system,
+                  spaces.krv_ell_system, spaces.ds_ell_system):
+        for n, r in [(6, 1), (9, 2), (10, 3), (10, 4)]:
+            assert build(n, r).integer_rows, (build.__name__, n, r)
 
 
 def test_one_group_sum_equals_the_lift_path():
@@ -837,29 +878,35 @@ def _monomials(n, r):
                   for e in gens]
 
 
+def _push_row(B, r):
+    """The push condition of `spaces._push` on the depth-r values of
+    the moulds B."""
+    return spaces._push([M.get(r) for M in B], r)
+
+
 def _monomial_lkv_system(n, r):
     gens, B = _monomials(n, r)
-    conditions = _alternal(B, r, "al", False) + [spaces._push(B, r)]
+    conditions = _alternal(B, r, "al", False) + [_push_row(B, r)]
     if r > 1:
-        conditions += _cancelled_rows(mould._swap(B), r, _cycle(r, 0))
+        conditions += _cancelled_rows([swap(M) for M in B], r, _cycle(r, 0))
     return spaces._assemble(gens, conditions)
 
 
 def _monomial_ls_system(n, r):
     gens, B = _monomials(n, r)
     conditions = (_alternal(B, r, "al", False)
-                  + _alternal(mould._swap(B), r, "sal", False))
+                  + _alternal([swap(M) for M in B], r, "sal", False))
     if r == 1:
-        conditions.append(spaces._push(B, r))
+        conditions.append(_push_row(B, r))
     return spaces._assemble(gens, conditions)
 
 
 def _monomial_krv_ell_system(n, r):
     gens, B = _monomials(n, r)
-    conditions = _alternal(B, r, "al", False) + [spaces._push(B, r)]
+    conditions = _alternal(B, r, "al", False) + [_push_row(B, r)]
     if r > 1:
         conditions += _cancelled_rows(
-            mould._swap([delta_inv(M) for M in B]), r, _cycle(r, 1))
+            [swap(delta_inv(M)) for M in B], r, _cycle(r, 1))
     return spaces._assemble(gens, conditions)
 
 
@@ -867,10 +914,10 @@ def _monomial_ds_ell_system(n, r):
     gens, B = _monomials(n, r)
     conditions = _alternal(B, r, "al", False)
     if r == 1:
-        conditions.append(spaces._push(B, r))
+        conditions.append(_push_row(B, r))
     else:
         conditions += _alternal(
-            mould._swap([delta_inv(M) for M in B]), r, "sal", True)
+            [swap(delta_inv(M)) for M in B], r, "sal", True)
     return spaces._assemble(gens, conditions)
 
 

@@ -311,6 +311,16 @@ def test_lyndon_words_count():
     assert len(lyndon_words(6)) == 9
 
 
+def test_lyndon_words_are_the_sorted_brute_force_enumeration():
+    # Duval's algorithm emits exactly the length-n Lyndon words, already
+    # in lexicographic order: the list is taken as it comes
+    for n in range(1, 13):
+        every = ("".join("xy"[(k >> (n - 1 - i)) & 1] for i in range(n))
+                 for k in range(2 ** n))
+        assert lyndon_words(n) == sorted(
+            w for w in every if words._is_lyndon(w)), n
+
+
 def test_lyndon_lie_basis_elements_are_lie():
     for n in (2, 3, 4, 5):
         for e in lyndon_lie_basis(n):
