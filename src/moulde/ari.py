@@ -243,12 +243,15 @@ def _cap(what, *moulds):
 
 def _exp_series(out, term, k, step):
     """out + sum_{j >= k} term_j / j!, with term_{j+1} = step(term_j),
-    until a term vanishes or j passes the cap of out."""
+    until a term vanishes or j passes the cap of out: the scaled terms
+    are collected and summed once (`Mould.sum`), one lift and one
+    cancellation per depth."""
+    terms = [out]
     while term.values and k <= out.cap:
-        out = out + term.scale(Fraction(1, math.factorial(k)))
+        terms.append(term.scale(Fraction(1, math.factorial(k))))
         term = step(term)
         k += 1
-    return out
+    return Mould.sum(terms)
 
 
 def exp_ari(A):

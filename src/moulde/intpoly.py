@@ -8,9 +8,12 @@ a matrix, a null vector) and its integer numerators over the lcm of
 its denominators; every integer kernel of the package enters and
 leaves through them.  `_lifted` alone multiplies numerators by the
 factors their denominators lack (`_times_key`, one factor each), and
-drops the zeros of each product once; `_renamings`, `_renamed_groups`
-and `_summed` are the one renaming pipeline of `poly.renaming_sums`
-and of `spaces._sum_rows`, which builds every shuffle and cyclic row."""
+drops the zeros of each product once.  `_grouped` gathers the parts of
+a sum by their keys and names the keys that cannot cancel from it, so
+that `_cancelled` tries only the others.  `_renamings`,
+`_renamed_groups` and `_summed` are the one renaming pipeline of
+`poly.renaming_sums` and of `spaces._sum_rows`, which builds every
+shuffle and cyclic row."""
 
 from __future__ import annotations
 
@@ -66,6 +69,26 @@ def _unit(i, arity):
     return tuple(1 if j == i else 0 for j in range(arity))
 
 
+@lru_cache(maxsize=None)
+def _division(key):
+    """(p, a, point, down, rest) of `_int_divide` for `key`: the pivot
+    position p and its coefficient a, an integer point of the key's
+    hyperplane, the exponent tuple of x_p, and the (shift, -c) pairs of
+    the other variables."""
+    arity = len(key)
+    p = max((i for i, c in enumerate(key) if c),
+            key=lambda i: (abs(key[i]) == 1, i))
+    a = key[p]
+    # x_j = a (j + 2) off the pivot, and x_p solves g = 0
+    point = [a * (j + 2) for j in range(arity)]
+    point[p] = -sum(c * (j + 2) for j, c in enumerate(key) if j != p)
+    down = _unit(p, arity)
+    # the term rest * (c/a) x^(e - down) lands on e - down + unit_j
+    rest = tuple((tuple(u - d for u, d in zip(_unit(j, arity), down)), -c)
+                 for j, c in enumerate(key) if c and j != p)
+    return p, a, tuple(point), down, rest
+
+
 def _int_divide(terms, key):
     """q with terms = q * g for the factor g of `key`, on integers, or
     None when g does not divide `terms`, an {exponent tuple: int}
@@ -80,22 +103,13 @@ def _int_divide(terms, key):
     degree.  The key is primitive, so by Gauss's lemma an exact quotient
     of an integral polynomial is integral: the walk stops at the first
     coefficient that a does not divide, and g divides exactly when
-    nothing is left in pivot degree 0."""
+    nothing is left in pivot degree 0.  The pivot, the point and the
+    shifts are read once per key (`_division`)."""
     if not terms:
         return terms
-    arity = len(key)
-    p = max((i for i, c in enumerate(key) if c),
-            key=lambda i: (abs(key[i]) == 1, i))
-    a = key[p]
-    # x_j = a (j + 2) off the pivot, and x_p solves g = 0
-    point = [a * (j + 2) for j in range(arity)]
-    point[p] = -sum(c * (j + 2) for j, c in enumerate(key) if j != p)
+    p, a, point, down, rest = _division(key)
     if sum(v * math.prod(map(pow, point, e)) for e, v in terms.items()):
         return None
-    down = _unit(p, arity)
-    # the term rest * (c/a) x^(e - down) lands on e - down + unit_j
-    rest = [(tuple(u - d for u, d in zip(_unit(j, arity), down)), -c)
-            for j, c in enumerate(key) if c and j != p]
     buckets = {}
     for e, c in terms.items():
         buckets.setdefault(e[p], {})[e] = c
@@ -129,14 +143,15 @@ def _int_divide(terms, key):
     return q
 
 
-def _cancelled(terms, keys):
+def _cancelled(terms, keys, kept=frozenset()):
     """(terms', left): the {exponent tuple: int} polynomial `terms`
     divided by each factor of the sorted `keys` that divides it, and the
-    list of the factors that did not divide."""
+    list of the factors that did not divide.  The factors of `kept` are
+    known not to divide, and are left with no try."""
     left = []
     failed = None
     for k in keys:
-        if k == failed:
+        if k == failed or k in kept:
             left.append(k)
             continue
         q = _int_divide(terms, k)
@@ -146,6 +161,41 @@ def _cancelled(terms, keys):
         else:
             terms = q
     return terms, left
+
+
+def _grouped(parts):
+    """(groups, den, kept) for (integer terms, den, keys) parts, each the
+    reduced fraction terms / (den times the factors of keys): `groups`
+    adds the parts of equal keys, {keys: integer terms} over the lcm
+    `den` of the dens, and `kept` holds the keys that cannot cancel from
+    the sum of the groups.
+
+    Such a key has multiplicity m in the lcm, and exactly one group
+    carries it m times, a group of a single part: that part is
+    reduced, so its lifted numerator is prime to the key, while every
+    other lifted numerator is a multiple of it.  A key that two groups
+    carry at its top multiplicity, or that a group of several parts
+    does, may cancel, and is left to `_cancelled` to try."""
+    den = math.lcm(*(d for _, d, _ in parts))
+    groups, lone = {}, set()
+    for terms, d, keys in parts:
+        if keys in groups:
+            lone.discard(keys)
+        else:
+            groups[keys] = {}
+            lone.add(keys)
+        acc, lift = groups[keys], den // d
+        for e, c in terms.items():
+            acc[e] = acc.get(e, 0) + c * lift
+    if not lone:
+        return groups, den, frozenset()
+    top = {}  # key: (its top multiplicity, held by one lone group alone)
+    for keys in groups:
+        for k in set(keys):
+            m, (t, _) = keys.count(k), top.get(k, (0, False))
+            if m >= t:
+                top[k] = m, m > t and keys in lone
+    return groups, den, frozenset(k for k, (_, sole) in top.items() if sole)
 
 
 def _product(factors):

@@ -103,7 +103,10 @@ class Mould:
     @classmethod
     def sum(cls, moulds):
         """Sum of moulds on one alphabet, each depth over one common
-        denominator and cancelled once; the smallest cap wins."""
+        denominator and cancelled once; the smallest cap wins.  No
+        moulds at all is a `ValueError`."""
+        if not moulds:
+            raise ValueError("a mould sum needs at least one mould")
         alphabet, cap = moulds[0].alphabet, None
         for M in moulds:
             if M.alphabet != alphabet:

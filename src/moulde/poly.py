@@ -60,14 +60,16 @@ of factor keys, `den_keys`:
   primitive integer tuple (c_1, ..., c_n).  Multiplying by it works term
   by term, and dividing by it is a synthetic division in one pivot
   variable, on integers (`_int_divide`).
-* A fraction is always reduced: every factor is tried once against the
-  numerator (a numerator that does not vanish at one point of the
-  factor's hyperplane is refused without a division), and sums go over
-  one common denominator that is cancelled once.  Linear forms are
-  prime, so a reduced fraction is canonical: equal fractions
-  have equal keys, terms and denom, and byte-identical text, and
-  `RatFrac.__eq__` compares just those, with no expansion and no
-  cross-multiplication.
+* A fraction is always reduced: each factor that can cancel is tried
+  once against the numerator (one that does not vanish at a point of
+  the factor's hyperplane is refused without a division).  A sum goes
+  over one common denominator, cancelled once, and does not try a key
+  that one part alone carries at its top multiplicity: that part's
+  lifted numerator is prime to the key and every other one is a
+  multiple of it (`intpoly._grouped`).  Linear forms are prime, so a
+  reduced fraction is canonical: equal fractions have equal keys,
+  terms and denom, and byte-identical text, and `RatFrac.__eq__`
+  compares just those, with no expansion and no cross-multiplication.
 * A linear form becomes its key once, where it enters
   (`RatFrac(num, factors)`, `exact_poly_divide`, a JSON `den`), and is
   only a key from there on.  A substitution maps each key k on integers
@@ -89,10 +91,11 @@ from fractions import Fraction
 import math
 from operator import add
 
-from .intpoly import (_cancelled, _dx, _from_ints, _independent_rows,
-                      _int_divide, _int_mul, _integer_roots, _ints, _lifted,
-                      _normalize_linear, _product, _renamed_groups,
-                      _renamed_keys, _renamings, _shuffler, _summed, _unit)
+from .intpoly import (_cancelled, _dx, _from_ints, _grouped,
+                      _independent_rows, _int_divide, _int_mul,
+                      _integer_roots, _ints, _lifted, _normalize_linear,
+                      _product, _renamed_groups, _renamed_keys, _renamings,
+                      _shuffler, _summed, _unit)
 
 
 _ZERO = Fraction(0)
@@ -572,25 +575,21 @@ def _reduced(arity, terms, den, keys):
 
 
 def _signed_sum(arity, parts):
-    """The RatFrac sum of (integer terms, den, keys) parts, each the
-    fraction terms / (den times the factors of keys), cancelled once.  A
-    den may be negative: the sign of a part rides on it.  Parts with the
-    same keys add up over the lcm of the dens before lifting."""
-    den = math.lcm(*(d for _, d, _ in parts))
-    groups = {}
-    for terms, d, keys in parts:
-        lift = den // d
-        acc = groups.setdefault(keys, {})
-        for e, c in terms.items():
-            acc[e] = acc.get(e, 0) + c * lift
-    return _group_sum(arity, groups, den)
+    """The RatFrac sum of (integer terms, den, keys) parts, cancelled
+    once.  Every part must be the reduced fraction terms / (den times the
+    factors of keys); a den may be negative, the sign of the part.  Parts
+    with the same keys add up over the lcm of the dens before lifting,
+    and the keys that cannot cancel are not tried (`intpoly._grouped`)."""
+    return _group_sum(arity, *_grouped(parts))
 
 
-def _group_sum(arity, groups, den):
+def _group_sum(arity, groups, den, kept=frozenset()):
     """The RatFrac sum of {den_keys: integer numerator} groups over den,
-    lifted and added (`intpoly._summed`) and cancelled once."""
+    lifted and added (`intpoly._summed`) and cancelled once: each key of
+    the lcm is tried but those of `kept`, which cannot cancel."""
     keys, total = _summed(groups)
-    return RatFrac._make(*_reduced(arity, total, den, keys))
+    terms, left = _cancelled(total, keys, kept)
+    return RatFrac._make(arity, terms, den, tuple(left))
 
 
 # -- linear substitution ----------------------------------------------------

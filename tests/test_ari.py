@@ -4,13 +4,14 @@ from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations
 import json
+import math
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moulde import ari, cli, mould, poly, words
+from moulde import ari, cli, intpoly, mould, poly, words
 from moulde.ari import (adjoint_exp, amit, anit, ari as ari_bracket, ari_bar,
                         dari, darit, exp_ari, fundamental_identity_check,
                         ganit_bar, goodfund_check, infinitesimal_generator,
@@ -421,6 +422,70 @@ def test_log_ari_agrees_with_full_cap_oracle(alphabet, data):
 def test_lopal_json_agrees_with_full_cap_oracle(cap):
     want = oracle_log_ari(named_mould("pal", cap), cap)
     assert _mould_json(named_mould("lopal", cap)) == _mould_json(want)
+
+
+def _term_by_term(out, term, k, step):
+    """The series of `ari._exp_series` summed one `+` per term."""
+    while term.values and k <= out.cap:
+        out = out + term.scale(F(1, math.factorial(k)))
+        term = step(term)
+        k += 1
+    return out
+
+
+def _exponent(G):
+    """The group-like G without its depth-0 value."""
+    return Mould(G.alphabet, {r: v for r, v in G.values.items() if r},
+                 G.cap)
+
+
+@pytest.mark.parametrize("alphabet", ["U", "V"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_series_equal_the_term_by_term_sums(alphabet, data):
+    A = _exponent(data.draw(group_likes(alphabet)))
+    M = data.draw(group_likes(alphabet))
+    one = Mould(alphabet, {0: RatFrac.const(0, 1)}, A.cap)
+    want = _term_by_term(one, A, 1, lambda B: preari(B, A))
+    assert _mould_json(exp_ari(A)) == _mould_json(want)
+    cap = min(A.cap, M.cap)
+    want = _term_by_term(Mould(alphabet, {}, cap), M, 0,
+                         lambda T: ari_bracket(A, T))
+    assert _mould_json(adjoint_exp(A, M)) == _mould_json(want)
+
+
+def test_adjoint_exp_sums_once_and_never_tries_a_kept_key(monkeypatch, w3):
+    L, M = named_mould("invpal_log", 4), ma(w3)
+    want = _mould_json(adjoint_exp(L, M))
+    keeps, current, kept_tried, sums = [], [], [], []
+
+    def cancelled(terms, keys, kept=frozenset()):
+        keeps.append(kept)
+        current.append(kept)
+        try:
+            return cancel(terms, keys, kept)
+        finally:
+            current.pop()
+
+    def divide(terms, key):
+        if current and key in current[-1]:
+            kept_tried.append(key)
+        return int_divide(terms, key)
+
+    def summed(cls, moulds):
+        sums.append(len(moulds))
+        return mould_sum(moulds)
+
+    cancel, int_divide = poly._cancelled, intpoly._int_divide
+    mould_sum = Mould.sum
+    monkeypatch.setattr(poly, "_cancelled", cancelled)
+    monkeypatch.setattr(intpoly, "_int_divide", divide)
+    monkeypatch.setattr(Mould, "sum", classmethod(summed))
+    assert _mould_json(adjoint_exp(L, M)) == want
+    assert any(keeps) and kept_tried == []
+    # one sum of the empty start, M, ad_L M and ad_L^2 M / 2: ad_L^3 M
+    # vanishes
+    assert sums == [4]
 
 
 def test_adjoint_exp_of_zero_is_identity():

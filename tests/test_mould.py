@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -250,3 +251,8 @@ def test_a_cap_never_rises():
     assert lopil.with_cap(None).cap == 3 and lopil.with_cap(None).eq(lopil)
     lowered = lopil.with_cap(2)
     assert (lowered.cap, lowered.depths()) == (2, [1, 2])
+
+
+def test_sum_of_no_moulds_is_refused():
+    with pytest.raises(ValueError, match="at least one mould"):
+        Mould.sum([])

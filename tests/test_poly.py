@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from functools import reduce
+from itertools import product
 import math
 from operator import mul
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from moulde import intpoly
+from moulde.intpoly import _grouped, _lifted
 from moulde.mould import Mould, mould_from_json, mould_to_json, swap
 from moulde.poly import (MultiPoly, RatFrac, _int_mul,
                          _linear_factor_split, _reduced, _renaming,
@@ -312,6 +315,116 @@ def test_sum_is_independent_of_order(case):
     for f in shuffled:
         pairwise = pairwise + f
     assert str(pairwise) == str(total)
+
+
+# -- the keys a sum tries --------------------------------------------------
+
+def _every_key_sum(fracs, arity):
+    """The sum of `fracs` the long way: each fraction lifted over the
+    lcm of all the denominators, the numerators added, and every factor
+    of the lcm tried against the total (`_reduced`)."""
+    den = math.lcm(*(f.denom for f in fracs))
+    keys, nums = _lifted([(f.den_keys, {e: v * (den // f.denom)
+                                        for e, v in f.terms.items()})
+                          for f in fracs])
+    total = {}
+    for terms in nums:
+        for e, v in terms.items():
+            total[e] = total.get(e, 0) + v
+    return RatFrac._make(*_reduced(arity, {e: v for e, v in total.items()
+                                           if v}, den, keys))
+
+
+def _forms(arity):
+    """The linear forms with coefficients in -1..1 and a positive last
+    nonzero one, one per key."""
+    return [MultiPoly(arity, {tuple(int(i == j) for i in range(arity)): c
+                              for j, c in enumerate(cs) if c})
+            for cs in product((-1, 0, 1), repeat=arity)
+            if any(cs) and next(c for c in reversed(cs) if c) > 0]
+
+
+def keyed_sums():
+    """(arity, fractions): up to six reduced fractions in 1..4 variables
+    whose factors come from a pool of two to four linear forms, so keys
+    are shared, repeated and distinct.  The last is often t minus the
+    sum of the first j, for a fraction t on the same pool: the keys of
+    those j that t lacks must then cancel from the sum."""
+    def fractions(arity):
+        forms = _forms(arity)
+        pool = st.lists(st.sampled_from(forms), min_size=min(2, len(forms)),
+                        max_size=4, unique_by=str)
+        part = pool.map(lambda forms: st.tuples(
+            polys(arity, max_deg=2, max_terms=3, coeffs=rationals),
+            st.lists(st.sampled_from(forms), max_size=3)))
+        return part.flatmap(lambda part: st.tuples(
+            st.lists(part, min_size=1, max_size=5), part,
+            st.integers(0, 5))).map(
+            lambda t: _with_cancelling_part(arity, *t))
+    return st.integers(1, 4).flatmap(
+        lambda arity: st.tuples(st.just(arity), fractions(arity)))
+
+
+def _with_cancelling_part(arity, parts, total, j):
+    fracs = [RatFrac(*t) for t in parts]
+    if not j:
+        return fracs
+    return fracs + [_every_key_sum([RatFrac(*total)]
+                                   + [-f for f in fracs[:j]], arity)]
+
+
+@given(keyed_sums())
+@settings(max_examples=150, deadline=None)
+def test_sum_tries_only_the_keys_that_can_cancel(case):
+    arity, fracs = case
+    got, want = RatFrac.sum(fracs, arity), _every_key_sum(fracs, arity)
+    assert (got.den_keys, got.denom, got.terms) == (
+        want.den_keys, want.denom, want.terms)
+    _assert_reduced(got)
+
+
+_u, _v = MultiPoly.variable(1, 2), MultiPoly.variable(2, 2)
+_one = MultiPoly.const(2, 1)
+_U, _V, _UV = (1, 0), (0, 1), (1, 1)
+
+
+@pytest.mark.parametrize("parts, kept, want", [
+    # a shared key cancels: 1/(u(u+v)) + 1/(v(u+v)) = 1/(uv); u and v
+    # are each held by one single-part group
+    ([(_one, [_u, _u + _v]), (_one, [_v, _u + _v])], {_U, _V},
+     (_one, [_u, _v])),
+    # a group of two parts cancels: u/(u+v) + v/(u+v) = 1
+    ([(_u, [_u + _v]), (_v, [_u + _v])], set(), (_one, [])),
+    # a group whose terms sum to zero leaves the lcm: u+v goes with it,
+    # and u, held by one single part, stays untried
+    ([(_one, [_u + _v]), (-_one, [_u + _v]), (_v, [_u, _u])],
+     {_U}, (_v, [_u, _u])),
+    # a single part is kept whole
+    ([(_u + _v, [_u, _v, _v])], {_U, _V}, (_u + _v, [_u, _v, _v])),
+    # a key at its top multiplicity in two groups may cancel:
+    # 1/(u^2 v) - 1/(u^2 (u+v)) = 1/(u v (u+v))
+    ([(_one, [_u, _u, _v]), (-_one, [_u, _u, _u + _v])], {_V, _UV},
+     (_one, [_u, _v, _u + _v])),
+])
+def test_sum_keeps_the_keys_one_single_part_holds(monkeypatch, parts, kept,
+                                                   want):
+    fracs = [RatFrac(num, factors) for num, factors in parts]
+    _, _, got = _grouped([(f.terms, f.denom, f.den_keys) for f in fracs])
+    assert got == kept
+    want = RatFrac(*want)
+    assert _every_key_sum(fracs, 2) == want
+    tried = []
+
+    def spy(terms, key):
+        tried.append(key)
+        return divide(terms, key)
+
+    divide = intpoly._int_divide
+    monkeypatch.setattr(intpoly, "_int_divide", spy)
+    total = RatFrac.sum(fracs, 2)
+    assert (total.den_keys, total.denom, total.terms) == (
+        want.den_keys, want.denom, want.terms)
+    assert not set(tried) & kept
 
 
 def _cross_equal(f, g):
