@@ -37,7 +37,8 @@ no nonzero minor vanishes mod p (so p is lucky) and every entry fits
 Wang's bound, so p is certified.  Hence the `ArithmeticError` raised
 when every prime fails can only come from a matrix with
 H > isqrt(PRIMES[-1] // 2), about 2^2211.  `rref`, the dense `Fraction`
-elimination, is kept as the reference the engine is tested against.
+elimination, is the reference the engine is tested against, and
+`span_basis` brings a spanning set to the normal form of `nullspace`.
 """
 
 from __future__ import annotations
@@ -54,13 +55,9 @@ PRIMES = tuple((1 << k) - 1 for k in (61, 127, 521, 1279, 4423))
 _STALL = 32
 
 
-def _clone(matrix):
-    return [[Fraction(x) for x in row] for row in matrix]
-
-
 def rref(matrix):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = _clone(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])
@@ -86,6 +83,15 @@ def rref(matrix):
         if r == rows:
             break
     return m, pivots
+
+
+def span_basis(vectors):
+    """The basis of the span of the independent `vectors` that
+    `nullspace` gives for a matrix with that kernel: each 1 at its free
+    column, its last nonzero entry, and 0 at the others', in the order
+    of those columns.  It is the rref with the columns reversed."""
+    rows = rref([v[::-1] for v in vectors])[0]
+    return [v[::-1] for v in reversed(rows)]
 
 
 def _width(matrix, cols=None):

@@ -17,9 +17,11 @@ elements through `ma_inverse`.  The push and swap rows read the
 kernel's depth-r values, and substitute the whole list in one
 `poly.substitute` call per operator (`_push`, `_swapped`), building no
 `Mould`.  `_assemble` keeps the rows sparse and on integers, as
-`linalg.nullspace` takes them, and `_solve` re-verifies every basis
-element against the defining predicates of the space, raising
-`VerificationError` on a failure.
+`linalg.nullspace` takes them, and `_checked` re-verifies every basis
+element, raising `VerificationError` on a failure.  A cell's kernel,
+push condition and krv_ell null vectors are built once per session, as
+tuples.  `ds_ell` is solved inside `krv_ell`: each element is verified,
+but that they span ds_ell rests on the paper's injection.
 
 Every condition sum_j v_j f_j = w c reaches `_assemble` in one format:
 times D, the integer product of its denominator factors, each f_j * D
@@ -50,11 +52,11 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import mould as mould_mod
 from . import words as words_mod
-from .linalg import nullspace, rank
+from .linalg import nullspace, rank, span_basis
 from .mould import Mould
 from .intpoly import (_ints, _lifted, _renamed_groups, _renamings,
                       _shuffler, _summed)
@@ -147,8 +149,9 @@ def _assemble(parameters, conditions):
     included."""
     if not parameters:
         return ConstraintSystem([], [], [], [])
+    parameters = list(parameters)
     if any(weight for _, _, weight in conditions):
-        parameters = list(parameters) + ["c"]
+        parameters.append("c")
     entries, dens = {}, {}
     for tag, (D, images), weight in conditions:
         if weight:
@@ -169,20 +172,21 @@ def _assemble(parameters, conditions):
 
 
 def _solve(space, n, r, system, combine):
-    """Basis of `space` from the nullspace of `system`.
-
-    Each null vector is combined into an element, which must pass every
-    check of `checks(space)`; an adjoined constant "c" is dropped."""
+    """Basis of `space` from the nullspace of `system`: each null vector
+    is combined into an element, an adjoined constant "c" dropped."""
     params = system.parameters
     if params[-1:] == ["c"]:
         params = params[:-1]
-    basis = []
-    for v in system.null_vectors():
-        element = combine(params, v)
+    return _checked(space, n, r, [combine(params, v)
+                                  for v in system.null_vectors()])
+
+
+def _checked(space, n, r, basis):
+    """The cell of `basis`, whose elements must pass `checks(space)`."""
+    for element in basis:
         failed = failed_check(space, element)
         if failed is not None:
             raise VerificationError(space, n, r, failed)
-        basis.append(element)
     return BigradedBasis(space, n, r, basis)
 
 
@@ -212,7 +216,13 @@ def _push(values, r):
         images.append((_add_into({e: c * p for e, c in P.terms.items()},
                                  ((e, -c * b) for e, c in B.terms.items())),
                        den))
-    return ("push", ({(0,) * r: 1}, images), 0)
+    return ("push", ({(0,) * r: 1}, tuple(images)), 0)
+
+
+@cache
+def _cell_push(n, r):
+    """The push condition on the kernel of the (n, r) cell."""
+    return _push(_kernel(n, r)[1], r)
 
 
 def _swapped(values, r):
@@ -221,6 +231,7 @@ def _swapped(values, r):
         values, mould_mod._swap_images(mould_mod._vars(r)))]
 
 
+@cache
 def _swapped_delta(r):
     """(s, keys): swap(Delta) = s times the factors of keys, in depth r."""
     return _factor_keys(mould_mod._delta_forms(
@@ -309,7 +320,7 @@ def _exp_tuples(d, r):
     return sorted(compositions(d, r), key=grlex_key)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _pattern_kernel(perms):
     """Null vectors of the `al` rows on the monomials `perms`, the
     permutations of one rank word in grlex order, each as (position,
@@ -324,6 +335,7 @@ def _pattern_kernel(perms):
                  for v in nullspace(rows, len(perms)))
 
 
+@cache
 def _kernel(n, r):
     """The alternal polynomials of degree n-r in depth r, sorted by free
     column, and their values as depth-r `RatFrac`s: the kernel of the
@@ -349,8 +361,20 @@ def _kernel(n, r):
         for vec in _pattern_kernel(perms):
             kernel[cols[vec[-1][0]]] = MultiPoly._wrap(
                 {gens[cols[i]]: x for i, x in vec}, r)
-    polys = [kernel[f] for f in sorted(kernel)]
-    return polys, [RatFrac.from_poly(p) for p in polys]
+    polys = tuple(kernel[f] for f in sorted(kernel))
+    return polys, tuple(RatFrac.from_poly(p) for p in polys)
+
+
+def _system(n, r, push, sums, denominator):
+    """The (n, r) cell's system on its kernel: the push condition if
+    `push` and in depth 1, where it is evenness (for ds_ell, that of
+    P/Delta, which the krv_ell inclusion needs); above depth 1 the
+    renaming `sums` of swap(P / denominator), as `_sum_rows` takes them."""
+    K, V = _kernel(n, r)
+    conditions = [_cell_push(n, r)] if push or r == 1 else []
+    if r > 1:
+        conditions += _sum_rows(_swapped(V, r), r, sums, *denominator)
+    return _assemble(K, conditions)
 
 
 def lie_basis(n, r):
@@ -370,12 +394,8 @@ def lie_basis(n, r):
 def lkv_system(n, r):
     """The alternal moulds, images under `ma` of the depth-r Lie
     elements, that are push-invariant with circ-neutral swap."""
-    K, V = _kernel(n, r)
-    conditions = [_push(V, r)]
-    if r > 1:
-        conditions += _sum_rows(_swapped(V, r), r, [
-            ("circ", mould_mod._cycle_perms(r), 0)], 1, ())
-    return _assemble(K, conditions)
+    return _system(n, r, True, [("circ", mould_mod._cycle_perms(r), 0)],
+                   (1, ()))
 
 
 def _combine_lie(polys, vec):
@@ -396,12 +416,7 @@ def solve_lkv(n, r):
 # ---------------------------------------------------------------------------
 
 def ls_system(n, r):
-    K, V = _kernel(n, r)
-    conditions = _sum_rows(_swapped(V, r), r, _alternality("sal", r, False),
-                           1, ())
-    if r == 1:
-        conditions.append(_push(V, r))
-    return _assemble(K, conditions)
+    return _system(n, r, False, _alternality("sal", r, False), (1, ()))
 
 
 def solve_ls(n, r):
@@ -497,13 +512,8 @@ def solve_gr_krv(n, r):
 # ---------------------------------------------------------------------------
 
 def krv_ell_system(n, r):
-    K, V = _kernel(n, r)
-    conditions = [_push(V, r)]
-    if r > 1:
-        conditions += _sum_rows(_swapped(V, r), r,
-                                [("circ", mould_mod._cycle_perms(r), 1)],
-                                *_swapped_delta(r))
-    return _assemble(K, conditions)
+    return _system(n, r, True, [("circ", mould_mod._cycle_perms(r), 1)],
+                   _swapped_delta(r))
 
 
 def solve_krv_ell(n, r):
@@ -512,7 +522,16 @@ def solve_krv_ell(n, r):
     u1...ur(u1+...+ur)."""
     if not 1 <= r <= n:
         return BigradedBasis("krv_ell", n, r, [])
-    return _solve("krv_ell", n, r, krv_ell_system(n, r), _combine_mould)
+    K = _kernel(n, r)[0]
+    return _checked("krv_ell", n, r, [_combine_mould(K, v)
+                                      for v in _krv_ell_vectors(n, r)])
+
+
+@cache
+def _krv_ell_vectors(n, r):
+    """The null vectors of `krv_ell_system(n, r)`: `solve_krv_ell`
+    combines and verifies them on each call, and `solve_ds_ell` reads them."""
+    return tuple(map(tuple, krv_ell_system(n, r).null_vectors()))
 
 
 # ---------------------------------------------------------------------------
@@ -520,23 +539,28 @@ def solve_krv_ell(n, r):
 # ---------------------------------------------------------------------------
 
 def ds_ell_system(n, r):
-    K, V = _kernel(n, r)
-    if r == 1:
-        # evenness: push-invariance of the Delta-quotient, which the
-        # krv_ell inclusion needs
-        conditions = [_push(V, r)]
-    else:
-        conditions = _sum_rows(_swapped(V, r), r, _alternality(
-            "sal", r, True), *_swapped_delta(r))
-    return _assemble(K, conditions)
+    return _system(n, r, False, _alternality("sal", r, True),
+                   _swapped_delta(r))
 
 
 def solve_ds_ell(n, r):
     """Degree n-r polynomial moulds P in depth r with P/Delta alternal
-    and swap alternal up to a constant mould."""
+    and swap alternal up to a constant mould.
+
+    Solved inside krv_ell, which holds ds_ell by the paper's injection:
+    the `sal` rows go on the krv_ell basis (none at r = 1 or when it is
+    empty), a null vector (w, c) maps to sum_i w_i krv_i and ds_ell's c,
+    and `linalg.span_basis` of these is the full route's basis.  Each
+    element passes `failed_check`; their span rests on the theorem."""
     if not 1 <= r <= n:
         return BigradedBasis("ds_ell", n, r, [])
-    return _solve("ds_ell", n, r, ds_ell_system(n, r), _combine_mould)
+    K, krv = _kernel(n, r)[0], _krv_ell_vectors(n, r)
+    values = [_combine_mould(K, v).get(r) for v in krv]
+    system = _assemble(values, values and _sum_rows(_swapped(
+        values, r), r, _alternality("sal", r, True), *_swapped_delta(r)))
+    return _checked("ds_ell", n, r, [_combine_mould(K, v) for v in span_basis([
+        [sum(x * v[j] for x, v in zip(w, krv)) for j in range(len(K))]
+        + w[len(krv):] for w in system.null_vectors()])])
 
 
 # ---------------------------------------------------------------------------

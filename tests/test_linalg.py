@@ -96,6 +96,24 @@ def test_nullspace_vectors_annihilated(m):
             assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+@given(matrices(max_rows=4, max_cols=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_span_basis_is_the_nullspace_basis_of_its_span(m, data):
+    # the basis of ker M, reordered and mixed by an invertible
+    # triangular matrix, comes back as the basis `nullspace` gives
+    want = nullspace(m)
+    order = data.draw(st.permutations(range(len(want))))
+    mixed = []
+    for i, p in enumerate(order):
+        v = want[p]
+        for q in order[:i]:
+            c = data.draw(entries)
+            v = [x + c * y for x, y in zip(v, want[q])]
+        s = data.draw(entries.filter(bool))
+        mixed.append([s * x for x in v])
+    assert linalg.span_basis(mixed) == want
+
+
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_solve_verifies(m):

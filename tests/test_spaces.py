@@ -238,10 +238,12 @@ def _assert_kernel_is_the_block_oracle(n, r):
 
 def test_kernel_per_rank_word_equals_the_block_oracle():
     spaces._pattern_kernel.cache_clear()
+    spaces._kernel.cache_clear()
     for cell in KERNEL_CELLS:
         _assert_kernel_is_the_block_oracle(*cell)
     # a warm cache, filled in the reverse order, gives the same answer
     spaces._pattern_kernel.cache_clear()
+    spaces._kernel.cache_clear()
     for cell in reversed(KERNEL_CELLS):
         spaces._kernel(*cell)
     for cell in KERNEL_CELLS:
@@ -266,6 +268,7 @@ def test_kernel_calls_nullspace_once_per_rank_word(monkeypatch):
     words_seen = {_rank_word(e) for e in gens}
     assert len({tuple(sorted(e)) for e in gens}) == 30
     assert len(words_seen) == 13
+    spaces._kernel.cache_clear()
     first = spaces._kernel(15, 5)
     assert len(calls) == len(words_seen)
     calls.clear()
@@ -285,6 +288,7 @@ def test_nullspace_sees_a_block_or_the_kernel_columns(monkeypatch):
 
     monkeypatch.setattr(spaces, "nullspace", spied)
     spaces._pattern_kernel.cache_clear()
+    spaces._kernel.cache_clear()
     assert solve_ls(12, 4).dim == solve_lkv(12, 4).dim == 1
     blocks = Counter(tuple(sorted(e)) for e in spaces._exp_tuples(8, 4))
     bound = max(max(blocks.values()), _witt(12, 4) + 1)
@@ -488,6 +492,7 @@ def test_assembly_substitutes_once_per_operator_and_depth(monkeypatch):
     for system, count in substitutions.items():
         calls.clear()
         spaces._pattern_kernel.cache_clear()
+        spaces._cell_push.cache_clear()
         built = system(10, 3)
         assert len(built.parameters) == 12 + (
             system in (spaces.krv_ell_system, spaces.ds_ell_system))
@@ -734,6 +739,7 @@ def test_cell_systems_construct_no_mould(monkeypatch):
         raise AssertionError("a Mould was built")
 
     spaces._pattern_kernel.cache_clear()
+    spaces._kernel.cache_clear()
     monkeypatch.setattr(mould.Mould, "__init__", refuse)
     for build in (spaces.lkv_system, spaces.ls_system,
                   spaces.krv_ell_system, spaces.ds_ell_system):
@@ -800,11 +806,28 @@ def _mould_vector(M, keys):
             for r, e in keys]
 
 
+def _full_ds_ell(n, r):
+    """ds_ell by the full route: the `sal` rows on every kernel
+    polynomial, with no use of krv_ell."""
+    return spaces._solve("ds_ell", n, r, spaces.ds_ell_system(n, r),
+                         spaces._combine_mould)
+
+
+def _basis_json(cell):
+    """The document of `moulde basis --format json` for a mould cell."""
+    return json.dumps({"space": cell.space, "n": cell.n, "r": cell.r,
+                       "dim": cell.dim,
+                       "basis": [mould.mould_to_json(M) for M in cell.basis]},
+                      indent=2, sort_keys=True)
+
+
 def test_ds_ell_lies_in_the_span_of_krv_ell():
+    # the full route, so that the check does not rest on `solve_ds_ell`
+    # being built from the krv_ell basis
     checked = 0
     for n in range(3, 11):
         for r in (1, 2, 3):
-            ds = solve_ds_ell(n, r).basis
+            ds = _full_ds_ell(n, r).basis
             if not ds:
                 continue
             krv = solve_krv_ell(n, r).basis
@@ -815,6 +838,82 @@ def test_ds_ell_lies_in_the_span_of_krv_ell():
                 == linalg.rank(rows), (n, r)
             checked += len(ds)
     assert checked >= 10
+
+
+DS_ELL_ORACLE_CELLS = [(n, r) for n in range(1, 14) for r in range(1, 5)
+                       if r <= n] + [(n, 5) for n in range(5, 12)]
+
+
+def test_ds_ell_inside_krv_ell_is_the_full_route():
+    # the basis solved on the krv_ell basis, byte for byte against the
+    # full route, r = 1 included; at (7,3) and (11,5) the two spaces'
+    # reduced bases differ, as "c" enters their systems differently
+    dims = {}
+    for n, r in DS_ELL_ORACLE_CELLS:
+        got = solve_ds_ell(n, r)
+        assert _basis_json(got) == _basis_json(_full_ds_ell(n, r)), (n, r)
+        dims[n, r] = got.dim
+    assert len(dims) == 53 and sum(dims.values()) == 47
+    assert (dims[7, 3], dims[11, 5]) == (2, 5)
+    for cell in [(7, 3), (11, 5)]:
+        assert _basis_json(solve_krv_ell(*cell)).replace("krv_ell", "ds_ell") \
+            != _basis_json(solve_ds_ell(*cell))
+
+
+# sha256 of the basis JSON of the full route, which took 12.4 s at (11,6)
+# and 33.1 s at (12,6) on a 2-CPU sandbox
+DS_ELL_REACH = {(11, 6): (4, "f960d982649888cb"),
+                (12, 6): (0, "7e89f1db1cc11894")}
+
+
+@pytest.mark.parametrize("cell", sorted(DS_ELL_REACH))
+def test_ds_ell_reach_cells(cell):
+    got = solve_ds_ell(*cell)
+    digest = hashlib.sha256(_basis_json(got).encode()).hexdigest()[:16]
+    assert (got.dim, digest) == DS_ELL_REACH[cell]
+
+
+def test_callers_cannot_corrupt_the_cell_memo():
+    # the kernel, the push condition and the krv_ell null vectors are
+    # kept for the session: what a solve or a build hands out is the
+    # caller's own to change
+    n, r = 7, 3
+    want = {solve: _basis_json(solve(n, r))
+            for solve in (solve_krv_ell, solve_ds_ell)}
+    for solve in want:
+        cell = solve(n, r)
+        for M in cell.basis:
+            M.values.clear()
+        cell.basis.reverse()
+        cell.basis.append(cell.basis[0])
+        assert _basis_json(solve(n, r)) == want[solve], solve.__name__
+    builds = (spaces.lkv_system, spaces.ls_system, spaces.krv_ell_system,
+              spaces.ds_ell_system)
+    for cell in [(n, r), (n, 1)]:
+        pins = {build: _system_digest(build(*cell)) for build in builds}
+        for build in builds:
+            system = build(*cell)
+            assert type(system.parameters) is list, build.__name__
+            system.parameters.reverse()
+            system.parameters.pop()
+            system.integer_rows.clear()
+            assert _system_digest(build(*cell)) == pins[build], cell
+    K, V = spaces._kernel(n, r)
+    assert type(K) is type(V) is tuple
+    assert type(spaces._cell_push(n, r)[1][1]) is tuple
+
+
+def test_a_warm_memo_still_verifies_every_solve(monkeypatch):
+    # the memo keeps the krv_ell null vectors, not verified elements:
+    # each solve of a warm cell checks its basis again
+    for solve in (solve_krv_ell, solve_ds_ell):
+        assert solve(5, 2).dim == 1
+    monkeypatch.setattr(mould, "star_correction", lambda *args: None)
+    for solve, check in ((solve_krv_ell, "*circ-neutral"),
+                         (solve_ds_ell, "*alternal")):
+        with pytest.raises(VerificationError) as info:
+            solve(5, 2)
+        assert info.value.check == check
 
 
 def test_rows_clear_rational_coefficients_and_keys():
