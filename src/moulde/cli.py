@@ -20,11 +20,11 @@ a solved basis element or a map's image failing its own check:
 certifies).
 
 `--depth` runs from 1 to MAX_DEPTH (6).  At depth 6 the named moulds
-take about 4 s to build, and `verify_xi_image` of the weight-5 W_krv
-generator about 21 s more with them, at a peak RSS of 284 MiB (best of
-three fresh processes on a shared 2-CPU Intel Xeon machine, Python
-3.11.7, whose speed has moved by 2x between sessions); depth 7 takes
-far longer.
+take about 2.4 s to build, and `verify_xi_image` of the weight-5 W_krv
+generator about 12 s more with them, 14.1 s in all at a peak RSS of
+105 MiB, against 0.60 s in all at depth 5 (best of three fresh
+processes on a shared 2-CPU Intel Xeon machine, Python 3.11.7, whose
+speed has moved by 2x between sessions); depth 7 takes far longer.
 The `--n`/`--r` ranges of `dims` must be nonempty and positive, and
 `basis --n`/`--r` must be positive integers.  A flag that the verb
 would ignore is refused: `--r` for the weight-graded `vkrv`, and

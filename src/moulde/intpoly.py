@@ -6,9 +6,13 @@ polynomials with no zero coefficient, and linear-form keys (see the
 dict (the terms of a `MultiPoly`, `NCPoly` or `TraceVector`, a row of
 a matrix, a null vector) and its integer numerators over the lcm of
 its denominators; every integer kernel of the package enters and
-leaves through them.  `_lifted` alone multiplies numerators by the
-factors their denominators lack (`_times_key`, one factor each), and
-drops the zeros of each product once.  `_grouped` gathers the parts of
+leaves through them.  `_packing` is the one passage between exponent
+tuples and packed monomials, one int per tuple, inside the two hottest
+kernels: the substitution walk `poly._substituted_terms` and the lift.
+`_lift_plan` alone decides which factors their denominators lack
+multiply each numerator, and in which order; `_lifted` and `_summed`
+multiply by them packed (`_packed_times`, one factor each) and drop
+the zeros of each product once.  `_grouped` gathers the parts of
 a sum by their keys and names the keys that cannot cancel from it, so
 that `_cancelled` tries only the others.  `_renamings`,
 `_renamed_groups` and `_summed` are the one renaming pipeline of
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat, starmap
 import math
 from operator import add, itemgetter, sub
+import struct
 
 
 def _ints(terms):
@@ -48,17 +54,67 @@ def _int_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
-def _times_key(terms, key):
-    """The {exponent tuple: int} polynomial `terms` times the factor of
-    `key`: each term shifts up by one in every variable of the key.
-    Terms that cancel are kept as zeros, for `_lifted` to drop once."""
-    units = [(i, c) for i, c in enumerate(key) if c]
+@lru_cache(maxsize=None)
+def _packing(arity, degree):
+    """(pack, unpack, units): the packed form of {exponent tuple: int}
+    polynomials in `arity` variables of total degree at most `degree`.
+
+    The tuple e is keyed by the int sum e_i 2^(b i), one digit of b bits
+    per variable, where b is the bit length of `degree` rounded up to 8,
+    16, 32 or 64, so that the digits are the fields of one `struct`
+    record.  No exponent exceeds the total degree, so as long as a
+    product stays within the bound no digit carries, and the key of a
+    product of monomials is the sum of their keys.  pack and unpack
+    convert a whole dict, unpack dropping zeros and building each tuple
+    once per `seen`, a {key: tuple} dict that one kernel call shares
+    among the dicts it unpacks; units[i] is the key of x_{i+1}."""
+    for size, code in (1, "B"), (2, "H"), (4, "I"), (8, "Q"):
+        if not degree >> 8 * size:
+            break
+    else:
+        raise OverflowError("exponents of 2^64 and more are not packed")
+    record = struct.Struct("<%d%s" % (arity, code))
+    width = record.size
+
+    def pack(terms):
+        return dict(zip(map(int.from_bytes, starmap(record.pack, terms),
+                            repeat("little")), terms.values()))
+
+    def unpack(terms, seen):
+        out = {}
+        for k, c in terms.items():
+            if c:
+                e = seen.get(k)
+                if e is None:
+                    e = seen[k] = record.unpack(k.to_bytes(width, "little"))
+                out[e] = c
+        return out
+
+    return pack, unpack, [1 << 8 * size * i for i in range(arity)]
+
+
+def _packed_mul(a, b):
+    """Product of two packed polynomials (`_packing`) whose product
+    stays within the packing's degree bound."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _packed_times(terms, key, table):
+    """The packed polynomial `terms` times the factor of `key`, for the
+    `_packing` table of the product: the key becomes (unit, coefficient)
+    pairs, and each term moves up by the unit of each of its variables.
+    Terms that cancel are kept as zeros, for the lift to drop once."""
+    units = table[2]
+    pairs = [(units[i], c) for i, c in enumerate(key) if c]
     out = {}
     for e, v in terms.items():
-        for i, c in units:
-            te = list(e)
-            te[i] += 1
-            te = tuple(te)
+        for u, c in pairs:
+            te = e + u
             out[te] = out.get(te, 0) + v * c
     return out
 
@@ -221,14 +277,13 @@ def _product(factors):
     return terms, den, keys
 
 
-def _lifted(parts, keys=()):
-    """(keys', numerators) for (den_keys, integer terms) pairs: the lcm
-    of `keys` and the denominators of the nonzero numerators, as sorted
-    factor keys, and each numerator multiplied on integers by the
-    factors its own denominator lacks.  The factors in fewest variables
-    go first: one in a single variable shifts the terms and adds none.
-    A lifted numerator drops the zeros of its product once, at the end."""
-    parts = list(parts)
+def _lift_plan(parts, keys):
+    """(keys', lifts) for (den_keys, integer terms) pairs: the lcm of
+    `keys` and the denominators of the nonzero numerators, as sorted
+    factor keys, and for each part the factors its own denominator
+    lacks, in the order they multiply it.  The factors in fewest
+    variables go first: one in a single variable shifts the terms and
+    adds none."""
     need, counts = {}, []
     for k in keys:
         need[k] = need.get(k, 0) + 1
@@ -241,33 +296,66 @@ def _lifted(parts, keys=()):
             if m > need.get(k, 0):
                 need[k] = m
     order = sorted(need.items(), key=lambda km: -km[0].count(0))
+    return (tuple(sorted(k for k, m in need.items() for _ in range(m))),
+            [[k for k, m in order for _ in range(m - own.get(k, 0))]
+             for own in counts])
+
+
+def _packed_lift(terms, lift, table):
+    """The {exponent tuple: int} polynomial `terms` packed by `table`
+    (`_packing`) and multiplied by the factors of `lift`, one at a time
+    (`_packed_times`); zeros are kept."""
+    terms = table[0](terms)
+    for k in lift:
+        terms = _packed_times(terms, k, table)
+    return terms
+
+
+def _lifted(parts, keys=()):
+    """(keys', numerators) for (den_keys, integer terms) pairs: the lcm
+    of `keys` and the denominators of the nonzero numerators, as sorted
+    factor keys, and each numerator multiplied on integers by the
+    factors its own denominator lacks (`_lift_plan`), packed with a
+    bound of its degree plus the number of those factors.  A lifted
+    numerator drops the zeros of its product once, at the end; one that
+    needs no factor is passed through as it is."""
+    parts = list(parts)
+    keys, lifts = _lift_plan(parts, keys)
     nums = []
-    for (_, terms), own in zip(parts, counts):
-        lift = [k for k, m in order for _ in range(m - own.get(k, 0))]
+    for (_, terms), lift in zip(parts, lifts):
         if terms and lift:
-            for k in lift:
-                terms = _times_key(terms, k)
-            terms = {e: v for e, v in terms.items() if v}
+            table = _packing(len(keys[0]), max(map(sum, terms)) + len(lift))
+            terms = table[1](_packed_lift(terms, lift, table), {})
         nums.append(terms)
-    return tuple(sorted(k for k, m in need.items() for _ in range(m))), nums
+    return keys, nums
 
 
 def _summed(groups, keys=()):
     """(keys', total): the {den_keys: integer terms} groups lifted over
-    the lcm of `keys` and their denominators (`_lifted`) and added,
-    zeros dropped.  A single group with no `keys` is already over its
+    the lcm of `keys` and their denominators (`_lift_plan`) and added,
+    zeros dropped.  The lift and the addition run packed, over one
+    table for the largest degree of a lifted group, and only the total
+    is unpacked.  A single group with no `keys` is already over its
     denominator, and is added with no lift."""
     if len(groups) == 1 and not keys:
         (keys, total), = groups.items()
         return keys, {e: v for e, v in total.items() if v}
-    keys, nums = _lifted(
-        ((k, {e: v for e, v in terms.items() if v})
-         for k, terms in groups.items()), keys)
+    parts = [(k, {e: v for e, v in terms.items() if v})
+             for k, terms in groups.items()]
+    keys, lifts = _lift_plan(parts, keys)
+    lifted = [(terms, lift) for (_, terms), lift in zip(parts, lifts)
+              if terms]
+    if not lifted:
+        return keys, {}
+    table = _packing(len(next(iter(lifted[0][0]))),
+                     max(max(map(sum, terms)) + len(lift)
+                         for terms, lift in lifted))
     total = {}
-    for terms in nums:
-        for e, v in terms.items():
-            total[e] = total.get(e, 0) + v
-    return keys, {e: v for e, v in total.items() if v}
+    for terms, lift in lifted:
+        for e, v in _packed_lift(terms, lift, table).items():
+            if v:
+                total[e] = total.get(e, 0) + v
+    return keys, table[1](total, {})
 
 
 def _normalize_linear(form):
@@ -279,6 +367,22 @@ def _normalize_linear(form):
     if next(x for x in reversed(form) if x) < 0:
         g = -g
     return g, tuple(x // g for x in form)
+
+
+def _key_image(key, rows, tgt):
+    """(g, key') with the image sum key_i rows[i] of a key equal to g
+    times the factor of key' (rows[i] None: not a linear form)."""
+    form = [0] * tgt
+    for c, row in zip(key, rows):
+        if c:
+            if row is None:
+                raise ValueError("denominator factor %s does not map to a "
+                                 "homogeneous linear form" % (key,))
+            for j, x in enumerate(row):
+                form[j] += c * x
+    if not any(form):
+        raise ZeroDivisionError("zero denominator factor")
+    return _normalize_linear(form)
 
 
 def _independent_rows(rows):

@@ -24,16 +24,21 @@ the `RatFrac` sum, product and cancellation run on Python ints:
   image of x1^e_1 ... xj^e_j is that of the first j - 1 blocks times
   the power e_j of the j-th image, from one power table per image;
   `substitute_linear` is its one-element call, and a MultiPoly goes
-  through as a fraction without keys;
+  through as a fraction without keys.  In the walk a monomial is one
+  int, e -> sum e_i 2^(b i) (`intpoly._packing`), b the bit length,
+  rounded up to 8, 16, 32 or 64, of the top numerator degree times
+  the top image degree: no digit carries;
 * a renaming shuffles the numerator's exponents and the keys'
   coordinates (`permute_variables`); `renaming_sums` adds the
   renamings of a value in one pass;
 * a sum brings each integer numerator over the lcm of the
   denominators by multiplying it by the factors its own denominator
-  lacks (`intpoly._lifted`), and adds the results in one
-  {exponent: int} dict; parts that share their keys (every renaming
+  lacks (`intpoly._lifted`), and adds the results in one dict, both
+  on packed monomials, b from the top numerator degree plus the
+  number of factors; parts that share their keys (every renaming
   sum of a polynomial, most depth sums of the flexion engine) are
   one group, cancelled with no lift and no copy (`_group_sum`);
+  outside these two kernels monomials stay tuples;
 * the product (`RatFrac.__mul__`) first divides each integer
   numerator by the keys that only the other denominator has, then
   multiplies the two (`_int_mul`); it never cancels over the product;
@@ -92,10 +97,10 @@ import math
 from operator import add
 
 from .intpoly import (_cancelled, _dx, _from_ints, _grouped,
-                      _independent_rows, _int_divide, _int_mul,
-                      _integer_roots, _ints, _lifted, _normalize_linear,
-                      _product, _renamed_groups, _renamed_keys, _renamings,
-                      _shuffler, _summed, _unit)
+                      _independent_rows, _int_divide, _integer_roots, _ints,
+                      _key_image, _lifted, _normalize_linear, _packed_mul,
+                      _packing, _product, _renamed_groups, _renamed_keys,
+                      _renamings, _shuffler, _summed, _unit)
 
 
 _ZERO = Fraction(0)
@@ -649,7 +654,6 @@ def _substituted_terms(fracs, images, tgt):
     the image itself."""
     forms, dens = (zip(*(_ints(x.terms) for x in images)) if images
                    else ((), ()))
-    powers = [[None, g] for g in forms]
     at, left, commons = {}, [], []
     for i, f in enumerate(fracs):
         # c x^e adds c / (denom prod dens[j]^e_j) times the image of x^e
@@ -661,9 +665,15 @@ def _substituted_terms(fracs, images, tgt):
             yield i, {}, 1
         for e, w in weights.items():
             at.setdefault(e, []).append((i, f.terms[e] * (common // w)))
+    # monomials are packed: no target exponent exceeds deg(e) times the
+    # top image degree
+    pack, unpack, _ = _packing(tgt, max(map(sum, at), default=0) * max(
+        (sum(e) for g in forms for e in g), default=0))
+    powers = [[None, pack(g)] for g in forms]
     # path[j]: the image of the first j blocks of the last tuple, None
     # while they are all zero
-    last, path, accs, one = None, [None], {}, {(0,) * tgt: 1}
+    last, path, accs, seen = None, [None], {}, {}
+    one = pack({(0,) * tgt: 1})
     for e in sorted(at):
         n = 0
         if last is not None:
@@ -675,9 +685,9 @@ def _substituted_terms(fracs, images, tgt):
             if x:
                 table = powers[j]
                 while len(table) <= x:
-                    table.append(_int_mul(table[-1], forms[j]))
+                    table.append(_packed_mul(table[-1], table[1]))
                 power = table[x]
-                image = power if image is None else _int_mul(image, power)
+                image = power if image is None else _packed_mul(image, power)
             path.append(image)
         last, image = e, path[-1]
         if image is None:
@@ -689,23 +699,7 @@ def _substituted_terms(fracs, images, tgt):
             left[i] -= 1
             if not left[i]:
                 acc = accs.pop(i)
-                yield i, {te: v for te, v in acc.items() if v}, commons[i]
-
-
-def _key_image(key, rows, tgt):
-    """(g, key') with the image sum key_i rows[i] of a key equal to g
-    times the factor of key' (rows[i] None: not a linear form)."""
-    form = [0] * tgt
-    for c, row in zip(key, rows):
-        if c:
-            if row is None:
-                raise ValueError("denominator factor %s does not map to a "
-                                 "homogeneous linear form" % (key,))
-            for j, x in enumerate(row):
-                form[j] += c * x
-    if not any(form):
-        raise ZeroDivisionError("zero denominator factor")
-    return _normalize_linear(form)
+                yield i, unpack(acc, seen), commons[i]
 
 
 # -- renaming ---------------------------------------------------------------

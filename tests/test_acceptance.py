@@ -279,16 +279,23 @@ def test_criterion_14_ds_ell_krv_ell_square(A3):
         matrix = [[p.coeff(e) for p in polys] for e in exps]
         rhs = [target.coeff(e) for e in exps]
         assert linalg.solve(matrix, rhs) is not None
-    # every ds_ell basis element passes the krv_ell predicate suite
+    # every ds_ell element passes the krv_ell predicate suite; the
+    # elements come from the full route, the `sal` rows on every kernel
+    # polynomial, since `solve_ds_ell` builds its basis from krv_ell's
+    checked = 0
     for n in range(3, 9):
         for r in range(1, 4):
-            for P in spaces.solve_ds_ell(n, r).basis:
+            K = spaces._kernel(n, r)[0]
+            for v in spaces.ds_ell_system(n, r).null_vectors():
+                P = spaces._combine_mould(K, v)
                 assert is_alternal(P)
                 assert is_push_invariant(P)
                 if r > 1:
                     Q = delta_inv(P)
                     assert star_correction(swap(Q), "circ_neutral") \
                         is not None
+                checked += 1
+    assert checked == 8
 
 
 def test_criterion_15_cli_contract(tmp_path, b3, w3):

@@ -1,12 +1,13 @@
 """The lift of integer numerators lives in `intpoly`, and the rows of
 every renaming-sum condition come from one builder in `spaces`.
 
-`intpoly._times_key` multiplies terms by one factor key, and only
-`intpoly._lifted` decides which factors a numerator is multiplied by
-and in which order.  The renaming sums of `poly` and the shuffle and
-cyclic rows of `spaces` go through one pipeline of `intpoly`
-(`_renamings`, `_renamed_groups`, `_summed`), so neither module renames
-keys or lifts numerators by hand.  In `spaces` that pipeline is read by
+`intpoly._packed_times` multiplies packed terms by one factor key, and
+only `intpoly._lift_plan` decides which factors a numerator is
+multiplied by and in which order, for `_lifted` and `_summed`.  The
+renaming sums of `poly` and the shuffle and cyclic rows of `spaces` go
+through one pipeline of `intpoly` (`_renamings`, `_renamed_groups`,
+`_summed`), so neither module renames keys or lifts numerators by
+hand.  In `spaces` that pipeline is read by
 `_sum_rows` alone, for polynomial and Delta-quotient conditions alike,
 with no cancelled sum (`poly.renaming_sums`) on the way; `mould` keeps
 the one-value sums only, and `spaces._assemble` takes one condition
@@ -36,19 +37,19 @@ def _names(tree):
             yield node.name
 
 
-def test_times_key_is_referenced_only_inside_intpoly():
+def test_packed_times_is_referenced_only_inside_intpoly():
     users = sorted(name for name, tree in _trees().items()
-                   if "_times_key" in set(_names(tree)))
+                   if "_packed_times" in set(_names(tree)))
     assert users == ["intpoly.py"]
 
 
-def test_spaces_imports_neither_times_key_nor_renamed_keys():
+def test_spaces_imports_neither_packed_times_nor_renamed_keys():
     tree = _trees()["spaces.py"]
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    assert not imported & {"_times_key", "_renamed_keys"}
-    assert not set(_names(tree)) & {"_times_key", "_renamed_keys"}
+    assert not imported & {"_packed_times", "_renamed_keys"}
+    assert not set(_names(tree)) & {"_packed_times", "_renamed_keys"}
 
 
 def test_assemble_takes_one_condition_format():

@@ -11,12 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moulde import intpoly
-from moulde.intpoly import _grouped, _lifted
+from moulde.intpoly import _grouped, _int_mul, _lifted
 from moulde.mould import Mould, mould_from_json, mould_to_json, swap
-from moulde.poly import (MultiPoly, RatFrac, _int_mul,
-                         _linear_factor_split, _reduced, _renaming,
-                         exact_poly_divide, grlex_key, monomial_sum,
-                         poly_to_text)
+from moulde.poly import (MultiPoly, RatFrac, _linear_factor_split,
+                         _reduced, _renaming, exact_poly_divide, grlex_key,
+                         monomial_sum, poly_to_text)
 
 
 def _poly(arity, terms):

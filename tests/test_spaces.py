@@ -630,13 +630,13 @@ def test_sal_rows_lift_over_the_lcm_not_the_symmetric_product():
 def test_lifted_multiplies_the_one_variable_factors_first(monkeypatch):
     # first seen: x+y, x, x+y+z, y; a factor in one variable shifts the
     # terms and adds none, so x and y go first, in the order seen
-    seen, times_key = [], intpoly._times_key
+    seen, packed_times = [], intpoly._packed_times
 
-    def spy(terms, key):
+    def spy(terms, key, table):
         seen.append(key)
-        return times_key(terms, key)
+        return packed_times(terms, key, table)
 
-    monkeypatch.setattr(intpoly, "_times_key", spy)
+    monkeypatch.setattr(intpoly, "_packed_times", spy)
     x, y, xy, xyz = (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)
     terms = {(1, 2, 0): 3, (0, 1, 1): -1}
     keys, (lifted, _) = intpoly._lifted(
@@ -655,23 +655,24 @@ def test_lifted_multiplies_the_one_variable_factors_first(monkeypatch):
 
 
 def test_lifted_drops_the_zeros_of_a_product_once(monkeypatch):
-    # (x+y)(-x+y) = y^2 - x^2 loses its xy term: `_times_key` keeps the
-    # zero, `_lifted` drops it once after the last factor, and passes a
-    # numerator that needs no factor through as it is
-    outputs, times_key = [], intpoly._times_key
+    # (x+y)(-x+y) = y^2 - x^2 loses its xy term: `_packed_times` keeps
+    # the zero, `_lifted` drops it once after the last factor, and passes
+    # a numerator that needs no factor through as it is
+    outputs, packed_times = [], intpoly._packed_times
 
-    def spy(terms, key):
-        out = times_key(terms, key)
-        outputs.append(dict(out))
+    def spy(terms, key, table):
+        out = packed_times(terms, key, table)
+        outputs.append((dict(out), table))
         return out
 
-    monkeypatch.setattr(intpoly, "_times_key", spy)
+    monkeypatch.setattr(intpoly, "_packed_times", spy)
     xy, yx = (1, 1), (-1, 1)
     whole = {(0, 1): 3}
     keys, (D, lifted, kept) = intpoly._lifted(
         [((), {(0, 0): 1}), ((xy,), {(1, 0): 2}), ((xy, yx), whole)])
     assert keys == (yx, xy)
-    assert outputs[1] == {(2, 0): -1, (1, 1): 0, (0, 2): 1}
+    out, (pack, _, _) = outputs[1]
+    assert out == pack({(2, 0): -1, (1, 1): 0, (0, 2): 1})
     assert D == {(2, 0): -1, (0, 2): 1}
     assert lifted == {(2, 0): -2, (1, 1): 2}
     assert kept is whole
@@ -693,20 +694,21 @@ def _block_walk_bound(exps):
 @pytest.mark.parametrize("cell", [(15, 3), (16, 4)])
 def test_swap_and_push_multiply_once_per_block_prefix(monkeypatch, cell):
     calls = []
-    int_mul = poly._int_mul
+    packed_mul = poly._packed_mul
 
     def counted(a, b):
         calls.append(1)
-        return int_mul(a, b)
+        return packed_mul(a, b)
 
-    monkeypatch.setattr(poly, "_int_mul", counted)
+    monkeypatch.setattr(poly, "_packed_mul", counted)
     gens, B = _monomials(*cell)
     values = [M.get(cell[1]) for M in B]
     bound = _block_walk_bound(gens)
     for operator in (spaces._swapped, spaces._push):
         calls.clear()
         operator(values, cell[1])
-        assert len(calls) <= bound, (operator.__name__, len(calls), bound)
+        assert 0 < len(calls) <= bound, (operator.__name__, len(calls),
+                                         bound)
     # the walk letter by letter made 451 and 1815 products
     assert bound == {(15, 3): 176, (16, 4): 825}[cell]
 

@@ -11,17 +11,18 @@ at a time.  Values and exception types must match.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 from operator import itemgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moulde import mould
-from moulde.intpoly import _from_ints, _ints
+from moulde import intpoly, mould
+from moulde.intpoly import _from_ints, _int_mul, _ints
 from moulde.poly import (MultiPoly, RatFrac, _divided, _independent_rows,
-                         _int_mul, _linear_rows, _normalize_linear,
-                         _renaming, compositions, renaming_sums, substitute)
+                         _linear_rows, _normalize_linear, _renaming,
+                         compositions, renaming_sums, substitute)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -395,3 +396,133 @@ def test_block_walk_matches_the_oracle_on_a_dense_sum():
 def test_block_walk_matches_the_oracle_in_four_variables(p, images):
     want = _outcome(lambda: [oracle_poly_substitute(p, images)])
     assert _outcome(lambda: substitute([p], images)) == want
+
+
+# -- packed monomials at the digit boundaries --------------------------------
+# Inside the walk and the lift a monomial is one int with one digit per
+# variable, as wide as a bound on the total degree needs
+# (`intpoly._packing`); a product whose degree reaches past a digit
+# would carry into the next variable.  Total degrees 2^k - 1 and 2^k
+# sit on either side of each possible width.
+
+_BOUNDARIES = [2 ** k - s for k in (1, 2, 3, 4, 7, 8) for s in (1, 0)]
+
+
+def _boundary_images(arity, case):
+    """Images of x1..x{arity}: linear forms that are not a renaming, the
+    same with a zero last image, or with a first image of degree 2, which
+    doubles the digit of x1^d."""
+    xs = _variables(arity)
+    if arity == 1:
+        images = [-xs[0]]
+    else:
+        images = [xs[1], -xs[0], xs[2] + xs[3], xs[3], xs[4].scale(2),
+                  xs[5] - xs[0]]
+    if case == "zero":
+        images[-1] = MultiPoly.zero(arity)
+    elif case == "nonlinear":
+        images[0] = images[0] * images[0] + xs[-1]
+    return images
+
+
+def _boundary_value(arity, d):
+    """A sparse polynomial of total degree d, with lower terms."""
+    if arity == 1:
+        return MultiPoly(1, {(d,): F(3, 2), (d // 2,): -1, (0,): 2})
+    terms = {(d, 0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0, d): F(-2, 3),
+             (0, 1, d - 1, 0, 0, 0): 5, (0, 0, 1, 0, 0, d - 1): F(1, 2),
+             (1, 0, 0, 0, 0, 0): 7, (0, 0, 0, 0, 0, 0): -1}
+    return MultiPoly(6, {e: c for e, c in terms.items() if min(e) >= 0})
+
+
+def _boundary_degrees(arity):
+    return _BOUNDARIES + ([65535, 65536] if arity == 1 else [])
+
+
+def test_block_walk_matches_the_oracle_at_the_digit_boundaries():
+    # in six variables the keys avoid the zero and the non-linear image,
+    # so every value is substituted; in one, the fraction's key is x1
+    for arity in (1, 6):
+        xs = _variables(arity)
+        for d in _boundary_degrees(arity):
+            p = _boundary_value(arity, d)
+            frac = RatFrac(p, [xs[1], xs[2] + xs[3]] if arity == 6
+                           else [xs[0]])
+            for case in ("linear", "zero", "nonlinear"):
+                if d > 256 and case == "nonlinear":
+                    continue
+                images = _boundary_images(arity, case)
+                for value in (p, frac):
+                    got = _outcome(lambda: substitute([value], images))
+                    assert got == _outcome(lambda: [
+                        oracle_substitute(value, images)]), (arity, d, case)
+                    assert isinstance(got, list) or (
+                        arity == 1 and value is frac and case != "linear")
+
+
+def _key_poly(key):
+    return {tuple(int(j == i) for j in range(len(key))): c
+            for i, c in enumerate(key) if c}
+
+
+def oracle_lifted(parts, keys):
+    """The lcm and the lifted numerators of `intpoly._lifted`, each
+    multiplied out on exponent tuples."""
+    need = Counter(keys)
+    for den_keys, terms in parts:
+        if terms:
+            need |= Counter(den_keys)
+    nums = []
+    for den_keys, terms in parts:
+        for k in ((need - Counter(den_keys)).elements() if terms else ()):
+            terms = _int_mul(terms, _key_poly(k))
+        nums.append(terms)
+    return tuple(sorted(need.elements())), nums
+
+
+def _boundary_parts(arity, d):
+    """Parts whose first numerator lifts to total degree d: it has
+    degree d - m and its denominator lacks all m factors of the lcm."""
+    if arity == 1:
+        factors = [(1,)] * min(d, 2)
+    else:
+        factors = [(1, 0, 0, 0, 0, 0), (0, -1, 1, 0, 0, 0), (1,) * 6,
+                   (0, 0, 0, 0, -2, 1)][:min(d, 4)]
+    m = d - len(factors)
+    top = {e: c for e, c in _boundary_value(arity, m).terms.items()
+           if sum(e) == m}
+    lower = {(0,) * arity: 4}
+    return [((), {e: c.numerator * 6 for e, c in top.items()}),
+            (tuple(sorted(factors)), lower),
+            (tuple(factors[:1]), {(0,) * (arity - 1) + (m,): -3})]
+
+
+def test_lift_matches_the_oracle_at_the_digit_boundaries():
+    for arity in (1, 6):
+        for d in _boundary_degrees(arity):
+            parts = _boundary_parts(arity, d)
+            keys, nums = oracle_lifted(parts, ())
+            assert max(sum(e) for e in nums[0]) == d
+            assert intpoly._lifted(parts) == (keys, nums), (arity, d)
+            # the sum adds the groups of equal keys, then lifts them
+            groups, total = {}, Counter()
+            for (den_keys, terms), lifted in zip(parts, nums):
+                groups.setdefault(den_keys, Counter()).update(terms)
+                total.update(lifted)
+            assert intpoly._summed(groups) == (
+                keys, {e: c for e, c in total.items() if c}), (arity, d)
+
+
+def test_packing_refuses_a_degree_past_64_bit_digits():
+    # a product past the widest digit would carry silently, so the
+    # table is refused before any walk or lift starts
+    assert intpoly._packing(6, 2 ** 64 - 1)[2][1] == 2 ** 64
+    try:
+        intpoly._packing(6, 2 ** 64)
+    except OverflowError:
+        x = MultiPoly.variable(1, 1)
+        try:
+            substitute([MultiPoly.monomial((2 ** 64,))], [-x])
+        except OverflowError:
+            return
+    raise AssertionError("a degree of 2^64 was packed")
